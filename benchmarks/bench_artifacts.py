@@ -59,7 +59,7 @@ def _verdict_bytes(result) -> bytes:
 
 
 def _timed_sweep(up_to, *, root=None, cache=None, method=None,
-                 schedule="auto", jobs=JOBS):
+                 jobs=JOBS):
     """One sweep of the matching protocol, optionally against a store."""
     previous = os.environ.get(START_METHOD_ENV)
     if method is not None:
@@ -70,7 +70,7 @@ def _timed_sweep(up_to, *, root=None, cache=None, method=None,
         began = time.perf_counter()
         with artifact_plane.plane(store):
             result = sweep_verify(generalizable_matching(), up_to=up_to,
-                                  jobs=jobs, cache=cache, schedule=schedule)
+                                  jobs=jobs, cache=cache)
         elapsed = time.perf_counter() - began
     finally:
         if store is not None:
@@ -93,12 +93,11 @@ def collect(tmp_path):
                                 cache=ResultCache(warm_root))
 
     parity_root = tmp_path / "parity"
-    _timed_sweep(PARITY_K, root=parity_root, method="fork",
-                 schedule="batch")  # publish everything once
-    fork, fork_s = _timed_sweep(PARITY_K, root=parity_root, method="fork",
-                                schedule="batch")
+    # publish everything once
+    _timed_sweep(PARITY_K, root=parity_root, method="fork")
+    fork, fork_s = _timed_sweep(PARITY_K, root=parity_root, method="fork")
     spawn, spawn_s = _timed_sweep(PARITY_K, root=parity_root,
-                                  method="spawn", schedule="batch")
+                                  method="spawn")
     return {
         "reference": reference,
         "cold": (cold, cold_s),

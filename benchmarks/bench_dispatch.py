@@ -1,21 +1,35 @@
-"""Dispatch-overhead smoke: batch scheduling vs fork-per-attempt.
+"""Dispatch smoke: the batch scheduler against the serial reference.
 
 The compiled kernels made per-task cost tiny (sub-millisecond model
-checks at small K), which turned the PR 5 supervisor's fork-per-attempt
-dispatch into the dominant cost of supervised micro-task sweeps.  This
-benchmark runs the same supervised sweep of N micro model-checking
-tasks twice — ``schedule="task"`` (one forked child per task) and
-``schedule="batch"`` (persistent workers, adaptive batches) — asserts
-the verdicts are byte-identical, gates on the speedup, and emits
-``BENCH_dispatch.json`` at the repository root.
+checks at small K), so dispatch overhead decides whether ``--jobs``
+helps at all on micro-task sweeps.  This benchmark runs one supervised
+sweep of N micro model-checking tasks through the engine's one dispatch
+path at ``jobs=4`` (persistent workers, adaptive batches) and the same
+items serially in-parent (``jobs=1``), and checks that
 
-``REPRO_BENCH_DISPATCH_ITEMS`` sets N (CI uses 200 with a ≥3× gate to
-stay fast and noise-tolerant; the full default of 500 carries the ≥5×
-acceptance bound).
+* the verdicts are byte-identical to the serial reference;
+* batching actually batched: every item went through a batch, and
+  there were fewer batches than items;
+* the live telemetry plane costs at most 2% of wall clock — measured as
+  the ratio of the best of five runs with a publisher active to the
+  best of five runs without, interleaved (alternating which side goes
+  first) so drift hits both sides (gated on the full configuration
+  only).
+
+It emits ``BENCH_dispatch.json`` at the repository root, stamped with
+the commit, Python version, CPU count and variant.
+
+``REPRO_BENCH_DISPATCH_ITEMS`` sets N.  The default of 500 is the
+``full`` variant that writes the committed record (and
+``benchmarks/out/dispatch_overhead.txt``); any other N (CI uses 200) is
+the ``ci`` variant and writes only ``benchmarks/out/BENCH_dispatch.json``,
+so a CI-sized run never overwrites a committed result.
 """
 
 import json
 import os
+import platform
+import subprocess
 import tempfile
 import time
 from pathlib import Path
@@ -26,18 +40,21 @@ from repro.obs import live
 from repro.protocols import generalizable_matching
 from repro.serialization import global_report_to_dict
 
-ITEMS = int(os.environ.get("REPRO_BENCH_DISPATCH_ITEMS", "500"))
+FULL_ITEMS = 500
+ITEMS = int(os.environ.get("REPRO_BENCH_DISPATCH_ITEMS", str(FULL_ITEMS)))
+VARIANT = "full" if ITEMS == FULL_ITEMS else "ci"
 JOBS = 4
 #: Ring sizes the micro tasks cycle over — small enough that one check
 #: costs well under a millisecond, so dispatch overhead dominates.
 MICRO_SIZES = (3, 4)
 REPO_ROOT = Path(__file__).resolve().parent.parent
-#: ≥5× is the acceptance bound on full runs; CI's 200-item run gates at
-#: ≥3× (same effect, more headroom against shared-runner noise).
-MIN_SPEEDUP = 5.0 if ITEMS >= 500 else 3.0
-#: Publishing live status snapshots must stay within 2% of the batch
-#: run's wall clock.  Only gated on the full 500-item configuration —
-#: shorter CI runs are too noisy for a 2% bound to mean anything.
+RECORD = (REPO_ROOT / "BENCH_dispatch.json" if VARIANT == "full"
+          else REPO_ROOT / "benchmarks" / "out" / "BENCH_dispatch.json")
+#: Interleaved repetitions per side of the live-overhead comparison.
+LIVE_ROUNDS = 5
+#: Publishing live status snapshots must stay within 2% of the plain
+#: run's wall clock (best of LIVE_ROUNDS each).  Only gated on the full
+#: configuration — shorter CI runs are too noisy for a 2% bound.
 MAX_LIVE_OVERHEAD = 1.02
 
 
@@ -49,7 +66,7 @@ def _micro_worker(context, size: int):
 
 
 def _verdict_bytes(reports) -> bytes:
-    """The schedule-invariant content of a result list, serialized.
+    """The dispatch-invariant content of a result list, serialized.
 
     Run-local ``stats`` are timing-dependent by design and excluded;
     everything the analysis concluded must match byte for byte.
@@ -62,10 +79,10 @@ def _verdict_bytes(reports) -> bytes:
     return json.dumps(rows, sort_keys=True).encode("ascii")
 
 
-def _run(schedule: str, live_dir=None):
+def _run(jobs: int, live_dir=None):
     protocol = generalizable_matching()
     sizes = [MICRO_SIZES[i % len(MICRO_SIZES)] for i in range(ITEMS)]
-    stats = EngineStats(jobs=JOBS)
+    stats = EngineStats(jobs=jobs)
     live_run = None
     if live_dir is not None:
         live_run = live.LiveRun(live_dir, "bench-dispatch-live",
@@ -74,9 +91,8 @@ def _run(schedule: str, live_dir=None):
     began = time.perf_counter()
     try:
         results = supervise_work_items(
-            _micro_worker, sizes, jobs=JOBS, context=protocol,
-            stats=stats, policy=SupervisorPolicy(timeout=60, retries=2),
-            schedule=schedule)
+            _micro_worker, sizes, jobs=jobs, context=protocol,
+            stats=stats, policy=SupervisorPolicy(retries=2))
     finally:
         elapsed = time.perf_counter() - began
         if live_run is not None:
@@ -85,65 +101,73 @@ def _run(schedule: str, live_dir=None):
     return results, elapsed, stats, live_run
 
 
+def _commit() -> str:
+    """The measured source: abbreviated commit, ``-dirty`` when the
+    working tree has uncommitted changes."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"], cwd=REPO_ROOT,
+            capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
 def collect():
-    task_results, task_s, _task_stats, _ = _run("task")
-    batch_results, batch_s, batch_stats, _ = _run("batch")
+    serial_results, serial_s, _serial_stats, _ = _run(1)
+    plain, observed = [], []
+    snapshots = 0
     with tempfile.TemporaryDirectory() as scratch:
-        live_results, live_s, _live_stats, live_run = _run(
-            "batch", live_dir=scratch)
-    return {
-        "task": (task_results, task_s),
-        "batch": (batch_results, batch_s),
-        "live": (live_results, live_s, live_run.snapshots),
-        "batch_stats": batch_stats,
-    }
+        for round_ in range(LIVE_ROUNDS):
+            # Alternate which side runs first, so neither always
+            # inherits the other's warm caches.
+            sides = [(plain, None), (observed, scratch)]
+            for runs, live_dir in sides[::-1] if round_ % 2 else sides:
+                runs.append(_run(JOBS, live_dir=live_dir))
+            snapshots += observed[-1][3].snapshots
+    return {"serial": (serial_results, serial_s), "plain": plain,
+            "observed": observed, "live_snapshots": snapshots}
 
 
 def test_dispatch_perf_smoke(benchmark, write_artifact):
     outcome = benchmark.pedantic(collect, rounds=1, iterations=1)
-    task_results, task_s = outcome["task"]
-    batch_results, batch_s = outcome["batch"]
-    live_results, live_s, live_snapshots = outcome["live"]
-    stats = outcome["batch_stats"]
-    speedup = task_s / batch_s
+    serial_results, serial_s = outcome["serial"]
+    plain, observed = outcome["plain"], outcome["observed"]
+    batch_s = min(run[1] for run in plain)
+    live_s = min(run[1] for run in observed)
     live_overhead = live_s / batch_s
+    stats = plain[0][2]
 
-    # Byte-identical verdicts across schedules — the whole point of
-    # sharing one TaskLedger between the execution strategies.
-    assert _verdict_bytes(batch_results) == _verdict_bytes(task_results)
-    # The live telemetry plane observes but never participates: with a
-    # publisher active the verdicts stay byte-identical ...
-    assert _verdict_bytes(live_results) == _verdict_bytes(batch_results)
-    assert live_snapshots > 0, "live plane never published a snapshot"
-    # ... and (on the full configuration, where noise is amortized)
-    # publishing costs under 2% of wall clock.
-    if ITEMS >= 500:
-        assert live_overhead <= MAX_LIVE_OVERHEAD, (
-            f"live plane cost {(live_overhead - 1) * 100:.1f}% over the "
-            f"plain batch run (budget "
-            f"{(MAX_LIVE_OVERHEAD - 1) * 100:.0f}%)")
-    # The batch scheduler actually batched (not 1 task per dispatch).
-    assert stats.scheduler_batches > 0
-    assert stats.scheduler_batch_items == ITEMS
-    assert stats.scheduler_batches < ITEMS, (
-        "adaptive batching degenerated to one item per batch")
-    # The gate: dispatch overhead must be amortized away.
-    assert speedup >= MIN_SPEEDUP, (
-        f"batch schedule only {speedup:.2f}x faster than "
-        f"fork-per-attempt over {ITEMS} items (need {MIN_SPEEDUP}x)")
+    # Byte-identical verdicts: every batch run, with and without a live
+    # publisher, reproduces the serial in-parent reference.
+    reference = _verdict_bytes(serial_results)
+    for results, *_ in plain + observed:
+        assert _verdict_bytes(results) == reference
+    assert outcome["live_snapshots"] > 0, \
+        "live plane never published a snapshot"
+    # The batch scheduler actually ran, and actually batched.
+    for _results, _elapsed, run_stats, _ in plain:
+        assert run_stats.parallel
+        assert run_stats.pool_fallbacks == 0
+        assert run_stats.scheduler_batch_items == ITEMS
+        assert 0 < run_stats.scheduler_batches < ITEMS, (
+            "adaptive batching degenerated to one item per batch")
 
     payload = {
+        "commit": _commit(),
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "variant": VARIANT,
         "protocol": "matching-ex4.2",
         "items": ITEMS,
         "jobs": JOBS,
         "micro_sizes": list(MICRO_SIZES),
-        "task_s": round(task_s, 4),
-        "batch_s": round(batch_s, 4),
-        "speedup": round(speedup, 2),
-        "min_speedup_gate": MIN_SPEEDUP,
-        "live_s": round(live_s, 4),
+        "serial_s": round(serial_s, 4),
+        "live_rounds": LIVE_ROUNDS,
+        "batch_s_min": round(batch_s, 4),
+        "live_s_min": round(live_s, 4),
         "live_overhead": round(live_overhead, 4),
-        "live_snapshots": live_snapshots,
+        "max_live_overhead_gate": MAX_LIVE_OVERHEAD,
+        "live_snapshots": outcome["live_snapshots"],
         "scheduler": {
             "batches": stats.scheduler_batches,
             "batch_items": stats.scheduler_batch_items,
@@ -154,15 +178,24 @@ def test_dispatch_perf_smoke(benchmark, write_artifact):
             "requeued": stats.scheduler_requeued,
         },
     }
-    (REPO_ROOT / "BENCH_dispatch.json").write_text(
-        json.dumps(payload, indent=2) + "\n")
+    RECORD.parent.mkdir(parents=True, exist_ok=True)
+    RECORD.write_text(json.dumps(payload, indent=2) + "\n")
+    if VARIANT != "full":
+        return
     write_artifact(
         "dispatch_overhead.txt",
-        f"{ITEMS} micro tasks @ jobs={JOBS}\n"
-        f"  schedule=task  {task_s * 1e3:9.1f} ms\n"
-        f"  schedule=batch {batch_s * 1e3:9.1f} ms  "
-        f"({speedup:.1f}x, {payload['scheduler']['batches']} batches, "
-        f"mean {payload['scheduler']['mean_batch_size']} items)\n"
-        f"  batch + live   {live_s * 1e3:9.1f} ms  "
-        f"({(live_overhead - 1) * 100:+.1f}%, "
-        f"{live_snapshots} snapshots)")
+        f"{ITEMS} micro tasks, {os.cpu_count()} CPUs\n"
+        f"  serial (jobs=1)      {serial_s * 1e3:9.1f} ms\n"
+        f"  batch (jobs={JOBS})       {batch_s * 1e3:9.1f} ms  "
+        f"(best of {LIVE_ROUNDS}; {payload['scheduler']['batches']} "
+        f"batches, mean {payload['scheduler']['mean_batch_size']} "
+        f"items)\n"
+        f"  batch + live         {live_s * 1e3:9.1f} ms  "
+        f"({(live_overhead - 1) * 100:+.1f}%, best of {LIVE_ROUNDS}, "
+        f"{outcome['live_snapshots']} snapshots)")
+    # Publishing costs under 2% of wall clock (full configuration only;
+    # checked after the record is written, so a miss is still recorded).
+    assert live_overhead <= MAX_LIVE_OVERHEAD, (
+        f"live plane cost {(live_overhead - 1) * 100:.1f}% over the "
+        f"plain batch run (best of {LIVE_ROUNDS} each; budget "
+        f"{(MAX_LIVE_OVERHEAD - 1) * 100:.0f}%)")

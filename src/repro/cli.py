@@ -32,7 +32,6 @@ import time
 from pathlib import Path
 
 import repro.engine.artifacts as artifact_plane
-from repro.checker import check_instance
 from repro.core import (
     build_ltg,
     synthesize_convergence,
@@ -135,17 +134,7 @@ def _add_supervisor_options(parser: argparse.ArgumentParser,
     parser.add_argument(
         "--retries", type=int, default=None, metavar="N",
         help="extra attempts for a crashed or timed-out work item "
-             "before degrading (default: 2 once supervision is on)")
-    parser.add_argument(
-        "--schedule", choices=("auto", "batch", "task"), default="auto",
-        help="supervised execution strategy: persistent workers pulling "
-             "adaptively sized batches (batch; the auto default when "
-             "children are forked anyway) or one forked child per task "
-             "attempt (task)")
-    parser.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="pin the batch scheduler's batch size instead of adapting "
-             "it from observed task durations")
+             "before degrading (default: 2)")
     if resume:
         parser.add_argument(
             "--checkpoint", action="store_true",
@@ -164,7 +153,7 @@ def _add_supervisor_options(parser: argparse.ArgumentParser,
 
 def _supervisor_policy(args: argparse.Namespace):
     """The :class:`SupervisorPolicy` requested by the flags, or ``None``
-    (= unsupervised, the plain pool fast path)."""
+    (= the dispatcher's default policy)."""
     if args.timeout is None and args.retries is None:
         return None
     from repro.engine.supervisor import SupervisorPolicy
@@ -294,7 +283,7 @@ def _artifact_store(args: argparse.Namespace):
 #: and output flags are deliberately excluded: two runs of the same
 #: analysis must diff as equals regardless of where they journal.
 _LEDGER_FLAG_KEYS = (
-    "jobs", "backend", "symmetry", "schedule", "batch_size", "search",
+    "jobs", "backend", "symmetry", "search",
     "timeout", "retries", "cache", "artifacts",
     "max_ring_size", "up_to", "ring_size", "samples", "seed",
     "stop_on_failure",
@@ -422,9 +411,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                                 max_ring_size=args.max_ring_size,
                                 jobs=args.jobs, cache=cache,
                                 backend=args.backend,
-                                policy=_supervisor_policy(args),
-                                schedule=args.schedule,
-                                batch_size=args.batch_size)
+                                policy=_supervisor_policy(args))
     from repro.engine.fingerprint import protocol_fingerprint
 
     _note_ledger(args, protocol=protocol.name,
@@ -500,9 +487,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                           jobs=args.jobs, cache=cache,
                           backend=args.backend, symmetry=args.symmetry,
                           policy=_supervisor_policy(args),
-                          journal=journal,
-                          schedule=args.schedule,
-                          batch_size=args.batch_size)
+                          journal=journal)
     _note_ledger(args, protocol=protocol.name, fingerprint=fingerprint,
                  verdict={
                      "all_self_stabilizing": result.all_self_stabilizing,
@@ -527,9 +512,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                             max_ring_size=args.max_ring_size,
                             seed=args.seed,
                             jobs=args.jobs, cache=cache,
-                            policy=_supervisor_policy(args),
-                            schedule=args.schedule,
-                            batch_size=args.batch_size)
+                            policy=_supervisor_policy(args))
     _note_ledger(args,
                  verdict={"clean": report.clean,
                           "discrepancies": len(report.discrepancies)},
@@ -554,27 +537,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
                          symmetry=args.symmetry)
         report = cache.get(key)
     if report is None:
-        policy = _supervisor_policy(args)
-        if policy is not None:
-            # One supervised work item: the check gets the same
-            # timeout/retry/degradation ladder as a sweep of one size.
-            from repro.checker.sweep import (
-                _sweep_fallback_worker,
-                _sweep_worker,
-            )
-            from repro.engine import supervise_work_items
+        # One work item: the check gets the same timeout/retry/
+        # degradation ladder as a sweep of one size.
+        from repro.checker.sweep import _sweep_fallback_worker, _sweep_worker
+        from repro.engine import supervise_work_items
 
-            [(report, _elapsed)] = supervise_work_items(
-                _sweep_worker, [args.ring_size], jobs=1,
-                context=(protocol, args.backend, args.symmetry),
-                policy=policy,
-                fallback_worker=_sweep_fallback_worker,
-                schedule=args.schedule,
-                batch_size=args.batch_size)
-        else:
-            report = check_instance(
-                protocol.instantiate(args.ring_size),
-                backend=args.backend, symmetry=args.symmetry)
+        [(report, _elapsed)] = supervise_work_items(
+            _sweep_worker, [args.ring_size],
+            context=(protocol, args.backend, args.symmetry),
+            policy=_supervisor_policy(args),
+            fallback_worker=_sweep_fallback_worker)
         if cache is not None:
             cache.put(key, report)
     from repro.engine.fingerprint import protocol_fingerprint
@@ -609,8 +581,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
                                     jobs=args.jobs, cache=cache,
                                     policy=_supervisor_policy(args),
                                     journal=journal,
-                                    schedule=args.schedule,
-                                    batch_size=args.batch_size,
                                     search=args.search)
     _note_ledger(args, protocol=protocol.name, fingerprint=fingerprint,
                  verdict={"succeeded": result.succeeded},
@@ -1089,14 +1059,12 @@ def _dispatch(args: argparse.Namespace) -> int:
     log_json = getattr(args, "log_json", None)
     if hasattr(args, "live"):
         from repro.engine.journal import new_run_id
-        from repro.engine.pool import reset_fallback_warnings
 
         # One identity per command invocation, shared by the live
         # plane, the checkpoint journal and the ledger record.
         args.live_run_id = (getattr(args, "resume", None)
                             or getattr(args, "run_id", None)
                             or new_run_id())
-        reset_fallback_warnings()
     started = time.time()
     clock = time.perf_counter()
     with _artifact_store(args), _live_plane(args) as live_run:

@@ -179,8 +179,6 @@ def verify_convergence(protocol: "RingProtocol",
                        cache: ResultCache | None = None,
                        backend: str = "auto",
                        policy: SupervisorPolicy | None = None,
-                       schedule: str = "auto",
-                       batch_size: int | None = None,
                        ) -> ConvergenceReport:
     """The full parameterized analysis of *protocol*.
 
@@ -194,9 +192,7 @@ def verify_convergence(protocol: "RingProtocol",
     contiguous-trail engine (``kernel``/``naive``, see
     :class:`repro.core.trail.ContiguousTrailSearcher`); *policy*
     supervises the fanned-out trail searches (timeouts, crash retry,
-    degradation — see :mod:`repro.engine.supervisor`); *schedule* /
-    *batch_size* pick the supervised execution strategy
-    (``auto``/``batch``/``task``, verdict-identical).
+    degradation — see :mod:`repro.engine.supervisor`).
     """
     stats = EngineStats(jobs=jobs)
     key = None
@@ -235,8 +231,7 @@ def verify_convergence(protocol: "RingProtocol",
                 livelock = LivelockCertifier(
                     protocol, max_ring_size=max_ring_size,
                     jobs=jobs, backend=backend,
-                    policy=policy, schedule=schedule,
-                    batch_size=batch_size).analyze()
+                    policy=policy).analyze()
         except AssumptionViolation:
             # Theorem 5.14 does not apply (Assumptions 1/2 broken);
             # the deadlock half still stands, livelocks stay open.

@@ -76,20 +76,28 @@ class LivelockReport:
 
 
 def _find_trail_worker(searcher: ContiguousTrailSearcher,
-                       support) -> TrailWitness | None:
-    """Module-level worker for :func:`repro.engine.run_work_items`."""
-    return searcher.find_trail(support)
+                       support) -> tuple:
+    """Module-level worker for :func:`repro.engine.supervise_work_items`.
+
+    Returns ``(witness, kernel_delta)``: the search's share of the local
+    kernel counters travels back with the witness, because a worker
+    process's counters never reach the parent's searcher."""
+    before = searcher.kernel_stats()
+    witness = searcher.find_trail(support)
+    after = searcher.kernel_stats()
+    return witness, (after.delta_since(before)
+                     if after is not None else None)
 
 
 def _find_trail_fallback(searcher: ContiguousTrailSearcher,
-                         support) -> TrailWitness | None:
+                         support) -> tuple:
     """A degraded trail search: in-parent, on the reference naive
     Digraph searcher (verdict-identical to the kernel by the
     differential suite)."""
     fallback = ContiguousTrailSearcher(
         searcher.protocol, max_ring_size=searcher.max_ring_size,
         backend="naive")
-    return fallback.find_trail(support)
+    return fallback.find_trail(support), None
 
 
 class LivelockCertifier:
@@ -108,9 +116,7 @@ class LivelockCertifier:
                  jobs: int = 1,
                  cache: ResultCache | None = None,
                  backend: str = "auto",
-                 policy: SupervisorPolicy | None = None,
-                 schedule: str = "auto",
-                 batch_size: int | None = None) -> None:
+                 policy: SupervisorPolicy | None = None) -> None:
         self.protocol = protocol
         self.max_ring_size = max_ring_size
         self.require_self_disabling = require_self_disabling
@@ -118,8 +124,6 @@ class LivelockCertifier:
         self.cache = cache
         self.backend = backend
         self.policy = policy
-        self.schedule = schedule
-        self.batch_size = batch_size
 
     def _cache_key(self) -> str:
         # The backend is part of the key: verdicts are identical, but a
@@ -193,24 +197,19 @@ class LivelockCertifier:
             backend=self.backend)
         with stats.stage("trail-search", supports=len(supports),
                          backend=self.backend):
-            if (self.jobs > 1 and len(supports) > 1) \
-                    or self.policy is not None \
-                    or self.schedule == "batch":
-                # No separate prewarm hook: constructing the searcher
-                # above already compiled the local kernel in-parent, so
-                # forked workers inherit it hot either way.
-                found = supervise_work_items(
-                    _find_trail_worker, supports, jobs=self.jobs,
-                    context=searcher, stats=stats, policy=self.policy,
-                    fallback_worker=_find_trail_fallback,
-                    schedule=self.schedule, batch_size=self.batch_size)
-            else:
-                found = [searcher.find_trail(s) for s in supports]
+            # No separate prewarm hook: constructing the searcher above
+            # already compiled the local kernel in-parent, so forked
+            # workers inherit it hot.
+            found = supervise_work_items(
+                _find_trail_worker, supports, jobs=self.jobs,
+                context=searcher, stats=stats, policy=self.policy,
+                fallback_worker=_find_trail_fallback)
         stats.work_items += len(supports)
-        # Under run_work_items the workers' kernel counters stay in the
-        # forked children, so parallel runs under-count here.
-        stats.absorb_localkernel(searcher.kernel_stats())
-        witnesses = [w for w in found if w is not None]
+        witnesses = []
+        for witness, delta in found:
+            stats.absorb_localkernel(delta)
+            if witness is not None:
+                witnesses.append(witness)
 
         verdict = (LivelockVerdict.CERTIFIED_FREE if not witnesses
                    else LivelockVerdict.UNKNOWN)

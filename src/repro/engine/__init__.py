@@ -5,11 +5,12 @@ Section 7 / benchmark X2) is only honest when the per-K baseline runs as
 fast as the hardware allows.  Per-K sweep instances, per-support
 contiguous-trail searches and per-protocol fuzzing audits are all
 embarrassingly parallel, and repeated CLI/benchmark invocations redo
-identical work.  This package supplies the three missing pieces:
+identical work.  This package supplies the missing pieces:
 
-* :func:`run_work_items` — a process-pool fan-out with deterministic
-  result ordering and a transparent serial fallback (``jobs=1``, no
-  ``fork``, or unpicklable results);
+* :func:`supervise_work_items` — the one dispatcher every fan-out goes
+  through: deterministic result ordering, serial in-parent when nothing
+  calls for worker processes, the batch scheduler otherwise
+  (:func:`run_work_items` is its unsupervised spelling);
 * :class:`ResultCache` — a content-addressed result cache keyed on a
   canonical protocol fingerprint plus analysis parameters, with an
   in-memory layer and an optional on-disk layer under ``.repro-cache/``;
@@ -29,17 +30,17 @@ identical work.  This package supplies the three missing pieces:
   states, per-``(K, |E|)`` product-graph skeletons, masked SCC passes
   and a support-fingerprint trail memo;
 * :mod:`repro.engine.supervisor` /  :mod:`repro.engine.journal` — the
-  fault-tolerance layer over the pool: :func:`supervise_work_items`
-  adds per-task timeouts, crash isolation, retry with backoff and
+  fault-tolerance layer: :func:`supervise_work_items` runs every task
+  under per-task timeouts, crash isolation, retry with backoff and
   degradation to a serial fallback, and :class:`RunJournal` checkpoints
   sweep / synthesis progress under ``.repro-cache/runs/<run-id>/`` so
   ``repro sweep --resume`` skips completed items (CLI ``--timeout`` /
   ``--retries`` / ``--checkpoint`` / ``--resume``);
-* :mod:`repro.engine.scheduler` — the batch execution strategy under
-  :func:`supervise_work_items`: persistent supervised workers pulling
-  adaptively sized batches (cost-model driven, heartbeat timeouts,
-  requeue-on-crash) so micro-task sweeps stop paying one fork and one
-  fsync per task (CLI ``--schedule`` / ``--batch-size``);
+* :mod:`repro.engine.scheduler` — the parallel execution strategy
+  under :func:`supervise_work_items`: persistent supervised workers
+  pulling adaptively sized batches (cost-model driven, heartbeat
+  timeouts, requeue-on-crash) so micro-task sweeps do not pay one fork
+  and one fsync per task (CLI ``--jobs``);
 * :mod:`repro.engine.artifacts` — the zero-copy artifact plane:
   compiled kernels, localkernel skeletons and per-``(protocol, K)``
   packed state graphs serialized into a content-addressed store under
@@ -82,7 +83,6 @@ from repro.engine.pool import (
     WorkerTraceback,
     parallelism_available,
     run_work_items,
-    spawn_dispatch_available,
 )
 from repro.engine.stats import EngineStats
 from repro.engine.supervisor import (
@@ -135,7 +135,6 @@ __all__ = [
     "parallelism_available",
     "protocol_fingerprint",
     "run_work_items",
-    "spawn_dispatch_available",
     "runs_root",
     "supervise_work_items",
     "supports_kernel",

@@ -1,37 +1,23 @@
-"""Process-pool fan-out with deterministic ordering and serial fallback.
+"""Dispatch primitives shared by the supervisor and the batch scheduler.
 
-The analyses parallelised here (per-K sweep instances, per-support trail
-searches, per-protocol fuzzing audits) share one obstacle: protocols may
-carry arbitrary Python callables as legitimacy predicates, which do not
-pickle.  :func:`run_work_items` therefore relies on the ``fork`` start
-method — the worker payload (*worker*, *context*, *items*) is published
-in module globals **before** the pool starts and inherited by the forked
-children for free; only compact item indices cross the pipe going in,
-and only the (picklable) analysis reports come back.
+Every fan-out in the engine (per-K sweep instances, per-support trail
+searches, per-combination synthesis verdicts, per-protocol fuzzing
+audits) runs through one dispatcher,
+:func:`repro.engine.supervisor.supervise_work_items`.  This module holds
+what that dispatcher and its worker processes share:
 
-Guarantees:
-
-* results are returned in item order regardless of completion order, so
-  a parallel run is indistinguishable from a serial one;
-* ``jobs=1``, a single work item, a platform without ``fork``, or any
-  pool-level failure (result pickling, broken pool) falls back to the
-  plain serial loop — parallelism is an optimisation, never a
-  requirement.  Every fallback is recorded: the machine-readable reason
-  goes out as a ``pool-fallback`` observability event and bumps the
-  ``pool.fallbacks`` counter (both on the ambient run and on the
-  caller's ``stats``), and the exception path additionally raises a
-  :class:`RuntimeWarning` — degradation is never silent;
-* a worker exception is captured *in the worker* together with its
-  formatted traceback and re-raised in the parent with that remote
-  traceback chained as ``__cause__`` (a :class:`WorkerTraceback`) — the
-  failing frame inside the worker stays visible, and the batch is not
-  recomputed serially just to reproduce a deterministic error;
-* spans and metrics recorded inside the forked workers are captured per
-  item (:func:`repro.obs.runtime.fork_capture_begin` /
-  :func:`~repro.obs.runtime.fork_capture_end`), shipped back with each
-  result, and re-parented as ``item[i]`` subtrees under the
-  dispatching ``pool.map`` span, so a parallel run still yields one
-  coherent trace.
+* the start-method choice (:func:`start_method`, honouring
+  ``REPRO_START_METHOD``) — fork by default, because protocols may carry
+  unpicklable predicate callables that forked workers simply inherit;
+* :class:`PortableContext`, the picklable recipe that lets a spawned
+  worker rebuild its context where fork is unavailable;
+* :class:`WorkerFailure` / :class:`WorkerTraceback`: a worker exception
+  is captured *in the worker* with its formatted traceback and re-raised
+  in the parent with that remote traceback chained as ``__cause__``, so
+  the failing frame inside the worker stays visible;
+* :func:`run_work_items`, the unsupervised entry point — a thin
+  forwarder to the supervisor kept for callers (and external wrappers)
+  that name it.
 """
 
 from __future__ import annotations
@@ -40,14 +26,8 @@ import multiprocessing
 import os
 import pickle
 import traceback
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence, TypeVar
-
-import repro.engine.artifacts as artifact_plane
-from repro.obs import live
-from repro.obs import runtime as obs
+from typing import Any, Callable, Iterable, TypeVar
 
 Item = TypeVar("Item")
 Result = TypeVar("Result")
@@ -64,8 +44,8 @@ START_METHOD_ENV = "REPRO_START_METHOD"
 class PortableContext:
     """A picklable recipe for rebuilding a worker context after spawn.
 
-    Fork workers inherit *worker*/*context*/*items* through module
-    globals; spawn workers get nothing for free, and the live contexts
+    Fork workers inherit *worker*/*context*/*items* from the parent;
+    spawn workers get nothing for free, and the live contexts
     (protocols carrying closure predicates) do not pickle.  A
     ``PortableContext`` carries a module-level *builder* (pickled by
     qualified name) plus a picklable *payload* — e.g. the
@@ -153,12 +133,6 @@ def _rebuild_failure(payload: bytes | None, traceback_text: str,
             exception = None
     return WorkerFailure(exception, traceback_text, description)
 
-# Inherited by forked workers; never meaningful in the parent between
-# run_work_items calls.
-_WORKER: Callable[[Any, Any], Any] | None = None
-_CONTEXT: Any = None
-_ITEMS: Sequence[Any] = ()
-
 
 def start_method() -> str | None:
     """The effective dispatch start method (``fork``/``spawn``/``None``).
@@ -178,98 +152,8 @@ def start_method() -> str | None:
 
 
 def parallelism_available() -> bool:
-    """Whether the fork-based pool can run on this platform."""
+    """Whether fork-based dispatch can run on this platform."""
     return start_method() == "fork"
-
-
-def spawn_dispatch_available() -> bool:
-    """Whether portable-context spawn dispatch can run here."""
-    return "spawn" in multiprocessing.get_all_start_methods()
-
-
-def _spawn_init(worker: Callable[[Any, Any], Any],
-                portable: PortableContext | None,
-                items: Sequence[Any],
-                artifact_spec: tuple[str, str] | None) -> None:
-    """Bootstrap one spawned pool worker.
-
-    Rebuilds what a forked worker would have inherited: the worker
-    payload globals, the ambient artifact store (so compiled kernels
-    are attached by fingerprint instead of recompiled per worker) and
-    an observability run so per-item captures flow back to the parent.
-    """
-    global _WORKER, _CONTEXT, _ITEMS
-    artifact_plane.activate_from_spec(artifact_spec)
-    if obs.active() is None:
-        obs.start("spawn-worker")
-    _WORKER = worker
-    _CONTEXT = portable.build() if portable is not None else None
-    _ITEMS = items
-
-
-def _run_indexed(index: int) -> tuple[Any, "obs.ChildCapture | None"]:
-    assert _WORKER is not None
-    inherited = obs.fork_capture_begin()
-    try:
-        try:
-            outcome: Any = ("ok", _WORKER(_CONTEXT, _ITEMS[index]))
-        except BaseException as exc:
-            # Capture here, where the remote frames still exist: the
-            # executor's own propagation loses them across some failure
-            # modes (and entirely before the fork-capture handshake).
-            outcome = ("failed", WorkerFailure.capture(exc))
-    finally:
-        capture = obs.fork_capture_end(inherited)
-    return outcome, capture
-
-
-def _record_fallback(stats: Any, reason: str, items: int) -> None:
-    """A serial fallback happened: leave a machine-readable trail."""
-    expected = reason in ("jobs<=1", "single-item")
-    obs.event("pool-fallback", level="info" if expected else "warning",
-              reason=reason, items=items)
-    obs.metric("pool.fallbacks")
-    if stats is not None:
-        stats.pool_fallbacks += 1
-
-
-# (run identity, cause) pairs that already raised a RuntimeWarning: a
-# sweep whose every batch degrades for the same reason warns once per
-# run instead of once per batch.  The per-occurrence `pool-fallback`
-# events and `pool.fallbacks` counters are NOT deduplicated — only the
-# stderr noise is.  The run identity pairs the ambient run's id() with
-# its start stamp so a recycled id() cannot suppress a fresh run's
-# first warning; with no run active, dedup is process-wide per cause
-# until :func:`reset_fallback_warnings`.
-_WARNED_FALLBACKS: set[tuple] = set()
-
-
-def reset_fallback_warnings() -> None:
-    """Forget which (run, cause) pairs have warned (CLI entry, tests)."""
-    _WARNED_FALLBACKS.clear()
-
-
-def _warn_fallback_once(message: str, cause: str) -> None:
-    run = obs.active()
-    key = ((id(run), run.started, cause) if run is not None
-           else (None, None, cause))
-    if key in _WARNED_FALLBACKS:
-        return
-    _WARNED_FALLBACKS.add(key)
-    warnings.warn(message, RuntimeWarning, stacklevel=3)
-
-
-def _run_serial(worker: Callable[[Any, Item], Result],
-                work: Sequence[Item], context: Any,
-                stats: Any, reason: str) -> list[Result]:
-    _record_fallback(stats, reason, len(work))
-    with obs.span("pool.serial", reason=reason, items=len(work)):
-        results = []
-        for item in work:
-            results.append(worker(context, item))
-            live.note(done=1)
-            live.tick()
-        return results
 
 
 def run_work_items(worker: Callable[[Any, Item], Result],
@@ -280,86 +164,11 @@ def run_work_items(worker: Callable[[Any, Item], Result],
                    portable: PortableContext | None = None) -> list[Result]:
     """Apply ``worker(context, item)`` to every item, results in order.
 
-    *worker* must be a module-level function (it is looked up by
-    qualified name in the children); *context* and *items* may hold
-    unpicklable objects, but each **result** must pickle — an
-    unpicklable result degrades the whole batch to serial (and says so,
-    see the module docstring).  Workers must not call
-    :func:`run_work_items` with ``jobs > 1`` themselves (pool children
-    are daemonic and cannot fork again).
-
-    *stats*, when given, is an :class:`repro.engine.EngineStats`: the
-    pool sets ``stats.parallel`` when it actually ran and counts every
-    serial fallback in ``stats.pool_fallbacks``.
-
-    *portable*, when given, unlocks spawn dispatch on platforms (or
-    under ``REPRO_START_METHOD=spawn``) where fork is unavailable: the
-    spawned workers rebuild the context from the portable recipe,
-    re-activate the ambient artifact store and attach compiled kernels
-    by fingerprint instead of recompiling.  Items must then pickle too;
-    any spawn-path failure still degrades to the serial loop.
+    The unsupervised spelling of
+    :func:`repro.engine.supervisor.supervise_work_items` (default
+    policy, no journal), which it forwards to unchanged.
     """
-    work = list(items)
-    live.begin_stage(getattr(worker, "__name__", "pool.map"),
-                     total=len(work))
-    if jobs <= 1:
-        return _run_serial(worker, work, context, stats, "jobs<=1")
-    if len(work) <= 1:
-        return _run_serial(worker, work, context, stats, "single-item")
-    method = start_method()
-    if method != "fork" and not (method == "spawn"
-                                 and portable is not None):
-        return _run_serial(worker, work, context, stats, "no-fork")
+    from repro.engine.supervisor import supervise_work_items
 
-    global _WORKER, _CONTEXT, _ITEMS
-    if method == "fork":
-        _WORKER, _CONTEXT, _ITEMS = worker, context, work
-        initializer, initargs = None, ()
-    else:
-        store = artifact_plane.ambient()
-        initializer = _spawn_init
-        initargs = (worker, portable, work,
-                    store.spec() if store is not None else None)
-    try:
-        pool_context = multiprocessing.get_context(method)
-        failure: WorkerFailure | None = None
-        with obs.span("pool.map", jobs=jobs, items=len(work),
-                      method=method):
-            with ProcessPoolExecutor(max_workers=min(jobs, len(work)),
-                                     mp_context=pool_context,
-                                     initializer=initializer,
-                                     initargs=initargs) as pool:
-                outcomes = []
-                for outcome in pool.map(_run_indexed,
-                                        range(len(work))):
-                    outcomes.append(outcome)
-                    live.note(done=1)
-                    live.tick()
-            results = []
-            for index, ((status, value), capture) in enumerate(outcomes):
-                obs.adopt_child(capture, f"item[{index}]")
-                if status == "failed" and failure is None:
-                    failure = value
-                results.append(value)
-    except Exception as exc:
-        # Pool-level failures only (result pickling, broken pool, a
-        # worker killed hard enough to break the executor): recomputing
-        # serially either produces the results or re-raises the real
-        # error in the parent.  Ordinary worker exceptions never reach
-        # here — they come back as WorkerFailure values.
-        reason = f"pool-error:{type(exc).__name__}"
-        _warn_fallback_once(
-            f"process pool failed ({type(exc).__name__}: {exc}); "
-            f"recomputing {len(work)} work items serially",
-            reason)
-        return _run_serial(worker, work, context, stats, reason)
-    finally:
-        _WORKER, _CONTEXT, _ITEMS = None, None, ()
-    if failure is not None:
-        # Outside the except-scope on purpose: the worker's error must
-        # not be mistaken for a pool-level failure (which would trigger
-        # a pointless serial recompute of a deterministic exception).
-        failure.reraise()
-    if stats is not None:
-        stats.parallel = True
-    return results
+    return supervise_work_items(worker, items, jobs=jobs, context=context,
+                                stats=stats, portable=portable)

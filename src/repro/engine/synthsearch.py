@@ -41,12 +41,11 @@ parent's evaluation state is checkpointed in place:
   trail query count as ``synthsearch.combos_pruned``; the witness is
   the recorded prune justification.
 
-Parallel runs partition the pending combinations into contiguous
-subtree work units dispatched through
-:func:`repro.engine.supervisor.supervise_work_items` (task, batch and
-serial schedules alike); each unit is evaluated self-contained, so
-verdicts are byte-identical for every ``--jobs``/``--schedule``
-setting.  Under a :class:`repro.engine.journal.RunJournal` the units
+The pending combinations are partitioned into contiguous subtree work
+units (a single unit when ``jobs <= 1``) and dispatched through
+:func:`repro.engine.supervisor.supervise_work_items`; each unit is
+evaluated self-contained, so verdicts are byte-identical for every
+``--jobs`` setting.  Under a :class:`repro.engine.journal.RunJournal` the units
 additionally exchange exact trail results through a :class:`PruneBoard`
 (an append-only ``prunes.jsonl`` next to the journal): workers publish
 newly searched support heads after each unit and absorb the board's
@@ -460,7 +459,7 @@ class LatticeWalker:
             # the *inherited* witness only: whether a node needed new
             # support examination is intrinsic to its transition set,
             # so the pruned/evaluated split is identical for every
-            # jobs/schedule partitioning.  The blocked-index seed only
+            # jobs partitioning.  The blocked-index seed only
             # decides how far the examination actually searches.
             if inherited is None or shortest <= inherited[0][0]:
                 # A blocked-index hit below the inherited key can only
@@ -581,8 +580,6 @@ class LatticeSearch:
         self.jobs = synthesizer.jobs
         self.policy = synthesizer.policy
         self.journal = synthesizer.journal
-        self.schedule = synthesizer.schedule
-        self.batch_size = synthesizer.batch_size
         self.fault_plan = getattr(synthesizer, "fault_plan", None)
         self._name = f"{self.protocol.name}_ss"
         self._base_cyclic = has_cycle(
@@ -645,8 +642,9 @@ class LatticeSearch:
     # -- work units ----------------------------------------------------
     def _plan_units(self, combos: Sequence[tuple]) -> list[tuple[int, int]]:
         """Contiguous subtree ranges: group by deepening arc prefixes
-        until there are enough units to keep every worker fed."""
-        if len(combos) <= 1:
+        until there are enough units to keep every worker fed.  A serial
+        search (``jobs <= 1``) is one unit: one walker pass."""
+        if len(combos) <= 1 or self.jobs <= 1:
             return [(0, len(combos))]
         target = min(len(combos), max(4 * max(self.jobs, 1), 4))
         width = len(combos[0])
@@ -718,7 +716,7 @@ class LatticeSearch:
     def verdicts(self, combos: Sequence[tuple]) -> list[str | None]:
         """Lattice verdicts for *combos* (the pending subset of one
         deterministic enumeration), dispatching subtree work units
-        through the supervisor when parallel or supervised."""
+        through the supervisor."""
         synthesizer = self.synthesizer
         uniform = self._uniform_reason(combos)
         if uniform is _INVALID_POOL:
@@ -727,27 +725,17 @@ class LatticeSearch:
         if uniform is not None:
             self._fold({"combos_pruned": len(combos)})
             return [uniform] * len(combos)
-        units = self._plan_units(combos)
-        supervised = (self.policy is not None or self.journal is not None
-                      or self.fault_plan is not None
-                      or self.schedule == "batch")
-        if supervised or (self.jobs > 1 and len(units) > 1):
-            items = [combos[start:end] for start, end in units]
-            keys = ([self._unit_key(item) for item in items]
-                    if self.journal is not None else None)
-            results = supervise_work_items(
-                _lattice_unit_worker, items, jobs=self.jobs,
-                context=synthesizer, stats=self.stats,
-                policy=self.policy, journal=self.journal, keys=keys,
-                fallback_worker=_lattice_unit_worker,
-                plan=self.fault_plan,
-                schedule=self.schedule, batch_size=self.batch_size,
-                prewarm=self._prewarm)
-            reasons: list[str | None] = []
-            for unit_reasons, delta in results:
-                self._fold(delta)
-                reasons.extend(unit_reasons)
-            return reasons
-        unit_reasons, delta = self.evaluate_unit(combos)
-        self._fold(delta)
-        return unit_reasons
+        items = [combos[start:end] for start, end in self._plan_units(combos)]
+        keys = ([self._unit_key(item) for item in items]
+                if self.journal is not None else None)
+        results = supervise_work_items(
+            _lattice_unit_worker, items, jobs=self.jobs,
+            context=synthesizer, stats=self.stats,
+            policy=self.policy, journal=self.journal, keys=keys,
+            fallback_worker=_lattice_unit_worker,
+            plan=self.fault_plan, prewarm=self._prewarm)
+        reasons: list[str | None] = []
+        for unit_reasons, delta in results:
+            self._fold(delta)
+            reasons.extend(unit_reasons)
+        return reasons

@@ -6,10 +6,11 @@ no run is active every helper is a near-free no-op — one global check —
 so library users pay nothing; the CLI's ``--trace`` / ``--log-json``
 flags (and the benchmark harness) activate a run around each command.
 
-Fork-pool protocol: :func:`repro.engine.run_work_items` calls
-:func:`fork_capture_begin` / :func:`fork_capture_end` around each work
-item executed in a forked child.  The child inherited the parent's
-active run at fork time; the pair swaps in a fresh capture run, lets
+Worker capture protocol: the batch scheduler's workers
+(:mod:`repro.engine.scheduler`) call :func:`fork_capture_begin` /
+:func:`fork_capture_end` around each work item executed in a child.
+The child inherited the parent's active run at fork time (a spawned
+worker starts its own); the pair swaps in a fresh capture run, lets
 the worker record spans / metrics / events into it, and returns the
 picklable :class:`ChildCapture` with the item's result.  The parent
 then grafts it back with :func:`adopt_child`, re-parenting the worker
@@ -193,7 +194,7 @@ def observe(name: str, value: float) -> None:
 
 
 # ----------------------------------------------------------------------
-# Fork-pool capture protocol
+# Worker capture protocol
 # ----------------------------------------------------------------------
 def fork_capture_begin() -> ObsRun | None:
     """In a forked worker: swap in a fresh capture run.

@@ -198,9 +198,7 @@ def audit_theorems(samples: int = 50, max_ring_size: int = 5,
                    sampler: ProtocolSampler | None = None,
                    jobs: int = 1,
                    cache: ResultCache | None = None,
-                   policy: SupervisorPolicy | None = None,
-                   schedule: str = "auto",
-                   batch_size: int | None = None) -> AuditReport:
+                   policy: SupervisorPolicy | None = None) -> AuditReport:
     """Fuzz Theorem 4.2 (exactness) and Theorem 5.14 (soundness).
 
     For each sampled protocol, compares the local per-size deadlock
@@ -241,18 +239,12 @@ def audit_theorems(samples: int = 50, max_ring_size: int = 5,
                 stats.cache_misses += 1
             pending.append(index)
 
-        if (jobs > 1 and len(pending) > 1) or policy is not None \
-                or schedule == "batch":
-            # No prewarm hook: every sampled protocol is distinct, so
-            # there is no shared kernel to compile ahead of the fork.
-            fresh = supervise_work_items(
-                _audit_indexed_worker, pending, jobs=jobs,
-                context=(max_ring_size, protocols), stats=stats,
-                policy=policy, fallback_worker=_audit_indexed_worker,
-                schedule=schedule, batch_size=batch_size)
-        else:
-            fresh = [_audit_one(max_ring_size, protocols[index])
-                     for index in pending]
+        # No prewarm hook: every sampled protocol is distinct, so there
+        # is no shared kernel to compile ahead of the fork.
+        fresh = supervise_work_items(
+            _audit_indexed_worker, pending, jobs=jobs,
+            context=(max_ring_size, protocols), stats=stats,
+            policy=policy, fallback_worker=_audit_indexed_worker)
         for index, outcome in zip(pending, fresh):
             stats.work_items += 1
             stats.states_explored += outcome.states_explored
@@ -280,6 +272,6 @@ def audit_theorems(samples: int = 50, max_ring_size: int = 5,
 
 
 def _audit_indexed_worker(context, index: int) -> _SampleOutcome:
-    """Module-level worker for :func:`repro.engine.run_work_items`."""
+    """Module-level worker for :func:`repro.engine.supervise_work_items`."""
     max_ring_size, protocols = context
     return _audit_one(max_ring_size, protocols[index])

@@ -85,3 +85,37 @@ class TestAssumptions:
         report = LivelockCertifier(
             protocol, require_self_disabling=False).analyze()
         assert report is not None  # analysis runs; verdict best-effort
+
+
+def _fresh(source):
+    """A new protocol object (the local kernel and its trail memo are
+    memoized per protocol identity): a bundled name, or the seed of a
+    sampled protocol with several candidate supports."""
+    if isinstance(source, int):
+        from repro.randomgen import ProtocolSampler
+
+        return ProtocolSampler(max_domain=4, max_transitions=12,
+                               seed=source).sample()
+    from repro.protocols.registry import get_protocol
+
+    return get_protocol(source)
+
+
+class TestParallelCounters:
+    @pytest.mark.parametrize("source", ["sum-not-two-ss", "agreement-ss",
+                                        64, 250])
+    def test_parallel_run_counts_worker_kernel_work(self, source):
+        """Worker-side local-kernel counters travel back with each
+        witness: ``jobs=2`` reports the mask evaluations ``jobs=1`` does
+        (the trail memo is per support, so the count does not depend on
+        which process searched it)."""
+        serial = LivelockCertifier(_fresh(source),
+                                   max_ring_size=6).analyze()
+        parallel = LivelockCertifier(_fresh(source), max_ring_size=6,
+                                     jobs=2).analyze()
+        assert parallel.stats.mask_evaluations \
+            == serial.stats.mask_evaluations
+        if isinstance(source, int):
+            # The sampled protocols fan several supports out.
+            assert serial.supports_checked > 1
+            assert serial.stats.mask_evaluations > 0

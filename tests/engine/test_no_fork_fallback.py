@@ -1,7 +1,8 @@
 """Spawn-only platforms: every entry point must fall back serially.
 
-The engine's parallel and supervised paths all require the ``fork``
-start method (workers inherit unpicklable workers/contexts/items).  On
+The engine's worker processes need the ``fork`` start method (workers
+inherit unpicklable workers/contexts/items) unless the caller supplies
+a portable context.  On
 a platform without it — macOS defaults and Windows are spawn-only —
 the contract is a *clean* degradation: identical results, computed
 serially in-parent, with a ``pool-fallback`` observability event
@@ -57,16 +58,6 @@ class TestSpawnOnlyFallback:
                 policy=SupervisorPolicy(timeout=30.0, backoff=0.01))
         assert results == [0, 1, 4, 9]
         assert stats.pool_fallbacks == 1
-        assert _fallback_events(run)
-
-    def test_forced_batch_schedule_also_degrades(self, spawn_only):
-        # schedule="batch" cannot run without fork either; it must
-        # degrade exactly like auto instead of crashing.
-        with obs.run("no-fork-batch") as run:
-            results = supervise_work_items(
-                square, range(4), jobs=2, schedule="batch",
-                policy=SupervisorPolicy(backoff=0.01))
-        assert results == [0, 1, 4, 9]
         assert _fallback_events(run)
 
     def test_sweep_verify(self, spawn_only):

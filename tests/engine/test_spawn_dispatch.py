@@ -4,8 +4,8 @@ Before the artifact plane, a platform without ``fork`` (or a forced
 ``REPRO_START_METHOD=spawn``) silently degraded every fan-out to the
 serial fallback — and any spawned worker would have recompiled every
 kernel from scratch.  These tests pin the new contract: with a
-:class:`PortableContext` the pool and the batch scheduler really run
-spawned workers, those workers *attach* the parent's published
+:class:`PortableContext` the batch scheduler really runs spawned
+workers, those workers *attach* the parent's published
 artifacts instead of compiling (the ``kernel.compile`` span never
 opens), and verdicts are byte-identical to fork and to ``--artifacts
 off`` in every combination.
@@ -86,7 +86,7 @@ def test_batch_scheduler_runs_spawn_workers(tmp_path, monkeypatch):
     monkeypatch.setenv(START_METHOD_ENV, "spawn")
     with ap.plane(store), obs.run("spawn-batch") as run_ctx:
         result = sweep_verify(generalizable_matching(), up_to=UP_TO,
-                              jobs=2, schedule="batch")
+                              jobs=2)
     assert result.stats.scheduler_batches > 0
     assert result.stats.artifact_hits > 0
     assert run_ctx.metrics.value("kernel.compiles", default=0) == 0

@@ -38,6 +38,10 @@ def identity_fallback(context, item):
     return item * item
 
 
+def nested_squares(context, item):
+    return supervise_work_items(square, range(item), jobs=2)
+
+
 # ----------------------------------------------------------------------
 # policy
 # ----------------------------------------------------------------------
@@ -101,17 +105,24 @@ class TestFaultPlan:
 
 
 # ----------------------------------------------------------------------
-# delegation and serial mode
+# the serial path
 # ----------------------------------------------------------------------
 class TestDelegation:
-    def test_unsupervised_call_delegates_to_pool(self):
+    def test_unsupervised_call_runs_serially(self):
         stats = EngineStats()
         results = supervise_work_items(square, range(4), stats=stats)
         assert results == [0, 1, 4, 9]
-        # The plain pool records its serial fallback; the supervisor's
-        # counters stay untouched.
-        assert stats.pool_fallbacks == 1
+        # Serial is a planned choice, not a fallback: nothing counted,
+        # nothing forked.
+        assert stats.pool_fallbacks == 0
         assert stats.supervisor_retries == 0
+        assert not stats.parallel
+
+    def test_nested_dispatch_runs_inline(self):
+        # A worker that dispatches again (the certifier inside a fuzzing
+        # audit) runs its inner items in-process, inside the outer task.
+        results = supervise_work_items(nested_squares, [2, 3], jobs=2)
+        assert results == [[0, 1], [0, 1, 4]]
 
     def test_serial_supervised_run_still_journals(self, tmp_path):
         journal = RunJournal.create(tmp_path, run_id="serial")

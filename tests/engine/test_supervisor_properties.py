@@ -13,12 +13,10 @@ supervised path under an injected failure mode, and every report tuple
 must compare equal (report equality ignores timing/stats fields by
 construction, so this is exactly verdict-and-witness equality).
 
-Both execution strategies are on the hook: even seeds run the injected
-fault through ``schedule="task"`` (one fork per attempt), odd seeds
-through ``schedule="batch"`` (persistent workers, adaptive batches) —
-same differential oracle, so the batch scheduler's crash-requeue,
+Every seed runs its injected fault through the one dispatch path — the
+batch scheduler's persistent workers — so its crash-requeue,
 heartbeat-timeout and group-commit-resume paths must reproduce the
-serial verdicts exactly like task mode does.
+serial verdicts exactly.
 
 When a case ever diverges, :func:`shrink_failing_protocol` greedily
 removes actions while the divergence persists and the assertion message
@@ -70,33 +68,31 @@ def _reference(protocol):
     return sweep_verify(protocol, up_to=UP_TO, backend="naive", jobs=1)
 
 
-def _supervised(protocol, mode: str, tmp_path, schedule="task"):
-    """Run the sweep under *mode*'s injected fault and the given
-    execution strategy, and return the result (after a resume cycle
-    for the kill mode)."""
+def _supervised(protocol, mode: str, tmp_path):
+    """Run the sweep under *mode*'s injected fault and return the
+    result (after a resume cycle for the kill mode)."""
     policy = SupervisorPolicy(retries=2, backoff=0.01)
     if mode == "crash":
         return sweep_verify(
             protocol, up_to=UP_TO, jobs=2, policy=policy,
-            schedule=schedule,
             fault_plan=FaultPlan(crash_items=frozenset({0, 2})))
     if mode == "timeout":
         return sweep_verify(
             protocol, up_to=UP_TO, jobs=2,
             policy=SupervisorPolicy(timeout=0.5, retries=2,
                                     backoff=0.01),
-            schedule=schedule,
             fault_plan=FaultPlan(hang_items=frozenset({1}),
                                  hang_seconds=30.0))
     if mode == "kill-resume":
-        # In batch mode the dying run exercises group commit's unwind
-        # flush: the checkpoint that triggered the death must still be
-        # durable when the parent "dies" by stack unwind.
+        # The dying run uses workers (jobs=2) so it exercises group
+        # commit's unwind flush: the checkpoint that triggered the
+        # death must still be durable when the parent "dies" by stack
+        # unwind.
         journal = RunJournal.create(tmp_path, run_id="prop")
         with pytest.raises(ParentDown):
             sweep_verify(
-                protocol, up_to=UP_TO, jobs=1, policy=policy,
-                journal=journal, schedule=schedule,
+                protocol, up_to=UP_TO, jobs=2, policy=policy,
+                journal=journal,
                 fault_plan=FaultPlan(
                     die_after_checkpoints=1,
                     die=lambda status: (_ for _ in ()).throw(
@@ -104,8 +100,7 @@ def _supervised(protocol, mode: str, tmp_path, schedule="task"):
         rerun = RunJournal.resume(tmp_path, "prop")
         assert len(rerun) >= 1, "died before the first checkpoint"
         result = sweep_verify(protocol, up_to=UP_TO, jobs=2,
-                              policy=policy, journal=rerun,
-                              schedule=schedule)
+                              policy=policy, journal=rerun)
         # The resumed run answers every journaled item from the journal
         # (never re-executes it) and runs exactly the rest.
         assert result.stats.supervisor_resumed == \
@@ -146,53 +141,43 @@ def shrink_failing_protocol(protocol, still_fails):
     return current
 
 
-def _assert_no_divergence(protocol, mode, tmp_path, schedule="task"):
+def _assert_no_divergence(protocol, mode, tmp_path):
     reference = _reference(protocol)
     kernel = sweep_verify(protocol, up_to=UP_TO, backend="auto", jobs=1)
     assert kernel.reports == reference.reports, \
         "kernel backend diverged from the naive reference"
-    supervised = _supervised(protocol, mode, tmp_path, schedule)
+    supervised = _supervised(protocol, mode, tmp_path)
     if supervised.reports == reference.reports:
         return
 
     def diverges(candidate) -> bool:
         base = _reference(candidate)
-        faulted = _supervised(candidate, mode,
-                              tmp_path / "shrink", schedule)
+        faulted = _supervised(candidate, mode, tmp_path / "shrink")
         return faulted.reports != base.reports
 
     (tmp_path / "shrink").mkdir(exist_ok=True)
     minimal = shrink_failing_protocol(protocol, diverges)
     pytest.fail(
-        f"supervised sweep ({schedule} schedule) diverged from the "
-        f"serial reference under injected {mode}; minimized "
+        f"supervised sweep diverged from the serial reference under "
+        f"injected {mode}; minimized "
         f"reproducer:\n{minimal.pretty()}")
 
 
 # ----------------------------------------------------------------------
 # the properties
 # ----------------------------------------------------------------------
-def _schedule_for(seed: int) -> str:
-    """Even seeds exercise task mode, odd seeds batch mode — both
-    execution strategies face every failure mode without doubling the
-    (fork-heavy) test count."""
-    return "batch" if seed % 2 else "task"
-
-
 @pytest.mark.parametrize("seed", range(SEEDS_PER_MODE))
 class TestFaultsNeverChangeVerdicts:
     def test_worker_crashes(self, seed, tmp_path):
-        _assert_no_divergence(_sample("crash", seed), "crash", tmp_path,
-                              _schedule_for(seed))
+        _assert_no_divergence(_sample("crash", seed), "crash", tmp_path)
 
     def test_hangs_under_timeout(self, seed, tmp_path):
         _assert_no_divergence(_sample("timeout", seed), "timeout",
-                              tmp_path, _schedule_for(seed))
+                              tmp_path)
 
     def test_kill_resume_rerun(self, seed, tmp_path):
         _assert_no_divergence(_sample("kill-resume", seed),
-                              "kill-resume", tmp_path,
-                              _schedule_for(seed))
+                              "kill-resume", tmp_path)
 
 
 # ----------------------------------------------------------------------
@@ -231,31 +216,30 @@ def _synth_flat_reference(protocol):
                     search="flat").synthesize())
 
 
-def _synth_unfaulted(protocol, schedule: str):
+def _synth_unfaulted(protocol):
     """Unfaulted lattice run at the faulted runs' parallelism: the
     counter-split oracle.  The pruned/evaluated split is intrinsic per
     judged combination, and ``jobs`` fixes which combinations the
     speculative batches judge, so every faulted ``jobs=2`` run below
     must reproduce this run's split exactly."""
     synthesizer = Synthesizer(protocol, max_ring_size=SYNTH_MAX_RING,
-                              search="lattice", jobs=2,
-                              schedule=schedule)
+                              search="lattice", jobs=2)
     comparable = _synth_comparable(synthesizer.synthesize())
     stats = synthesizer.stats
     return comparable, (stats.combos_pruned, stats.full_evaluations)
 
 
-def _synth_supervised(protocol, mode: str, tmp_path, schedule: str):
+def _synth_supervised(protocol, mode: str, tmp_path):
     policy = SupervisorPolicy(retries=2, backoff=0.01)
     if mode == "crash":
         synthesizer = Synthesizer(
             protocol, max_ring_size=SYNTH_MAX_RING, search="lattice",
-            jobs=2, policy=policy, schedule=schedule,
+            jobs=2, policy=policy,
             fault_plan=FaultPlan(crash_items=frozenset({0, 2})))
     elif mode == "timeout":
         synthesizer = Synthesizer(
             protocol, max_ring_size=SYNTH_MAX_RING, search="lattice",
-            jobs=2, schedule=schedule,
+            jobs=2,
             policy=SupervisorPolicy(timeout=0.5, retries=2,
                                     backoff=0.01),
             fault_plan=FaultPlan(hang_items=frozenset({1}),
@@ -264,8 +248,8 @@ def _synth_supervised(protocol, mode: str, tmp_path, schedule: str):
         journal = RunJournal.create(tmp_path, run_id="synthprop")
         dying = Synthesizer(
             protocol, max_ring_size=SYNTH_MAX_RING,
-            search="lattice", jobs=1, policy=policy,
-            journal=journal, schedule=schedule,
+            search="lattice", jobs=2, policy=policy,
+            journal=journal,
             fault_plan=FaultPlan(
                 die_after_checkpoints=1,
                 die=lambda status: (_ for _ in ()).throw(
@@ -286,7 +270,7 @@ def _synth_supervised(protocol, mode: str, tmp_path, schedule: str):
         assert len(rerun) >= 1, "died before the first unit checkpoint"
         synthesizer = Synthesizer(
             protocol, max_ring_size=SYNTH_MAX_RING, search="lattice",
-            jobs=2, policy=policy, journal=rerun, schedule=schedule)
+            jobs=2, policy=policy, journal=rerun)
         result = synthesizer.synthesize()
         # Journaled units are answered from the journal — their
         # verdicts AND counter deltas replay instead of re-running, so
@@ -305,13 +289,12 @@ def _synth_supervised(protocol, mode: str, tmp_path, schedule: str):
 
 def _assert_lattice_fault_free(seed: int, mode: str, tmp_path) -> None:
     protocol = _synth_sample(mode, seed)
-    schedule = _schedule_for(seed)
     reference = _synth_flat_reference(protocol)
-    unfaulted, counters = _synth_unfaulted(protocol, schedule)
+    unfaulted, counters = _synth_unfaulted(protocol)
     assert unfaulted == reference, \
         "unfaulted lattice diverged from the flat reference"
-    faulted, faulted_counters = _synth_supervised(
-        protocol, mode, tmp_path, schedule)
+    faulted, faulted_counters = _synth_supervised(protocol, mode,
+                                                  tmp_path)
     assert faulted == reference, \
         f"lattice search diverged under injected {mode}"
     assert faulted_counters == counters, \
@@ -356,8 +339,7 @@ class TestShrinker:
 
         from repro.checker.sweep import SweepResult
 
-        def corrupted_supervised(protocol, mode, path,
-                                 schedule="task"):
+        def corrupted_supervised(protocol, mode, path):
             genuine = _reference(protocol)
             return SweepResult(reports=genuine.reports[:-1],
                                elapsed_seconds=genuine.

@@ -10,7 +10,7 @@ The flat per-combination loop is the reference; the lattice walk
   leaf-level trail query must get the identical verdict from an
   un-memoized flat evaluation;
 * determinism — verdicts *and* the pruned/evaluated counter split are
-  identical across ``--jobs 1/2/4`` x ``--schedule task/batch``.
+  identical across ``--jobs 1/2/4``.
 
 Plus unit coverage for the engine's parts: the subset-closed
 :class:`BlockedMaskIndex`, the append-only :class:`PruneBoard` (torn
@@ -21,7 +21,6 @@ truncate string cell values, so distinct combos used to collide).
 
 from __future__ import annotations
 
-import itertools
 import json
 
 import pytest
@@ -175,23 +174,22 @@ def test_counter_split_covers_every_combination():
 
 
 # ----------------------------------------------------------------------
-# Determinism across jobs and schedules
+# Determinism across jobs
 # ----------------------------------------------------------------------
 @pytest.mark.skipif(not parallelism_available(),
                     reason="needs the fork start method")
-def test_verdicts_and_counters_invariant_across_jobs_and_schedules():
-    def run(jobs, schedule):
+def test_verdicts_and_counters_invariant_across_jobs():
+    def run(jobs):
         synthesizer = Synthesizer(three_coloring(), jobs=jobs,
-                                  schedule=schedule, search="lattice")
+                                  search="lattice")
         result = synthesizer.synthesize()
         stats = synthesizer.stats
         return (_comparable(result),
                 stats.combos_pruned, stats.full_evaluations)
 
-    reference = run(1, "task")
-    for jobs, schedule in itertools.product((1, 2, 4),
-                                            ("task", "batch")):
-        assert run(jobs, schedule) == reference, (jobs, schedule)
+    reference = run(1)
+    for jobs in (2, 4):
+        assert run(jobs) == reference, jobs
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Chrome-trace export under ``--schedule batch``.
+"""Chrome-trace export of a parallel (batch-scheduled) run.
 
 The batch scheduler has no real parent process span per dispatch — the
 ``scheduler.batch`` spans are synthesized from the worker's idle report
@@ -21,7 +21,7 @@ def batch_trace(tmp_path_factory):
     trace = tmp_path / "trace.json"
     log = tmp_path / "run.jsonl"
     assert main(["sweep", "sum-not-two", "--up-to", "6", "--jobs", "2",
-                 "--schedule", "batch", "--trace", str(trace),
+                 "--trace", str(trace),
                  "--log-json", str(log), "--cache-dir", str(tmp_path),
                  "--no-cache", "--no-live", "--no-ledger"]) == 1
     assert validate.validate_chrome_trace(trace)["X"] >= 3

@@ -242,17 +242,14 @@ def _verdict_bytes(result) -> bytes:
     return json.dumps(rows, sort_keys=True).encode()
 
 
-@pytest.mark.parametrize("schedule,jobs", [("auto", 1), ("batch", 2)])
-def test_sweep_verdicts_identical_live_on_vs_off(tmp_path, schedule,
-                                                jobs):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_verdicts_identical_live_on_vs_off(tmp_path, jobs):
     protocol = sum_not_two()
-    plain = sweep_verify(protocol, up_to=6, jobs=jobs,
-                         schedule=schedule)
+    plain = sweep_verify(protocol, up_to=6, jobs=jobs)
     run = live.LiveRun(tmp_path, "diff", interval=0.0)
     live.activate(run)
     try:
-        observed = sweep_verify(protocol, up_to=6, jobs=jobs,
-                                schedule=schedule)
+        observed = sweep_verify(protocol, up_to=6, jobs=jobs)
     finally:
         run.finish()
         live.deactivate(run)

@@ -1,9 +1,9 @@
-"""Observability across the fork pool, and its differential contract.
+"""Observability across worker processes, and its differential contract.
 
-Covers the issue's acceptance tests: a ``jobs=2`` run yields one
-deterministic re-parented span tree; every serial fallback carries a
-machine-readable reason; and verdicts are byte-identical with tracing
-on or off.
+A ``jobs=2`` run yields one re-parented span tree (``scheduler.map`` →
+``item[i]``); serial execution is a planned choice that records no
+fallback, while an unpicklable result degrades only its own task and
+says so; and verdicts are byte-identical with tracing on or off.
 """
 
 import dataclasses
@@ -29,8 +29,7 @@ def _no_leaked_run():
         pytest.fail("test leaked an active observability run")
 
 
-# Pool workers must be module-level (resolved by qualified name in the
-# forked children).
+# Workers must be module-level (resolved by qualified name under spawn).
 def _square(_context, item):
     with obs.span("worker.square", item=item):
         obs.metric("worker.calls")
@@ -46,7 +45,7 @@ needs_fork = pytest.mark.skipif(not parallelism_available(),
 
 
 # ----------------------------------------------------------------------
-# span re-parenting across the fork boundary
+# span re-parenting across the process boundary
 # ----------------------------------------------------------------------
 @needs_fork
 def test_parallel_run_yields_one_deterministic_span_tree():
@@ -57,19 +56,25 @@ def test_parallel_run_yields_one_deterministic_span_tree():
     assert stats.parallel
     assert stats.pool_fallbacks == 0
 
-    pool_span = run_ctx.spans[0].children[0]
-    assert pool_span.name == "pool.map"
-    assert pool_span.attrs == {"jobs": 2, "items": 3, "method": "fork"}
-    # Adoption is by item index, so the tree is deterministic no matter
-    # which worker finished first.
-    assert [c.name for c in pool_span.children] == [
-        "item[0]", "item[1]", "item[2]"]
-    for index, wrapper in enumerate(pool_span.children):
+    dispatch = run_ctx.spans[0].children[0]
+    assert dispatch.name == "scheduler.map"
+    assert dispatch.attrs["jobs"] == 2
+    assert dispatch.attrs["items"] == 3
+    assert dispatch.attrs["method"] == "fork"
+    # Items are adopted in completion order, but each subtree is named
+    # by its item index, so the set of subtrees is deterministic.
+    items = sorted((c for c in dispatch.children
+                    if c.name.startswith("item[")), key=lambda c: c.name)
+    assert [c.name for c in items] == ["item[0]", "item[1]", "item[2]"]
+    for index, wrapper in enumerate(items):
         assert "pid" in wrapper.attrs
         (child,) = wrapper.children
         assert child.name == "worker.square"
         assert child.attrs == {"item": index + 2}
         assert child.pid == wrapper.attrs["pid"]
+    batches = [c for c in dispatch.children
+               if c.name == "scheduler.batch"]
+    assert sum(b.attrs["items"] for b in batches) == 3
     # Worker metrics merged back into the parent run.
     assert run_ctx.metrics.value("worker.calls") == 3
     assert run_ctx.metrics.value("pool.fallbacks", default=None) is None
@@ -84,93 +89,46 @@ def test_parallel_run_without_active_run_still_returns_results():
 
 
 # ----------------------------------------------------------------------
-# fallback telemetry — degradation is never silent
+# serial is planned; degradation is per task and never silent
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("items,jobs,reason,level", [
-    ([1, 2, 3], 1, "jobs<=1", "info"),
-    ([7], 4, "single-item", "info"),
-])
-def test_expected_fallbacks_record_info_events(items, jobs, reason,
-                                               level):
+@pytest.mark.parametrize("items,jobs", [([1, 2, 3], 1), ([7], 4)])
+def test_serial_run_is_planned_not_a_fallback(items, jobs):
     stats = EngineStats(jobs=jobs)
-    with obs.run("fallback-test") as run_ctx:
+    with obs.run("serial-test") as run_ctx:
         results = run_work_items(_square, items, jobs=jobs, stats=stats)
     assert results == [i * i for i in items]
     assert not stats.parallel
-    assert stats.pool_fallbacks == 1
-    assert run_ctx.metrics.value("pool.fallbacks") == 1
-    (event,) = [e for e in run_ctx.events
+    assert stats.pool_fallbacks == 0
+    assert not [e for e in run_ctx.events
                 if e["kind"] == "pool-fallback"]
-    assert event["reason"] == reason
-    assert event["level"] == level
     serial_span = run_ctx.spans[0].children[0]
-    assert serial_span.name == "pool.serial"
-    assert serial_span.attrs == {"reason": reason, "items": len(items)}
+    assert serial_span.name == "supervisor.serial"
+    assert serial_span.attrs == {"reason": "serial", "items": len(items)}
 
 
 @needs_fork
-def test_pool_error_falls_back_with_warning_and_reason():
+def test_unpicklable_result_degrades_per_task():
     stats = EngineStats(jobs=2)
-    with obs.run("error-test") as run_ctx:
-        with pytest.warns(RuntimeWarning, match="recomputing"):
+    with obs.run("degrade-test") as run_ctx:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no batch-wide warning
             results = run_work_items(_unpicklable, [1, 2], jobs=2,
                                      stats=stats)
+    # Each task re-ran in-parent through the fallback (= the worker).
     assert len(results) == 2 and all(callable(r) for r in results)
-    assert stats.pool_fallbacks == 1
-    assert not stats.parallel
-    (event,) = [e for e in run_ctx.events
-                if e["kind"] == "pool-fallback"]
-    assert event["reason"].startswith("pool-error:")
-    assert event["level"] == "warning"
+    assert stats.parallel
+    assert stats.pool_fallbacks == 0
+    assert stats.supervisor_degraded == 2
+    degraded = [e for e in run_ctx.events if e["kind"] == "task-degraded"]
+    assert sorted(e["index"] for e in degraded) == [0, 1]
+    assert all(e["reason"].startswith("unpicklable-result")
+               and e["level"] == "warning" for e in degraded)
 
 
 def test_fallback_without_stats_or_run_is_quiet():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_work_items(_square, [3], jobs=1) == [9]
-
-
-@needs_fork
-def test_fallback_warning_deduped_within_a_run():
-    """One RuntimeWarning per run+cause; counters and events intact."""
-    from repro.engine.pool import reset_fallback_warnings
-
-    stats = EngineStats(jobs=2)
-    with obs.run("dedup-test") as run_ctx:
-        with pytest.warns(RuntimeWarning, match="recomputing") as caught:
-            run_work_items(_unpicklable, [1, 2], jobs=2, stats=stats)
-            # Same cause, same run: the second fallback stays quiet ...
-            run_work_items(_unpicklable, [3, 4], jobs=2, stats=stats)
-    assert len(caught) == 1
-    # ... but the telemetry still sees both degradations.
-    assert stats.pool_fallbacks == 2
-    events = [e for e in run_ctx.events if e["kind"] == "pool-fallback"]
-    assert len(events) == 2
-    assert run_ctx.metrics.value("pool.fallbacks") == 2
-
-    # A fresh run is a fresh dedup scope: the user at the next command
-    # still gets told.
-    with obs.run("dedup-test-2"):
-        with pytest.warns(RuntimeWarning, match="recomputing"):
-            run_work_items(_unpicklable, [5, 6], jobs=2,
-                           stats=EngineStats(jobs=2))
-
-    # And without any run, reset_fallback_warnings() (called at every
-    # CLI dispatch) reopens the gate.
-    try:
-        with pytest.warns(RuntimeWarning, match="recomputing"):
-            run_work_items(_unpicklable, [7, 8], jobs=2,
-                           stats=EngineStats(jobs=2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # deduped: stays quiet
-            run_work_items(_unpicklable, [7, 8], jobs=2,
-                           stats=EngineStats(jobs=2))
-        reset_fallback_warnings()
-        with pytest.warns(RuntimeWarning, match="recomputing"):
-            run_work_items(_unpicklable, [7, 8], jobs=2,
-                           stats=EngineStats(jobs=2))
-    finally:
-        reset_fallback_warnings()
 
 
 # ----------------------------------------------------------------------
