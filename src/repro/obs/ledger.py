@@ -164,9 +164,18 @@ def find_run(records: list[dict[str, Any]],
     return None
 
 
+#: Flags the CLI no longer has.  Records written while they existed
+#: still carry them (``schedule`` defaulted to ``auto``), so they are
+#: left out of the identity: a run must keep matching its baseline
+#: across the release that removed them.
+RETIRED_FLAGS = frozenset({"schedule", "batch_size"})
+
+
 def identity(record: dict[str, Any]) -> tuple:
     """The comparison identity: what must match for a fair diff."""
-    flags = record.get("flags") or {}
+    flags = {key: value
+             for key, value in (record.get("flags") or {}).items()
+             if key not in RETIRED_FLAGS}
     return (record.get("command"), record.get("fingerprint"),
             json.dumps(flags, sort_keys=True, default=str))
 

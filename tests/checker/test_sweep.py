@@ -3,6 +3,8 @@
 import pytest
 
 from repro.checker.sweep import sweep_verify
+from repro.engine.pool import parallelism_available
+from repro.engine.supervisor import FAULT_ENV
 from repro.protocols import (
     nongeneralizable_matching,
     stabilizing_agreement,
@@ -30,6 +32,21 @@ def test_stop_on_failure_truncates():
                           stop_on_failure=True)
     assert result.sizes == (3, 4)  # window width .. first failure
     assert result.failing_sizes == (4,)
+
+
+@pytest.mark.skipif(not parallelism_available(),
+                    reason="needs the fork start method")
+def test_env_injected_fault_reaches_the_dispatcher(monkeypatch):
+    # A serial sweep given no plan still honours REPRO_INJECT_FAULT: the
+    # delay sends it through the batch scheduler, with the same result.
+    clean = sweep_verify(nongeneralizable_matching(), up_to=6,
+                         stop_on_failure=True)
+    monkeypatch.setenv(FAULT_ENV, "delay:0.001")
+    slowed = sweep_verify(nongeneralizable_matching(), up_to=6,
+                          stop_on_failure=True)
+    assert slowed.stats.scheduler_batches >= 1
+    assert slowed.sizes == clean.sizes == (3, 4)
+    assert slowed.failing_sizes == clean.failing_sizes
 
 
 def test_custom_start():

@@ -89,6 +89,18 @@ def test_latest_matching_respects_identity():
         == "match-1"
 
 
+def test_retired_flags_do_not_split_identity():
+    # Records written while --schedule / --batch-size existed carry
+    # them; a run recorded after their removal must still match.
+    old = _record("old", flags={"up_to": 6, "schedule": "auto"})
+    new = _record("new", flags={"up_to": 6})
+    assert ledger.identity(old) == ledger.identity(new)
+    assert ledger.latest_matching([old, new], new)["run_id"] == "old"
+    tuned = _record("tuned", flags={"up_to": 6, "schedule": "batch",
+                                    "batch_size": 2})
+    assert ledger.latest_matching([tuned, new], new)["run_id"] == "tuned"
+
+
 def test_latest_matching_ignores_later_records():
     first = _record("first")
     later = _record("later")
