@@ -8,13 +8,14 @@ against one cache directory — cold (empty store, everything compiled
 and published) and warm (result cache + artifacts attached) — gates on
 the warm speedup, then replays a warm batch sweep under both ``fork``
 and ``spawn`` start methods to gate the spawn dispatch overhead, and
-emits ``BENCH_artifacts.json`` at the repository root.
+emits ``BENCH_artifacts.json`` (see ``write_bench_record``).
 
 ``REPRO_BENCH_MAX_K`` sizes the warm/cold sweep (default 8).
 ``REPRO_BENCH_PARITY_K`` sizes the spawn-parity sweep (default 10 — at
 that size per-K compute dominates and the ≤1.5× acceptance bound
 applies; smaller CI runs gate at ≤4× because interpreter start-up is
-then a fixed cost the sweep cannot amortize).
+then a fixed cost the sweep cannot amortize).  A run with either size
+below its default is the ``ci`` variant.
 """
 
 import json
@@ -32,10 +33,10 @@ from repro.engine.pool import START_METHOD_ENV
 from repro.protocols import generalizable_matching
 from repro.serialization import global_report_to_dict
 
-MAX_K = int(os.environ.get("REPRO_BENCH_MAX_K", "8"))
-PARITY_K = int(os.environ.get("REPRO_BENCH_PARITY_K", "10"))
+FULL_MAX_K, FULL_PARITY_K = 8, 10
+MAX_K = int(os.environ.get("REPRO_BENCH_MAX_K", str(FULL_MAX_K)))
+PARITY_K = int(os.environ.get("REPRO_BENCH_PARITY_K", str(FULL_PARITY_K)))
 JOBS = 2
-REPO_ROOT = Path(__file__).resolve().parent.parent
 MIN_WARM_SPEEDUP = 3.0
 #: ≤1.5× is the acceptance bound when compute dominates (K ≥ 10); a
 #: shrunken CI parity sweep pays the same absolute interpreter start-up
@@ -110,7 +111,8 @@ def collect(tmp_path):
 @pytest.mark.skipif(
     "spawn" not in multiprocessing.get_all_start_methods(),
     reason="spawn start method unavailable")
-def test_artifacts_perf_smoke(benchmark, write_artifact, tmp_path):
+def test_artifacts_perf_smoke(benchmark, write_artifact, write_bench_record,
+                              tmp_path):
     outcome = benchmark.pedantic(lambda: collect(tmp_path),
                                  rounds=1, iterations=1)
     cold, cold_s = outcome["cold"]
@@ -165,8 +167,8 @@ def test_artifacts_perf_smoke(benchmark, write_artifact, tmp_path):
             "spawn_hits": spawn.stats.artifact_hits,
         },
     }
-    (REPO_ROOT / "BENCH_artifacts.json").write_text(
-        json.dumps(payload, indent=2) + "\n")
+    write_bench_record("artifacts", payload,
+                       full=(MAX_K, PARITY_K) == (FULL_MAX_K, FULL_PARITY_K))
     write_artifact(
         "artifact_plane.txt",
         f"matching sweep to K={MAX_K} @ jobs={JOBS}\n"

@@ -16,8 +16,7 @@ items serially in-parent (``jobs=1``), and checks that
   first) so drift hits both sides (gated on the full configuration
   only).
 
-It emits ``BENCH_dispatch.json`` at the repository root, stamped with
-the commit, Python version, CPU count and variant.
+It emits ``BENCH_dispatch.json`` (see ``write_bench_record``).
 
 ``REPRO_BENCH_DISPATCH_ITEMS`` sets N.  The default of 500 is the
 ``full`` variant that writes the committed record (and
@@ -28,11 +27,8 @@ so a CI-sized run never overwrites a committed result.
 
 import json
 import os
-import platform
-import subprocess
 import tempfile
 import time
-from pathlib import Path
 
 from repro.engine import EngineStats, SupervisorPolicy, \
     supervise_work_items
@@ -42,14 +38,11 @@ from repro.serialization import global_report_to_dict
 
 FULL_ITEMS = 500
 ITEMS = int(os.environ.get("REPRO_BENCH_DISPATCH_ITEMS", str(FULL_ITEMS)))
-VARIANT = "full" if ITEMS == FULL_ITEMS else "ci"
+FULL = ITEMS == FULL_ITEMS
 JOBS = 4
 #: Ring sizes the micro tasks cycle over — small enough that one check
 #: costs well under a millisecond, so dispatch overhead dominates.
 MICRO_SIZES = (3, 4)
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RECORD = (REPO_ROOT / "BENCH_dispatch.json" if VARIANT == "full"
-          else REPO_ROOT / "benchmarks" / "out" / "BENCH_dispatch.json")
 #: Interleaved repetitions per side of the live-overhead comparison.
 LIVE_ROUNDS = 5
 #: Publishing live status snapshots must stay within 2% of the plain
@@ -101,17 +94,6 @@ def _run(jobs: int, live_dir=None):
     return results, elapsed, stats, live_run
 
 
-def _commit() -> str:
-    """The measured source: abbreviated commit, ``-dirty`` when the
-    working tree has uncommitted changes."""
-    try:
-        return subprocess.run(
-            ["git", "describe", "--always", "--dirty"], cwd=REPO_ROOT,
-            capture_output=True, text=True, check=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
 def collect():
     serial_results, serial_s, _serial_stats, _ = _run(1)
     plain, observed = [], []
@@ -128,7 +110,7 @@ def collect():
             "observed": observed, "live_snapshots": snapshots}
 
 
-def test_dispatch_perf_smoke(benchmark, write_artifact):
+def test_dispatch_perf_smoke(benchmark, write_artifact, write_bench_record):
     outcome = benchmark.pedantic(collect, rounds=1, iterations=1)
     serial_results, serial_s = outcome["serial"]
     plain, observed = outcome["plain"], outcome["observed"]
@@ -153,10 +135,6 @@ def test_dispatch_perf_smoke(benchmark, write_artifact):
             "adaptive batching degenerated to one item per batch")
 
     payload = {
-        "commit": _commit(),
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "variant": VARIANT,
         "protocol": "matching-ex4.2",
         "items": ITEMS,
         "jobs": JOBS,
@@ -178,9 +156,8 @@ def test_dispatch_perf_smoke(benchmark, write_artifact):
             "requeued": stats.scheduler_requeued,
         },
     }
-    RECORD.parent.mkdir(parents=True, exist_ok=True)
-    RECORD.write_text(json.dumps(payload, indent=2) + "\n")
-    if VARIANT != "full":
+    write_bench_record("dispatch", payload, full=FULL)
+    if not FULL:
         return
     write_artifact(
         "dispatch_overhead.txt",

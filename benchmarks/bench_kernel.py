@@ -3,27 +3,26 @@
 Times the three state-space engines on the paper's flagship protocol
 (Example 4.2 maximal matching) across ring sizes, asserts the compiled
 kernel is never slower than the naive interpreter (the CI perf-smoke
-gate), and emits ``BENCH_kernel.json`` at the repository root with the
-per-K timings so regressions are diffable.
+gate), and emits ``BENCH_kernel.json`` (see ``write_bench_record``)
+with the per-K timings so regressions are diffable.
 
 ``REPRO_BENCH_MAX_K`` caps the largest ring size (CI uses 6 to stay
-fast); the ≥5× speedup acceptance bound is only asserted on full runs
-(largest K ≥ 8), where the gap is far from timing noise.
+fast; any cap but the default is the ``ci`` variant); the ≥5× speedup
+acceptance bound is only asserted on full runs (largest K ≥ 8), where
+the gap is far from timing noise.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.checker import check_instance
 from repro.checker.statespace import StateGraph
 from repro.protocols import generalizable_matching
 from repro.viz import render_table
 
-MAX_K = int(os.environ.get("REPRO_BENCH_MAX_K", "8"))
+FULL_MAX_K = 8
+MAX_K = int(os.environ.get("REPRO_BENCH_MAX_K", str(FULL_MAX_K)))
 SIZES = tuple(range(4, MAX_K + 1))
-REPO_ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 2  # best-of-N to damp scheduler noise
 
 
@@ -65,7 +64,7 @@ def collect():
     return results
 
 
-def test_kernel_perf_smoke(benchmark, write_artifact):
+def test_kernel_perf_smoke(benchmark, write_artifact, write_bench_record):
     results = benchmark.pedantic(collect, rounds=1, iterations=1)
     largest = results[-1]
 
@@ -95,8 +94,7 @@ def test_kernel_perf_smoke(benchmark, write_artifact):
         "largest_k_speedup": largest["speedup"],
         "results": results,
     }
-    (REPO_ROOT / "BENCH_kernel.json").write_text(
-        json.dumps(payload, indent=2) + "\n")
+    write_bench_record("kernel", payload, full=MAX_K == FULL_MAX_K)
     write_artifact(
         "kernel_backends.txt",
         render_table(

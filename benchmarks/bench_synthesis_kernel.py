@@ -5,8 +5,9 @@ recovery transitions over the first Resolve set) on the bundled
 reference protocols with both backends, asserts byte-identical verdicts
 and byte-identical end-to-end ``synthesize()`` results, gates on the
 kernel being at least ``REPRO_BENCH_SYNTH_MIN_SPEEDUP`` (default 5)
-times faster in aggregate, and emits ``BENCH_synthesis.json`` at the
-repository root so regressions are diffable.
+times faster in aggregate, and emits ``BENCH_synthesis.json`` (see
+``write_bench_record``; the workload has no size knob, so every run is
+the ``full`` variant) so regressions are diffable.
 
 Each timing round constructs a fresh protocol object and synthesizer,
 so the kernel backend pays its state-indexing and skeleton-compile cost
@@ -14,10 +15,8 @@ inside the measurement — the comparison is cold-vs-cold, not warm-cache
 flattery.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.core.synthesis import Synthesizer
 from repro.protocols import three_coloring, two_coloring
@@ -25,7 +24,6 @@ from repro.protocols.agreement import agreement
 from repro.protocols.sum_not_two import sum_not_two
 from repro.viz import render_table
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 3  # best-of-N to damp scheduler noise
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_SYNTH_MIN_SPEEDUP", "5"))
 PROTOCOLS = (agreement, sum_not_two, three_coloring, two_coloring)
@@ -80,7 +78,8 @@ def collect():
     return rows
 
 
-def test_synthesis_kernel_perf_smoke(benchmark, write_artifact):
+def test_synthesis_kernel_perf_smoke(benchmark, write_artifact,
+                                     write_bench_record):
     rows = benchmark.pedantic(collect, rounds=1, iterations=1)
 
     # The gate: never slower per protocol (10% noise allowance on the
@@ -100,8 +99,7 @@ def test_synthesis_kernel_perf_smoke(benchmark, write_artifact):
         "min_speedup_gate": MIN_SPEEDUP,
         "results": rows,
     }
-    (REPO_ROOT / "BENCH_synthesis.json").write_text(
-        json.dumps(payload, indent=2) + "\n")
+    write_bench_record("synthesis", payload, full=True)
     write_artifact(
         "synthesis_backends.txt",
         render_table(

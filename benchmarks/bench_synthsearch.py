@@ -5,8 +5,8 @@ pools (the n-coloring pool grows as ``(n-1)^n`` combinations) with both
 ``--search`` modes over the same compiled localkernel backend, asserts
 byte-identical verdict tables, gates on the lattice walk being at least
 ``REPRO_BENCH_SYNTHSEARCH_MIN_SPEEDUP`` (default 5) times faster in
-aggregate, and emits ``BENCH_synthsearch.json`` at the repository root
-so regressions are diffable.
+aggregate, and emits ``BENCH_synthsearch.json`` (see
+``write_bench_record``) so regressions are diffable.
 
 Each timing round constructs a fresh protocol object and synthesizer,
 so both modes pay state indexing, skeleton compilation and support
@@ -15,19 +15,18 @@ cold-vs-cold, and the flat side keeps the same per-synthesizer trail
 memo it always had.
 
 ``REPRO_BENCH_SYNTHSEARCH_SMALL=1`` drops the largest pool (CI smoke
-uses this with a relaxed 3x gate; the full workload keeps the 5x gate).
+uses this with a relaxed 3x gate; the full workload keeps the 5x gate)
+and makes the run the ``ci`` variant, recorded under
+``benchmarks/out/``.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.core.synthesis import Synthesizer
 from repro.protocols.coloring import coloring
 from repro.viz import render_table
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 3  # best-of-N to damp scheduler noise
 MIN_SPEEDUP = float(
     os.environ.get("REPRO_BENCH_SYNTHSEARCH_MIN_SPEEDUP", "5"))
@@ -86,7 +85,8 @@ def collect():
     return rows
 
 
-def test_synthsearch_perf_smoke(benchmark, write_artifact):
+def test_synthsearch_perf_smoke(benchmark, write_artifact,
+                                write_bench_record):
     rows = benchmark.pedantic(collect, rounds=1, iterations=1)
 
     # The gate: never slower per pool (10% noise allowance on the
@@ -106,11 +106,9 @@ def test_synthsearch_perf_smoke(benchmark, write_artifact):
         "protocols": [r["protocol"] for r in rows],
         "aggregate_speedup": round(aggregate, 2),
         "min_speedup_gate": MIN_SPEEDUP,
-        "small_variant": SMALL,
         "results": rows,
     }
-    (REPO_ROOT / "BENCH_synthsearch.json").write_text(
-        json.dumps(payload, indent=2) + "\n")
+    write_bench_record("synthsearch", payload, full=not SMALL)
     write_artifact(
         "synthsearch_modes.txt",
         render_table(

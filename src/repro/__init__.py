@@ -29,137 +29,79 @@ Quickstart
 True
 """
 
-from repro.errors import (
-    AssumptionViolation,
-    DomainError,
-    DslNameError,
-    DslSyntaxError,
-    ProtocolDefinitionError,
-    ReproError,
-    SynthesisFailure,
-    TopologyError,
-    VerificationError,
-)
-from repro.protocol import (
-    Action,
-    LocalState,
-    LocalStateSpace,
-    LocalTransition,
-    LocalView,
-    ProcessTemplate,
-    RingInstance,
-    RingProtocol,
-    Variable,
-    parse_action,
-    parse_predicate,
-)
-from repro.protocol.variables import boolean, ranged
-from repro.core import (
-    ConvergenceReport,
-    ConvergenceVerdict,
-    DeadlockAnalyzer,
-    DeadlockReport,
-    LivelockCertifier,
-    LivelockReport,
-    LivelockVerdict,
-    SynthesisOutcome,
-    SynthesisResult,
-    Synthesizer,
-    analyze_deadlocks,
-    certify_livelock_freedom,
-    make_self_disabling,
-    synthesize_convergence,
-    verify_convergence,
-)
-from repro.core import (
-    HybridVerdict,
-    hybrid_synthesize,
-    hybrid_verify,
-)
-from repro.core.chains import (
-    synthesize_chain_convergence,
-    verify_chain_convergence,
-)
-from repro.core.trees import TreeDeadlockAnalyzer
-from repro.checker import (
-    GlobalSynthesizer,
-    check_instance,
-    compute_ranking,
-    sweep_verify,
-    verify_ranking,
-)
-from repro.protocol.chain import ChainInstance, ChainProtocol
-from repro.protocol.tree import TreeInstance
-from repro.serialization import (
-    load_protocol,
-    protocol_from_dict,
-    protocol_to_dict,
-    save_protocol,
-)
+from repro import _lazy
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "ReproError",
-    "ProtocolDefinitionError",
-    "DslSyntaxError",
-    "DslNameError",
-    "DomainError",
-    "TopologyError",
-    "AssumptionViolation",
-    "SynthesisFailure",
-    "VerificationError",
+__all__ = ["__version__", *_lazy.exports(globals(), {
+    "errors": (
+        "ReproError",
+        "ProtocolDefinitionError",
+        "DslSyntaxError",
+        "DslNameError",
+        "DomainError",
+        "TopologyError",
+        "AssumptionViolation",
+        "SynthesisFailure",
+        "VerificationError",
+    ),
     # protocol model
-    "Variable",
-    "boolean",
-    "ranged",
-    "Action",
-    "LocalState",
-    "LocalStateSpace",
-    "LocalTransition",
-    "LocalView",
-    "ProcessTemplate",
-    "RingProtocol",
-    "RingInstance",
-    "parse_action",
-    "parse_predicate",
-    # local reasoning
-    "DeadlockAnalyzer",
-    "DeadlockReport",
-    "analyze_deadlocks",
-    "LivelockCertifier",
-    "LivelockReport",
-    "LivelockVerdict",
-    "certify_livelock_freedom",
-    "make_self_disabling",
-    "ConvergenceReport",
-    "ConvergenceVerdict",
-    "verify_convergence",
-    "Synthesizer",
-    "SynthesisResult",
-    "SynthesisOutcome",
-    "synthesize_convergence",
+    "protocol.variables": ("boolean", "ranged"),
+    "protocol": (
+        "Variable",
+        "Action",
+        "LocalState",
+        "LocalStateSpace",
+        "LocalTransition",
+        "LocalView",
+        "ProcessTemplate",
+        "RingProtocol",
+        "RingInstance",
+        "parse_action",
+        "parse_predicate",
+    ),
+    # local reasoning, and the hybrid extension
+    "core": (
+        "DeadlockAnalyzer",
+        "DeadlockReport",
+        "analyze_deadlocks",
+        "LivelockCertifier",
+        "LivelockReport",
+        "LivelockVerdict",
+        "certify_livelock_freedom",
+        "make_self_disabling",
+        "ConvergenceReport",
+        "ConvergenceVerdict",
+        "verify_convergence",
+        "Synthesizer",
+        "SynthesisResult",
+        "SynthesisOutcome",
+        "synthesize_convergence",
+        "HybridVerdict",
+        "hybrid_verify",
+        "hybrid_synthesize",
+    ),
     # global substrate
-    "check_instance",
-    "GlobalSynthesizer",
-    "compute_ranking",
-    "verify_ranking",
-    "sweep_verify",
-    # extensions
-    "HybridVerdict",
-    "hybrid_verify",
-    "hybrid_synthesize",
-    "ChainProtocol",
-    "ChainInstance",
-    "verify_chain_convergence",
-    "synthesize_chain_convergence",
-    "TreeInstance",
-    "TreeDeadlockAnalyzer",
+    "checker": (
+        "check_instance",
+        "GlobalSynthesizer",
+        "compute_ranking",
+        "verify_ranking",
+        "sweep_verify",
+    ),
+    # chain and tree extensions
+    "protocol.chain": ("ChainProtocol", "ChainInstance"),
+    "core.chains": (
+        "verify_chain_convergence",
+        "synthesize_chain_convergence",
+    ),
+    "protocol.tree": ("TreeInstance",),
+    "core.trees": ("TreeDeadlockAnalyzer",),
     # serialization
-    "protocol_to_dict",
-    "protocol_from_dict",
-    "save_protocol",
-    "load_protocol",
-]
+    "serialization": (
+        "protocol_to_dict",
+        "protocol_from_dict",
+        "save_protocol",
+        "load_protocol",
+    ),
+})]

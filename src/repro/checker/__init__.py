@@ -9,43 +9,21 @@ The cost grows exponentially in ``K`` — which is precisely the paper's
 motivation for reasoning in the local state space instead.
 """
 
-from repro.checker.statespace import StateGraph
-from repro.checker.convergence import (
-    GlobalReport,
-    check_instance,
-    is_closed,
-    is_self_stabilizing,
-    strongly_converges,
-    weakly_converges,
-)
-from repro.checker.deadlock import illegitimate_deadlocks
-from repro.checker.livelock import livelock_cycles
-from repro.checker.synthesis import (
-    GlobalSynthesisResult,
-    GlobalSynthesizer,
-)
-from repro.checker.sweep import SweepResult, sweep_verify
-from repro.checker.ranking import (
-    RankingCertificate,
-    compute_ranking,
-    verify_ranking,
-)
+from repro import _lazy
 
-__all__ = [
-    "StateGraph",
-    "GlobalReport",
-    "check_instance",
-    "is_closed",
-    "is_self_stabilizing",
-    "strongly_converges",
-    "weakly_converges",
-    "illegitimate_deadlocks",
-    "livelock_cycles",
-    "GlobalSynthesizer",
-    "GlobalSynthesisResult",
-    "SweepResult",
-    "sweep_verify",
-    "RankingCertificate",
-    "compute_ranking",
-    "verify_ranking",
-]
+__all__ = _lazy.exports(globals(), {
+    "statespace": ("StateGraph",),
+    "convergence": (
+        "GlobalReport",
+        "check_instance",
+        "is_closed",
+        "is_self_stabilizing",
+        "strongly_converges",
+        "weakly_converges",
+    ),
+    "deadlock": ("illegitimate_deadlocks",),
+    "livelock": ("livelock_cycles",),
+    "synthesis": ("GlobalSynthesizer", "GlobalSynthesisResult"),
+    "sweep": ("SweepResult", "sweep_verify"),
+    "ranking": ("RankingCertificate", "compute_ranking", "verify_ranking"),
+})

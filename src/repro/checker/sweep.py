@@ -29,12 +29,12 @@ import repro.engine.artifacts as artifact_plane
 from repro.checker.convergence import GlobalReport, check_instance
 from repro.engine import EngineStats, ResultCache, analysis_key, \
     supervise_work_items
-from repro.engine.journal import RunJournal
 from repro.engine.pool import PortableContext
 from repro.engine.supervisor import FaultPlan, SupervisorPolicy
 from repro.obs import live
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.journal import RunJournal
     from repro.protocol.ring import RingProtocol
 
 

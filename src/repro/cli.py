@@ -31,18 +31,12 @@ import sys
 import time
 from pathlib import Path
 
-import repro.engine.artifacts as artifact_plane
-from repro.core import (
-    build_ltg,
-    synthesize_convergence,
-    verify_convergence,
-)
-from repro.core.deadlock import DeadlockAnalyzer
-from repro.engine.journal import JournalError
+from repro.errors import JournalError
 from repro.obs import runtime as obs
 from repro.protocols.registry import REGISTRY, get_protocol
-from repro.simulation import convergence_study
-from repro.viz import ltg_to_dot, rcg_to_dot
+
+# Everything else is imported by the command that runs it, so a process
+# loads only the subsystems its command uses.
 
 
 def _resolve_protocol(name: str):
@@ -175,7 +169,8 @@ def _run_journal(args: argparse.Namespace, fingerprint: str):
         or getattr(args, "run_id", None) is not None
     if resume is None and not checkpoint:
         return None
-    from repro.engine.journal import RunJournal, runs_root
+    from repro.engine.cache import runs_root
+    from repro.engine.journal import RunJournal
 
     root = runs_root(args.cache_dir)
     if resume is not None:
@@ -254,6 +249,7 @@ def _artifact_store(args: argparse.Namespace):
     if mode is None:  # command without engine options
         yield None
         return
+    import repro.engine.artifacts as artifact_plane
     from repro.engine import DEFAULT_CACHE_DIR
 
     cache_dir = args.cache_dir or DEFAULT_CACHE_DIR
@@ -359,7 +355,7 @@ def _live_plane(args: argparse.Namespace):
     if not getattr(args, "live", False):
         yield None
         return
-    from repro.engine.journal import runs_root
+    from repro.engine.cache import runs_root
     from repro.obs import live as live_mod
 
     directory = runs_root(getattr(args, "cache_dir", None)) \
@@ -405,6 +401,8 @@ def _cmd_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from repro.core.convergence import verify_convergence
+
     protocol = _resolve_protocol(args.protocol)
     cache = _engine_cache(args)
     report = verify_convergence(protocol,
@@ -426,6 +424,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"== parameterized verification of {protocol.name} ==")
     print(report.summary())
     if not report.deadlock.deadlock_free:
+        from repro.core.deadlock import DeadlockAnalyzer
+
         analyzer = DeadlockAnalyzer(protocol)
         sizes = sorted(analyzer.deadlocked_ring_sizes(args.max_sizes))
         print(f"deadlocked ring sizes <= {args.max_sizes}: {sizes}")
@@ -568,7 +568,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
-    from repro.core.synthesis import synthesis_fingerprint
+    from repro.core.synthesis import (
+        synthesis_fingerprint,
+        synthesize_convergence,
+    )
 
     protocol = get_protocol(args.protocol)
     _annotate_protocol(protocol)
@@ -620,6 +623,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_cache(args: argparse.Namespace) -> int:
     """Inspect (or clear) the two on-disk layers under the cache root:
     pickled result entries and mmap-attachable artifact files."""
+    import repro.engine.artifacts as artifact_plane
     from repro.engine import DEFAULT_CACHE_DIR
     from repro.engine.cache import ENTRY_SUFFIX
 
@@ -669,7 +673,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def _cmd_ps(args: argparse.Namespace) -> int:
     """List runs publishing (or having published) live snapshots."""
-    from repro.engine.journal import runs_root
+    from repro.engine.cache import runs_root
     from repro.obs import live as live_mod
 
     statuses = live_mod.scan_runs(runs_root(args.cache_dir))
@@ -682,7 +686,7 @@ def _cmd_ps(args: argparse.Namespace) -> int:
 
 def _cmd_top(args: argparse.Namespace) -> int:
     """Render one run's live snapshot (optionally refreshing)."""
-    from repro.engine.journal import runs_root
+    from repro.engine.cache import runs_root
     from repro.obs import live as live_mod
 
     root = runs_root(args.cache_dir)
@@ -774,6 +778,8 @@ def _cmd_runs_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.simulation import convergence_study
+
     protocol = get_protocol(args.protocol)
     instance = protocol.instantiate(args.ring_size)
     stats = convergence_study(instance, samples=args.samples,
@@ -786,7 +792,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_figures(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    from repro.core.rcg import build_rcg
+    from repro.core import (
+        DeadlockAnalyzer,
+        build_ltg,
+        build_rcg,
+        synthesize_convergence,
+    )
     from repro.protocols import (
         generalizable_matching,
         matching_base,
@@ -795,6 +806,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     )
     from repro.protocols.agreement import agreement
     from repro.protocols.sum_not_two import sum_not_two
+    from repro.viz import ltg_to_dot, rcg_to_dot
 
     jobs = []
     base = matching_base()
@@ -1058,7 +1070,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     trace = getattr(args, "trace", None)
     log_json = getattr(args, "log_json", None)
     if hasattr(args, "live"):
-        from repro.engine.journal import new_run_id
+        from repro.engine.cache import new_run_id
 
         # One identity per command invocation, shared by the live
         # plane, the checkpoint journal and the ledger record.

@@ -14,105 +14,56 @@ Main entry points
   the underlying graph constructions.
 """
 
-from repro.core.rcg import build_rcg, closed_walk_to_global_state
-from repro.core.ltg import build_ltg, ltg_of, t_arcs
-from repro.core.deadlock import (
-    DeadlockAnalyzer,
-    DeadlockReport,
-    analyze_deadlocks,
-)
-from repro.core.pseudolivelock import (
-    elementary_pseudo_livelocks,
-    has_pseudo_livelock,
-    is_pseudo_livelock_support,
-    pseudo_livelock_supports,
-    write_projection_graph,
-)
-from repro.core.trail import (
-    ContiguousTrailSearcher,
-    TrailWitness,
-    round_pattern,
-)
-from repro.core.livelock import (
-    LivelockCertifier,
-    LivelockReport,
-    LivelockVerdict,
-    certify_livelock_freedom,
-)
-from repro.core.selfdisabling import (
-    is_self_disabling,
-    is_self_terminating,
-    make_self_disabling,
-    self_disabling_transitions,
-)
-from repro.core.convergence import (
-    ConvergenceReport,
-    ConvergenceVerdict,
-    check_local_closure,
-    verify_convergence,
-)
-from repro.core.synthesis import (
-    SynthesisOutcome,
-    SynthesisResult,
-    Synthesizer,
-    synthesize_convergence,
-)
-from repro.core.precedence import (
-    PrecedenceRelation,
-    precedence_relation,
-    precedence_preserving_schedules,
-)
-from repro.core.contiguous import ContiguousLivelockModel
-from repro.core.hybrid import (
-    HybridReport,
-    HybridSynthesisResult,
-    hybrid_synthesize,
-    HybridVerdict,
-    WitnessClassification,
-    hybrid_verify,
-)
+from repro import _lazy
 
-__all__ = [
-    "build_rcg",
-    "closed_walk_to_global_state",
-    "build_ltg",
-    "ltg_of",
-    "t_arcs",
-    "DeadlockAnalyzer",
-    "DeadlockReport",
-    "analyze_deadlocks",
-    "write_projection_graph",
-    "has_pseudo_livelock",
-    "elementary_pseudo_livelocks",
-    "pseudo_livelock_supports",
-    "is_pseudo_livelock_support",
-    "ContiguousTrailSearcher",
-    "TrailWitness",
-    "round_pattern",
-    "LivelockCertifier",
-    "LivelockReport",
-    "LivelockVerdict",
-    "certify_livelock_freedom",
-    "is_self_disabling",
-    "is_self_terminating",
-    "make_self_disabling",
-    "self_disabling_transitions",
-    "ConvergenceReport",
-    "ConvergenceVerdict",
-    "check_local_closure",
-    "verify_convergence",
-    "Synthesizer",
-    "SynthesisResult",
-    "SynthesisOutcome",
-    "synthesize_convergence",
-    "PrecedenceRelation",
-    "precedence_relation",
-    "precedence_preserving_schedules",
-    "ContiguousLivelockModel",
-    "HybridReport",
-    "HybridVerdict",
-    "WitnessClassification",
-    "hybrid_verify",
-    "HybridSynthesisResult",
-    "hybrid_synthesize",
-]
+__all__ = _lazy.exports(globals(), {
+    "rcg": ("build_rcg", "closed_walk_to_global_state"),
+    "ltg": ("build_ltg", "ltg_of", "t_arcs"),
+    "deadlock": ("DeadlockAnalyzer", "DeadlockReport", "analyze_deadlocks"),
+    "pseudolivelock": (
+        "write_projection_graph",
+        "has_pseudo_livelock",
+        "elementary_pseudo_livelocks",
+        "pseudo_livelock_supports",
+        "is_pseudo_livelock_support",
+    ),
+    "trail": ("ContiguousTrailSearcher", "TrailWitness", "round_pattern"),
+    "livelock": (
+        "LivelockCertifier",
+        "LivelockReport",
+        "LivelockVerdict",
+        "certify_livelock_freedom",
+    ),
+    "selfdisabling": (
+        "is_self_disabling",
+        "is_self_terminating",
+        "make_self_disabling",
+        "self_disabling_transitions",
+    ),
+    "convergence": (
+        "ConvergenceReport",
+        "ConvergenceVerdict",
+        "check_local_closure",
+        "verify_convergence",
+    ),
+    "synthesis": (
+        "Synthesizer",
+        "SynthesisResult",
+        "SynthesisOutcome",
+        "synthesize_convergence",
+    ),
+    "precedence": (
+        "PrecedenceRelation",
+        "precedence_relation",
+        "precedence_preserving_schedules",
+    ),
+    "contiguous": ("ContiguousLivelockModel",),
+    "hybrid": (
+        "HybridReport",
+        "HybridVerdict",
+        "WitnessClassification",
+        "hybrid_verify",
+        "HybridSynthesisResult",
+        "hybrid_synthesize",
+    ),
+})

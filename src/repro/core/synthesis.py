@@ -41,7 +41,6 @@ from repro.core.selfdisabling import (
 )
 from repro.engine import EngineStats, ResultCache, analysis_key, \
     supervise_work_items
-from repro.engine.journal import RunJournal
 from repro.engine.supervisor import FaultPlan, SupervisorPolicy
 from repro.errors import SynthesisFailure
 from repro.graphs import has_cycle
@@ -50,6 +49,7 @@ from repro.protocol.actions import LocalTransition
 from repro.protocol.localstate import LocalState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.journal import RunJournal
     from repro.protocol.ring import RingProtocol
 
 

@@ -50,92 +50,41 @@ identical work.  This package supplies the missing pieces:
   ``repro cache``).
 """
 
-from repro.engine.artifacts import (
-    ArtifactStats,
-    ArtifactStore,
-    open_store,
-)
-from repro.engine.cache import (
-    DEFAULT_CACHE_DIR,
-    CacheStats,
-    ResultCache,
-)
-from repro.engine.fingerprint import analysis_key, protocol_fingerprint
-from repro.engine.kernel import (
-    CompiledProtocol,
-    KernelStats,
-    PackedSpace,
-    build_space,
-    compile_protocol,
-    supports_kernel,
-)
-from repro.engine.journal import (
-    JournalError,
-    JournalStats,
-    RunJournal,
-    list_runs,
-    new_run_id,
-    runs_root,
-)
-from repro.engine.pool import (
-    PortableContext,
-    WorkerFailure,
-    WorkerTraceback,
-    parallelism_available,
-    run_work_items,
-)
-from repro.engine.stats import EngineStats
-from repro.engine.supervisor import (
-    FaultPlan,
-    SupervisorError,
-    SupervisorPolicy,
-    supervise_work_items,
-)
-from repro.engine.scheduler import BatchScheduler, CostModel
+from repro import _lazy
 
-# Imported last: localkernel pulls in repro.core.trail, whose package
-# __init__ imports back into repro.engine — every name above must
-# already be bound by then.
-from repro.engine.localkernel import (
-    LocalKernel,
-    LocalKernelStats,
-    local_kernel_for,
-)
-
-__all__ = [
-    "ArtifactStats",
-    "ArtifactStore",
-    "BatchScheduler",
-    "CostModel",
-    "DEFAULT_CACHE_DIR",
-    "CacheStats",
-    "PortableContext",
-    "CompiledProtocol",
-    "EngineStats",
-    "FaultPlan",
-    "JournalError",
-    "JournalStats",
-    "KernelStats",
-    "LocalKernel",
-    "LocalKernelStats",
-    "PackedSpace",
-    "ResultCache",
-    "RunJournal",
-    "SupervisorError",
-    "SupervisorPolicy",
-    "WorkerFailure",
-    "WorkerTraceback",
-    "analysis_key",
-    "build_space",
-    "compile_protocol",
-    "list_runs",
-    "local_kernel_for",
-    "new_run_id",
-    "open_store",
-    "parallelism_available",
-    "protocol_fingerprint",
-    "run_work_items",
-    "runs_root",
-    "supervise_work_items",
-    "supports_kernel",
-]
+__all__ = _lazy.exports(globals(), {
+    "artifacts": ("ArtifactStats", "ArtifactStore", "open_store"),
+    "cache": (
+        "DEFAULT_CACHE_DIR",
+        "CacheStats",
+        "ResultCache",
+        "new_run_id",
+        "runs_root",
+    ),
+    "fingerprint": ("analysis_key", "protocol_fingerprint"),
+    "kernel": (
+        "CompiledProtocol",
+        "KernelStats",
+        "PackedSpace",
+        "build_space",
+        "compile_protocol",
+        "supports_kernel",
+    ),
+    "journal": ("JournalError", "JournalStats", "RunJournal", "list_runs"),
+    "pool": (
+        "PortableContext",
+        "WorkerFailure",
+        "WorkerTraceback",
+        "parallelism_available",
+        "run_work_items",
+    ),
+    "stats": ("EngineStats",),
+    "supervisor": (
+        "FaultPlan",
+        "SupervisorError",
+        "SupervisorPolicy",
+        "supervise_work_items",
+    ),
+    "scheduler": ("BatchScheduler", "CostModel"),
+    "localkernel": ("LocalKernel", "LocalKernelStats", "local_kernel_for"),
+})

@@ -15,7 +15,9 @@ plain miss — corruption never raises out of :meth:`ResultCache.get`.
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -30,12 +32,25 @@ from repro.obs import runtime as obs
 DEFAULT_CACHE_DIR = ".repro-cache"
 DEFAULT_CACHE_LIMIT = 1 << 30  # 1 GiB, shared with the artifact store
 ENTRY_SUFFIX = ".pkl"
+RUNS_SUBDIR = "runs"
 
 #: Disk stores between LRU size-cap sweeps (a sweep stats every cached
 #: file, so enforcing on every put would be quadratic in cache size).
 _SWEEP_INTERVAL = 32
 
 _MISS = object()
+
+
+def runs_root(cache_dir: str | Path | None = None) -> Path:
+    """The directory run journals and live status snapshots live under
+    (``<cache-dir>/runs``)."""
+    return Path(cache_dir or DEFAULT_CACHE_DIR) / RUNS_SUBDIR
+
+
+def new_run_id() -> str:
+    """A fresh, collision-resistant, sortable run identifier."""
+    stamp = time.strftime("%Y%m%d-%H%M%S")
+    return f"{stamp}-{os.urandom(3).hex()}"
 
 
 @dataclass

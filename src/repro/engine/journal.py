@@ -45,7 +45,6 @@ import hashlib
 import json
 import os
 import pickle
-import secrets
 import time
 import warnings
 from contextlib import contextmanager
@@ -53,13 +52,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.engine.cache import new_run_id
+from repro.errors import JournalError
 from repro.obs import runtime as obs
 
 #: Journal lines carry a format version so a future layout change can
 #: keep reading old runs.
 _FORMAT_VERSION = 1
-
-RUNS_SUBDIR = "runs"
 
 #: Fsync coalescing window used by :meth:`RunJournal.group_commit` when
 #: the caller does not pick one (~the batch scheduler's target batch
@@ -69,10 +68,6 @@ DEFAULT_GROUP_COMMIT_SECONDS = 0.05
 #: A full buffer forces a commit regardless of the interval, bounding
 #: the loss window in entries as well as in seconds.
 GROUP_COMMIT_MAX_ENTRIES = 128
-
-
-class JournalError(Exception):
-    """An unusable journal (missing run, mismatched fingerprint)."""
 
 
 @dataclass
@@ -89,19 +84,6 @@ class JournalStats:
                 f"{self.entries_recorded} recorded, "
                 f"{self.corrupt_entries} corrupt entries skipped, "
                 f"{self.fsyncs} fsyncs")
-
-
-def runs_root(cache_dir: str | Path | None = None) -> Path:
-    """The directory run journals live under (``<cache-dir>/runs``)."""
-    from repro.engine.cache import DEFAULT_CACHE_DIR
-
-    return Path(cache_dir or DEFAULT_CACHE_DIR) / RUNS_SUBDIR
-
-
-def new_run_id() -> str:
-    """A fresh, collision-resistant, sortable run identifier."""
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    return f"{stamp}-{secrets.token_hex(3)}"
 
 
 def list_runs(root: str | Path,

@@ -149,7 +149,8 @@ class LocalKernel:
 
     def __init__(self, protocol: "RingProtocol") -> None:
         began = time.perf_counter()
-        self.protocol = protocol
+        # No reference back to *protocol*: it is this kernel's key in
+        # the weakly keyed memo, which must not keep it alive.
         self.space = protocol.space
         self.states = tuple(self.space.states)
         self.n = len(self.states)

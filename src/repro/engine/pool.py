@@ -22,7 +22,6 @@ what that dispatcher and its worker processes share:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import traceback
@@ -142,6 +141,8 @@ def start_method() -> str | None:
     needs a :class:`PortableContext`, so it is never the silent
     default).
     """
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     forced = os.environ.get(START_METHOD_ENV, "").strip().lower()
     if forced in ("fork", "spawn"):

@@ -59,9 +59,9 @@ in production).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
@@ -429,8 +429,13 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
     work = list(items)
     if journal is not None and (keys is None or len(keys) != len(work)):
         raise ValueError("journaling needs one key per work item")
+    # A process that never imported multiprocessing is not one of its
+    # workers (fork workers inherit the module, spawn workers import it
+    # to boot), so a serial run need not load it to ask.
+    mp = sys.modules.get("multiprocessing")
     if journal is None and (_running
-                            or multiprocessing.current_process().daemon):
+                            or (mp is not None
+                                and mp.current_process().daemon)):
         # A dispatch from inside another dispatch's task (the livelock
         # certifier inside a fuzzing audit, say) runs inline: worker
         # processes cannot start workers of their own, the live plane

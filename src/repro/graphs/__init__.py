@@ -17,37 +17,21 @@ All algorithms are implemented from scratch here; :mod:`networkx` is only
 used in the test suite as an independent oracle.
 """
 
-from repro.graphs.digraph import Digraph
-from repro.graphs.scc import (
-    condensation,
-    masked_cyclic_mask,
-    strongly_connected_components,
-)
-from repro.graphs.cycles import (
-    find_cycle_through,
-    has_cycle,
-    simple_cycles,
-)
-from repro.graphs.fvs import (
-    FvsStats,
-    is_feedback_vertex_set,
-    minimal_feedback_vertex_sets,
-    minimal_feedback_vertex_sets_exhaustive,
-)
-from repro.graphs.walks import closed_walk_lengths, shortest_closed_walk
+from repro import _lazy
 
-__all__ = [
-    "Digraph",
-    "FvsStats",
-    "strongly_connected_components",
-    "condensation",
-    "has_cycle",
-    "masked_cyclic_mask",
-    "simple_cycles",
-    "find_cycle_through",
-    "minimal_feedback_vertex_sets",
-    "minimal_feedback_vertex_sets_exhaustive",
-    "is_feedback_vertex_set",
-    "closed_walk_lengths",
-    "shortest_closed_walk",
-]
+__all__ = _lazy.exports(globals(), {
+    "digraph": ("Digraph",),
+    "scc": (
+        "strongly_connected_components",
+        "condensation",
+        "masked_cyclic_mask",
+    ),
+    "cycles": ("has_cycle", "simple_cycles", "find_cycle_through"),
+    "fvs": (
+        "FvsStats",
+        "minimal_feedback_vertex_sets",
+        "minimal_feedback_vertex_sets_exhaustive",
+        "is_feedback_vertex_set",
+    ),
+    "walks": ("closed_walk_lengths", "shortest_closed_walk"),
+})

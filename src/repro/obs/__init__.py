@@ -12,79 +12,44 @@ through it nearly every module) imports this package, so it must sit at
 the bottom of the dependency graph.
 """
 
-from repro.obs import ledger, live
-from repro.obs.export import (
-    chrome_trace,
-    ledger_record_from_run,
-    load_run_log,
-    render_report,
-    render_run,
-    run_log_records,
-    write_chrome_trace,
-    write_run_log,
-)
-from repro.obs.live import LiveRun
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.runtime import (
-    ChildCapture,
-    ObsRun,
-    active,
-    adopt_child,
-    annotate,
-    event,
-    finish,
-    fork_capture_begin,
-    fork_capture_end,
-    gauge,
-    metric,
-    run,
-    span,
-    start,
-)
-from repro.obs.trace import Span, Tracer
-from repro.obs.validate import (
-    ValidationError,
-    validate_chrome_trace,
-    validate_ledger,
-    validate_run_log,
-    validate_status,
-)
+from repro import _lazy
 
-__all__ = [
-    "ChildCapture",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "LiveRun",
-    "MetricsRegistry",
-    "ObsRun",
-    "Span",
-    "Tracer",
-    "ValidationError",
-    "active",
-    "adopt_child",
-    "annotate",
-    "chrome_trace",
-    "event",
-    "finish",
-    "fork_capture_begin",
-    "fork_capture_end",
-    "gauge",
-    "ledger",
-    "ledger_record_from_run",
-    "live",
-    "load_run_log",
-    "metric",
-    "render_report",
-    "render_run",
-    "run",
-    "run_log_records",
-    "span",
-    "start",
-    "validate_chrome_trace",
-    "validate_ledger",
-    "validate_run_log",
-    "validate_status",
-    "write_chrome_trace",
-    "write_run_log",
-]
+__all__ = _lazy.exports(globals(), {
+    "ledger": ("ledger",),
+    "live": ("live", "LiveRun"),
+    "export": (
+        "chrome_trace",
+        "ledger_record_from_run",
+        "load_run_log",
+        "render_report",
+        "render_run",
+        "run_log_records",
+        "write_chrome_trace",
+        "write_run_log",
+    ),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "runtime": (
+        "ChildCapture",
+        "ObsRun",
+        "active",
+        "adopt_child",
+        "annotate",
+        "event",
+        "finish",
+        "fork_capture_begin",
+        "fork_capture_end",
+        "gauge",
+        "metric",
+        "run",
+        "span",
+        "start",
+    ),
+    "trace": ("Span", "Tracer"),
+    "validate": (
+        "ValidationError",
+        "validate_chrome_trace",
+        "validate_ledger",
+        "validate_run_log",
+        "validate_status",
+    ),
+})

@@ -19,24 +19,14 @@ The model supports:
   (:meth:`RingProtocol.instantiate`).
 """
 
-from repro.protocol.variables import Variable
-from repro.protocol.localstate import LocalState, LocalStateSpace, LocalView
-from repro.protocol.actions import Action, LocalTransition
-from repro.protocol.process import ProcessTemplate
-from repro.protocol.ring import RingProtocol
-from repro.protocol.instance import RingInstance
-from repro.protocol.dsl import parse_action, parse_predicate
+from repro import _lazy
 
-__all__ = [
-    "Variable",
-    "LocalState",
-    "LocalStateSpace",
-    "LocalView",
-    "Action",
-    "LocalTransition",
-    "ProcessTemplate",
-    "RingProtocol",
-    "RingInstance",
-    "parse_action",
-    "parse_predicate",
-]
+__all__ = _lazy.exports(globals(), {
+    "variables": ("Variable",),
+    "localstate": ("LocalState", "LocalStateSpace", "LocalView"),
+    "actions": ("Action", "LocalTransition"),
+    "process": ("ProcessTemplate",),
+    "ring": ("RingProtocol",),
+    "instance": ("RingInstance",),
+    "dsl": ("parse_action", "parse_predicate"),
+})

@@ -7,32 +7,17 @@ analyses: a protocol certified convergent by :mod:`repro.core` can be
 watched actually recovering here.
 """
 
-from repro.simulation.schedulers import (
-    AdversarialScheduler,
-    RandomScheduler,
-    RoundRobinScheduler,
-    Scheduler,
-)
-from repro.simulation.engine import Trace, run, run_until_convergence
-from repro.simulation.faults import perturb, random_state
-from repro.simulation.metrics import ConvergenceStats, convergence_study
-from repro.simulation.rounds import (
-    round_boundaries,
-    rounds_to_convergence,
-)
+from repro import _lazy
 
-__all__ = [
-    "Scheduler",
-    "RandomScheduler",
-    "RoundRobinScheduler",
-    "AdversarialScheduler",
-    "Trace",
-    "run",
-    "run_until_convergence",
-    "perturb",
-    "random_state",
-    "ConvergenceStats",
-    "convergence_study",
-    "round_boundaries",
-    "rounds_to_convergence",
-]
+__all__ = _lazy.exports(globals(), {
+    "schedulers": (
+        "Scheduler",
+        "RandomScheduler",
+        "RoundRobinScheduler",
+        "AdversarialScheduler",
+    ),
+    "engine": ("Trace", "run", "run_until_convergence"),
+    "faults": ("perturb", "random_state"),
+    "metrics": ("ConvergenceStats", "convergence_study"),
+    "rounds": ("round_boundaries", "rounds_to_convergence"),
+})

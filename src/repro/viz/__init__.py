@@ -6,25 +6,14 @@ ASCII adjacency listings (used by the benchmark harness so figure content
 is diffable in plain terminals).
 """
 
-from repro.viz.dot import ltg_to_dot, rcg_to_dot
-from repro.viz.report import (
-    render_livelock_cycle,
-    render_ranking_stairs,
-    render_trail_witness,
-)
-from repro.viz.ascii_art import (
-    adjacency_listing,
-    render_table,
-    state_label,
-)
+from repro import _lazy
 
-__all__ = [
-    "rcg_to_dot",
-    "ltg_to_dot",
-    "adjacency_listing",
-    "render_table",
-    "state_label",
-    "render_trail_witness",
-    "render_ranking_stairs",
-    "render_livelock_cycle",
-]
+__all__ = _lazy.exports(globals(), {
+    "dot": ("rcg_to_dot", "ltg_to_dot"),
+    "ascii_art": ("adjacency_listing", "render_table", "state_label"),
+    "report": (
+        "render_trail_witness",
+        "render_ranking_stairs",
+        "render_livelock_cycle",
+    ),
+})

@@ -11,13 +11,8 @@ import re
 
 import pytest
 
-from repro.engine.journal import (
-    JournalError,
-    RunJournal,
-    list_runs,
-    new_run_id,
-    runs_root,
-)
+from repro.engine.cache import new_run_id, runs_root
+from repro.engine.journal import JournalError, RunJournal, list_runs
 
 
 def _make_run(tmp_path, run_id="run", entries=3, **meta):

@@ -18,17 +18,20 @@ the bitmask kernel must reproduce them exactly:
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
+from repro.core.convergence import verify_convergence
 from repro.core.pseudolivelock import (
     SupportExplosion,
     pseudo_livelock_supports,
 )
 from repro.core.synthesis import Synthesizer
 from repro.core.trail import ContiguousTrailSearcher
-from repro.engine import parallelism_available
+from repro.engine import localkernel, parallelism_available
 from repro.graphs import (
     Digraph,
     FvsStats,
@@ -113,6 +116,23 @@ def test_trail_kernel_memoizes_repeat_queries():
     assert second == first
     stats = searcher.kernel_stats()
     assert stats.trail_cache_hits >= hits_before + len(supports)
+
+
+def test_kernel_cache_frees_dropped_protocols(monkeypatch):
+    # The memo is keyed weakly on the protocol; a kernel that referred
+    # back to its key would keep every analysed protocol alive, with
+    # its skeletons and trail memo, for the life of the process.
+    cache = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(localkernel, "_KERNEL_CACHE", cache)
+    protocol = stabilizing_sum_not_two()
+    report = verify_convergence(protocol, backend="kernel")
+    assert report.verdict.value == "converges"
+    assert len(cache) == 1
+    alive = weakref.ref(protocol)
+    del protocol, report
+    gc.collect()
+    assert alive() is None
+    assert len(cache) == 0
 
 
 # ----------------------------------------------------------------------
