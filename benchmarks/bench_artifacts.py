@@ -167,8 +167,10 @@ def test_artifacts_perf_smoke(benchmark, write_artifact, write_bench_record,
             "spawn_hits": spawn.stats.artifact_hits,
         },
     }
-    write_bench_record("artifacts", payload,
-                       full=(MAX_K, PARITY_K) == (FULL_MAX_K, FULL_PARITY_K))
+    full = (MAX_K, PARITY_K) == (FULL_MAX_K, FULL_PARITY_K)
+    write_bench_record("artifacts", payload, full=full)
+    if not full:
+        return  # the committed text is the full run's
     write_artifact(
         "artifact_plane.txt",
         f"matching sweep to K={MAX_K} @ jobs={JOBS}\n"

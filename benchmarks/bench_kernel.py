@@ -94,7 +94,10 @@ def test_kernel_perf_smoke(benchmark, write_artifact, write_bench_record):
         "largest_k_speedup": largest["speedup"],
         "results": results,
     }
-    write_bench_record("kernel", payload, full=MAX_K == FULL_MAX_K)
+    full = MAX_K == FULL_MAX_K
+    write_bench_record("kernel", payload, full=full)
+    if not full:
+        return  # the committed table is the full run's
     write_artifact(
         "kernel_backends.txt",
         render_table(

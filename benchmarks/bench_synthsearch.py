@@ -109,6 +109,8 @@ def test_synthsearch_perf_smoke(benchmark, write_artifact,
         "results": rows,
     }
     write_bench_record("synthsearch", payload, full=not SMALL)
+    if SMALL:
+        return  # the committed table is the full run's
     write_artifact(
         "synthsearch_modes.txt",
         render_table(

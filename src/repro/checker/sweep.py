@@ -34,7 +34,6 @@ from repro.engine.supervisor import FaultPlan, SupervisorPolicy
 from repro.obs import live
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.journal import RunJournal
     from repro.protocol.ring import RingProtocol
 
 
@@ -85,6 +84,8 @@ def _sweep_key(protocol: "RingProtocol", size: int,
     # Backend choice never perturbs the report (the kernel reproduces
     # the naive graph state for state) so it stays out of the key;
     # the quotient changes state/witness counts and gets its own keys.
+    # The value is always the bare GlobalReport, whichever of
+    # ``repro check``, the in-order loop or the dispatcher stored it.
     if symmetry:
         return analysis_key("check-instance", protocol, ring_size=size,
                             symmetry=True)
@@ -93,18 +94,20 @@ def _sweep_key(protocol: "RingProtocol", size: int,
 
 def _check_size(protocol: "RingProtocol", size: int,
                 backend: str = "auto",
-                symmetry: bool = False) -> tuple[GlobalReport, float]:
-    began = time.perf_counter()
-    report = check_instance(protocol.instantiate(size),
-                            backend=backend, symmetry=symmetry)
-    return report, time.perf_counter() - began
+                symmetry: bool = False) -> GlobalReport:
+    return check_instance(protocol.instantiate(size),
+                          backend=backend, symmetry=symmetry)
+
+
+def _check_seconds(report: GlobalReport) -> float:
+    """The wall time of one computed size, as measured by the check."""
+    return report.stats.stage_seconds.get("check", 0.0)
 
 
 def sweep_fingerprint(protocol: "RingProtocol", up_to: int,
                       start: int | None = None,
                       symmetry: bool = False) -> str:
-    """The identity of one sweep for journal pinning: resuming a run
-    recorded for a different protocol or range is refused."""
+    """The identity of one sweep (its ledger fingerprint)."""
     first = protocol.process.window_width if start is None else start
     return analysis_key("sweep", protocol, start=first, up_to=up_to,
                         symmetry=symmetry)
@@ -118,7 +121,6 @@ def sweep_verify(protocol: "RingProtocol", up_to: int,
                  backend: str = "auto",
                  symmetry: bool = False,
                  policy: SupervisorPolicy | None = None,
-                 journal: RunJournal | None = None,
                  fault_plan: FaultPlan | None = None) -> SweepResult:
     """Model-check every ring size from *start* (default: the read-window
     width) through *up_to*.
@@ -129,23 +131,22 @@ def sweep_verify(protocol: "RingProtocol", up_to: int,
     ``stop_on_failure`` sweep still checks every size speculatively and
     truncates afterwards, so its result equals the serial one); *cache*
     reuses per-K reports across runs, keyed on the protocol fingerprint
-    and the ring size.  *backend* and *symmetry* are forwarded to
+    and the ring size, and stores each size as soon as it is checked —
+    so rerunning a killed sweep with the same cache skips every size it
+    finished.  *backend* and *symmetry* are forwarded to
     :func:`repro.checker.convergence.check_instance` — the compiled
     kernel (and, opt-in, its rotation quotient) replaces the naive
     per-state interpretation with identical verdicts.
 
     *policy* supervises the per-K checks (timeouts, crash retry,
     degradation to the in-parent naive backend — see
-    :mod:`repro.engine.supervisor`); *journal* checkpoints each
-    completed size durably and skips sizes a prior run already
-    finished, merging their reports' partial :class:`EngineStats` into
-    this run's counters.  A supervised or journaled ``stop_on_failure``
+    :mod:`repro.engine.supervisor`).  A supervised ``stop_on_failure``
     sweep checks speculatively like the parallel one.  *fault_plan* is
     test-only injection.
 
     The pending sizes go to :func:`repro.engine.supervise_work_items`,
     which picks serial or parallel execution.  The one exception is an
-    unsupervised ``jobs <= 1`` sweep (no policy, journal or fault plan,
+    unsupervised ``jobs <= 1`` sweep (no policy or fault plan,
     ``REPRO_INJECT_FAULT`` included): it checks sizes in order here, so
     ``stop_on_failure`` stops at the first failing size instead of
     checking the rest speculatively.
@@ -159,8 +160,7 @@ def sweep_verify(protocol: "RingProtocol", up_to: int,
         # An environment-injected fault must reach the dispatcher; the
         # in-order loop below never injects one.
         fault_plan = FaultPlan.from_env()
-    supervised = (policy is not None or journal is not None
-                  or fault_plan is not None)
+    supervised = policy is not None or fault_plan is not None
 
     if jobs <= 1 and not supervised:
         # Serial: check sizes in order so stop_on_failure exits early.
@@ -181,9 +181,10 @@ def sweep_verify(protocol: "RingProtocol", up_to: int,
                            elapsed_seconds=tuple(kept_timings),
                            stats=stats)
 
-    # Parallel / supervised: probe the cache and journal up front, hand
-    # the misses to the dispatcher, truncate afterwards (speculative
-    # checking keeps the result equal to serial).
+    # Parallel / supervised: probe the cache up front, hand the misses
+    # to the dispatcher (which stores each as it completes), truncate
+    # afterwards (speculative checking keeps the result equal to
+    # serial).
     reports: dict[int, GlobalReport] = {}
     timings: dict[int, float] = {}
 
@@ -207,37 +208,23 @@ def sweep_verify(protocol: "RingProtocol", up_to: int,
                     timings[size] = time.perf_counter() - probe_began
                     continue
                 stats.cache_misses += 1
-            if journal is not None:
-                key = _sweep_key(protocol, size, symmetry)
-                if key in journal.completed:
-                    # A prior run finished this size: reuse its report
-                    # and fold its partial stats into this run's.
-                    report, elapsed = journal.completed[key]
-                    stats.supervisor_resumed += 1
-                    stats.merge_kernel_counters(
-                        getattr(report, "stats", None))
-                    reports[size] = report
-                    timings[size] = elapsed
-                    continue
             pending.append(size)
 
         keys = [_sweep_key(protocol, size, symmetry)
-                for size in pending] if journal is not None else None
+                for size in pending] if cache is not None else None
         outcomes = supervise_work_items(
             _sweep_worker, pending, jobs=jobs,
             context=(protocol, backend, symmetry),
-            stats=stats, policy=policy, journal=journal,
+            stats=stats, policy=policy, cache=cache,
             keys=keys, fallback_worker=_sweep_fallback_worker,
             plan=fault_plan, prewarm=prewarm,
             portable=_sweep_portable(protocol, backend, symmetry))
-        for size, (report, elapsed) in zip(pending, outcomes):
+        for size, report in zip(pending, outcomes):
             stats.work_items += 1
             stats.states_explored += report.state_count
             stats.merge_kernel_counters(getattr(report, "stats", None))
             reports[size] = report
-            timings[size] = elapsed
-            if cache is not None:
-                cache.put(_sweep_key(protocol, size, symmetry), report)
+            timings[size] = _check_seconds(report)
 
     kept_reports = []
     kept_timings = []
@@ -263,7 +250,8 @@ def _checked_size(protocol: "RingProtocol", size: int,
             stats.cache_hits += 1
             return cached, time.perf_counter() - probe_began
         stats.cache_misses += 1
-    report, elapsed = _check_size(protocol, size, backend, symmetry)
+    report = _check_size(protocol, size, backend, symmetry)
+    elapsed = _check_seconds(report)
     stats.work_items += 1
     stats.states_explored += report.state_count
     stats.merge_kernel_counters(getattr(report, "stats", None))
@@ -320,14 +308,13 @@ def _sweep_portable(protocol: "RingProtocol", backend: str,
                            (payload, backend, symmetry))
 
 
-def _sweep_worker(context, size: int) -> tuple[GlobalReport, float]:
+def _sweep_worker(context, size: int) -> GlobalReport:
     """Module-level worker for :func:`repro.engine.supervise_work_items`."""
     protocol, backend, symmetry = context
     return _check_size(protocol, size, backend, symmetry)
 
 
-def _sweep_fallback_worker(context, size: int,
-                           ) -> tuple[GlobalReport, float]:
+def _sweep_fallback_worker(context, size: int) -> GlobalReport:
     """A degraded work item: re-run in-parent on the reference naive
     backend (reports are backend-identical, so the sweep result does
     not change).  The rotation quotient exists only in the kernel, so

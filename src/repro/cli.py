@@ -31,7 +31,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.errors import JournalError
 from repro.obs import runtime as obs
 from repro.protocols.registry import REGISTRY, get_protocol
 
@@ -132,17 +131,17 @@ def _add_supervisor_options(parser: argparse.ArgumentParser,
     if resume:
         parser.add_argument(
             "--checkpoint", action="store_true",
-            help="journal each completed work item under "
-                 "<cache-dir>/runs/<run-id>/ so an interrupted run can "
-                 "be resumed")
+            help="turn the on-disk result cache on with durable (fsynced) "
+                 "writes, so an interrupted run loses only its in-flight "
+                 "work items; prints the run id to --resume with")
         parser.add_argument(
             "--run-id", default=None, metavar="ID",
-            help="run identifier for --checkpoint (default: generated "
-                 "and printed; implies --checkpoint)")
+            help="name this run in its live status and ledger record "
+                 "(default: generated)")
         parser.add_argument(
             "--resume", default=None, metavar="ID",
-            help="resume a prior --checkpoint run: items its journal "
-                 "already holds are not re-executed")
+            help="continue a prior --checkpoint run under its run id: "
+                 "the durable cache answers every item it finished")
 
 
 def _supervisor_policy(args: argparse.Namespace):
@@ -157,39 +156,38 @@ def _supervisor_policy(args: argparse.Namespace):
         retries=args.retries if args.retries is not None else 2)
 
 
-def _run_journal(args: argparse.Namespace, fingerprint: str):
-    """The :class:`RunJournal` requested by the flags, or ``None``.
+def _checkpointing(args: argparse.Namespace) -> bool:
+    """Whether ``--checkpoint`` or ``--resume`` asks for durable writes."""
+    return bool(getattr(args, "checkpoint", False)
+                or getattr(args, "resume", None) is not None)
 
-    ``--resume`` reloads (and fingerprint-checks) a prior run;
-    ``--checkpoint`` / ``--run-id`` start a new one and print its id so
-    a later ``--resume`` can name it.
+
+def _open_checkpoint(args: argparse.Namespace) -> bool:
+    """Set up ``runs/<run-id>/`` for a checkpointed or resumed run.
+
+    A checkpointed run creates its directory even under ``--no-live``,
+    so ``--resume`` can find it later; ``--resume`` of a run id with no
+    directory is refused (``False``) before anything runs.
     """
-    resume = getattr(args, "resume", None)
-    checkpoint = getattr(args, "checkpoint", False) \
-        or getattr(args, "run_id", None) is not None
-    if resume is None and not checkpoint:
-        return None
     from repro.engine.cache import runs_root
-    from repro.engine.journal import RunJournal
 
     root = runs_root(args.cache_dir)
-    if resume is not None:
-        journal = RunJournal.resume(root, resume,
-                                    fingerprint=fingerprint)
-        print(f"resuming run {journal.run_id}: {len(journal)} "
-              f"completed items in the journal", file=sys.stderr)
-    else:
-        # Share the identity the live plane picked, so the journal
-        # and status.json land in the same runs/<run-id>/ directory.
-        journal = RunJournal.create(root,
-                                    run_id=args.run_id
-                                    or getattr(args, "live_run_id", None),
-                                    command=args.command,
-                                    fingerprint=fingerprint)
-        print(f"checkpointing to run {journal.run_id} "
-              f"(continue with --resume {journal.run_id})",
-              file=sys.stderr)
-    return journal
+    run_id = args.live_run_id
+    if args.resume is not None:
+        if not (root / run_id).is_dir():
+            known = sorted(p.name for p in root.iterdir() if p.is_dir()) \
+                if root.is_dir() else []
+            print(f"error: no run {run_id!r} under {root} "
+                  f"(known runs: {', '.join(known) or 'none'})",
+                  file=sys.stderr)
+            return False
+        print(f"resuming run {run_id}: items it finished are answered "
+              f"from the cache", file=sys.stderr)
+        return True
+    (root / run_id).mkdir(parents=True, exist_ok=True)
+    print(f"checkpointing to run {run_id} "
+          f"(continue with --resume {run_id})", file=sys.stderr)
+    return True
 
 
 def _add_obs_options(parser: argparse.ArgumentParser) -> None:
@@ -219,14 +217,18 @@ def _engine_cache(args: argparse.Namespace):
     """The :class:`ResultCache` requested by the flags, or ``None``.
 
     An explicit ``--no-cache`` always wins; otherwise ``--cache-dir``
-    implies ``--cache``.
+    implies ``--cache``, and ``--checkpoint`` / ``--resume`` turn on a
+    durable one.
     """
-    if args.cache is False or (args.cache is None and args.cache_dir is None):
+    durable = _checkpointing(args)
+    if args.cache is False or (args.cache is None and args.cache_dir is None
+                               and not durable):
         return None
     from repro.engine import DEFAULT_CACHE_DIR, ResultCache
 
     return ResultCache(args.cache_dir or DEFAULT_CACHE_DIR,
-                       limit_bytes=_cache_limit_bytes(args))
+                       limit_bytes=_cache_limit_bytes(args),
+                       durable=durable)
 
 
 def _cache_limit_bytes(args: argparse.Namespace) -> int | None:
@@ -277,7 +279,7 @@ def _artifact_store(args: argparse.Namespace):
 #: ``args`` attributes recorded as the ledger identity's flags.  The
 #: run-identity flags (``--run-id``, ``--resume``, ``--checkpoint``)
 #: and output flags are deliberately excluded: two runs of the same
-#: analysis must diff as equals regardless of where they journal.
+#: analysis must diff as equals however they are named or checkpointed.
 _LEDGER_FLAG_KEYS = (
     "jobs", "backend", "symmetry", "search",
     "timeout", "retries", "cache", "artifacts",
@@ -350,7 +352,7 @@ def _live_plane(args: argparse.Namespace):
 
     Only the engine commands carry the ``--live`` flag; everything else
     (and ``--no-live``) runs without a publisher.  The run directory is
-    the same ``runs/<run-id>/`` a checkpoint journal would use.
+    ``runs/<run-id>/``, the one ``--resume`` looks for.
     """
     if not getattr(args, "live", False):
         yield None
@@ -481,13 +483,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cache = _engine_cache(args)
     fingerprint = sweep_fingerprint(protocol, args.up_to,
                                     symmetry=args.symmetry)
-    journal = _run_journal(args, fingerprint)
     result = sweep_verify(protocol, up_to=args.up_to,
                           stop_on_failure=args.stop_on_failure,
                           jobs=args.jobs, cache=cache,
                           backend=args.backend, symmetry=args.symmetry,
-                          policy=_supervisor_policy(args),
-                          journal=journal)
+                          policy=_supervisor_policy(args))
     _note_ledger(args, protocol=protocol.name, fingerprint=fingerprint,
                  verdict={
                      "all_self_stabilizing": result.all_self_stabilizing,
@@ -497,8 +497,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                  stats=result.stats)
     print(f"== per-size sweep of {protocol.name} ==")
     print(result.summary())
-    if journal is not None:
-        print(journal.stats.summary(), file=sys.stderr)
     if cache is not None:
         print(cache.stats.summary())
     return 0 if result.all_self_stabilizing else 1
@@ -529,26 +527,25 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     protocol = _resolve_protocol(args.protocol)
     cache = _engine_cache(args)
-    report = None
+    report = keys = None
     if cache is not None:
         from repro.checker.sweep import _sweep_key
 
-        key = _sweep_key(protocol, args.ring_size,
-                         symmetry=args.symmetry)
-        report = cache.get(key)
+        keys = [_sweep_key(protocol, args.ring_size,
+                           symmetry=args.symmetry)]
+        report = cache.get(keys[0])
     if report is None:
         # One work item: the check gets the same timeout/retry/
-        # degradation ladder as a sweep of one size.
+        # degradation ladder as a sweep of one size, and shares its
+        # cache entries.
         from repro.checker.sweep import _sweep_fallback_worker, _sweep_worker
         from repro.engine import supervise_work_items
 
-        [(report, _elapsed)] = supervise_work_items(
+        [report] = supervise_work_items(
             _sweep_worker, [args.ring_size],
             context=(protocol, args.backend, args.symmetry),
-            policy=_supervisor_policy(args),
+            policy=_supervisor_policy(args), cache=cache, keys=keys,
             fallback_worker=_sweep_fallback_worker)
-        if cache is not None:
-            cache.put(key, report)
     from repro.engine.fingerprint import protocol_fingerprint
 
     _note_ledger(args, protocol=protocol.name,
@@ -577,13 +574,11 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     _annotate_protocol(protocol)
     cache = _engine_cache(args)
     fingerprint = synthesis_fingerprint(protocol, args.max_ring_size)
-    journal = _run_journal(args, fingerprint)
     result = synthesize_convergence(protocol,
                                     max_ring_size=args.max_ring_size,
                                     backend=args.backend,
                                     jobs=args.jobs, cache=cache,
                                     policy=_supervisor_policy(args),
-                                    journal=journal,
                                     search=args.search)
     _note_ledger(args, protocol=protocol.name, fingerprint=fingerprint,
                  verdict={"succeeded": result.succeeded},
@@ -593,8 +588,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     if result.succeeded and result.protocol is not None:
         print()
         print(result.protocol.pretty())
-    if journal is not None:
-        print(journal.stats.summary(), file=sys.stderr)
     _print_stats(result.stats, cache)
     return 0 if result.succeeded else 1
 
@@ -630,9 +623,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     root = Path(args.cache_dir or DEFAULT_CACHE_DIR)
     art_root = root / artifact_plane.DEFAULT_SUBDIR
     if args.clear:
+        # A limit below zero removes every match, empty files included
+        # (a write killed before its first byte leaves one).
         removed = artifact_plane.enforce_directory_limit(
-            root, 0, suffix=(ENTRY_SUFFIX,
-                             artifact_plane.ARTIFACT_SUFFIX))
+            root, -1, suffix=(ENTRY_SUFFIX,
+                              artifact_plane.ARTIFACT_SUFFIX,
+                              artifact_plane.TEMP_SUFFIX))
         print(f"cleared {removed} entries under {root}")
         return 0
 
@@ -662,6 +658,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                     valid != len(artifacts) else "")
                  + ")")
     print(line)
+    strays = list(artifact_plane._iter_files(root,
+                                             artifact_plane.TEMP_SUFFIX))
+    if strays:
+        print(f"  stray:     {len(strays)} temporary files left by "
+              f"interrupted writes (removed by --clear)")
     total = result_bytes + artifact_bytes
     budget = ("unbounded" if limit is None
               else f"{total / limit:.0%} of {limit >> 20} MiB cap")
@@ -977,9 +978,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cap to report utilisation against "
                             "(default: 1024; 0 = unbounded)")
     cache.add_argument("--clear", action="store_true",
-                       help="delete every result entry and artifact "
-                            "file under the cache root (journals under "
-                            "runs/ are kept)")
+                       help="delete every result entry, artifact file "
+                            "and stray temporary file under the cache "
+                            "root (run status under runs/ and the "
+                            "ledger are kept)")
     cache.set_defaults(func=_cmd_cache)
 
     ps = sub.add_parser("ps", help="list runs publishing live status "
@@ -1073,10 +1075,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.engine.cache import new_run_id
 
         # One identity per command invocation, shared by the live
-        # plane, the checkpoint journal and the ledger record.
+        # plane, the checkpoint's run directory and the ledger record.
         args.live_run_id = (getattr(args, "resume", None)
                             or getattr(args, "run_id", None)
                             or new_run_id())
+        if _checkpointing(args) and not _open_checkpoint(args):
+            return 2
     started = time.time()
     clock = time.perf_counter()
     with _artifact_store(args), _live_plane(args) as live_run:
@@ -1118,14 +1122,15 @@ def _dispatch_traced(args: argparse.Namespace, trace: str | None,
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "cache", None) is False and _checkpointing(args):
+        parser.error("--no-cache cannot be combined with --checkpoint "
+                     "or --resume (both need the on-disk cache)")
     try:
         return _dispatch(args)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    except JournalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -49,7 +49,6 @@ from repro.protocol.actions import LocalTransition
 from repro.protocol.localstate import LocalState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.journal import RunJournal
     from repro.protocol.ring import RingProtocol
 
 
@@ -120,9 +119,11 @@ class SynthesisResult:
 
 
 def _combo_verdict_worker(synthesizer: "Synthesizer",
-                          combo) -> str | None:
-    """Module-level worker for :func:`repro.engine.supervise_work_items`."""
-    return synthesizer._evaluate_verdict(combo)
+                          combo) -> tuple[str | None]:
+    """Module-level worker for :func:`repro.engine.supervise_work_items`:
+    the verdict wrapped as ``(reason,)``, the value stored under
+    :meth:`Synthesizer._verdict_key` (so ``None`` stays a hit)."""
+    return (synthesizer._evaluate_verdict(combo),)
 
 
 class Synthesizer:
@@ -158,7 +159,6 @@ class Synthesizer:
                  jobs: int = 1,
                  cache: ResultCache | None = None,
                  policy: SupervisorPolicy | None = None,
-                 journal: RunJournal | None = None,
                  search: str = "lattice",
                  fault_plan: FaultPlan | None = None) -> None:
         resolved = "kernel" if backend == "auto" else backend
@@ -179,11 +179,10 @@ class Synthesizer:
         self.backend = resolved
         self.jobs = jobs
         self.cache = cache
+        """Persists combination verdicts (and lattice work units) across
+        runs; dispatched items are written through as they complete, so
+        a killed run's rerun answers what it had already judged."""
         self.policy = policy
-        self.journal = journal
-        """Checkpoints each combination verdict durably; a resumed run
-        (same protocol, same ``--run-id``) answers already-judged
-        combinations from the journal instead of re-searching."""
         self.fault_plan = (fault_plan if fault_plan is not None
                            else FaultPlan.from_env() or FaultPlan())
         """Deterministic fault injection
@@ -421,46 +420,39 @@ class Synthesizer:
                 continue
             if self.cache is not None:
                 hit = self.cache.get(self._verdict_key(combo))
-                if hit is not None:
+                if hit is not None:  # a (reason,) tuple, even for None
                     self.stats.cache_hits += 1
                     self._verdict_memo[key] = hit[0]
                     reasons[position] = hit[0]
                     continue
                 self.stats.cache_misses += 1
-            if self.journal is not None:
-                journal_key = self._verdict_key(combo)
-                if journal_key in self.journal.completed:
-                    # A prior (interrupted) run already judged this
-                    # combination: answer from the journal.
-                    reason = self.journal.completed[journal_key]
-                    self.stats.supervisor_resumed += 1
-                    self._verdict_memo[key] = reason
-                    reasons[position] = reason
-                    continue
             pending.append(position)
         if pending:
             if self.search == "lattice":
                 computed = self._lattice_verdicts(
                     [combos[i] for i in pending])
+                if self.cache is not None:
+                    # The lattice writes whole work units through; the
+                    # per-combination entries are stored here.
+                    for position, reason in zip(pending, computed):
+                        self.cache.put(
+                            self._verdict_key(combos[position]), (reason,))
             else:
                 keys = ([self._verdict_key(combos[i]) for i in pending]
-                        if self.journal is not None else None)
+                        if self.cache is not None else None)
                 # No prewarm hook: __init__ already compiled the local
                 # kernel in-parent, so workers fork with it hot.
-                computed = supervise_work_items(
+                computed = [entry[0] for entry in supervise_work_items(
                     _combo_verdict_worker,
                     [combos[i] for i in pending],
                     jobs=self.jobs, context=self,
                     stats=self.stats, policy=self.policy,
-                    journal=self.journal, keys=keys,
+                    cache=self.cache, keys=keys,
                     fallback_worker=_combo_verdict_worker,
-                    plan=self.fault_plan)
+                    plan=self.fault_plan)]
             self.stats.work_items += len(pending)
             for position, reason in zip(pending, computed):
                 self._verdict_memo[frozenset(combos[position])] = reason
-                if self.cache is not None:
-                    self.cache.put(self._verdict_key(combos[position]),
-                                   (reason,))
                 reasons[position] = reason
         return [reasons[i] for i in range(len(combos))]
 
@@ -605,8 +597,7 @@ class Synthesizer:
 def synthesis_fingerprint(protocol: "RingProtocol",
                           max_ring_size: int = 9,
                           accept_contiguous_only: bool = False) -> str:
-    """The identity of one synthesis run for journal pinning: resuming
-    a run recorded for a different protocol or parameters is refused."""
+    """The identity of one synthesis run (its ledger fingerprint)."""
     return analysis_key("synthesis", protocol,
                         max_ring_size=max_ring_size,
                         accept_contiguous_only=accept_contiguous_only)
@@ -619,8 +610,8 @@ def synthesize_convergence(protocol: "RingProtocol",
 
     Raises :class:`SynthesisFailure` when the caller sets
     ``raise_on_failure=True`` and no combination is accepted.
-    Supervision keywords (``policy``, ``journal``) pass through to
-    :class:`Synthesizer`.
+    Engine keywords (``jobs``, ``cache``, ``policy``, ...) pass through
+    to :class:`Synthesizer`.
     """
     raise_on_failure = kwargs.pop("raise_on_failure", False)
     synthesizer = Synthesizer(protocol, max_ring_size=max_ring_size,

@@ -14,6 +14,9 @@ identical work.  This package supplies the missing pieces:
 * :class:`ResultCache` — a content-addressed result cache keyed on a
   canonical protocol fingerprint plus analysis parameters, with an
   in-memory layer and an optional on-disk layer under ``.repro-cache/``;
+  the dispatcher writes each finished work item through to it, which is
+  what makes a killed run resumable (CLI ``--checkpoint`` /
+  ``--resume`` turn on durable, fsynced writes);
 * :class:`EngineStats` — lightweight instrumentation (per-stage wall
   time, states explored, cache hit/miss counters, kernel compile /
   encode-rate / quotient counters) threaded into the sweep / livelock /
@@ -29,18 +32,15 @@ identical work.  This package supplies the missing pieces:
   check and the Section 6 synthesis loop: integer-indexed local
   states, per-``(K, |E|)`` product-graph skeletons, masked SCC passes
   and a support-fingerprint trail memo;
-* :mod:`repro.engine.supervisor` /  :mod:`repro.engine.journal` — the
-  fault-tolerance layer: :func:`supervise_work_items` runs every task
-  under per-task timeouts, crash isolation, retry with backoff and
-  degradation to a serial fallback, and :class:`RunJournal` checkpoints
-  sweep / synthesis progress under ``.repro-cache/runs/<run-id>/`` so
-  ``repro sweep --resume`` skips completed items (CLI ``--timeout`` /
-  ``--retries`` / ``--checkpoint`` / ``--resume``);
+* :mod:`repro.engine.supervisor` — the fault-tolerance layer:
+  :func:`supervise_work_items` runs every task under per-task timeouts,
+  crash isolation, retry with backoff and degradation to a serial
+  fallback (CLI ``--timeout`` / ``--retries``);
 * :mod:`repro.engine.scheduler` — the parallel execution strategy
   under :func:`supervise_work_items`: persistent supervised workers
   pulling adaptively sized batches (cost-model driven, heartbeat
   timeouts, requeue-on-crash) so micro-task sweeps do not pay one fork
-  and one fsync per task (CLI ``--jobs``);
+  per task (CLI ``--jobs``);
 * :mod:`repro.engine.artifacts` — the zero-copy artifact plane:
   compiled kernels, localkernel skeletons and per-``(protocol, K)``
   packed state graphs serialized into a content-addressed store under
@@ -70,7 +70,6 @@ __all__ = _lazy.exports(globals(), {
         "compile_protocol",
         "supports_kernel",
     ),
-    "journal": ("JournalError", "JournalStats", "RunJournal", "list_runs"),
     "pool": (
         "PortableContext",
         "WorkerFailure",

@@ -56,6 +56,11 @@ from repro.obs import runtime as obs
 MAGIC = b"REPROART"
 FORMAT_VERSION = 1
 ARTIFACT_SUFFIX = ".art"
+#: Suffix of in-flight writes here and in the result cache
+#: (``<name>.<pid>.tmp``, renamed into place when complete); a stray one
+#: is what a kill mid-write leaves behind, and ``repro cache --clear``
+#: removes it.
+TEMP_SUFFIX = ".tmp"
 DEFAULT_SUBDIR = "artifacts"
 
 _HEADER = struct.Struct("<8sII64s")
@@ -337,14 +342,18 @@ class ArtifactStore:
         if self.mode == "ro":
             return False
         path = self.path_for(kind, fingerprint, **params)
+        # Per-writer temporary: concurrent publishers of one artifact
+        # must not truncate each other's half-written file.
+        temporary = path.with_name(f"{path.stem}.{os.getpid()}{TEMP_SUFFIX}")
         began = time.perf_counter()
         try:
             blob = write_artifact_bytes(fingerprint, sections)
             path.parent.mkdir(parents=True, exist_ok=True)
-            temporary = path.with_suffix(".tmp")
             temporary.write_bytes(blob)
             temporary.replace(path)
         except (OSError, ArtifactFormatError):
+            with contextlib.suppress(OSError):
+                temporary.unlink()
             return False
         self.stats.store_seconds += time.perf_counter() - began
         self.stats.stores += 1

@@ -10,6 +10,16 @@ Disk entries are self-verifying: the file stores the SHA-256 of the
 pickled payload ahead of the payload itself, so a truncated, bit-rotted
 or hand-edited entry is detected, counted, deleted and treated as a
 plain miss — corruption never raises out of :meth:`ResultCache.get`.
+
+The cache is also what makes a killed run resumable: the dispatcher
+(:func:`repro.engine.supervisor.supervise_work_items`) writes each
+finished work item through :meth:`ResultCache.put` as soon as it
+completes, so rerunning the same command with the same cache answers
+every item the dead run finished.  ``durable=True`` (``--checkpoint`` /
+``--resume``) fsyncs each entry and its directory before ``put``
+returns, so those writes also survive a machine crash.  The LRU size cap
+treats a checkpointed run's entries like any other: an evicted entry is
+simply recomputed on resume.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ from typing import Any
 
 from repro.engine.artifacts import (
     ARTIFACT_SUFFIX,
+    TEMP_SUFFIX,
     directory_bytes,
     enforce_directory_limit,
 )
@@ -42,7 +53,7 @@ _MISS = object()
 
 
 def runs_root(cache_dir: str | Path | None = None) -> Path:
-    """The directory run journals and live status snapshots live under
+    """The directory live status snapshots live under
     (``<cache-dir>/runs``)."""
     return Path(cache_dir or DEFAULT_CACHE_DIR) / RUNS_SUBDIR
 
@@ -82,12 +93,19 @@ class ResultCache:
         Size cap of the disk layer (LRU-by-mtime eviction; the artifact
         store under the same root is capped by the same budget at the
         CLI layer).  ``None`` leaves the layer unbounded.
+    durable:
+        Fsync every disk entry and its directory before :meth:`put`
+        returns (a checkpointed run's writes must survive a crash).
+        Off by default: most cached runs can afford to lose a last
+        write, and an fsync costs far more than the write itself.
     """
 
     def __init__(self, directory: str | Path | None = None,
-                 limit_bytes: int | None = None) -> None:
+                 limit_bytes: int | None = None,
+                 durable: bool = False) -> None:
         self.directory = Path(directory) if directory is not None else None
         self.limit_bytes = limit_bytes
+        self.durable = durable
         self._memory: dict[str, Any] = {}
         self._stores_since_sweep = 0
         self.stats = CacheStats()
@@ -128,12 +146,24 @@ class ResultCache:
             return  # memory-only for unpicklable values
         digest = hashlib.sha256(payload).hexdigest()
         path = self._entry_path(key)
+        # Per-writer temporary: two processes storing one key must not
+        # truncate each other's half-written file.
+        temporary = path.with_name(f"{key}.{os.getpid()}{TEMP_SUFFIX}")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            temporary = path.with_suffix(".tmp")
-            temporary.write_bytes(digest.encode("ascii") + b"\n" + payload)
+            with open(temporary, "wb") as handle:
+                handle.write(digest.encode("ascii") + b"\n" + payload)
+                if self.durable:
+                    handle.flush()
+                    os.fsync(handle.fileno())
             temporary.replace(path)  # atomic within a filesystem
+            if self.durable:
+                _fsync_directory(path.parent)
         except OSError:
+            try:
+                temporary.unlink()
+            except OSError:
+                pass
             return
         self._stores_since_sweep += 1
         if (self.limit_bytes is not None
@@ -154,9 +184,9 @@ class ResultCache:
     def enforce_limit(self, limit_bytes: int | None = None) -> int:
         """LRU-by-mtime eviction down to the size cap; returns removals.
 
-        Only ``.pkl`` entries are candidates — journals and artifacts
-        sharing the cache root are never touched here (the artifact
-        store runs its own sweep against the shared budget).
+        Only ``.pkl`` entries are candidates — live status snapshots and
+        artifacts sharing the cache root are never touched here (the
+        artifact store runs its own sweep against the shared budget).
         """
         limit = self.limit_bytes if limit_bytes is None else limit_bytes
         if self.directory is None or limit is None:
@@ -194,3 +224,12 @@ class ResultCache:
             except OSError:
                 pass
             return _MISS
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Make a rename (or a new entry) in *directory* durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

@@ -167,7 +167,7 @@ def run_work_items(worker: Callable[[Any, Item], Result],
 
     The unsupervised spelling of
     :func:`repro.engine.supervisor.supervise_work_items` (default
-    policy, no journal), which it forwards to unchanged.
+    policy, no cache), which it forwards to unchanged.
     """
     from repro.engine.supervisor import supervise_work_items
 

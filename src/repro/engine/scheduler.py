@@ -3,8 +3,8 @@
 The engine's one parallel execution strategy (chosen by
 :func:`repro.engine.supervisor.supervise_work_items` whenever work
 should leave the parent process).  The compiled kernels drove per-task
-cost down to fractions of a millisecond, at which point one ``fork``,
-one pipe round-trip and one fsync per task would dominate wall-clock.
+cost down to fractions of a millisecond, at which point one ``fork``
+and one pipe round-trip per task would dominate wall-clock.
 :class:`BatchScheduler` amortizes that overhead: it starts ``--jobs``
 **persistent workers once**, then feeds each worker **batches** of task
 indices sized by a :class:`CostModel` so one pipe round-trip covers
@@ -23,9 +23,7 @@ Supervision stays at *task* granularity despite the batched transport:
   composition change verdicts under ``retries=0``);
 * deterministic worker exceptions latch into the shared
   :class:`~repro.engine.supervisor.TaskLedger` and re-raise with the
-  remote traceback after in-flight work is stopped, and journal
-  checkpoints run under :meth:`RunJournal.group_commit` so completing a
-  batch costs ~one fsync instead of one per task.
+  remote traceback after in-flight work is stopped.
 
 The cost model is deliberately boring: an exponentially weighted moving
 average of observed per-task seconds (seeded from the ambient obs run's
@@ -55,7 +53,6 @@ import os
 import signal
 import time
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -308,17 +305,14 @@ class BatchScheduler:
         target = min(self.jobs, max(1, len(pending)))
         if ledger.stats is not None and target > 1:
             ledger.stats.parallel = True
-        commit = (ledger.journal.group_commit()
-                  if ledger.journal is not None else nullcontext())
         with obs.span("scheduler.map", mode="batch", jobs=self.jobs,
                       method=self.start_method, items=len(pending),
                       timeout=self.policy.timeout,
                       retries=self.policy.retries):
-            with commit:
-                try:
-                    self._loop(target)
-                finally:
-                    self._shutdown()
+            try:
+                self._loop(target)
+            finally:
+                self._shutdown()
 
     def _loop(self, target: int) -> None:
         ledger = self.ledger

@@ -36,8 +36,6 @@ _COUNTER_METRICS = {
     "supervisor_timeouts": "supervisor.timeouts",
     "supervisor_retries": "supervisor.retries",
     "supervisor_degraded": "supervisor.degraded",
-    "supervisor_resumed": "supervisor.resumed",
-    "supervisor_checkpoints": "supervisor.checkpoints",
     "scheduler_batches": "scheduler.batches",
     "scheduler_batch_items": "scheduler.batch_items",
     "scheduler_steals": "scheduler.steals",
@@ -62,8 +60,6 @@ _COUNTER_METRICS = {
     "delta_reuses": "synthsearch.delta_reuses",
     "checkpoint_bytes": "synthsearch.checkpoint_bytes",
     "blocked_hits": "synthsearch.blocked_hits",
-    "board_loaded": "synthsearch.board_loaded",
-    "board_published": "synthsearch.board_published",
     "fvs_nodes_explored": "fvs.nodes_explored",
     "fvs_nodes_pruned": "fvs.nodes_pruned",
 }
@@ -283,12 +279,11 @@ class EngineStats:
         if self.pool_fallbacks:
             parts.append(f"{self.pool_fallbacks} pool fallbacks")
         if (self.supervisor_timeouts or self.supervisor_retries
-                or self.supervisor_degraded or self.supervisor_resumed):
+                or self.supervisor_degraded):
             parts.append(
                 f"supervisor {self.supervisor_timeouts} timeouts, "
                 f"{self.supervisor_retries} retries, "
-                f"{self.supervisor_degraded} degraded, "
-                f"{self.supervisor_resumed} resumed")
+                f"{self.supervisor_degraded} degraded")
         if self.scheduler_batches:
             parts.append(
                 f"scheduler {self.scheduler_batches} batches "
@@ -317,9 +312,6 @@ class EngineStats:
                       f"{self.checkpoint_bytes / 1024:.1f} KiB checkpoints")
             if self.blocked_hits:
                 search += f", {self.blocked_hits} blocked-mask hits"
-            if self.board_loaded or self.board_published:
-                search += (f", board {self.board_loaded} in / "
-                           f"{self.board_published} out")
             parts.append(search)
         if (self.artifact_hits or self.artifact_misses
                 or self.artifact_stores or self.artifact_corrupt):

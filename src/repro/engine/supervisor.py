@@ -33,16 +33,19 @@ work always runs under a :class:`SupervisorPolicy`
   once more *in the parent process* through the caller's fallback
   worker (the serial naive backend at the engine call sites) instead of
   aborting the run;
-* **checkpointing** — with a :class:`repro.engine.journal.RunJournal`,
-  every completed item is durably appended, and items already in the
-  journal are returned without re-execution (``repro sweep --resume``);
+* **write-through** — with a :class:`repro.engine.cache.ResultCache`
+  and one key per item, every completed item is stored in the cache the
+  moment it completes (in the parent, never in a worker), and items the
+  cache already holds are returned without re-execution.  A killed run
+  therefore loses only its in-flight items: rerunning it with the same
+  cache is the resume (``repro sweep --resume``);
 * **observability** — ``task-timeout`` / ``task-retry`` /
-  ``task-degraded`` / ``task-resumed`` events, ``supervisor.*``
-  counters, and worker spans re-parented as ``item[i]`` subtrees.
+  ``task-degraded`` events, ``supervisor.*`` counters, and worker spans
+  re-parented as ``item[i]`` subtrees.
 
-The resume/checkpoint/retry/degrade bookkeeping lives in one
-:class:`TaskLedger` that the serial loop and the batch scheduler share,
-so a run's verdicts do not depend on which of them executed it.
+The cache/retry/degrade bookkeeping lives in one :class:`TaskLedger`
+that the serial loop and the batch scheduler share, so a run's verdicts
+do not depend on which of them executed it.
 
 Forked workers inherit worker, context and items, so all three may hold
 unpicklable objects; only results cross the pipe.  A worker *exception*
@@ -121,7 +124,7 @@ class FaultPlan:
     attempt is sabotaged in the child (SIGKILL / sleep past any
     timeout); retries run clean, so a supervised run always converges.
     ``die_after_checkpoints`` hard-kills the parent after that many
-    journal checkpoints — the ``kill -9`` of the whole run that
+    write-through cache stores — the ``kill -9`` of the whole run that
     ``--resume`` exists for.  ``delay_seconds`` slows **every** task
     attempt down by a uniform sleep — the deliberately-degraded run the
     cross-run ledger's ``repro runs diff`` must flag as a timing
@@ -209,16 +212,16 @@ def _bump(stats: Any, attribute: str, metric: str,
 class TaskLedger:
     """The supervision bookkeeping of one dispatch.
 
-    Resume-from-journal, completion checkpointing, the retry/degrade
-    ladder, deterministic-failure latching and result ordering all live
-    here; :meth:`run_serial` and
+    Answering items from the cache, writing completed items through to
+    it, the retry/degrade ladder, deterministic-failure latching and
+    result ordering all live here; :meth:`run_serial` and
     :class:`repro.engine.scheduler.BatchScheduler` are pure execution
     strategies over one ledger — which is what makes their verdicts
     identical by construction.
     """
 
     def __init__(self, worker, work: Sequence[Any], context: Any,
-                 stats: Any, policy: SupervisorPolicy, journal,
+                 stats: Any, policy: SupervisorPolicy, cache,
                  keys: Sequence[str] | None, fallback_worker,
                  plan: FaultPlan | None) -> None:
         self.worker = worker
@@ -226,50 +229,44 @@ class TaskLedger:
         self.context = context
         self.stats = stats
         self.policy = policy
-        self.journal = journal
+        self.cache = cache
         self.keys = keys
         self.fallback_worker = fallback_worker or worker
         self.plan = plan
         self.results: dict[int, Any] = {}
         self.failure: WorkerFailure | None = None
+        self.writes = 0
 
     def key(self, index: int) -> str | None:
         return self.keys[index] if self.keys is not None else None
 
-    def resume_completed(self) -> list[_Task]:
-        """Split the batch into journal hits and tasks still to run."""
+    def split_cached(self) -> list[_Task]:
+        """Answer the items the cache already holds; return the rest.
+
+        ``key in cache`` guards the lookup, so a key the caller already
+        probed and missed is not counted as a miss a second time.
+        """
         pending: list[_Task] = []
         for index in range(len(self.work)):
             key = self.key(index)
-            if self.journal is not None and key is not None \
-                    and key in self.journal.completed:
-                self.results[index] = self.journal.completed[key]
-                _bump(self.stats, "supervisor_resumed",
-                      "supervisor.resumed")
-                obs.event("task-resumed", index=index, key=key)
-                continue
+            if self.cache is not None and key in self.cache:
+                value = self.cache.get(key, _MISS)
+                if value is not _MISS:  # None is a real result
+                    self.results[index] = value
+                    if self.stats is not None:
+                        self.stats.cache_hits += 1
+                    continue
             pending.append(_Task(index=index, key=key))
         return pending
 
     def complete(self, task: _Task, result: Any) -> None:
         live.note(done=1)
         self.results[task.index] = result
-        if self.journal is not None and task.key is not None:
-            before = self.journal.stats.entries_recorded
-            self.journal.record(task.key, result)
-            # record() already emits the ambient supervisor.checkpoints
-            # metric; only mirror actual appends into the run's stats.
-            if self.stats is not None:
-                self.stats.supervisor_checkpoints += (
-                    self.journal.stats.entries_recorded - before)
-            if self.plan is not None \
-                    and self.plan.die_after_checkpoints is not None:
-                # The injector's contract is "die after N *durable*
-                # checkpoints": commit any group-commit buffer before
-                # the (possibly hard) death so resume sees exactly N.
-                self.journal.flush()
-                self.plan.on_checkpoint(
-                    self.journal.stats.entries_recorded)
+        if self.cache is not None:
+            self.cache.put(task.key, result)
+            self.writes += 1
+            if self.plan is not None:
+                self.plan.on_checkpoint(self.writes)
 
     def record_failure(self, task: _Task, failure: WorkerFailure) -> None:
         """A deterministic worker exception: latch the first one."""
@@ -340,6 +337,9 @@ class TaskLedger:
 #: :func:`supervise_work_items` on nesting).
 _running = 0
 
+#: Cache-miss sentinel: a cached result may itself be ``None``.
+_MISS = object()
+
 
 def _spawn_dispatchable(ledger: "TaskLedger",
                         portable: PortableContext | None) -> bool:
@@ -388,7 +388,7 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
                          context: Any = None,
                          stats: Any = None,
                          policy: SupervisorPolicy | None = None,
-                         journal=None,
+                         cache=None,
                          keys: Sequence[str] | None = None,
                          fallback_worker: Callable[[Any, Any], Any]
                          | None = None,
@@ -404,10 +404,12 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
     **result** must pickle — an unpicklable result degrades that one
     task to the fallback worker.  Work runs under *policy*'s
     timeout/retry/degradation ladder (``SupervisorPolicy()`` when
-    omitted); when *journal* and *keys* (one per item) are given,
-    completed items are checkpointed durably and journal hits are
-    returned without re-execution.  See the module docstring for how
-    the serial-vs-parallel decision is made.
+    omitted).  With a *cache* (a :class:`repro.engine.cache.ResultCache`)
+    and *keys* (one per item), items the cache holds are returned
+    without re-execution and each completed item is stored under its
+    key as soon as it completes, so its value must be exactly what the
+    caller stores under that key elsewhere.  See the module docstring
+    for how the serial-vs-parallel decision is made.
 
     *prewarm*, when given, is called once in the parent immediately
     before workers start (never when everything runs serially or
@@ -427,27 +429,27 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
     """
     global _running
     work = list(items)
-    if journal is not None and (keys is None or len(keys) != len(work)):
-        raise ValueError("journaling needs one key per work item")
+    if cache is not None and (keys is None or len(keys) != len(work)):
+        raise ValueError("write-through caching needs one key per "
+                         "work item")
     # A process that never imported multiprocessing is not one of its
     # workers (fork workers inherit the module, spawn workers import it
     # to boot), so a serial run need not load it to ask.
     mp = sys.modules.get("multiprocessing")
-    if journal is None and (_running
-                            or (mp is not None
-                                and mp.current_process().daemon)):
+    if _running or (mp is not None and mp.current_process().daemon):
         # A dispatch from inside another dispatch's task (the livelock
         # certifier inside a fuzzing audit, say) runs inline: worker
-        # processes cannot start workers of their own, the live plane
-        # and the environment's fault plan belong to the outer dispatch.
+        # processes cannot start workers of their own, and the live
+        # plane, the environment's fault plan and the cache writes
+        # belong to the outer dispatch.
         return [worker(context, item) for item in work]
     if plan is None:
         plan = FaultPlan.from_env()
     policy = policy or _DEFAULT_POLICY
 
-    ledger = TaskLedger(worker, work, context, stats, policy, journal,
+    ledger = TaskLedger(worker, work, context, stats, policy, cache,
                         keys, fallback_worker, plan)
-    pending = ledger.resume_completed()
+    pending = ledger.split_cached()
     live.begin_stage(getattr(worker, "__name__", "supervised.map"),
                      total=len(work),
                      resumed=len(work) - len(pending))

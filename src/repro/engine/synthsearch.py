@@ -45,22 +45,16 @@ The pending combinations are partitioned into contiguous subtree work
 units (a single unit when ``jobs <= 1``) and dispatched through
 :func:`repro.engine.supervisor.supervise_work_items`; each unit is
 evaluated self-contained, so verdicts are byte-identical for every
-``--jobs`` setting.  Under a :class:`repro.engine.journal.RunJournal` the units
-additionally exchange exact trail results through a :class:`PruneBoard`
-(an append-only ``prunes.jsonl`` next to the journal): workers publish
-newly searched support heads after each unit and absorb the board's
-delta before the next one, so prune knowledge crosses process
-boundaries between batches.  The board only ever short-circuits
-searches whose outcome is already known — correctness never depends on
-it — and resumed runs replay it alongside the journaled unit verdicts.
+``--jobs`` setting.  With a result cache each unit's verdicts and
+counter deltas are written through under a content-addressed unit key
+as the unit completes, so a killed run's rerun replays its finished
+units instead of walking them again.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.core.pseudolivelock import elementary_pseudo_livelocks
@@ -98,8 +92,7 @@ _INVALID_POOL = object()
 #: unit workers return; also flat :class:`repro.engine.EngineStats`
 #: attribute names).
 COUNTER_NAMES = ("combos_pruned", "full_evaluations", "delta_reuses",
-                 "checkpoint_bytes", "blocked_hits", "board_loaded",
-                 "board_published")
+                 "checkpoint_bytes", "blocked_hits")
 
 #: Deterministic per-support checkpoint cost estimate: list slot +
 #: frozenset header plus one word per member.
@@ -156,77 +149,6 @@ class BlockedMaskIndex:
         return best
 
 
-class PruneBoard:
-    """Append-only cross-process exchange of trail-search results.
-
-    One JSONL file next to the run journal; each line records a support
-    (as sorted ``[source_index, target_index]`` pairs — stable across
-    processes, unlike in-process bit assignments), the ring-size bound
-    scanned, and the witness head ``[K, |E|]`` (``null`` when the scan
-    was empty).  Readers consume incrementally from their last offset
-    and tolerate torn tails and damaged lines; writers append whole
-    lines with ``O_APPEND``.  Everything on the board is an exact
-    result, so absorbing it can only skip searches, never change them.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._offset = 0
-        self._published: set[frozenset[tuple[int, int]]] = set()
-
-    def load_new(self) -> list[tuple]:
-        """New complete entries since the last load, as
-        ``(pair_key, bound, head | None)`` tuples."""
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(self._offset)
-                data = handle.read()
-        except OSError:
-            return []
-        end = data.rfind(b"\n")
-        if end < 0:
-            return []
-        chunk = data[:end + 1]
-        self._offset += len(chunk)
-        entries: list[tuple] = []
-        for line in chunk.splitlines():
-            try:
-                record = json.loads(line)
-                key = frozenset((int(s), int(t)) for s, t in record["a"])
-                bound = int(record["b"])
-                head = record["h"]
-                if head is not None:
-                    head = (int(head[0]), int(head[1]))
-            except (KeyError, TypeError, ValueError, IndexError):
-                continue  # damaged line: costs the entry, never the run
-            entries.append((key, bound, head))
-            self._published.add(key)
-        return entries
-
-    def publish(self, entries: Iterable[tuple]) -> int:
-        """Append *entries* not already on the board; returns the count."""
-        lines = []
-        for key, bound, head in entries:
-            if key in self._published:
-                continue
-            self._published.add(key)
-            lines.append(json.dumps({
-                "a": sorted([source, target] for source, target in key),
-                "b": bound,
-                "h": list(head) if head is not None else None,
-            }, sort_keys=True))
-        if not lines:
-            return 0
-        blob = "".join(line + "\n" for line in lines).encode()
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                     0o644)
-        try:
-            os.write(fd, blob)
-        finally:
-            os.close(fd)
-        return len(lines)
-
-
 class _Node:
     """One checkpointed lattice position (the path's last t-arc)."""
 
@@ -263,13 +185,11 @@ class LatticeWalker:
     """
 
     def __init__(self, kernel, base_transitions, max_ring_size: int,
-                 counts: dict[str, int | float],
-                 publishing: bool = False) -> None:
+                 counts: dict[str, int | float]) -> None:
         self.kernel = kernel
         self.base = tuple(base_transitions)
         self.max_ring_size = max_ring_size
         self.counts = counts
-        self.publishing = publishing
         self.blocked = BlockedMaskIndex()
         self._graph: dict[Any, dict[Any, list[LocalTransition]]] = {}
         self._frontier: list[frozenset] = []
@@ -277,11 +197,9 @@ class LatticeWalker:
         self._canon: dict[frozenset, tuple] = {}
         self._reprs: dict[LocalTransition, str] = {}
         self._pairs: dict[LocalTransition, tuple[int, int]] = {}
-        self._by_pair: dict[tuple[int, int], LocalTransition] = {}
         self._bits: dict[LocalTransition, int] = {}
-        #: pair-key -> (ring-size bound scanned, (K, |E|) head | None).
-        self._heads: dict[frozenset[tuple[int, int]], tuple] = {}
-        self._unpublished: list[tuple] = []
+        #: pair-key -> the support's ``(K, |E|)`` trail head, or None.
+        self._heads: dict[frozenset[tuple[int, int]], tuple | None] = {}
         self._stack: list[_Node] = []
         self._path: list[LocalTransition] = []
 
@@ -292,7 +210,6 @@ class LatticeWalker:
             index = self.kernel.index
             pair = (index[transition.source], index[transition.target])
             self._pairs[transition] = pair
-            self._by_pair[pair] = transition
         return pair
 
     def _bit(self, transition: LocalTransition) -> int:
@@ -323,48 +240,18 @@ class LatticeWalker:
             self._canon[support] = key
         return key
 
-    # -- cross-unit knowledge ------------------------------------------
-    def absorb(self, entries: Iterable[tuple]) -> None:
-        """Fold :class:`PruneBoard` entries into the head memo (and,
-        when the support's arcs are known locally, the blocked index)."""
-        for key, bound, head in entries:
-            known = self._heads.get(key)
-            if known is None or (known[1] is None and head is not None) \
-                    or (known[1] is None and head is None
-                        and bound > known[0]):
-                self._heads[key] = (bound, head)
-            if head is None:
-                continue
-            try:
-                support = frozenset(self._by_pair[pair] for pair in key)
-            except KeyError:
-                continue  # arcs from a part of the lattice not seen here
-            self.blocked.add(self._mask(support), self._canon_key(support),
-                             support, head)
-
-    def take_unpublished(self) -> list[tuple]:
-        taken, self._unpublished = self._unpublished, []
-        return taken
-
     # -- trail queries -------------------------------------------------
     def _trail_head(self, support: frozenset,
                     arc: LocalTransition | None) -> tuple | None:
         key = frozenset(self._pair(t) for t in support)
-        memo = self._heads.get(key)
-        if memo is not None:
-            bound, head = memo
-            if head is not None:
-                return head if head[0] <= self.max_ring_size else None
-            if self.max_ring_size <= bound:
-                return None
+        if key in self._heads:
+            return self._heads[key]
         roots = (arc.source,) if arc is not None else None
         witness = self.kernel.find_trail(support, self.max_ring_size,
                                          root_states=roots)
         head = (witness.ring_size, witness.enablements) \
             if witness is not None else None
-        self._heads[key] = (self.max_ring_size, head)
-        if self.publishing:
-            self._unpublished.append((key, self.max_ring_size, head))
+        self._heads[key] = head
         return head
 
     # -- new-element enumeration ---------------------------------------
@@ -579,7 +466,7 @@ class LatticeSearch:
         self.stats = synthesizer.stats
         self.jobs = synthesizer.jobs
         self.policy = synthesizer.policy
-        self.journal = synthesizer.journal
+        self.cache = synthesizer.cache
         self.fault_plan = getattr(synthesizer, "fault_plan", None)
         self._name = f"{self.protocol.name}_ss"
         self._base_cyclic = has_cycle(
@@ -590,13 +477,9 @@ class LatticeSearch:
         self._uniform_memo: dict[frozenset, Any] = {}
         self._counts: dict[str, int | float] = \
             {name: 0 for name in COUNTER_NAMES}
-        self._board = None
-        if self.journal is not None:
-            self._board = PruneBoard(
-                Path(self.journal.directory) / "prunes.jsonl")
         self._walker = LatticeWalker(
             self.kernel, self.base_transitions, self.max_ring_size,
-            self._counts, publishing=self._board is not None)
+            self._counts)
 
     # -- uniform short-circuits ----------------------------------------
     def _uniform_reason(self, combos: Sequence[tuple]) -> Any:
@@ -688,27 +571,12 @@ class LatticeSearch:
 
     # -- entry points --------------------------------------------------
     def evaluate_unit(self, combos: Sequence[tuple]) -> tuple:
-        """One work unit: absorb the prune board, walk the unit's
-        combinations, publish new trail results.  Returns
-        ``(reasons, counter_delta)`` — both JSON/pickle-safe, so the
-        journal can replay the unit (verdicts *and* counters) on
-        resume."""
+        """One work unit: walk the unit's combinations.  Returns
+        ``(reasons, counter_delta)`` — both pickle-safe, so a cached
+        unit replays its verdicts *and* counters on a rerun."""
         counts = self._counts
         before = dict(counts)
-        if self._board is not None:
-            entries = self._board.load_new()
-            if entries:
-                self._walker.absorb(entries)
-                counts["board_loaded"] += len(entries)
-                obs.event("prune-broadcast", entries=len(entries),
-                          source="load")
         reasons = self._walker.verdicts([tuple(c) for c in combos])
-        if self._board is not None:
-            published = self._board.publish(self._walker.take_unpublished())
-            if published:
-                counts["board_published"] += published
-                obs.event("prune-broadcast", entries=published,
-                          source="publish")
         delta = {name: counts[name] - before.get(name, 0)
                  for name in COUNTER_NAMES if counts[name] != before.get(name, 0)}
         return reasons, delta
@@ -727,11 +595,11 @@ class LatticeSearch:
             return [uniform] * len(combos)
         items = [combos[start:end] for start, end in self._plan_units(combos)]
         keys = ([self._unit_key(item) for item in items]
-                if self.journal is not None else None)
+                if self.cache is not None else None)
         results = supervise_work_items(
             _lattice_unit_worker, items, jobs=self.jobs,
             context=synthesizer, stats=self.stats,
-            policy=self.policy, journal=self.journal, keys=keys,
+            policy=self.policy, cache=self.cache, keys=keys,
             fallback_worker=_lattice_unit_worker,
             plan=self.fault_plan, prewarm=self._prewarm)
         reasons: list[str | None] = []

@@ -52,7 +52,3 @@ class SynthesisFailure(ReproError):
 
 class VerificationError(ReproError):
     """A requested verification could not be carried out."""
-
-
-class JournalError(ReproError):
-    """An unusable run journal (missing run, mismatched fingerprint)."""

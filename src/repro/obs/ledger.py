@@ -5,9 +5,8 @@ The live plane (:mod:`repro.obs.live`) answers "how is this run doing
 At run finish the CLI (and the benchmark harness) folds one JSON record
 — final counters, flags, protocol fingerprint, a verdict digest, and
 wall-clock — into ``.repro-cache/ledger.jsonl``.  The file is
-append-only JSONL and loads corruption-tolerantly like
-:class:`repro.engine.journal.RunJournal`: a torn tail or a flipped bit
-costs the damaged line, never the ledger.
+append-only JSONL and loads corruption-tolerantly: a torn tail or a
+flipped bit costs the damaged line, never the ledger.
 
 ``repro runs list|show|diff`` read it back.  ``diff`` compares a
 candidate run against an explicit baseline or the latest earlier record

@@ -4,9 +4,8 @@ While an hour-scale sweep or synthesis search executes, the only
 windows into it used to be post-hoc (``--trace``, ``--log-json``,
 ``repro report``).  This module gives a running command a *live plane*:
 a :class:`LiveRun` publishes a single ``status.json`` under
-``.repro-cache/runs/<run-id>/`` — the same directory a checkpointed
-run's journal lives in, or a fresh ad-hoc directory otherwise — that
-``repro ps`` (list runs, liveness via pid + snapshot age) and
+``.repro-cache/runs/<run-id>/`` — the directory ``--resume`` looks
+for — that ``repro ps`` (list runs, liveness via pid + snapshot age) and
 ``repro top`` (refreshing terminal view) read from the outside.
 
 Design constraints, in order:

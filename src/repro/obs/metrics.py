@@ -187,7 +187,7 @@ class Histogram:
                 self.maximum, self.buckets)
 
     def __setstate__(self, state):
-        # Pre-bucket pickles (old cache entries / journals) carry five
+        # Pre-bucket pickles (old cache entries) carry five
         # fields; their samples simply have no bucket attribution.
         (self.name, self.count, self.total, self.minimum,
          self.maximum) = state[:5]

@@ -85,10 +85,11 @@ _EVENT_REQUIRED_FIELDS = {
     "task-timeout": ("index", "attempt", "timeout_seconds"),
     "task-retry": ("index", "attempt", "reason", "delay_seconds"),
     "task-degraded": ("index", "attempts", "reason"),
-    "task-resumed": ("index", "key"),
-    "checkpoint": ("run_id", "key", "seq"),
     "batch-requeued": ("worker", "items"),
     "artifact-corrupt": ("artifact", "path", "reason"),
+    # Retired with the run journal; kept so older run logs validate.
+    "task-resumed": ("index", "key"),
+    "checkpoint": ("run_id", "key", "seq"),
     "prune-broadcast": ("entries", "source"),
 }
 

@@ -211,10 +211,11 @@ def audit_theorems(samples: int = 50, max_ring_size: int = 5,
     Sampling is always serial (the RNG stream fixes the protocols), but
     the per-protocol audits are independent work items: ``jobs > 1``
     fans them out over worker processes, and *cache* reuses per-sample
-    outcomes keyed on each protocol's structural fingerprint — both with
-    aggregate reports identical to the serial, uncached run.  *policy*
-    supervises the fanned-out audits (per-item timeouts, crash retry,
-    degradation to an in-parent audit — see
+    outcomes keyed on each protocol's structural fingerprint (storing
+    each as soon as it completes, so a killed audit's rerun resumes) —
+    both with aggregate reports identical to the serial, uncached run.
+    *policy* supervises the fanned-out audits (per-item timeouts, crash
+    retry, degradation to an in-parent audit — see
     :mod:`repro.engine.supervisor`).
     """
     if sampler is None:
@@ -244,7 +245,10 @@ def audit_theorems(samples: int = 50, max_ring_size: int = 5,
         fresh = supervise_work_items(
             _audit_indexed_worker, pending, jobs=jobs,
             context=(max_ring_size, protocols), stats=stats,
-            policy=policy, fallback_worker=_audit_indexed_worker)
+            policy=policy, cache=cache,
+            keys=([keys[index] for index in pending]
+                  if cache is not None else None),
+            fallback_worker=_audit_indexed_worker)
         for index, outcome in zip(pending, fresh):
             stats.work_items += 1
             stats.states_explored += outcome.states_explored
@@ -257,8 +261,6 @@ def audit_theorems(samples: int = 50, max_ring_size: int = 5,
             stats.states_encoded += getattr(
                 outcome, "states_encoded", 0)
             outcomes[index] = outcome
-            if cache is not None:
-                cache.put(keys[index], outcome)
 
     report = AuditReport(samples=samples, certificates_issued=0,
                          deadlock_checks=0, stats=stats)

@@ -1,4 +1,4 @@
-"""Fault-injection fixtures for the supervision and journaling suites.
+"""Fault-injection fixtures for the supervision and write-through suites.
 
 Workers built here run inside forked children, so per-attempt state
 ("crash only on the first try") cannot live in module globals — each
@@ -10,7 +10,6 @@ makes every supervised run converge deterministically.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import time
@@ -68,27 +67,27 @@ def hanging_worker(tmp_path):
 
 @pytest.fixture
 def corrupt_checkpoint():
-    """Damage one entry of a journal file the way hard kills do.
+    """Damage one on-disk result-cache entry the way hard kills do.
 
-    ``mode="truncate"`` cuts the line in half (the classic
-    killed-mid-append tail); ``mode="tamper"`` keeps valid JSON but
-    flips the payload so the stored SHA-256 no longer matches.
+    ``mode="truncate"`` cuts the file in half (a write torn by a crash
+    of the filesystem under it); ``mode="tamper"`` keeps the length but
+    flips the last payload byte so the stored SHA-256 no longer
+    matches; ``mode="garbage"`` replaces the file with bytes that are
+    no cache entry at all.  *path* is a ``.pkl`` entry file.
     """
 
-    def corrupt(journal, entry: int = -1, mode: str = "truncate") -> None:
-        path = journal.path if hasattr(journal, "path") else Path(journal)
-        lines = path.read_bytes().splitlines()
+    def corrupt(path, mode: str = "truncate") -> None:
+        path = Path(path)
+        data = path.read_bytes()
         if mode == "truncate":
-            lines[entry] = lines[entry][: max(1, len(lines[entry]) // 2)]
+            data = data[: max(1, len(data) // 2)]
         elif mode == "tamper":
-            record = json.loads(lines[entry])
-            data = record["data"]
-            record["data"] = ("A" if not data.startswith("A") else "B") \
-                + data[1:]
-            lines[entry] = json.dumps(record).encode("ascii")
+            data = data[:-1] + bytes([data[-1] ^ 0xFF])
+        elif mode == "garbage":
+            data = b"this is not a cache entry\n"
         else:
             raise ValueError(f"unknown corruption mode {mode!r}")
-        path.write_bytes(b"\n".join(lines) + b"\n")
+        path.write_bytes(data)
 
     return corrupt
 

@@ -3,14 +3,20 @@
 The fingerprint must change whenever anything verdict-relevant changes —
 an action, the invariant, an analysis parameter — and must *not* change
 for presentation details (protocol name, action labels).  The disk layer
-must shrug off corrupted entries rather than raising.
+must shrug off corrupted entries rather than raising, fsync only when
+asked to, and never leave a temporary file that ``repro cache --clear``
+cannot remove.
 """
 
 from __future__ import annotations
 
+import os
+import re
+
 from repro.checker.sweep import sweep_verify
+from repro.cli import main
 from repro.engine import ResultCache, analysis_key, protocol_fingerprint
-from repro.engine.cache import CacheStats
+from repro.engine.cache import CacheStats, new_run_id, runs_root
 from repro.protocol.process import ProcessTemplate
 from repro.protocol.ring import RingProtocol
 from repro.protocol.variables import ranged
@@ -146,8 +152,113 @@ def test_clear_memory_keeps_disk(tmp_path):
     assert cache.stats.disk_hits == 1
 
 
+def test_unpicklable_value_stays_in_memory(tmp_path):
+    cache = ResultCache(tmp_path)
+    cache.put("bad", lambda: None)  # not fatal: memory-only
+    cache.put("good", 42)
+    assert callable(cache.get("bad"))
+    fresh = ResultCache(tmp_path)
+    assert "bad" not in fresh
+    assert fresh.get("good") == 42
+
+
 def test_memory_only_cache_never_touches_disk(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cache = ResultCache()
     cache.put("a" * 64, "value")
     assert list(tmp_path.iterdir()) == []
+
+
+# ----------------------------------------------------------------------
+# Durable writes and temporary files
+# ----------------------------------------------------------------------
+def _count_fsyncs(monkeypatch) -> list:
+    calls: list = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync",
+                        lambda fd: calls.append(fd) or real_fsync(fd))
+    return calls
+
+
+def test_durable_cache_fsyncs_every_entry(tmp_path, monkeypatch):
+    calls = _count_fsyncs(monkeypatch)
+    cache = ResultCache(tmp_path, durable=True)
+    for index in range(3):
+        before = len(calls)
+        cache.put(f"{index:064x}", index)
+        # The entry's bytes before its rename, then its directory.
+        assert len(calls) - before == 2
+    assert ResultCache(tmp_path).get(f"{2:064x}") == 2
+
+
+def test_durable_roundtrip_across_instances(tmp_path):
+    writer = ResultCache(tmp_path, durable=True)
+    for index in range(3):
+        writer.put(f"{index:064x}", {"value": index})
+    resumed = ResultCache(tmp_path)
+    assert [resumed.get(f"{i:064x}") for i in range(3)] == [
+        {"value": i} for i in range(3)]
+    assert resumed.stats.disk_hits == 3
+    assert resumed.stats.corrupt_entries == 0
+    assert f"{1:064x}" in resumed
+    assert "missing" not in resumed
+
+
+def test_default_cache_does_not_fsync(tmp_path, monkeypatch):
+    calls = _count_fsyncs(monkeypatch)
+    cache = ResultCache(tmp_path)
+    for index in range(3):
+        cache.put(f"{index:064x}", index)
+    assert calls == []
+    assert ResultCache(tmp_path).get(f"{2:064x}") == 2
+
+
+def test_failed_rename_removes_its_temporary(tmp_path, monkeypatch):
+    def refuse(self, target):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(type(tmp_path), "replace", refuse)
+    cache = ResultCache(tmp_path)
+    cache.put("ab" * 32, "value")  # non-fatal
+    monkeypatch.undo()
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+    assert cache.get("ab" * 32) == "value"  # the memory layer kept it
+
+
+def test_clear_removes_stray_temporaries(tmp_path, capsys):
+    key = "cd" * 32
+    ResultCache(tmp_path).put(key, "value")
+    shard = tmp_path / key[:2]
+    # What writers killed between write and rename leave behind: the
+    # old fixed name, a per-writer name, and an empty artifact write.
+    strays = [shard / f"{key}.tmp", shard / f"{key}.4242.tmp",
+              tmp_path / "artifacts" / "kernel" / "x.4242.tmp"]
+    strays[-1].parent.mkdir(parents=True)
+    for stray in strays[:-1]:
+        stray.write_bytes(b"half a pickle")
+    strays[-1].write_bytes(b"")
+    (tmp_path / "runs" / "r1").mkdir(parents=True)
+    (tmp_path / "runs" / "r1" / "status.json").write_text("{}")
+
+    assert main(["cache", "--cache-dir", str(tmp_path)]) == 0
+    assert "3 temporary files" in capsys.readouterr().out
+    assert main(["cache", "--clear", "--cache-dir", str(tmp_path)]) == 0
+    assert "cleared 4 entries" in capsys.readouterr().out
+    assert not any(stray.exists() for stray in strays)
+    assert (tmp_path / "runs" / "r1" / "status.json").exists()
+
+
+# ----------------------------------------------------------------------
+# Run identifiers
+# ----------------------------------------------------------------------
+def test_new_run_id_is_sortable_and_unique():
+    first, second = new_run_id(), new_run_id()
+    assert re.fullmatch(r"\d{8}-\d{6}-[0-9a-f]{6}", first)
+    assert first != second
+
+
+def test_runs_root_defaults_to_cache_dir():
+    from repro.engine import DEFAULT_CACHE_DIR
+
+    assert runs_root() == runs_root(DEFAULT_CACHE_DIR)
+    assert runs_root("/tmp/x").as_posix() == "/tmp/x/runs"

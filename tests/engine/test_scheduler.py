@@ -4,7 +4,7 @@ The property-based differential harness
 (test_supervisor_properties.py) pins verdict equality for batch mode on
 real protocols; this file pins the batch-specific mechanics — cost-model
 sizing, requeue-without-retry-charge on worker death, heartbeat-armed
-timeouts, group-commit journaling and the routing / prewarm plumbing —
+timeouts, cache write-through and the routing / prewarm plumbing —
 on tiny synthetic workers.  Tests that pin batch shapes (or run
 self-killing workers at ``jobs=1``, which the dispatcher would run
 in-parent) build the :class:`BatchScheduler` directly.
@@ -20,8 +20,7 @@ import time
 
 import pytest
 
-from repro.engine import EngineStats
-from repro.engine.journal import RunJournal
+from repro.engine import EngineStats, ResultCache
 from repro.engine.pool import WorkerTraceback, parallelism_available
 from repro.engine.scheduler import (
     MAX_BATCH_ITEMS,
@@ -55,7 +54,7 @@ def run_batch(worker, items, jobs=1, batch_size=None, stats=None,
                         policy or SupervisorPolicy(backoff=0.01), None,
                         None, fallback_worker, None)
     BatchScheduler(ledger, jobs=jobs, batch_size=batch_size).run(
-        ledger.resume_completed())
+        ledger.split_cached())
     if ledger.failure is not None:
         ledger.failure.reraise()
     return ledger.ordered_results()
@@ -144,13 +143,13 @@ class TestRouting:
             policy=SupervisorPolicy(),  # no timeout: serial in-parent
             prewarm=lambda: calls.append(1))
         assert results == [0, 1, 4]
-        # Nothing pending (every item journaled): no prewarm either,
+        # Nothing pending (every item cached): no prewarm either,
         # however many jobs were asked for.
-        journal = RunJournal.create(tmp_path, run_id="all-done")
+        cache = ResultCache(tmp_path)
         for i in range(3):
-            journal.record(f"key-{i}", i * i)
+            cache.put(f"key-{i}", i * i)
         results = supervise_work_items(
-            square, range(3), jobs=2, journal=journal,
+            square, range(3), jobs=2, cache=cache,
             keys=[f"key-{i}" for i in range(3)],
             prewarm=lambda: calls.append(1))
         assert results == [0, 1, 4]
@@ -281,38 +280,41 @@ class TestBatchExecution:
 
 
 # ----------------------------------------------------------------------
-# journaling: group commit under batches
+# cache write-through under batches
 # ----------------------------------------------------------------------
 @needs_fork
-class TestBatchJournal:
-    def test_checkpoints_coalesce_and_resume(self, tmp_path):
-        journal = RunJournal.create(tmp_path, run_id="batched")
+class TestBatchWriteThrough:
+    def test_batched_items_are_written_through_durably(self, tmp_path,
+                                                       monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync",
+                            lambda fd: synced.append(fd) or real_fsync(fd))
         keys = [f"key-{i}" for i in range(40)]
         results = supervise_work_items(
-            square, range(40), jobs=2, journal=journal, keys=keys,
+            square, range(40), jobs=2, keys=keys,
+            cache=ResultCache(tmp_path, durable=True),
             policy=SupervisorPolicy(backoff=0.01))
         assert results == [i * i for i in range(40)]
-        assert journal.stats.entries_recorded == 40
-        # Group commit: far fewer syncs than records, everything
-        # durable by the end of the run.
-        assert 1 <= journal.stats.fsyncs < 40
-        assert journal.flush_interval == 0.0  # restored on exit
-        resumed = RunJournal.resume(tmp_path, "batched")
-        assert len(resumed) == 40
+        # Each completed item was written (and synced) by the parent
+        # as it arrived, not after the run.
+        assert len(synced) >= 40
+        fresh = ResultCache(tmp_path)
+        assert [fresh.get(key) for key in keys] == results
 
-    def test_resume_skips_journaled_items(self, tmp_path,
-                                          crashing_worker):
-        journal = RunJournal.create(tmp_path, run_id="shielded")
-        journal.record("key-0", 0)
-        journal.record("key-2", 4)
+    def test_cached_items_are_not_re_executed(self, tmp_path,
+                                              crashing_worker):
+        cache = ResultCache(tmp_path)
+        cache.put("key-0", 0)
+        cache.put("key-2", 4)
         worker = crashing_worker(crash_items={0, 2})
         stats = EngineStats()
         results = supervise_work_items(
-            worker, range(4), jobs=2, stats=stats,
-            journal=journal, keys=[f"key-{i}" for i in range(4)],
+            worker, range(4), jobs=2, stats=stats, cache=cache,
+            keys=[f"key-{i}" for i in range(4)],
             policy=SupervisorPolicy(retries=0, backoff=0.01))
         assert results == [0, 1, 4, 9]
-        assert stats.supervisor_resumed == 2
+        assert stats.cache_hits == 2
         assert stats.supervisor_retries == 0
 
 
@@ -321,7 +323,7 @@ class TestBatchJournal:
 # ----------------------------------------------------------------------
 _DYING_PARENT = """
 import os, sys, time
-from repro.engine.journal import RunJournal
+from repro.engine.cache import ResultCache
 from repro.engine.supervisor import FaultPlan, supervise_work_items
 
 size = int(sys.argv[2])
@@ -331,8 +333,8 @@ def work(context, item):
     time.sleep(0.01)
     return "x" * size
 
-journal = RunJournal.create(sys.argv[1], run_id="orphans")
-supervise_work_items(work, range(40), jobs=2, journal=journal,
+supervise_work_items(work, range(40), jobs=2,
+                     cache=ResultCache(os.path.join(sys.argv[1], "cache")),
                      keys=[str(i) for i in range(40)],
                      plan=FaultPlan(die_after_checkpoints=6))
 """
@@ -351,7 +353,7 @@ def _running(pid: int) -> bool:
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
 @pytest.mark.parametrize("result_bytes", [8, 256 * 1024])
 def test_workers_exit_when_the_parent_is_killed(tmp_path, result_bytes):
-    # The parent dies by os._exit after six checkpoints (past the
+    # The parent dies by os._exit after six cache writes (past the
     # one-task probes, so workers hold multi-task batches), never
     # shutting its workers down; they must notice and exit on their own
     # — also mid-batch, blocked sending a result larger than the pipe
@@ -362,6 +364,7 @@ def test_workers_exit_when_the_parent_is_killed(tmp_path, result_bytes):
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
         timeout=60)
     assert completed.returncode == 70
+    assert len(list((tmp_path / "cache").rglob("*.pkl"))) == 6
     pids = [int(p.name[4:]) for p in tmp_path.glob("pid-*")]
     assert pids
     try:

@@ -2,8 +2,8 @@
 
 The differential property suite (test_supervisor_properties.py) pins
 verdict equality on real protocols; this file pins the supervision
-mechanics themselves — retry ladders, timeouts, degradation, journal
-integration and the fault-injection plumbing — on tiny synthetic
+mechanics themselves — retry ladders, timeouts, degradation, cache
+write-through and the fault-injection plumbing — on tiny synthetic
 workers.
 """
 
@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import EngineStats
-from repro.engine.journal import RunJournal
+from repro.engine import EngineStats, ResultCache
 from repro.engine.pool import WorkerTraceback, parallelism_available
 from repro.engine.supervisor import (
     FAULT_ENV,
@@ -40,6 +39,26 @@ def identity_fallback(context, item):
 
 def nested_squares(context, item):
     return supervise_work_items(square, range(item), jobs=2)
+
+
+def nested_cached_squares(cache, item):
+    return supervise_work_items(square, range(item), jobs=2, cache=cache,
+                                keys=[f"inner-{item}-{i}"
+                                      for i in range(item)])
+
+
+def none_or_square(context, item):
+    """``None`` is a real result (an accepted synthesis combination)."""
+    return None if item % 2 else item * item
+
+
+def must_not_run(context, item):
+    raise AssertionError(f"item {item} should have come from the cache")
+
+
+def _entries(directory) -> int:
+    """Result-cache entries on disk under *directory*."""
+    return len(list(directory.rglob("*.pkl")))
 
 
 # ----------------------------------------------------------------------
@@ -124,23 +143,33 @@ class TestDelegation:
         results = supervise_work_items(nested_squares, [2, 3], jobs=2)
         assert results == [[0, 1], [0, 1, 4]]
 
-    def test_serial_supervised_run_still_journals(self, tmp_path):
-        journal = RunJournal.create(tmp_path, run_id="serial")
+    def test_serial_supervised_run_writes_through(self, tmp_path):
+        cache = ResultCache(tmp_path)
         keys = [f"k{i}" for i in range(3)]
         results = supervise_work_items(
             square, range(3), jobs=1,
             policy=SupervisorPolicy(),  # no timeout: no children needed
-            journal=journal, keys=keys)
+            cache=cache, keys=keys)
         assert results == [0, 1, 4]
-        assert journal.stats.entries_recorded == 3
-        resumed = RunJournal.resume(tmp_path, "serial")
-        assert resumed.completed == {"k0": 0, "k1": 1, "k2": 4}
+        assert cache.stats.stores == 3
+        fresh = ResultCache(tmp_path)
+        assert [fresh.get(key) for key in keys] == [0, 1, 4]
 
-    def test_journal_requires_one_key_per_item(self, tmp_path):
-        journal = RunJournal.create(tmp_path, run_id="bad-keys")
+    def test_cache_requires_one_key_per_item(self, tmp_path):
         with pytest.raises(ValueError, match="one key per work item"):
-            supervise_work_items(square, range(3), journal=journal,
+            supervise_work_items(square, range(3),
+                                 cache=ResultCache(tmp_path),
                                  keys=["only-one"])
+
+    def test_nested_dispatch_never_writes_through(self, tmp_path):
+        # The inner dispatch runs inline inside the outer task, so its
+        # cache is never touched: only the outer ledger writes.
+        cache = ResultCache(tmp_path)
+        results = supervise_work_items(nested_cached_squares, [2, 3],
+                                       context=cache)
+        assert results == [[0, 1], [0, 1, 4]]
+        assert cache.stats.stores == 0
+        assert _entries(tmp_path) == 0
 
 
 # ----------------------------------------------------------------------
@@ -286,36 +315,125 @@ class TestWorkerExceptions:
 
 
 # ----------------------------------------------------------------------
-# journaling under supervision
+# write-through to the result cache under supervision
 # ----------------------------------------------------------------------
+class TestWriteThrough:
+    def test_none_results_are_answered_from_the_cache(self, tmp_path):
+        keys = [f"key-{i}" for i in range(4)]
+        first = supervise_work_items(none_or_square, range(4),
+                                     cache=ResultCache(tmp_path),
+                                     keys=keys)
+        assert first == [0, None, 4, None]
+        stats = EngineStats()
+        again = supervise_work_items(must_not_run, range(4), stats=stats,
+                                     cache=ResultCache(tmp_path),
+                                     keys=keys)
+        assert again == first
+        assert stats.cache_hits == 4
+
+    def test_a_probed_miss_is_counted_once(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        assert cache.get("key-0") is None  # the caller's own probe
+        supervise_work_items(square, [3], cache=cache, keys=["key-0"])
+        assert (cache.stats.misses, cache.stats.stores) == (1, 1)
+
+    @pytest.mark.parametrize("mode", ["truncate", "tamper", "garbage"])
+    def test_corrupt_entry_is_recomputed(self, tmp_path,
+                                         corrupt_checkpoint, mode):
+        keys = [f"key-{i}" for i in range(3)]
+        supervise_work_items(square, range(3),
+                             cache=ResultCache(tmp_path), keys=keys)
+        damaged = ResultCache(tmp_path)._entry_path("key-1")
+        corrupt_checkpoint(damaged, mode=mode)
+        stats = EngineStats()
+        cache = ResultCache(tmp_path)
+        results = supervise_work_items(square, range(3), stats=stats,
+                                       cache=cache, keys=keys)
+        assert results == [0, 1, 4]
+        assert stats.cache_hits == 2
+        assert cache.stats.corrupt_entries == 1
+        assert cache.stats.stores == 1  # only the damaged item re-ran
+
+    def test_recomputed_entry_answers_the_next_resume(
+            self, tmp_path, corrupt_checkpoint):
+        keys = [f"key-{i}" for i in range(3)]
+        supervise_work_items(square, range(3),
+                             cache=ResultCache(tmp_path), keys=keys)
+        corrupt_checkpoint(ResultCache(tmp_path)._entry_path("key-2"))
+        supervise_work_items(square, range(3),
+                             cache=ResultCache(tmp_path), keys=keys)
+        # The re-executed item was stored again over the damaged entry.
+        stats = EngineStats()
+        cache = ResultCache(tmp_path)
+        again = supervise_work_items(must_not_run, range(3), stats=stats,
+                                     cache=cache, keys=keys)
+        assert again == [0, 1, 4]
+        assert stats.cache_hits == 3
+        assert cache.stats.corrupt_entries == 0
+
+    def test_kill_mid_write_loses_only_the_unwritten_items(
+            self, tmp_path, monkeypatch):
+        class Killed(BaseException):
+            pass
+
+        renames = []
+        real_replace = type(tmp_path).replace
+
+        def replace(self, target):
+            if self.name.endswith(".tmp"):
+                renames.append(target)
+                if len(renames) == 4:  # killed between write and rename
+                    raise Killed
+            return real_replace(self, target)
+
+        keys = [f"key-{i}" for i in range(5)]
+        with monkeypatch.context() as patch:
+            patch.setattr(type(tmp_path), "replace", replace)
+            with pytest.raises(Killed):
+                supervise_work_items(
+                    square, range(5), keys=keys,
+                    cache=ResultCache(tmp_path, durable=True))
+        assert _entries(tmp_path) == 3
+        assert len(list(tmp_path.rglob("*.tmp"))) == 1  # the cut write
+
+        stats = EngineStats()
+        cache = ResultCache(tmp_path)
+        results = supervise_work_items(square, range(5), stats=stats,
+                                       cache=cache, keys=keys)
+        assert results == [i * i for i in range(5)]
+        assert stats.cache_hits == 3
+        assert cache.stats.corrupt_entries == 0  # a clean loss, no tear
+        assert cache.stats.stores == 2  # exactly the lost items re-ran
+
+
 @needs_fork
-class TestJournalIntegration:
-    def test_completed_items_are_checkpointed(self, tmp_path):
-        journal = RunJournal.create(tmp_path, run_id="run1")
+class TestWriteThroughUnderWorkers:
+    def test_completed_items_are_written_through(self, tmp_path):
         keys = [f"key-{i}" for i in range(4)]
         results = supervise_work_items(
-            square, range(4), jobs=2, journal=journal, keys=keys,
-            policy=SupervisorPolicy(backoff=0.01))
+            square, range(4), jobs=2, cache=ResultCache(tmp_path),
+            keys=keys, policy=SupervisorPolicy(backoff=0.01))
         assert results == [0, 1, 4, 9]
-        resumed = RunJournal.resume(tmp_path, "run1")
-        assert resumed.completed == {f"key-{i}": i * i for i in range(4)}
+        fresh = ResultCache(tmp_path)
+        assert [fresh.get(key) for key in keys] == [0, 1, 4, 9]
 
-    def test_resume_skips_journaled_items(self, tmp_path, crashing_worker):
-        journal = RunJournal.create(tmp_path, run_id="run2")
-        journal.record("key-0", 0)
-        journal.record("key-2", 4)
-        # Items 0 and 2 would crash forever; the journal must shield
+    def test_cached_items_are_not_re_executed(self, tmp_path,
+                                              crashing_worker):
+        cache = ResultCache(tmp_path)
+        cache.put("key-0", 0)
+        cache.put("key-2", 4)
+        # Items 0 and 2 would crash forever; the cache must shield
         # them from ever being spawned.
         worker = crashing_worker(crash_items={0, 2})
         stats = EngineStats()
         results = supervise_work_items(
-            worker, range(4), jobs=2, stats=stats,
-            journal=journal, keys=[f"key-{i}" for i in range(4)],
+            worker, range(4), jobs=2, stats=stats, cache=cache,
+            keys=[f"key-{i}" for i in range(4)],
             policy=SupervisorPolicy(retries=0, backoff=0.01))
         assert results == [0, 1, 4, 9]
-        assert stats.supervisor_resumed == 2
+        assert stats.cache_hits == 2
         assert stats.supervisor_retries == 0
-        assert stats.supervisor_checkpoints == 2  # only 1 and 3 ran
+        assert cache.stats.stores == 4  # two seeded, only 1 and 3 ran
 
     def test_parent_death_then_resume_runs_only_the_rest(self, tmp_path):
         class ParentDown(BaseException):
@@ -324,23 +442,22 @@ class TestJournalIntegration:
         def die(status):
             raise ParentDown(status)
 
-        journal = RunJournal.create(tmp_path, run_id="run3")
         keys = [f"key-{i}" for i in range(5)]
         plan = FaultPlan(die_after_checkpoints=2, die=die)
         with pytest.raises(ParentDown):
             supervise_work_items(
-                square, range(5), jobs=1, journal=journal, keys=keys,
+                square, range(5), jobs=1, cache=ResultCache(tmp_path),
+                keys=keys,
                 policy=SupervisorPolicy(timeout=30.0, backoff=0.01),
                 plan=plan)
-        # Exactly two items were durably recorded before the "kill -9".
-        rerun_journal = RunJournal.resume(tmp_path, "run3")
-        assert len(rerun_journal) == 2
+        # Exactly two items were written before the "kill -9".
+        assert _entries(tmp_path) == 2
 
         stats = EngineStats()
+        cache = ResultCache(tmp_path)
         results = supervise_work_items(
-            square, range(5), jobs=2, stats=stats,
-            journal=rerun_journal, keys=keys,
-            policy=SupervisorPolicy(backoff=0.01))
+            square, range(5), jobs=2, stats=stats, cache=cache,
+            keys=keys, policy=SupervisorPolicy(backoff=0.01))
         assert results == [i * i for i in range(5)]
-        assert stats.supervisor_resumed == 2
-        assert rerun_journal.stats.entries_recorded == 3
+        assert stats.cache_hits == 2
+        assert cache.stats.stores == 3

@@ -15,8 +15,8 @@ construction, so this is exactly verdict-and-witness equality).
 
 Every seed runs its injected fault through the one dispatch path — the
 batch scheduler's persistent workers — so its crash-requeue,
-heartbeat-timeout and group-commit-resume paths must reproduce the
-serial verdicts exactly.
+heartbeat-timeout and cache-write-through resume paths must reproduce
+the serial verdicts exactly.
 
 When a case ever diverges, :func:`shrink_failing_protocol` greedily
 removes actions while the divergence persists and the assertion message
@@ -26,11 +26,14 @@ arrive on a maintainer's desk already small.
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
 
 from repro.checker.sweep import sweep_verify
 from repro.core.synthesis import Synthesizer
-from repro.engine.journal import RunJournal
+from repro.engine.cache import ResultCache
 from repro.engine.pool import parallelism_available
 from repro.engine.supervisor import FaultPlan, SupervisorPolicy
 from repro.randomgen import ProtocolSampler
@@ -52,6 +55,18 @@ FAILURE_MODES = ("crash", "timeout", "kill-resume")
 
 class ParentDown(BaseException):
     """Stands in for the SIGKILL of the whole run (patchable death)."""
+
+
+def _fresh_cache_dir(tmp_path) -> Path:
+    """An empty cache directory per kill-resume cycle (the shrinker
+    reruns cycles under one *tmp_path*)."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    return Path(tempfile.mkdtemp(dir=tmp_path))
+
+
+def _entries(directory: Path) -> int:
+    """Result-cache entries the dying run left on disk."""
+    return len(list(directory.rglob("*.pkl")))
 
 
 def _sample(mode: str, seed: int):
@@ -84,27 +99,27 @@ def _supervised(protocol, mode: str, tmp_path):
             fault_plan=FaultPlan(hang_items=frozenset({1}),
                                  hang_seconds=30.0))
     if mode == "kill-resume":
-        # The dying run uses workers (jobs=2) so it exercises group
-        # commit's unwind flush: the checkpoint that triggered the
-        # death must still be durable when the parent "dies" by stack
-        # unwind.
-        journal = RunJournal.create(tmp_path, run_id="prop")
+        # The dying run uses workers (jobs=2): the write that triggered
+        # the death must be on disk when the parent "dies" by stack
+        # unwind out of the scheduler loop.
+        directory = _fresh_cache_dir(tmp_path)
         with pytest.raises(ParentDown):
             sweep_verify(
                 protocol, up_to=UP_TO, jobs=2, policy=policy,
-                journal=journal,
+                cache=ResultCache(directory, durable=True),
                 fault_plan=FaultPlan(
                     die_after_checkpoints=1,
                     die=lambda status: (_ for _ in ()).throw(
                         ParentDown(status))))
-        rerun = RunJournal.resume(tmp_path, "prop")
-        assert len(rerun) >= 1, "died before the first checkpoint"
+        written = _entries(directory)
+        assert written >= 1, "died before the first checkpoint"
         result = sweep_verify(protocol, up_to=UP_TO, jobs=2,
-                              policy=policy, journal=rerun)
-        # The resumed run answers every journaled item from the journal
+                              policy=policy,
+                              cache=ResultCache(directory, durable=True))
+        # The resumed run answers every written item from the cache
         # (never re-executes it) and runs exactly the rest.
-        assert result.stats.supervisor_resumed == \
-            rerun.stats.entries_loaded >= 1
+        assert result.stats.cache_hits == written
+        assert result.stats.work_items == len(result.reports) - written
         return result
     raise AssertionError(f"unknown mode {mode!r}")
 
@@ -245,11 +260,11 @@ def _synth_supervised(protocol, mode: str, tmp_path):
             fault_plan=FaultPlan(hang_items=frozenset({1}),
                                  hang_seconds=30.0))
     elif mode == "kill-resume":
-        journal = RunJournal.create(tmp_path, run_id="synthprop")
+        directory = _fresh_cache_dir(tmp_path)
         dying = Synthesizer(
             protocol, max_ring_size=SYNTH_MAX_RING,
             search="lattice", jobs=2, policy=policy,
-            journal=journal,
+            cache=ResultCache(directory, durable=True),
             fault_plan=FaultPlan(
                 die_after_checkpoints=1,
                 die=lambda status: (_ for _ in ()).throw(
@@ -260,22 +275,28 @@ def _synth_supervised(protocol, mode: str, tmp_path):
             pass
         else:
             # Nothing ever reached the supervised unit loop (e.g. a
-            # combination-free methodology outcome): there is no resume
-            # cycle to exercise, just a verdict to check.
-            assert len(RunJournal.resume(tmp_path, "synthprop")) == 0
+            # combination-free methodology outcome): no unit was
+            # written through — the cache holds only per-combination
+            # ``(reason,)`` verdicts — so there is no resume cycle to
+            # exercise, just a verdict to check.
+            on_disk = ResultCache(directory)
+            assert all(len(on_disk.get(path.stem)) == 1
+                       for path in directory.rglob("*.pkl"))
             return (_synth_comparable(result),
                     (dying.stats.combos_pruned,
                      dying.stats.full_evaluations))
-        rerun = RunJournal.resume(tmp_path, "synthprop")
-        assert len(rerun) >= 1, "died before the first unit checkpoint"
+        written = _entries(directory)
+        assert written >= 1, "died before the first unit checkpoint"
         synthesizer = Synthesizer(
             protocol, max_ring_size=SYNTH_MAX_RING, search="lattice",
-            jobs=2, policy=policy, journal=rerun)
+            jobs=2, policy=policy,
+            cache=ResultCache(directory, durable=True))
         result = synthesizer.synthesize()
-        # Journaled units are answered from the journal — their
-        # verdicts AND counter deltas replay instead of re-running, so
-        # the resumed totals must still match the unfaulted split.
-        assert synthesizer.stats.supervisor_resumed >= 1
+        # Written units and verdicts are answered from the cache — a
+        # unit's verdicts AND counter deltas replay instead of
+        # re-running, so the resumed totals must still match the
+        # unfaulted split.
+        assert synthesizer.stats.cache_hits == written
         return (_synth_comparable(result),
                 (synthesizer.stats.combos_pruned,
                  synthesizer.stats.full_evaluations))

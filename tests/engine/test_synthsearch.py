@@ -13,15 +13,12 @@ The flat per-combination loop is the reference; the lattice walk
   identical across ``--jobs 1/2/4``.
 
 Plus unit coverage for the engine's parts: the subset-closed
-:class:`BlockedMaskIndex`, the append-only :class:`PruneBoard` (torn
-tails, damaged lines, incremental offsets), the support-closure
-explosion cap, and the ``_verdict_key`` bitmask regression (labels
-truncate string cell values, so distinct combos used to collide).
+:class:`BlockedMaskIndex`, the support-closure explosion cap, and the
+``_verdict_key`` bitmask regression (labels truncate string cell
+values, so distinct combos used to collide).
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -32,7 +29,6 @@ from repro.engine.synthsearch import (
     MAX_SUPPORTS,
     BlockedMaskIndex,
     LatticeSearch,
-    PruneBoard,
 )
 from repro.protocol.actions import LocalTransition
 from repro.protocol.localstate import LocalState
@@ -253,45 +249,6 @@ def test_blocked_mask_index_deduplicates_masks():
     index.add(0b1, (1, ["a"]), frozenset({"a"}), (9, 9))
     assert len(index) == 1
     assert index.covers_min(0b1)[2] == (2, 2)
-
-
-# ----------------------------------------------------------------------
-# PruneBoard
-# ----------------------------------------------------------------------
-def test_prune_board_round_trip_and_incremental_offsets(tmp_path):
-    path = tmp_path / "prunes.jsonl"
-    writer, reader = PruneBoard(path), PruneBoard(path)
-    first = (frozenset({(0, 1), (1, 0)}), 9, (3, 4))
-    second = (frozenset({(2, 3)}), 9, None)
-    assert writer.publish([first]) == 1
-    assert reader.load_new() == [first]
-    assert reader.load_new() == []  # nothing new since last load
-    assert writer.publish([first, second]) == 1  # first deduplicated
-    assert reader.load_new() == [second]
-
-
-def test_prune_board_tolerates_torn_tail_and_damage(tmp_path):
-    path = tmp_path / "prunes.jsonl"
-    writer = PruneBoard(path)
-    entry = (frozenset({(4, 5)}), 7, (2, 3))
-    writer.publish([entry])
-    with open(path, "a") as handle:
-        handle.write("{not json}\n")
-        handle.write('{"a": [[6, 7]], "b": 7, "h": null')  # torn tail
-    reader = PruneBoard(path)
-    assert reader.load_new() == [entry]  # damage skipped, tail deferred
-    with open(path, "a") as handle:
-        handle.write(", "
-                     ""
-                     "\n")  # complete the torn line (still damaged)
-    assert reader.load_new() == []
-    tail = (frozenset({(8, 9)}), 7, None)
-    writer.publish([tail])
-    assert reader.load_new() == [tail]
-
-
-def test_prune_board_missing_file_is_empty(tmp_path):
-    assert PruneBoard(tmp_path / "absent.jsonl").load_new() == []
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Import budget: a ``repro`` process loads only what its command runs.
 
 Package ``__init__``s resolve their exports on first access, ``cli.py``
-imports each command's analysis inside the command, and the parallel and
-journal machinery load only on their paths.  Every check runs in a fresh
+imports each command's analysis inside the command, and the parallel
+machinery loads only on its path.  Every check runs in a fresh
 interpreter, because this test process has long since imported
 everything.
 """
@@ -56,15 +56,13 @@ def test_importing_the_cli_loads_no_analysis(tmp_path):
 
 @pytest.mark.parametrize("argv, absent", [
     (["verify", "sum-not-two-ss"],
-     ("multiprocessing", "repro.engine.scheduler", "repro.engine.journal",
-      "repro.checker", "repro.core.synthesis",
-      "repro.engine.synthsearch")),
+     ("multiprocessing", "repro.engine.scheduler", "repro.checker",
+      "repro.core.synthesis", "repro.engine.synthsearch")),
     (["check", "2-coloring", "-K", "5"],
      ("multiprocessing", "repro.core.synthesis",
       "repro.engine.synthsearch")),
     (["synthesize", "sum-not-two"],
-     ("multiprocessing", "repro.engine.scheduler",
-      "repro.engine.journal")),
+     ("multiprocessing", "repro.engine.scheduler")),
 ], ids=["verify", "check", "synthesize"])
 def test_serial_command_loads_only_its_subsystems(tmp_path, argv, absent):
     loaded = _fresh("from repro.cli import main\n"

@@ -1,11 +1,10 @@
 """Merge algebra of :class:`repro.engine.EngineStats`.
 
-Checkpoint/resume made merge order a real degree of freedom: a resumed
-sweep folds partial stats from journal entries first and freshly
-computed reports afterwards, while the uninterrupted run folds the same
-reports in sweep order.  For the totals to be trustworthy the merge
-operations must be associative and commutative — any interleaving of
-the same partial stats yields the same aggregate.
+Parallel dispatch makes merge order a real degree of freedom: a
+parallel sweep folds per-K partial stats in completion order, while the
+serial run folds the same reports in sweep order.  For the totals to be
+trustworthy the merge operations must be associative and commutative —
+any interleaving of the same partial stats yields the same aggregate.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from repro.engine import EngineStats
 #: kernel, localkernel, fvs, synthesis).
 _COUNTERS = (
     "work_items", "states_explored", "cache_hits", "cache_misses",
-    "supervisor_timeouts", "supervisor_retries", "supervisor_resumed",
+    "supervisor_timeouts", "supervisor_retries", "supervisor_degraded",
     "compile_seconds", "encode_seconds", "states_encoded",
     "skeleton_compiles", "mask_evaluations", "trail_cache_hits",
     "verdict_cache_hits", "fvs_nodes_explored",
@@ -102,16 +101,16 @@ class TestFullMerge:
 
 class TestKernelCounterMerge:
     """The selective merge used when a sweep folds per-K report stats —
-    fresh from a worker or reloaded from a resume journal."""
+    fresh from a worker or in-parent, in any order."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_resumed_partials_merge_order_independently(self, seed):
-        # Model one sweep's per-K partial stats: under resume, journal
-        # hits are folded before fresh work; uninterrupted runs fold in
-        # sweep order.  Totals must not care.
+        # Model one sweep's per-K partial stats: a parallel run folds
+        # them in completion order, a serial one in sweep order.
+        # Totals must not care.
         rng = random.Random(100 + seed)
         per_size = [_random_stats(rng) for _ in range(4)]
-        resumed_order = [per_size[1], per_size[3],  # journal hits first
+        resumed_order = [per_size[1], per_size[3],  # finished first
                          per_size[0], per_size[2]]
         direct = _merged(per_size,
                          lambda acc, p: acc.merge_kernel_counters(p))
@@ -134,14 +133,14 @@ class TestKernelCounterMerge:
         assert parent.mask_evaluations == 20
 
     def test_supervisor_counters_stay_out(self):
-        # A journaled report's stats may carry the *original* run's
-        # supervision history; the resuming run tracks its own.
-        child = EngineStats(supervisor_retries=5, supervisor_resumed=2,
+        # A cached report's stats may carry the *original* run's
+        # supervision history; the run reusing it tracks its own.
+        child = EngineStats(supervisor_retries=5, supervisor_degraded=2,
                             compile_seconds=0.25)
         parent = EngineStats()
         parent.merge_kernel_counters(child)
         assert parent.supervisor_retries == 0
-        assert parent.supervisor_resumed == 0
+        assert parent.supervisor_degraded == 0
         assert parent.compile_seconds == pytest.approx(0.25)
 
     def test_stage_timings_accumulate(self):

@@ -210,11 +210,12 @@ def test_cli_no_live_publishes_nothing(tmp_path, capsys):
 
 def test_cli_checkpoint_run_shares_directory(tmp_path, capsys):
     assert main(["sweep", "sum-not-two", "--up-to", "5", "--checkpoint",
-                 "--run-id", "shared", "--cache-dir", str(tmp_path),
-                 "--no-cache"]) == 1
+                 "--run-id", "shared", "--cache-dir", str(tmp_path)]) == 1
     run_dir = tmp_path / "runs" / "shared"
-    assert (run_dir / "journal.jsonl").exists()
-    assert (run_dir / "status.json").exists()
+    # The directory holds only the live snapshot; the checkpointed
+    # results are ordinary cache entries under the same root.
+    assert [p.name for p in run_dir.iterdir()] == ["status.json"]
+    assert len(list(tmp_path.glob("*/*.pkl"))) == 4
     status = live.load_status(run_dir)
     assert status["state"] == "finished"
 
