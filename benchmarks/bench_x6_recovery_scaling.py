@@ -48,8 +48,8 @@ def study():
                 if measured is not None:
                     rounds.append(measured)
             if size <= 6:  # ranking needs the full state graph
-                graph = StateGraph(instance)
-                kernel.absorb_kernel(graph.kernel_stats)
+                with kernel.collecting():
+                    graph = StateGraph(instance)
                 certificate = compute_ranking(graph)
                 worst = certificate.max_rank
                 assert stats.max_steps <= worst

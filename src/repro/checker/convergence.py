@@ -7,10 +7,8 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
-import repro.engine.artifacts as artifact_plane
 from repro.checker.deadlock import illegitimate_deadlocks
 from repro.checker.livelock import has_livelock, livelock_cycles
 from repro.checker.statespace import StateGraph
@@ -97,11 +95,9 @@ def check_instance(instance, max_witnesses: int = 8,
     counts then refer to rotation orbits (and a livelock cycle
     witnesses repetition up to rotation).
     """
-    began = time.perf_counter()
-    plane = artifact_plane.ambient()
-    plane_before = plane.stats.snapshot() if plane is not None else None
-    with obs.span("check", K=getattr(instance, "size", -1),
-                  backend=backend, symmetry=symmetry) as span:
+    stats = EngineStats(work_items=1)
+    with stats.stage("check", K=getattr(instance, "size", -1),
+                     backend=backend, symmetry=symmetry):
         graph = StateGraph(instance, backend=backend, symmetry=symmetry)
         deadlocks = tuple(illegitimate_deadlocks(graph))
         cycles = tuple(tuple(c) for c in livelock_cycles(
@@ -110,13 +106,8 @@ def check_instance(instance, max_witnesses: int = 8,
         reachable = [d for d in distances if d is not None]
         worst = (max(reachable)
                  if len(reachable) == len(distances) and reachable else None)
-        if span is not None:
-            span.attrs["states"] = len(graph)
-    stats = EngineStats(work_items=1, states_explored=len(graph))
-    stats.absorb_kernel(graph.kernel_stats)
-    if plane is not None:
-        stats.absorb_artifacts(plane.stats.delta_since(plane_before))
-    stats.stage_seconds["check"] = time.perf_counter() - began
+        obs.annotate(states=len(graph))
+    stats.states_explored = len(graph)
     return GlobalReport(
         ring_size=getattr(instance, "size", -1),
         state_count=len(graph),

@@ -82,11 +82,9 @@ class StateGraph:
         self._successors: list[list[int]] | None = None
         self._in_invariant: list[bool] | None = None
         self._predecessors: list[list[int]] | None = None
-        self.kernel_stats = None
         if use_kernel:
             self.backend = "kernel"
             self._packed = build_space(instance, symmetry=symmetry)
-            self.kernel_stats = self._packed.stats
         else:
             self.backend = "naive"
             states = list(instance.states())

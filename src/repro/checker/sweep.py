@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import repro.engine.artifacts as artifact_plane
 from repro.checker.convergence import GlobalReport, check_instance
 from repro.engine import EngineStats, ResultCache, analysis_key, \
     supervise_work_items
@@ -84,8 +83,9 @@ def _sweep_key(protocol: "RingProtocol", size: int,
     # Backend choice never perturbs the report (the kernel reproduces
     # the naive graph state for state) so it stays out of the key;
     # the quotient changes state/witness counts and gets its own keys.
-    # The value is always the bare GlobalReport, whichever of
-    # ``repro check``, the in-order loop or the dispatcher stored it.
+    # The value is always the bare GlobalReport, whichever of the
+    # in-order loop or the dispatcher stored it (``repro check`` is a
+    # one-size sweep).
     if symmetry:
         return analysis_key("check-instance", protocol, ring_size=size,
                             symmetry=True)
@@ -188,14 +188,6 @@ def sweep_verify(protocol: "RingProtocol", up_to: int,
     reports: dict[int, GlobalReport] = {}
     timings: dict[int, float] = {}
 
-    def prewarm() -> None:
-        # Artifact traffic inside the per-K checks is attributed to the
-        # per-report stats (folded in check_instance, merged below);
-        # only the parent-side prewarm publishes are counted here, so
-        # nothing is counted twice.
-        with artifact_plane.absorb_into(stats):
-            _sweep_prewarm(protocol, backend)
-
     with stats.stage("sweep", start=first, up_to=up_to, jobs=jobs):
         pending = []
         for size in sizes:
@@ -217,12 +209,12 @@ def sweep_verify(protocol: "RingProtocol", up_to: int,
             context=(protocol, backend, symmetry),
             stats=stats, policy=policy, cache=cache,
             keys=keys, fallback_worker=_sweep_fallback_worker,
-            plan=fault_plan, prewarm=prewarm,
+            plan=fault_plan,
+            prewarm=lambda: _sweep_prewarm(protocol, backend),
             portable=_sweep_portable(protocol, backend, symmetry))
         for size, report in zip(pending, outcomes):
             stats.work_items += 1
             stats.states_explored += report.state_count
-            stats.merge_kernel_counters(getattr(report, "stats", None))
             reports[size] = report
             timings[size] = _check_seconds(report)
 
@@ -254,7 +246,6 @@ def _checked_size(protocol: "RingProtocol", size: int,
     elapsed = _check_seconds(report)
     stats.work_items += 1
     stats.states_explored += report.state_count
-    stats.merge_kernel_counters(getattr(report, "stats", None))
     if cache is not None:
         cache.put(_sweep_key(protocol, size, symmetry), report)
     return report, elapsed

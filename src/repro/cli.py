@@ -398,7 +398,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    print(get_protocol(args.protocol).pretty())
+    print(_resolve_protocol(args.protocol).pretty())
     return 0
 
 
@@ -464,7 +464,7 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 def _cmd_hybrid(args: argparse.Namespace) -> int:
     from repro.core.hybrid import HybridVerdict, hybrid_verify
 
-    protocol = get_protocol(args.protocol)
+    protocol = _resolve_protocol(args.protocol)
     report = hybrid_verify(protocol,
                            max_ring_size=args.max_ring_size,
                            check_up_to=args.check_up_to,
@@ -525,34 +525,27 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    import dataclasses
+
+    from repro.checker.sweep import sweep_verify
+
     protocol = _resolve_protocol(args.protocol)
     cache = _engine_cache(args)
-    report = keys = None
-    if cache is not None:
-        from repro.checker.sweep import _sweep_key
-
-        keys = [_sweep_key(protocol, args.ring_size,
-                           symmetry=args.symmetry)]
-        report = cache.get(keys[0])
-    if report is None:
-        # One work item: the check gets the same timeout/retry/
-        # degradation ladder as a sweep of one size, and shares its
-        # cache entries.
-        from repro.checker.sweep import _sweep_fallback_worker, _sweep_worker
-        from repro.engine import supervise_work_items
-
-        [report] = supervise_work_items(
-            _sweep_worker, [args.ring_size],
-            context=(protocol, args.backend, args.symmetry),
-            policy=_supervisor_policy(args), cache=cache, keys=keys,
-            fallback_worker=_sweep_fallback_worker)
+    # A sweep of one size: the same timeout/retry/degradation ladder
+    # and cache entries as a sweep, and stats that count this run's
+    # work (a cached report's own stats describe the run that made it).
+    result = sweep_verify(protocol, start=args.ring_size,
+                          up_to=args.ring_size, cache=cache,
+                          backend=args.backend, symmetry=args.symmetry,
+                          policy=_supervisor_policy(args))
+    report = dataclasses.replace(result.reports[0], stats=result.stats)
     from repro.engine.fingerprint import protocol_fingerprint
 
     _note_ledger(args, protocol=protocol.name,
                  fingerprint=protocol_fingerprint(protocol),
                  verdict={"self_stabilizing": report.self_stabilizing,
                           "ring_size": args.ring_size},
-                 stats=getattr(report, "stats", None))
+                 stats=report.stats)
     if args.json:
         from repro.serialization import global_report_to_dict
 
@@ -560,7 +553,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 0 if report.self_stabilizing else 1
     print(f"== global model checking of {protocol.name} ==")
     print(report.summary())
-    _print_stats(getattr(report, "stats", None), cache)
+    _print_stats(report.stats, cache)
     return 0 if report.self_stabilizing else 1
 
 
@@ -570,8 +563,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         synthesize_convergence,
     )
 
-    protocol = get_protocol(args.protocol)
-    _annotate_protocol(protocol)
+    protocol = _resolve_protocol(args.protocol)
     cache = _engine_cache(args)
     fingerprint = synthesis_fingerprint(protocol, args.max_ring_size)
     result = synthesize_convergence(protocol,
@@ -781,7 +773,7 @@ def _cmd_runs_diff(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.simulation import convergence_study
 
-    protocol = get_protocol(args.protocol)
+    protocol = _resolve_protocol(args.protocol)
     instance = protocol.instantiate(args.ring_size)
     stats = convergence_study(instance, samples=args.samples,
                               seed=args.seed)

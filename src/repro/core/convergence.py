@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import TYPE_CHECKING
 
-import repro.engine.artifacts as artifact_plane
 from repro.core.deadlock import DeadlockAnalyzer, DeadlockReport
 from repro.core.livelock import (
     LivelockCertifier,
@@ -211,8 +210,6 @@ def verify_convergence(protocol: "RingProtocol",
                 stats=stats)
         stats.cache_misses += 1
 
-    plane = artifact_plane.ambient()
-    plane_before = plane.stats.snapshot() if plane is not None else None
     with stats.stage("closure"):
         closure_ok = check_local_closure(protocol)
     with stats.stage("deadlock"):
@@ -241,13 +238,10 @@ def verify_convergence(protocol: "RingProtocol",
             if livelock.stats is not None:
                 stats.parallel = stats.parallel or livelock.stats.parallel
                 stats.work_items += livelock.stats.work_items
-                stats.merge_kernel_counters(livelock.stats)
             if livelock.certified and closure_ok:
                 verdict = ConvergenceVerdict.CONVERGES
             else:
                 verdict = ConvergenceVerdict.UNKNOWN
-    if plane is not None:
-        stats.absorb_artifacts(plane.stats.delta_since(plane_before))
     report = ConvergenceReport(verdict=verdict, deadlock=deadlock,
                                livelock=livelock, closure_ok=closure_ok,
                                stats=stats)

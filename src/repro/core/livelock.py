@@ -76,28 +76,20 @@ class LivelockReport:
 
 
 def _find_trail_worker(searcher: ContiguousTrailSearcher,
-                       support) -> tuple:
-    """Module-level worker for :func:`repro.engine.supervise_work_items`.
-
-    Returns ``(witness, kernel_delta)``: the search's share of the local
-    kernel counters travels back with the witness, because a worker
-    process's counters never reach the parent's searcher."""
-    before = searcher.kernel_stats()
-    witness = searcher.find_trail(support)
-    after = searcher.kernel_stats()
-    return witness, (after.delta_since(before)
-                     if after is not None else None)
+                       support) -> TrailWitness | None:
+    """Module-level worker for :func:`repro.engine.supervise_work_items`."""
+    return searcher.find_trail(support)
 
 
 def _find_trail_fallback(searcher: ContiguousTrailSearcher,
-                         support) -> tuple:
+                         support) -> TrailWitness | None:
     """A degraded trail search: in-parent, on the reference naive
     Digraph searcher (verdict-identical to the kernel by the
     differential suite)."""
     fallback = ContiguousTrailSearcher(
         searcher.protocol, max_ring_size=searcher.max_ring_size,
         backend="naive")
-    return fallback.find_trail(support), None
+    return fallback.find_trail(support)
 
 
 class LivelockCertifier:
@@ -192,24 +184,20 @@ class LivelockCertifier:
                     note=str(explosion),
                     stats=stats,
                 )
-        searcher = ContiguousTrailSearcher(
-            self.protocol, max_ring_size=self.max_ring_size,
-            backend=self.backend)
         with stats.stage("trail-search", supports=len(supports),
                          backend=self.backend):
-            # No separate prewarm hook: constructing the searcher above
-            # already compiled the local kernel in-parent, so forked
-            # workers inherit it hot.
+            # No separate prewarm hook: constructing the searcher
+            # compiles the local kernel in-parent, so forked workers
+            # inherit it hot.
+            searcher = ContiguousTrailSearcher(
+                self.protocol, max_ring_size=self.max_ring_size,
+                backend=self.backend)
             found = supervise_work_items(
                 _find_trail_worker, supports, jobs=self.jobs,
                 context=searcher, stats=stats, policy=self.policy,
                 fallback_worker=_find_trail_fallback)
         stats.work_items += len(supports)
-        witnesses = []
-        for witness, delta in found:
-            stats.absorb_localkernel(delta)
-            if witness is not None:
-                witnesses.append(witness)
+        witnesses = [witness for witness in found if witness is not None]
 
         verdict = (LivelockVerdict.CERTIFIED_FREE if not witnesses
                    else LivelockVerdict.UNKNOWN)

@@ -44,7 +44,7 @@ from repro.engine import EngineStats, ResultCache, analysis_key, \
 from repro.engine.supervisor import FaultPlan, SupervisorPolicy
 from repro.errors import SynthesisFailure
 from repro.graphs import has_cycle
-from repro.graphs.fvs import FvsStats
+from repro.obs import runtime as obs
 from repro.protocol.actions import LocalTransition
 from repro.protocol.localstate import LocalState
 
@@ -195,13 +195,12 @@ class Synthesizer:
         self._verdict_memo: dict[frozenset[LocalTransition],
                                  str | None] = {}
         self._kernel = None
-        self._kernel_base = None
         self._lattice = None
         if resolved == "kernel":
             from repro.engine.localkernel import local_kernel_for
 
-            self._kernel = local_kernel_for(protocol)
-            self._kernel_base = self._kernel.stats.snapshot()
+            with self.stats.collecting():
+                self._kernel = local_kernel_for(protocol)
             self._base_transitions = tuple(protocol.space.transitions)
             self._base_deadlocks = frozenset(protocol.space.deadlocks())
         self.search = search if resolved == "kernel" else "flat"
@@ -242,9 +241,14 @@ class Synthesizer:
     def synthesize(self) -> SynthesisResult:
         """Run the methodology; never raises on failure — inspect
         :attr:`SynthesisResult.outcome`."""
+        result = self._synthesize()
+        result.stats = self.stats
+        return result
+
+    def _synthesize(self) -> SynthesisResult:
         if not self.protocol.unidirectional and \
                 not self.accept_contiguous_only:
-            return self._finalize(SynthesisResult(
+            return SynthesisResult(
                 outcome=SynthesisOutcome.FAILURE,
                 protocol=None,
                 resolve=frozenset(),
@@ -256,17 +260,15 @@ class Synthesizer:
                         "synthesis evidence; pass "
                         "accept_contiguous_only=True to proceed "
                         "anyway"),),
-            ))
+            )
         analyzer = DeadlockAnalyzer(self.protocol)
-        fvs_stats = FvsStats()
         with self.stats.stage("resolve"):
             resolve_sets = analyzer.resolve_candidates(
-                max_sets=self.max_resolve_sets, stats=fvs_stats)
-        self.stats.absorb_fvs(fvs_stats)
+                max_sets=self.max_resolve_sets)
         if not resolve_sets:
             # No subset of ¬LC_r breaks all illegitimate cycles: the
             # deadlock structure itself is unrepairable by local t-arcs.
-            return self._finalize(SynthesisResult(
+            return SynthesisResult(
                 outcome=SynthesisOutcome.FAILURE,
                 protocol=None,
                 resolve=frozenset(),
@@ -274,7 +276,7 @@ class Synthesizer:
                 chosen=(),
                 rejected=(RejectedCombination(
                     (), "no feedback vertex set within ¬LC_r exists"),),
-            ))
+            )
 
         all_rejected: list[RejectedCombination] = []
         with self.stats.stage("combinations"):
@@ -283,10 +285,10 @@ class Synthesizer:
                 if result.succeeded:
                     result.rejected = tuple(all_rejected) + result.rejected
                     result.resolve_sets_tried = tuple(resolve_sets)
-                    return self._finalize(result)
+                    return result
                 all_rejected.extend(result.rejected)
 
-        return self._finalize(SynthesisResult(
+        return SynthesisResult(
             outcome=SynthesisOutcome.FAILURE,
             protocol=None,
             resolve=resolve_sets[0],
@@ -294,24 +296,7 @@ class Synthesizer:
             chosen=(),
             rejected=tuple(all_rejected),
             resolve_sets_tried=tuple(resolve_sets),
-        ))
-
-    def _absorb_kernel(self) -> None:
-        """Fold the shared kernel's counter delta into this run's stats.
-
-        The kernel is memoized per protocol, so its counters are
-        cumulative across synthesizers; the snapshot taken at
-        construction scopes the delta to this instance's work.
-        """
-        if self._kernel is not None:
-            self.stats.absorb_localkernel(
-                self._kernel.stats.delta_since(self._kernel_base))
-            self._kernel_base = self._kernel.stats.snapshot()
-
-    def _finalize(self, result: SynthesisResult) -> SynthesisResult:
-        self._absorb_kernel()
-        result.stats = self.stats
-        return result
+        )
 
     # ------------------------------------------------------------------
     def evaluate_all_combinations(
@@ -336,8 +321,8 @@ class Synthesizer:
         if not resolve or any(not opts for opts in candidates.values()):
             return []
         combos = self._enumerate_combinations(candidates)[0]
-        verdicts = self._verdicts(combos)
-        self._absorb_kernel()
+        with self.stats.collecting():
+            verdicts = self._verdicts(combos)
         return list(zip(combos, verdicts))
 
     # ------------------------------------------------------------------
@@ -415,7 +400,7 @@ class Synthesizer:
         for position, combo in enumerate(combos):
             key = frozenset(combo)
             if key in self._verdict_memo:
-                self.stats.verdict_cache_hits += 1
+                obs.metric("synthesis.verdict_cache_hits")
                 reasons[position] = self._verdict_memo[key]
                 continue
             if self.cache is not None:

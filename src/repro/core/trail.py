@@ -125,14 +125,10 @@ class ContiguousTrailSearcher:
         self.max_ring_size = max_ring_size
         self.backend = resolved
         self._kernel = None
-        self._kernel_base = None
         if resolved == "kernel":
             from repro.engine.localkernel import local_kernel_for
 
             self._kernel = local_kernel_for(protocol)
-            # The kernel is shared across searchers; remember where its
-            # cumulative counters stood so kernel_stats() is per-run.
-            self._kernel_base = self._kernel.stats.snapshot()
         self._naive_ready = False
 
     def _ensure_naive(self) -> None:
@@ -151,14 +147,6 @@ class ContiguousTrailSearcher:
         # livelock certifier fans one find_trail out per support).
         self._layers: dict[tuple[int, int], tuple] = {}
         self._naive_ready = True
-
-    def kernel_stats(self):
-        """This searcher's share of the (shared) kernel counters, as a
-        :class:`repro.engine.localkernel.LocalKernelStats` delta, or
-        ``None`` on the naive backend."""
-        if self._kernel is None:
-            return None
-        return self._kernel.stats.delta_since(self._kernel_base)
 
     # ------------------------------------------------------------------
     def find_trail(self, t_arc_support: Iterable[LocalTransition],

@@ -64,7 +64,6 @@ __all__ = _lazy.exports(globals(), {
     "fingerprint": ("analysis_key", "protocol_fingerprint"),
     "kernel": (
         "CompiledProtocol",
-        "KernelStats",
         "PackedSpace",
         "build_space",
         "compile_protocol",
@@ -85,5 +84,5 @@ __all__ = _lazy.exports(globals(), {
         "supervise_work_items",
     ),
     "scheduler": ("BatchScheduler", "CostModel"),
-    "localkernel": ("LocalKernel", "LocalKernelStats", "local_kernel_for"),
+    "localkernel": ("LocalKernel", "local_kernel_for"),
 })

@@ -241,23 +241,6 @@ class ArtifactStats:
     attach_seconds: float = 0.0
     store_seconds: float = 0.0
 
-    def snapshot(self) -> "ArtifactStats":
-        return ArtifactStats(hits=self.hits, misses=self.misses,
-                             stores=self.stores, corrupt=self.corrupt,
-                             evictions=self.evictions,
-                             attach_seconds=self.attach_seconds,
-                             store_seconds=self.store_seconds)
-
-    def delta_since(self, earlier: "ArtifactStats") -> "ArtifactStats":
-        return ArtifactStats(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            stores=self.stores - earlier.stores,
-            corrupt=self.corrupt - earlier.corrupt,
-            evictions=self.evictions - earlier.evictions,
-            attach_seconds=self.attach_seconds - earlier.attach_seconds,
-            store_seconds=self.store_seconds - earlier.store_seconds)
-
     def summary(self) -> str:
         return (f"artifacts: {self.hits} attached, {self.misses} misses, "
                 f"{self.stores} stored, {self.corrupt} corrupt discarded")
@@ -484,24 +467,6 @@ def plane(store: ArtifactStore | None) -> Iterator[ArtifactStore | None]:
         yield store
     finally:
         activate(previous)
-
-
-@contextlib.contextmanager
-def absorb_into(stats: object) -> Iterator[None]:
-    """Fold the ambient store's activity inside the block into *stats*.
-
-    *stats* is an :class:`repro.engine.EngineStats` (anything with
-    ``absorb_artifacts``); a ``None`` stats or an inactive plane makes
-    this a no-op, so entry points can wrap their whole analysis
-    unconditionally.
-    """
-    store = ambient()
-    before = store.stats.snapshot() if store is not None else None
-    try:
-        yield
-    finally:
-        if store is not None and stats is not None:
-            stats.absorb_artifacts(store.stats.delta_since(before))
 
 
 def open_store(cache_dir: str | Path | None,

@@ -264,6 +264,7 @@ def compile_protocol(protocol: "RingProtocol") -> CompiledProtocol:
         legit=bytes(legit),
         compile_seconds=time.perf_counter() - began,
     )
+    obs.metric("kernel.compile_seconds", compiled.compile_seconds)
     _COMPILE_CACHE[protocol] = compiled
     _publish_compiled(protocol, compiled)
     return compiled
@@ -286,32 +287,6 @@ def supports_kernel(instance: object) -> bool:
 # ----------------------------------------------------------------------
 
 @dataclass
-class KernelStats:
-    """Timings and reduction counters of one kernel build."""
-
-    compile_seconds: float = 0.0
-    encode_seconds: float = 0.0
-    states_encoded: int = 0
-    full_states: int = 0
-    quotient_states: int = 0
-    attached: bool = False
-
-    @property
-    def encode_rate(self) -> float:
-        """States whose successor rows were emitted, per second."""
-        if self.encode_seconds <= 0.0:
-            return 0.0
-        return self.states_encoded / self.encode_seconds
-
-    @property
-    def quotient_ratio(self) -> float:
-        """Full-space size over quotient size (0 when not quotiented)."""
-        if not self.quotient_states:
-            return 0.0
-        return self.full_states / self.quotient_states
-
-
-@dataclass
 class PackedSpace:
     """One built state space in flat form.
 
@@ -322,6 +297,8 @@ class PackedSpace:
     The buffers are heap ``array('q')``/``bytearray`` when freshly
     built and typed mmap ``memoryview`` sections when attached from the
     artifact store; all consumers index and iterate them identically.
+    ``full_states`` is ``|C|^K``; ``quotient_states`` is the number of
+    kept orbits (0 for a full space).
     """
 
     ring_size: int
@@ -331,7 +308,9 @@ class PackedSpace:
     succ_flat: "array | memoryview"
     invariant: "bytearray | memoryview"
     cells: tuple
-    stats: KernelStats
+    full_states: int
+    quotient_states: int = 0
+    attached: bool = False
 
     def __len__(self) -> int:
         return len(self.invariant)
@@ -361,6 +340,14 @@ class PackedSpace:
 
     def iter_states(self) -> Iterator[tuple]:
         return (self.decode(i) for i in range(len(self)))
+
+
+def _count_encode(space: PackedSpace, seconds: float) -> None:
+    """Record one space's encode (or attach) time and its reduction."""
+    obs.metric("kernel.encode_seconds", seconds)
+    if space.quotient_states:
+        obs.metric("kernel.quotient_states", space.quotient_states)
+        obs.metric("kernel.quotient_full_states", space.full_states)
 
 
 def build_full(instance: "RingInstance") -> PackedSpace:
@@ -426,16 +413,12 @@ def _build_full(instance: "RingInstance") -> PackedSpace:
             else:
                 digits[r] = digit
                 break
-    stats = KernelStats(
-        compile_seconds=compiled.compile_seconds,
-        encode_seconds=time.perf_counter() - began,
-        states_encoded=total,
-        full_states=total,
-    )
-    return PackedSpace(
+    space = PackedSpace(
         ring_size=ring_size, cell_count=cell_count, codes=None,
         succ_off=succ_off, succ_flat=succ_flat, invariant=invariant,
-        cells=compiled.cells, stats=stats)
+        cells=compiled.cells, full_states=total)
+    _count_encode(space, time.perf_counter() - began)
+    return space
 
 
 def canonical_rotation(code: int, ring_size: int, cell_count: int) -> int:
@@ -539,17 +522,12 @@ def _build_quotient(instance: "RingInstance") -> PackedSpace:
                         append(successor)
         invariant[index] = inside
         succ_off[index + 1] = len(succ_flat)
-    stats = KernelStats(
-        compile_seconds=compiled.compile_seconds,
-        encode_seconds=time.perf_counter() - began,
-        states_encoded=count,
-        full_states=total,
-        quotient_states=count,
-    )
-    return PackedSpace(
+    space = PackedSpace(
         ring_size=ring_size, cell_count=cell_count, codes=codes,
         succ_off=succ_off, succ_flat=succ_flat, invariant=invariant,
-        cells=compiled.cells, stats=stats)
+        cells=compiled.cells, full_states=total, quotient_states=count)
+    _count_encode(space, time.perf_counter() - began)
+    return space
 
 
 def _attach_space(instance: "RingInstance",
@@ -591,16 +569,13 @@ def _attach_space(instance: "RingInstance",
         except OSError:
             pass
         return None
-    stats = KernelStats(
-        encode_seconds=time.perf_counter() - began,
-        full_states=int(full_states),
-        quotient_states=int(quotient_states),
-        attached=True,
-    )
-    return PackedSpace(
+    space = PackedSpace(
         ring_size=instance.size, cell_count=len(cells), codes=codes,
         succ_off=succ_off, succ_flat=succ_flat, invariant=invariant,
-        cells=cells, stats=stats)
+        cells=cells, full_states=int(full_states),
+        quotient_states=int(quotient_states), attached=True)
+    _count_encode(space, time.perf_counter() - began)
+    return space
 
 
 def _publish_space(instance: "RingInstance", symmetry: bool,
@@ -609,8 +584,7 @@ def _publish_space(instance: "RingInstance", symmetry: bool,
     if store is None or store.mode == "ro":
         return
     meta = array("q", [space.ring_size, space.cell_count,
-                       space.stats.full_states,
-                       space.stats.quotient_states])
+                       space.full_states, space.quotient_states])
     sections = {
         "meta": ("q", meta.tobytes()),
         "succ_off": ("q", space.succ_off.tobytes()),

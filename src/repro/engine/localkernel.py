@@ -43,7 +43,6 @@ from __future__ import annotations
 import time
 import weakref
 from array import array
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import repro.engine.artifacts as artifact_plane
@@ -65,48 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _T, _S, _S_SEGMENT = 0, 1, 2
 _KIND_CODE = {T_PHASE: _T, S_PHASE: _S, S_SEGMENT_PHASE: _S_SEGMENT}
-
-
-@dataclass
-class LocalKernelStats:
-    """Cumulative counters for one :class:`LocalKernel`.
-
-    The kernel is memoized per protocol and shared across searchers, so
-    these counters grow monotonically; callers wanting per-run deltas
-    snapshot with :meth:`snapshot` and subtract with
-    :meth:`delta_since`.
-    """
-
-    skeleton_compiles: int = 0
-    compile_seconds: float = 0.0
-    mask_evaluations: int = 0
-    """(support, K, |E|) product-graph SCC passes actually executed."""
-    trail_cache_hits: int = 0
-    """``find_trail`` queries answered from the support memo."""
-    supports_searched: int = 0
-    """``find_trail`` queries that ran (memo misses)."""
-
-    def snapshot(self) -> "LocalKernelStats":
-        return LocalKernelStats(
-            skeleton_compiles=self.skeleton_compiles,
-            compile_seconds=self.compile_seconds,
-            mask_evaluations=self.mask_evaluations,
-            trail_cache_hits=self.trail_cache_hits,
-            supports_searched=self.supports_searched,
-        )
-
-    def delta_since(self, earlier: "LocalKernelStats") -> "LocalKernelStats":
-        return LocalKernelStats(
-            skeleton_compiles=self.skeleton_compiles
-            - earlier.skeleton_compiles,
-            compile_seconds=self.compile_seconds - earlier.compile_seconds,
-            mask_evaluations=self.mask_evaluations
-            - earlier.mask_evaluations,
-            trail_cache_hits=self.trail_cache_hits
-            - earlier.trail_cache_hits,
-            supports_searched=self.supports_searched
-            - earlier.supports_searched,
-        )
 
 
 class TrailSkeleton:
@@ -175,8 +132,7 @@ class LocalKernel:
             obs.metric("localkernel.compiles")
             _publish_skeleton(protocol, self.n, self.s_masks,
                               self.illegit_mask)
-        self.stats = LocalKernelStats()
-        self.stats.compile_seconds += time.perf_counter() - began
+        obs.metric("kernel.compile_seconds", time.perf_counter() - began)
         self._skeletons: dict[tuple[int, int], TrailSkeleton] = {}
         # Support fingerprint -> (bound scanned, result tuple | None).
         self._trail_memo: dict[frozenset[tuple[int, int]],
@@ -191,8 +147,9 @@ class LocalKernel:
             cached = TrailSkeleton(ring_size, enablements,
                                    self.s_masks, self.n)
             self._skeletons[key] = cached
-            self.stats.skeleton_compiles += 1
-            self.stats.compile_seconds += time.perf_counter() - began
+            obs.metric("localkernel.skeleton_compiles")
+            obs.metric("kernel.compile_seconds",
+                       time.perf_counter() - began)
         return cached
 
     # ------------------------------------------------------------------
@@ -222,22 +179,17 @@ class LocalKernel:
         if memo is not None:
             bound, hit = memo
             if hit is not None:
+                obs.metric("localkernel.trail_cache_hits")
                 if hit[0] <= max_ring_size:
-                    self.stats.trail_cache_hits += 1
-                    obs.metric("localkernel.trail_cache_hits")
                     return self._witness(support, hit)
                 # All (K, |E|) below hit's K were scanned and empty.
-                self.stats.trail_cache_hits += 1
-                obs.metric("localkernel.trail_cache_hits")
                 return None
             if max_ring_size <= bound:
-                self.stats.trail_cache_hits += 1
                 obs.metric("localkernel.trail_cache_hits")
                 return None
             start = bound + 1  # extend a previously exhausted scan
         else:
             start = 2
-        self.stats.supports_searched += 1
 
         t_succ = [0] * self.n
         for source, target in arcs:
@@ -294,7 +246,6 @@ class LocalKernel:
         ``(state index tuple, illegitimate index tuple)`` of the first
         matching SCC in Tarjan emission order, or ``None``.
         """
-        self.stats.mask_evaluations += 1
         obs.metric("localkernel.mask_evaluations")
         n = self.n
         kinds = sk.kinds

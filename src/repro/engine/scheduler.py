@@ -157,7 +157,9 @@ def _worker_main(worker, context, work: Sequence[Any],
 
     Per task: announce ``("start", index)`` (the heartbeat that arms
     the parent-side deadline), run it, ship ``("done", index, outcome,
-    capture)``; after a whole batch, ``("idle",)`` asks for more.
+    capture)`` — the capture carries the task's layer counts (and,
+    under an active run, its spans and events); after a whole batch,
+    ``("idle",)`` asks for more.
     ``None`` on the command pipe — or a vanished parent — ends the
     loop.  Fault injection happens *after* the start heartbeat, so the
     parent attributes the death to the right task.
@@ -189,14 +191,14 @@ def _worker_main(worker, context, work: Sequence[Any],
                 time.sleep(plan.hang_seconds)
             if plan is not None:
                 plan.child_delay()
-            inherited = obs.fork_capture_begin()
+            saved = obs.fork_capture_begin()
             try:
                 try:
                     outcome: Any = ("ok", worker(context, work[index]))
                 except BaseException as exc:
                     outcome = ("failed", WorkerFailure.capture(exc))
             finally:
-                capture = obs.fork_capture_end(inherited)
+                capture = obs.fork_capture_end(saved)
             try:
                 results.send(("done", index, outcome, capture))
             except Exception as exc:
@@ -226,7 +228,7 @@ def _spawn_worker_main(worker, portable: PortableContext | None,
     would have provided: the ambient artifact store (compiled kernels
     and packed spaces attach by fingerprint — the spawn counterpart of
     the parent-side ``prewarm`` + fork inheritance), an observability
-    run so per-task captures ship back, and the worker context rebuilt
+    run so per-task spans ship back, and the worker context rebuilt
     from its portable recipe.
     """
     artifact_plane.activate_from_spec(artifact_spec)

@@ -5,15 +5,22 @@ An :class:`EngineStats` travels inside analysis reports (always as a
 equal on their verdicts) and is rendered by ``summary()`` for the CLI and
 the benchmark artifacts.
 
-Since the observability rework the counters live in a
-:class:`repro.obs.MetricsRegistry` under dotted names
-(``engine.work_items``, ``kernel.compile_seconds``, ``stage.sweep``,
-...): cross-stats aggregation is one registry merge instead of a
-hand-written method per counter family, and the same named metrics flow
-into ``--log-json`` run reports.  The flat attribute API
-(``stats.cache_hits += 1``) is preserved on top of the registry, and
-:meth:`stage` both accumulates the ``stage.<name>`` counter and opens a
-span on the ambient observability run.
+The counters live in a :class:`repro.obs.MetricsRegistry` under dotted
+names (``engine.work_items``, ``kernel.compile_seconds``,
+``stage.sweep``, ...), and the flat attribute API
+(``stats.cache_hits += 1``) reads and writes through it.  Two kinds of
+counter meet here:
+
+* *layer counters* (the :data:`repro.obs.runtime.LAYER_FAMILIES`:
+  kernel, local kernel, FVS, synthesis, artifacts, stage timings) are
+  recorded once, where the event happens, by ``obs.metric``; a stats
+  object receives them while it is open (:meth:`collecting`, and every
+  :meth:`stage`), together with every other open stats object and the
+  workers' counts shipped back by the dispatcher.  Nested reports
+  therefore need no fold;
+* *report counters* (``engine.``, ``supervisor.``, ``scheduler.``,
+  ``pool.``) are written on a report's own stats by the code that owns
+  the report, and never reach an enclosing one.
 """
 
 from __future__ import annotations
@@ -65,13 +72,6 @@ _COUNTER_METRICS = {
 }
 
 _STAGE_PREFIX = "stage."
-
-#: What :meth:`EngineStats.merge_kernel_counters` folds in from a child
-#: run: every kernel-family counter plus the per-stage timings (child
-#: stage time used to vanish, systematically under-reporting sweeps).
-_CHILD_METRIC_SELECTORS = (
-    "kernel.", "localkernel.", "fvs.", "synthesis.", "synthsearch.",
-    "artifacts.", _STAGE_PREFIX)
 
 
 class _StageSeconds(MutableMapping):
@@ -161,17 +161,26 @@ class EngineStats:
             self.metrics.counter(_STAGE_PREFIX + name).value = seconds
 
     # -- recording -----------------------------------------------------
+    def collecting(self):
+        """``with stats.collecting():`` — open these stats: every layer
+        counter recorded inside the block, here or in a dispatched
+        worker, is added to them."""
+        return obs.collect(self.metrics)
+
     @contextmanager
     def stage(self, name: str, **attrs: Any):
-        """Time a ``with``-block: accumulate it under ``stage.<name>``
-        and trace it as a span (with *attrs*) on the ambient obs run."""
-        began = time.perf_counter()
-        try:
-            with obs.span(name, **attrs):
-                yield self
-        finally:
-            elapsed = time.perf_counter() - began
-            self.metrics.counter(_STAGE_PREFIX + name).inc(elapsed)
+        """Time a ``with``-block as ``stage.<name>`` with these stats
+        open, and trace it as a span (with *attrs*) on the ambient obs
+        run.  Like any layer counter, the stage time also reaches every
+        enclosing open stats."""
+        with self.collecting():
+            began = time.perf_counter()
+            try:
+                with obs.span(name, **attrs):
+                    yield self
+            finally:
+                obs.metric(_STAGE_PREFIX + name,
+                           time.perf_counter() - began)
 
     # -- derived values ------------------------------------------------
     @property
@@ -191,68 +200,6 @@ class EngineStats:
         if not self.quotient_states:
             return 0.0
         return self.quotient_full_states / self.quotient_states
-
-    # -- aggregation ---------------------------------------------------
-    def absorb_kernel(self, kernel_stats) -> None:
-        """Accumulate a :class:`repro.engine.kernel.KernelStats` (or
-        ``None``, for naive-backend runs) into these counters."""
-        if kernel_stats is None:
-            return
-        self.compile_seconds += kernel_stats.compile_seconds
-        self.encode_seconds += kernel_stats.encode_seconds
-        self.states_encoded += kernel_stats.states_encoded
-        if kernel_stats.quotient_states:
-            self.quotient_states += kernel_stats.quotient_states
-            self.quotient_full_states += kernel_stats.full_states
-
-    def absorb_localkernel(self, kernel_stats) -> None:
-        """Accumulate a per-run
-        :class:`repro.engine.localkernel.LocalKernelStats` delta (or
-        ``None``, for naive-backend runs) into these counters."""
-        if kernel_stats is None:
-            return
-        self.compile_seconds += kernel_stats.compile_seconds
-        self.skeleton_compiles += kernel_stats.skeleton_compiles
-        self.mask_evaluations += kernel_stats.mask_evaluations
-        self.trail_cache_hits += kernel_stats.trail_cache_hits
-
-    def absorb_artifacts(self, delta) -> None:
-        """Accumulate an :class:`repro.engine.artifacts.ArtifactStats`
-        delta (or ``None``, when no artifact plane is active) into
-        these counters."""
-        if delta is None:
-            return
-        self.artifact_hits += delta.hits
-        self.artifact_misses += delta.misses
-        self.artifact_stores += delta.stores
-        self.artifact_corrupt += delta.corrupt
-        self.artifact_evictions += delta.evictions
-
-    def absorb_fvs(self, fvs_stats) -> None:
-        """Accumulate a :class:`repro.graphs.fvs.FvsStats` (or ``None``)
-        into these counters."""
-        if fvs_stats is None:
-            return
-        self.fvs_nodes_explored += fvs_stats.nodes_explored
-        self.fvs_nodes_pruned += fvs_stats.nodes_pruned
-
-    def merge_kernel_counters(self, other: "EngineStats | None") -> None:
-        """Accumulate another run's kernel counters and stage timings
-        (e.g. a per-K report's stats into the enclosing sweep's).
-
-        Engine-level counters (work items, states explored, cache
-        hits/misses) stay out: the enclosing run counts those itself
-        and folding them in again would double-count."""
-        if other is None:
-            return
-        self.metrics.merge_named(other.metrics, _CHILD_METRIC_SELECTORS)
-
-    def merge(self, other: "EngineStats | None") -> None:
-        """Fold *other* into this stats object wholesale (all counters
-        and stage timings; ``jobs``/``parallel`` are left alone)."""
-        if other is None:
-            return
-        self.metrics.merge(other.metrics)
 
     # -- export --------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:

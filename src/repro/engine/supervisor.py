@@ -40,8 +40,10 @@ work always runs under a :class:`SupervisorPolicy`
   therefore loses only its in-flight items: rerunning it with the same
   cache is the resume (``repro sweep --resume``);
 * **observability** — ``task-timeout`` / ``task-retry`` /
-  ``task-degraded`` events, ``supervisor.*`` counters, and worker spans
-  re-parented as ``item[i]`` subtrees.
+  ``task-degraded`` events, ``supervisor.*`` counters, each item's
+  layer counts shipped back to the stats open at the dispatch (see
+  :mod:`repro.obs.runtime`), and worker spans re-parented as
+  ``item[i]`` subtrees.
 
 The cache/retry/degrade bookkeeping lives in one :class:`TaskLedger`
 that the serial loop and the batch scheduler share, so a run's verdicts

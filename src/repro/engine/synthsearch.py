@@ -560,14 +560,12 @@ class LatticeSearch:
         self._walker.ensure_root()
 
     def _fold(self, delta: dict[str, Any] | None) -> None:
-        if not delta:
-            return
-        stats = self.stats
-        for name, value in delta.items():
-            if name not in COUNTER_NAMES or not value:
-                continue
-            setattr(stats, name, getattr(stats, name) + value)
-            obs.metric(f"synthsearch.{name}", value)
+        """Record a work unit's counter delta (fresh or replayed from
+        the cache) — the walker counts in its own dict, so this is the
+        one place the ``synthsearch.*`` counters are recorded."""
+        for name, value in (delta or {}).items():
+            if name in COUNTER_NAMES and value:
+                obs.metric(f"synthsearch.{name}", value)
 
     # -- entry points --------------------------------------------------
     def evaluate_unit(self, combos: Sequence[tuple]) -> tuple:

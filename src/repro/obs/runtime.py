@@ -6,16 +6,28 @@ no run is active every helper is a near-free no-op — one global check —
 so library users pay nothing; the CLI's ``--trace`` / ``--log-json``
 flags (and the benchmark harness) activate a run around each command.
 
+Counting: :func:`metric` is the one way a layer records a count or a
+timing.  A *layer counter* (a name in :data:`LAYER_FAMILIES`) reaches
+the ambient run and every registry collecting at that moment — each
+open :class:`repro.engine.EngineStats` registers one with
+:func:`collect` — so nested reports (a per-K check inside a sweep, the
+certifier inside ``verify``) need no hand-written fold.  Every other
+name (``engine.``, ``supervisor.``, ``scheduler.``, ``pool.``, ...) is
+a report counter: the code that owns a report writes it on that
+report's stats, and collectors ignore it.
+
 Worker capture protocol: the batch scheduler's workers
 (:mod:`repro.engine.scheduler`) call :func:`fork_capture_begin` /
 :func:`fork_capture_end` around each work item executed in a child.
-The child inherited the parent's active run at fork time (a spawned
-worker starts its own); the pair swaps in a fresh capture run, lets
-the worker record spans / metrics / events into it, and returns the
-picklable :class:`ChildCapture` with the item's result.  The parent
-then grafts it back with :func:`adopt_child`, re-parenting the worker
-spans under the dispatching span and folding the worker metrics into
-the run registry, so a ``--jobs 8`` sweep yields one coherent trace.
+The pair swaps in a fresh capture — a capture run when the worker
+inherited (fork) or started (spawn) an active run, else a bare
+collector — lets the worker record into it, and returns the picklable
+:class:`ChildCapture` with the item's result, tracing on or off.  The
+parent grafts it back with :func:`adopt_child`: the item's layer
+counts reach the registries collecting at the dispatch, and under an
+active run the worker spans are re-parented under the dispatching span
+and the worker metrics fold into the run registry, so a ``--jobs 8``
+sweep yields one coherent trace.
 """
 
 from __future__ import annotations
@@ -85,6 +97,15 @@ class ChildCapture:
 
 _ACTIVE: ObsRun | None = None
 _NULL_SPAN = nullcontext(None)
+
+#: The layer counter families: recorded once, where the event happens,
+#: by one :func:`metric` call, and collected by every open report.
+LAYER_FAMILIES = ("kernel.", "localkernel.", "fvs.", "synthesis.",
+                  "synthsearch.", "artifacts.", "stage.")
+
+#: The registries collecting layer counters right now (see
+#: :func:`collect`).
+_COLLECTORS: list[MetricsRegistry] = []
 
 #: Out-of-band event subscribers (token -> callable).  The live
 #: telemetry plane registers here so warning-level events reach the
@@ -176,9 +197,32 @@ def event(kind: str, level: str = "info", **fields: Any) -> None:
 
 
 def metric(name: str, amount: float = 1) -> None:
-    """Increment an ambient run counter (no-op when inactive)."""
+    """Count *amount* under *name*: on the ambient run, and — for a
+    layer counter — on every collecting registry (no-op when neither
+    a run nor a collector is open)."""
+    if _ACTIVE is None and not _COLLECTORS:
+        return
     if _ACTIVE is not None:
         _ACTIVE.metrics.counter(name).inc(amount)
+    if _COLLECTORS and name.startswith(LAYER_FAMILIES):
+        for registry in _COLLECTORS:
+            registry.counter(name).inc(amount)
+
+
+@contextmanager
+def collect(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
+    """Add every layer counter recorded inside the block to *registry*
+    — in this process, and in the workers of any dispatch the block
+    makes.  Re-entering for a registry already collecting is a no-op,
+    so nothing is counted twice."""
+    if registry in _COLLECTORS:
+        yield registry
+        return
+    _COLLECTORS.append(registry)
+    try:
+        yield registry
+    finally:
+        _COLLECTORS.remove(registry)
 
 
 def gauge(name: str, value: Any) -> None:
@@ -196,28 +240,32 @@ def observe(name: str, value: float) -> None:
 # ----------------------------------------------------------------------
 # Worker capture protocol
 # ----------------------------------------------------------------------
-def fork_capture_begin() -> ObsRun | None:
-    """In a forked worker: swap in a fresh capture run.
+def fork_capture_begin() -> tuple:
+    """In a worker: swap in a fresh capture for one work item.
 
-    Returns the run that was active (inherited from the parent at fork
-    time) so :func:`fork_capture_end` can restore it, or ``None`` when
-    observability is off — in which case nothing is captured.
+    Returns the state to restore with :func:`fork_capture_end`.  With
+    an active run (inherited at fork time, or started by a spawned
+    worker) the capture is a fresh run, which records everything;
+    without one it is a bare collector, so the item's layer counts
+    still travel back to the parent.
     """
-    global _ACTIVE
-    if _ACTIVE is None:
-        return None
-    inherited, _ACTIVE = _ACTIVE, ObsRun("fork-capture")
-    return inherited
+    global _ACTIVE, _COLLECTORS
+    saved = (_ACTIVE, _COLLECTORS)
+    if _ACTIVE is not None:
+        _ACTIVE, _COLLECTORS = ObsRun("fork-capture"), []
+    else:
+        _COLLECTORS = [MetricsRegistry()]
+    return saved
 
 
-def fork_capture_end(inherited: ObsRun | None) -> ChildCapture | None:
+def fork_capture_end(saved: tuple) -> ChildCapture:
     """Close the capture begun by :func:`fork_capture_begin`."""
-    global _ACTIVE
-    if inherited is None:
-        return None
-    captured, _ACTIVE = _ACTIVE, inherited
-    if captured is None:  # pragma: no cover - begin/end always paired
-        return None
+    global _ACTIVE, _COLLECTORS
+    captured, collectors = _ACTIVE, _COLLECTORS
+    _ACTIVE, _COLLECTORS = saved
+    if captured is None:
+        return ChildCapture(spans=[], metrics=collectors[0], events=[],
+                            pid=os.getpid())
     return ChildCapture(spans=captured.tracer.roots,
                         metrics=captured.metrics,
                         events=captured.events,
@@ -226,14 +274,20 @@ def fork_capture_end(inherited: ObsRun | None) -> ChildCapture | None:
 
 def adopt_child(capture: ChildCapture | None,
                 name: str | None = None, **attrs: Any) -> None:
-    """Graft a worker's capture into the ambient run.
+    """Graft a worker's capture into this process.
 
-    The worker's spans are re-parented under the current span — inside
-    a wrapper span *name* (attrs: worker pid plus **attrs**) when given,
-    so each work item shows up as one subtree.  Worker metrics fold
-    into the run registry; worker events append in item order.
+    The worker's layer counts reach every collecting registry.  Under
+    an active run its spans are re-parented under the current span —
+    inside a wrapper span *name* (attrs: worker pid plus **attrs**)
+    when given, so each work item shows up as one subtree — its
+    metrics fold into the run registry and its events append in item
+    order.
     """
-    if capture is None or _ACTIVE is None:
+    if capture is None:
+        return
+    for registry in _COLLECTORS:
+        registry.merge_named(capture.metrics, LAYER_FAMILIES)
+    if _ACTIVE is None:
         return
     spans = capture.spans
     if name is not None:

@@ -149,9 +149,6 @@ class _SampleOutcome:
     deadlock_checks: int
     states_explored: int
     discrepancies: tuple[Discrepancy, ...]
-    compile_seconds: float = 0.0
-    encode_seconds: float = 0.0
-    states_encoded: int = 0
 
 
 def _audit_one(max_ring_size: int, protocol: RingProtocol,
@@ -169,13 +166,11 @@ def _audit_one(max_ring_size: int, protocol: RingProtocol,
     certified = certificate.verdict is LivelockVerdict.CERTIFIED_FREE
     deadlock_checks = 0
     states_explored = 0
-    kernel = EngineStats()
     discrepancies: list[Discrepancy] = []
     for size in range(2, max_ring_size + 1):
         deadlock_checks += 1
         graph = StateGraph(protocol.instantiate(size))
         states_explored += len(graph)
-        kernel.absorb_kernel(graph.kernel_stats)
         has_deadlock = any(not graph.in_invariant[i]
                            for i in graph.deadlock_indices())
         if has_deadlock != (size in predicted):
@@ -187,10 +182,7 @@ def _audit_one(max_ring_size: int, protocol: RingProtocol,
     return _SampleOutcome(certified=certified,
                           deadlock_checks=deadlock_checks,
                           states_explored=states_explored,
-                          discrepancies=tuple(discrepancies),
-                          compile_seconds=kernel.compile_seconds,
-                          encode_seconds=kernel.encode_seconds,
-                          states_encoded=kernel.states_encoded)
+                          discrepancies=tuple(discrepancies))
 
 
 def audit_theorems(samples: int = 50, max_ring_size: int = 5,
@@ -252,14 +244,6 @@ def audit_theorems(samples: int = 50, max_ring_size: int = 5,
         for index, outcome in zip(pending, fresh):
             stats.work_items += 1
             stats.states_explored += outcome.states_explored
-            # getattr: outcomes unpickled from pre-kernel cache entries
-            # lack the counter fields.
-            stats.compile_seconds += getattr(
-                outcome, "compile_seconds", 0.0)
-            stats.encode_seconds += getattr(
-                outcome, "encode_seconds", 0.0)
-            stats.states_encoded += getattr(
-                outcome, "states_encoded", 0)
             outcomes[index] = outcome
 
     report = AuditReport(samples=samples, certificates_issued=0,

@@ -210,12 +210,12 @@ def test_kernel_and_space_attach_identically(tmp_path):
     with ap.plane(store):
         cold = compile_protocol(generalizable_matching())
         cold_space = build_space(generalizable_matching().instantiate(5))
-        assert not cold.attached and not cold_space.stats.attached
+        assert not cold.attached and not cold_space.attached
         # Fresh protocol objects: the in-process memo cannot serve them,
         # so this exercises the attach path end to end.
         warm = compile_protocol(generalizable_matching())
         warm_space = build_space(generalizable_matching().instantiate(5))
-        assert warm.attached and warm_space.stats.attached
+        assert warm.attached and warm_space.attached
         assert warm.target_rows == cold.target_rows
         assert bytes(warm.legit) == bytes(cold.legit)
         assert list(warm_space.succ_off) == list(cold_space.succ_off)
@@ -234,7 +234,7 @@ def test_quotient_space_attach(tmp_path):
                            symmetry=True)
         warm = build_space(generalizable_matching().instantiate(5),
                            symmetry=True)
-    assert not cold.stats.attached and warm.stats.attached
+    assert not cold.attached and warm.attached
     assert list(warm.codes) == list(cold.codes)
     assert list(warm.succ_off) == list(cold.succ_off)
     assert bytes(warm.invariant) == bytes(cold.invariant)

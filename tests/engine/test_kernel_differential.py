@@ -23,6 +23,7 @@ from repro.checker.convergence import check_instance
 from repro.checker.livelock import has_livelock
 from repro.checker.statespace import StateGraph
 from repro.core.selfdisabling import action_for_transition
+from repro.engine import EngineStats
 from repro.protocol.actions import LocalTransition
 from repro.protocol.process import ProcessTemplate
 from repro.protocol.ring import RingProtocol
@@ -170,10 +171,11 @@ def test_kernel_matches_naive_on_hypothesis_draws(draw):
 
 
 def test_backend_auto_prefers_kernel():
-    graph = StateGraph(stabilizing_agreement().instantiate(3))
+    stats = EngineStats()
+    with stats.collecting():
+        graph = StateGraph(stabilizing_agreement().instantiate(3))
     assert graph.backend == "kernel"
-    assert graph.kernel_stats is not None
-    assert graph.kernel_stats.states_encoded == len(graph) == 8
+    assert stats.states_encoded == len(graph) == 8
 
 
 def test_backend_rejects_unknown_name():

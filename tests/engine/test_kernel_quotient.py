@@ -14,6 +14,7 @@ import pytest
 
 from repro.checker.convergence import check_instance
 from repro.checker.statespace import StateGraph
+from repro.engine import EngineStats
 from repro.engine.kernel import canonical_rotation
 from repro.protocols import (
     DijkstraTokenRing,
@@ -148,9 +149,10 @@ def test_quotient_distances_equal_full_space_distances():
 
 def test_quotient_stats_record_the_reduction():
     instance = generalizable_matching().instantiate(6)
-    graph = StateGraph(instance, backend="kernel", symmetry=True)
-    stats = graph.kernel_stats
-    assert stats.full_states == 3 ** 6
+    stats = EngineStats()
+    with stats.collecting():
+        graph = StateGraph(instance, backend="kernel", symmetry=True)
+    assert stats.quotient_full_states == 3 ** 6
     assert stats.quotient_states == len(graph)
     assert 1.0 < stats.quotient_ratio <= 6.0
 

@@ -31,7 +31,7 @@ from repro.core.pseudolivelock import (
 )
 from repro.core.synthesis import Synthesizer
 from repro.core.trail import ContiguousTrailSearcher
-from repro.engine import localkernel, parallelism_available
+from repro.engine import EngineStats, localkernel, parallelism_available
 from repro.graphs import (
     Digraph,
     FvsStats,
@@ -111,11 +111,12 @@ def test_trail_kernel_memoizes_repeat_queries():
     supports = _supports(protocol)
     assert supports
     first = [searcher.find_trail(s) for s in supports]
-    hits_before = searcher.kernel_stats().trail_cache_hits
-    second = [searcher.find_trail(s) for s in supports]
+    stats = EngineStats()
+    with stats.collecting():
+        second = [searcher.find_trail(s) for s in supports]
     assert second == first
-    stats = searcher.kernel_stats()
-    assert stats.trail_cache_hits >= hits_before + len(supports)
+    assert stats.trail_cache_hits == len(supports)
+    assert stats.mask_evaluations == 0
 
 
 def test_kernel_cache_frees_dropped_protocols(monkeypatch):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -41,3 +43,20 @@ def test_check_from_exported_file(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", str(path), "-K", "5"]) == 0
     assert "strong convergence: True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["synthesize"], ["hybrid", "--check-up-to", "4"], ["show"],
+    ["simulate", "-K", "4", "--samples", "5"]])
+def test_every_protocol_command_accepts_a_json_file(tmp_path, capsys,
+                                                    monkeypatch, command):
+    monkeypatch.chdir(tmp_path)  # live status and ledger land here
+    path = tmp_path / "snt.json"
+    assert main(["export", "sum-not-two", "-o", str(path)]) == 0
+    capsys.readouterr()
+    by_name = main([command[0], "sum-not-two", *command[1:]])
+    named_out = capsys.readouterr().out
+    by_file = main([command[0], str(path), *command[1:]])
+    assert by_file == by_name
+    assert capsys.readouterr().out.splitlines()[:3] \
+        == named_out.splitlines()[:3]

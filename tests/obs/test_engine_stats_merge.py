@@ -1,10 +1,13 @@
-"""Merge algebra of :class:`repro.engine.EngineStats`.
+"""How counters combine across :class:`repro.engine.EngineStats`.
 
-Parallel dispatch makes merge order a real degree of freedom: a
-parallel sweep folds per-K partial stats in completion order, while the
-serial run folds the same reports in sweep order.  For the totals to be
-trustworthy the merge operations must be associative and commutative —
-any interleaving of the same partial stats yields the same aggregate.
+Two paths add counts together.  Worker registries shipped back by the
+dispatcher fold into the parent's registries in completion order, so
+the registry merge must be associative and commutative — any
+interleaving of the same partial counts yields the same aggregate.
+And an open stats object collects the layer counters recorded while it
+is open, so a nested report (a per-K check inside a sweep) reaches its
+enclosing report with no fold — while report counters stay with the
+report that wrote them.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from itertools import permutations
 import pytest
 
 from repro.engine import EngineStats
+from repro.obs import runtime as obs
+from repro.obs.metrics import MetricsRegistry
 
 #: A representative slice of every counter family (engine, supervisor,
 #: kernel, localkernel, fvs, synthesis).
@@ -46,10 +51,10 @@ def _totals(stats: EngineStats) -> dict:
     return stats.metrics.as_dict()
 
 
-def _merged(parts, op) -> EngineStats:
+def _merged(parts) -> EngineStats:
     accumulator = EngineStats()
     for part in parts:
-        op(accumulator, part)
+        accumulator.metrics.merge(part.metrics)
     return accumulator
 
 
@@ -58,15 +63,27 @@ def _approx_equal(left: dict, right: dict) -> bool:
         left[key] == pytest.approx(right[key]) for key in left)
 
 
+def _capture(stats: EngineStats) -> obs.ChildCapture:
+    """*stats*' counters as a worker would ship them back."""
+    return obs.ChildCapture(spans=[], metrics=stats.metrics.copy(),
+                            events=[], pid=0)
+
+
+def _layer_totals(stats: EngineStats) -> dict:
+    return {name: value for name, value in _totals(stats).items()
+            if name.startswith(obs.LAYER_FAMILIES)}
+
+
 class TestFullMerge:
+    """``MetricsRegistry.merge``: the fold worker counts go through."""
+
     @pytest.mark.parametrize("seed", range(5))
     def test_merge_is_order_independent(self, seed):
         rng = random.Random(seed)
         parts = [_random_stats(rng) for _ in range(3)]
         baselines = None
         for order in permutations(parts):
-            totals = _totals(_merged(
-                order, lambda acc, p: acc.merge(p)))
+            totals = _totals(_merged(order))
             if baselines is None:
                 baselines = totals
             else:
@@ -76,56 +93,55 @@ class TestFullMerge:
         rng = random.Random(42)
         a, b, c = (_random_stats(rng) for _ in range(3))
         # (a + b) + c
-        left = EngineStats()
-        left.merge(a)
-        left.merge(b)
-        grouped_left = EngineStats()
-        grouped_left.merge(left)
-        grouped_left.merge(c)
+        grouped_left = _merged([_merged([a, b]), c])
         # a + (b + c)
-        right = EngineStats()
-        right.merge(b)
-        right.merge(c)
-        grouped_right = EngineStats()
-        grouped_right.merge(a)
-        grouped_right.merge(right)
+        grouped_right = _merged([a, _merged([b, c])])
         assert _approx_equal(_totals(grouped_left),
                              _totals(grouped_right))
 
     def test_merge_none_is_identity(self):
         stats = _random_stats(random.Random(1))
         before = _totals(stats)
-        stats.merge(None)
+        stats.metrics.merge(MetricsRegistry())
         assert _totals(stats) == before
 
 
 class TestKernelCounterMerge:
-    """The selective merge used when a sweep folds per-K report stats —
-    fresh from a worker or in-parent, in any order."""
+    """Layer counters reach every open stats object — recorded in this
+    process or shipped back from a worker, in any order — and report
+    counters never leave the report that wrote them."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_resumed_partials_merge_order_independently(self, seed):
-        # Model one sweep's per-K partial stats: a parallel run folds
-        # them in completion order, a serial one in sweep order.
+        # Model one sweep's per-K worker captures: a parallel run
+        # adopts them in completion order, a serial one in sweep order.
         # Totals must not care.
         rng = random.Random(100 + seed)
         per_size = [_random_stats(rng) for _ in range(4)]
         resumed_order = [per_size[1], per_size[3],  # finished first
                          per_size[0], per_size[2]]
-        direct = _merged(per_size,
-                         lambda acc, p: acc.merge_kernel_counters(p))
-        resumed = _merged(resumed_order,
-                          lambda acc, p: acc.merge_kernel_counters(p))
+        direct, resumed = EngineStats(), EngineStats()
+        for parent, order in ((direct, per_size), (resumed, resumed_order)):
+            with parent.collecting():
+                for part in order:
+                    obs.adopt_child(_capture(part))
         assert _approx_equal(_totals(direct), _totals(resumed))
+        # Exactly the layer families arrive; report counters stay out.
+        assert _approx_equal(_totals(direct),
+                             _layer_totals(_merged(per_size)))
 
     def test_engine_level_counters_stay_out(self):
         # The enclosing run counts work items / cache traffic itself;
-        # folding a child's copy back in would double-count.
-        child = EngineStats(work_items=7, cache_hits=3,
-                            states_explored=100, states_encoded=50,
-                            mask_evaluations=20)
+        # a nested report's copy must not reach it.
         parent = EngineStats()
-        parent.merge_kernel_counters(child)
+        with parent.collecting():
+            child = EngineStats(work_items=7, cache_hits=3,
+                                states_explored=100)
+            with child.collecting():
+                obs.metric("kernel.states_encoded", 50)
+                obs.metric("localkernel.mask_evaluations", 20)
+                child.work_items += 1
+        assert child.work_items == 8 and child.states_encoded == 50
         assert parent.work_items == 0
         assert parent.cache_hits == 0
         assert parent.states_explored == 0
@@ -134,27 +150,43 @@ class TestKernelCounterMerge:
 
     def test_supervisor_counters_stay_out(self):
         # A cached report's stats may carry the *original* run's
-        # supervision history; the run reusing it tracks its own.
-        child = EngineStats(supervisor_retries=5, supervisor_degraded=2,
-                            compile_seconds=0.25)
+        # supervision history; the run reusing it tracks its own.  Even
+        # recorded through obs.metric, a supervisor counter is a report
+        # counter: collectors ignore it.
         parent = EngineStats()
-        parent.merge_kernel_counters(child)
+        with parent.collecting():
+            child = EngineStats(supervisor_retries=5,
+                                supervisor_degraded=2)
+            with child.collecting():
+                obs.metric("supervisor.retries")
+                obs.metric("scheduler.batches")
+                obs.metric("kernel.compile_seconds", 0.25)
+            obs.adopt_child(_capture(child))
         assert parent.supervisor_retries == 0
         assert parent.supervisor_degraded == 0
-        assert parent.compile_seconds == pytest.approx(0.25)
+        assert parent.scheduler_batches == 0
+        # Once recorded, once shipped back from a worker.
+        assert parent.compile_seconds == pytest.approx(0.5)
 
     def test_stage_timings_accumulate(self):
-        first = EngineStats(stage_seconds={"check": 0.5})
-        second = EngineStats(stage_seconds={"check": 0.25,
-                                            "sweep": 1.0})
         parent = EngineStats()
-        parent.merge_kernel_counters(first)
-        parent.merge_kernel_counters(second)
-        assert parent.stage_seconds["check"] == pytest.approx(0.75)
-        assert parent.stage_seconds["sweep"] == pytest.approx(1.0)
+        first, second = EngineStats(), EngineStats()
+        with parent.stage("sweep"):
+            with first.stage("check"):
+                pass
+            with second.stage("check"):
+                with second.stage("encode"):
+                    pass
+        assert parent.stage_seconds["check"] == pytest.approx(
+            first.stage_seconds["check"] + second.stage_seconds["check"])
+        assert parent.stage_seconds["encode"] == pytest.approx(
+            second.stage_seconds["encode"])
+        assert set(parent.stage_seconds) == {"sweep", "check", "encode"}
+        assert "sweep" not in first.stage_seconds
 
     def test_merge_none_is_identity(self):
         stats = _random_stats(random.Random(2))
         before = _totals(stats)
-        stats.merge_kernel_counters(None)
+        with stats.collecting():
+            obs.adopt_child(None)
         assert _totals(stats) == before

@@ -203,6 +203,31 @@ def test_cli_sweep_records_ledger_entry(tmp_path, capsys):
     assert validate.validate_ledger_records(records)
 
 
+def test_cli_warm_check_records_only_its_own_work(tmp_path, capsys):
+    # A cache hit answers the check: the run's counters say so, instead
+    # of repeating the counters stored with the cached report.
+    args = ["check", "agreement-ss", "-K", "6", "--cache-dir",
+            str(tmp_path), "--no-live", "--json"]
+    assert main(args) == 0
+    cold_json = json.loads(capsys.readouterr().out)
+    assert main(args) == 0
+    warm_json = json.loads(capsys.readouterr().out)
+    cold, warm = (record["counters"] for record in
+                  ledger.load(ledger.ledger_path(tmp_path))[0])
+    assert (cold["cache_hits"], cold["cache_misses"]) == (0, 1)
+    assert cold["work_items"] == 1 and cold["states_explored"] == 64
+    assert cold["artifact_stores"] > 0
+    assert warm["cache_hits"] == 1 and warm["cache_misses"] == 0
+    assert warm["work_items"] == 0 and warm["states_explored"] == 0
+    assert warm["artifact_stores"] == 0 and warm["states_encoded"] == 0
+    # --json embeds the same counters; the report itself is unchanged.
+    assert warm_json["stats"]["cache_hits"] == 1
+    assert warm_json["stats"]["states_explored"] == 0
+    cold_json.pop("stats"), warm_json.pop("stats")
+    assert warm_json == cold_json
+    assert warm_json["state_count"] == 64
+
+
 def test_cli_no_ledger_opts_out(tmp_path, capsys):
     assert main(["sweep", "sum-not-two", "--up-to", "5",
                  "--cache-dir", str(tmp_path), "--no-cache",

@@ -134,21 +134,23 @@ def test_fallback_without_stats_or_run_is_quiet():
 # ----------------------------------------------------------------------
 # EngineStats on the metrics registry
 # ----------------------------------------------------------------------
-def test_merge_kernel_counters_accumulates_stage_seconds():
+def test_open_stats_collect_nested_stage_seconds():
     parent = EngineStats()
     parent.stage_seconds["sweep"] = 1.0
-    child = EngineStats()
-    child.stage_seconds["check"] = 0.25
-    child.compile_seconds = 0.5
-    child.work_items = 99  # engine-level: must NOT fold into the parent
-
-    parent.merge_kernel_counters(child)
-    parent.merge_kernel_counters(child)
+    with parent.collecting():
+        for _ in range(2):
+            child = EngineStats()
+            with child.collecting():
+                obs.metric("stage.check", 0.25)
+                obs.metric("kernel.compile_seconds", 0.5)
+                child.work_items = 99  # report counter: stays in child
+    assert child.stage_seconds["check"] == pytest.approx(0.25)
     assert parent.stage_seconds["check"] == pytest.approx(0.5)
     assert parent.stage_seconds["sweep"] == pytest.approx(1.0)
     assert parent.compile_seconds == pytest.approx(1.0)
     assert parent.work_items == 0
-    parent.merge_kernel_counters(None)  # tolerated
+    obs.metric("stage.check", 1.0)  # closed: nothing collects it
+    assert parent.stage_seconds["check"] == pytest.approx(0.5)
 
 
 def test_stats_pickle_roundtrip_preserves_metrics():

@@ -123,18 +123,27 @@ def test_fork_capture_roundtrip_reparents_and_merges():
     assert any(e["kind"] == "from-child" for e in run_ctx.events)
 
 
-def test_fork_capture_is_noop_without_active_run():
-    inherited = obs.fork_capture_begin()
-    assert inherited is None
-    assert obs.fork_capture_end(inherited) is None
+def test_fork_capture_without_active_run_carries_layer_counts():
+    saved = obs.fork_capture_begin()
+    with obs.span("untraced") as span:
+        assert span is None  # no run, no spans
+    obs.metric("kernel.states_encoded", 5)
+    obs.metric("supervisor.retries")  # a report counter: not collected
+    capture = obs.fork_capture_end(saved)
+    assert obs.active() is None
+    assert capture.spans == [] and capture.events == []
+    assert capture.metrics.as_dict() == {"kernel.states_encoded": 5}
+    obs.metric("kernel.states_encoded")  # capture closed: a no-op
+    assert capture.metrics.as_dict() == {"kernel.states_encoded": 5}
+    obs.adopt_child(capture)  # no run, no collector: nothing to do
     obs.adopt_child(None)  # must not raise
 
 
 def test_adopt_child_without_wrapper_extends_current_children():
     with obs.run("run") as run_ctx:
-        inherited = obs.fork_capture_begin()
+        saved = obs.fork_capture_begin()
         with obs.span("bare"):
             pass
-        capture = obs.fork_capture_end(inherited)
+        capture = obs.fork_capture_end(saved)
         obs.adopt_child(capture)
     assert [c.name for c in run_ctx.spans[0].children] == ["bare"]
