@@ -2,7 +2,8 @@
 
 Times the Section 6 candidate sweep on enlarged coloring candidate
 pools (the n-coloring pool grows as ``(n-1)^n`` combinations) with both
-``--search`` modes over the same compiled localkernel backend, asserts
+searches (``Synthesizer(search="flat"|"lattice")``; the flat one is the
+serial test oracle) over the same compiled localkernel backend, asserts
 byte-identical verdict tables, gates on the lattice walk being at least
 ``REPRO_BENCH_SYNTHSEARCH_MIN_SPEEDUP`` (default 5) times faster in
 aggregate, and emits ``BENCH_synthsearch.json`` (see

@@ -281,7 +281,7 @@ def _artifact_store(args: argparse.Namespace):
 #: and output flags are deliberately excluded: two runs of the same
 #: analysis must diff as equals however they are named or checkpointed.
 _LEDGER_FLAG_KEYS = (
-    "jobs", "backend", "symmetry", "search",
+    "jobs", "backend", "symmetry",
     "timeout", "retries", "cache", "artifacts",
     "max_ring_size", "up_to", "ring_size", "samples", "seed",
     "stop_on_failure",
@@ -568,10 +568,8 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     fingerprint = synthesis_fingerprint(protocol, args.max_ring_size)
     result = synthesize_convergence(protocol,
                                     max_ring_size=args.max_ring_size,
-                                    backend=args.backend,
                                     jobs=args.jobs, cache=cache,
-                                    policy=_supervisor_policy(args),
-                                    search=args.search)
+                                    policy=_supervisor_policy(args))
     _note_ledger(args, protocol=protocol.name, fingerprint=fingerprint,
                  verdict={"succeeded": result.succeeded},
                  stats=result.stats)
@@ -592,7 +590,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     status = 0
     for path in args.files:
         if str(path).endswith(".jsonl"):
-            print(export.render_report(export.load_run_log(path)))
+            try:
+                records = export.load_run_log(path)
+            except (OSError, ValueError) as exc:
+                print(f"invalid run log {path}: {exc}", file=sys.stderr)
+                status = 1
+            else:
+                print(export.render_report(records))
         else:
             try:
                 counts = validate.validate_chrome_trace(path)
@@ -930,18 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
                                               "methodology")
     synth.add_argument("protocol")
     synth.add_argument("--max-ring-size", type=int, default=9)
-    synth.add_argument(
-        "--backend", choices=("auto", "kernel", "naive"), default="auto",
-        help="candidate-evaluation engine: the compiled bitmask "
-             "local-reasoning kernel (default) or the naive Digraph "
-             "reference pipeline")
-    synth.add_argument(
-        "--search", choices=("lattice", "flat"), default="lattice",
-        help="candidate enumeration strategy: the incremental "
-             "lattice walk with monotone up-set pruning and delta "
-             "trail search (default; kernel backend only) or the "
-             "flat per-combo oracle every verdict is differentially "
-             "checked against in CI")
     _add_engine_options(synth)
     _add_supervisor_options(synth, resume=True)
     _add_obs_options(synth)

@@ -39,12 +39,10 @@ from repro.core.selfdisabling import (
     action_for_transition,
     local_transition_graph,
 )
-from repro.engine import EngineStats, ResultCache, analysis_key, \
-    supervise_work_items
+from repro.engine import EngineStats, ResultCache, analysis_key
 from repro.engine.supervisor import FaultPlan, SupervisorPolicy
 from repro.errors import SynthesisFailure
 from repro.graphs import has_cycle
-from repro.obs import runtime as obs
 from repro.protocol.actions import LocalTransition
 from repro.protocol.localstate import LocalState
 
@@ -118,14 +116,6 @@ class SynthesisResult:
         return "\n".join(lines)
 
 
-def _combo_verdict_worker(synthesizer: "Synthesizer",
-                          combo) -> tuple[str | None]:
-    """Module-level worker for :func:`repro.engine.supervise_work_items`:
-    the verdict wrapped as ``(reason,)``, the value stored under
-    :meth:`Synthesizer._verdict_key` (so ``None`` stays a hit)."""
-    return (synthesizer._evaluate_verdict(combo),)
-
-
 class Synthesizer:
     """Implements the Section 6.1 methodology for a ring protocol.
 
@@ -140,20 +130,22 @@ class Synthesizer:
     ``Digraph`` searcher.  Verdicts are identical (the differential
     suite pins this).
 
-    Combination verdicts are additionally memoized on the combination's
-    transition set — permuted enumerations never re-search — and, with
-    *cache*, persisted across runs keyed on the protocol fingerprint.
-    ``jobs > 1`` fans un-memoized combinations out over worker
-    processes in deterministic batches, so results and the
-    :class:`RejectedCombination` log are identical for every jobs
-    value.
+    Each Resolve set's candidate pool is judged by one search in
+    enumeration order, stopping at the first accepted combination.
+    *search* ``"lattice"`` (the default) is the incremental lattice walk
+    of :mod:`repro.engine.synthsearch`: one plan of contiguous work
+    units per pool, dispatched once, so the accepted combination and
+    the :class:`RejectedCombination` log are identical for every jobs
+    value.  ``"flat"`` re-judges every combination from scratch in this
+    process — the serial oracle the lattice is differentially tested
+    against, and the only search of the naive backend.  *jobs*,
+    *cache*, *policy* and *fault_plan* drive the lattice only.
     """
 
     def __init__(self, protocol: "RingProtocol",
                  max_ring_size: int = 9,
                  max_resolve_sets: int = 16,
                  max_combinations: int = 4096,
-                 stop_at_first: bool = True,
                  accept_contiguous_only: bool = False,
                  backend: str = "auto",
                  jobs: int = 1,
@@ -170,7 +162,6 @@ class Synthesizer:
         self.max_ring_size = max_ring_size
         self.max_resolve_sets = max_resolve_sets
         self.max_combinations = max_combinations
-        self.stop_at_first = stop_at_first
         self.accept_contiguous_only = accept_contiguous_only
         """On bidirectional rings Theorem 5.14 only excludes contiguous
         livelocks; by default such certificates are NOT accepted as
@@ -179,9 +170,9 @@ class Synthesizer:
         self.backend = resolved
         self.jobs = jobs
         self.cache = cache
-        """Persists combination verdicts (and lattice work units) across
-        runs; dispatched items are written through as they complete, so
-        a killed run's rerun answers what it had already judged."""
+        """Persists lattice work units across runs; each unit is written
+        through as it completes, so a killed run's rerun replays the
+        units it had already walked."""
         self.policy = policy
         self.fault_plan = (fault_plan if fault_plan is not None
                            else FaultPlan.from_env() or FaultPlan())
@@ -192,8 +183,6 @@ class Synthesizer:
         ``REPRO_INJECT_FAULT`` once per synthesis (an empty plan
         injects nothing), not once per dispatch."""
         self.stats = EngineStats(jobs=jobs)
-        self._verdict_memo: dict[frozenset[LocalTransition],
-                                 str | None] = {}
         self._kernel = None
         self._lattice = None
         if resolved == "kernel":
@@ -204,12 +193,9 @@ class Synthesizer:
             self._base_transitions = tuple(protocol.space.transitions)
             self._base_deadlocks = frozenset(protocol.space.deadlocks())
         self.search = search if resolved == "kernel" else "flat"
-        """Combination search strategy: ``"lattice"`` (the default)
-        walks the candidate lattice incrementally
-        (:mod:`repro.engine.synthsearch`) with verdicts byte-identical
-        to ``"flat"``, which re-judges every combination from scratch
-        and is kept as the differential oracle.  The naive backend has
-        no kernel to delta against and always searches flat."""
+        """``"lattice"`` or ``"flat"`` (see the class docstring).  The
+        naive backend has no kernel to delta against and always
+        searches flat."""
 
     # ------------------------------------------------------------------
     def candidate_transitions(
@@ -322,7 +308,7 @@ class Synthesizer:
             return []
         combos = self._enumerate_combinations(candidates)[0]
         with self.stats.collecting():
-            verdicts = self._verdicts(combos)
+            verdicts = self._judge_pool(combos, first_accept=False)
         return list(zip(combos, verdicts))
 
     # ------------------------------------------------------------------
@@ -330,20 +316,6 @@ class Synthesizer:
                          resolve: frozenset[LocalState]) -> SynthesisResult:
         candidates = self.candidate_transitions(resolve)
         rejected: list[RejectedCombination] = []
-
-        if not resolve:
-            # Already deadlock-free; only the livelock side needs checking.
-            verdict = self._livelock_verdict(())
-            if verdict is None:
-                return SynthesisResult(
-                    outcome=SynthesisOutcome.ALREADY_STABILIZING,
-                    protocol=self.protocol, resolve=resolve,
-                    candidates=candidates, chosen=())
-            rejected.append(RejectedCombination((), verdict))
-            return SynthesisResult(
-                outcome=SynthesisOutcome.FAILURE, protocol=None,
-                resolve=resolve, candidates=candidates, chosen=(),
-                rejected=tuple(rejected))
 
         if any(not options for options in candidates.values()):
             blocked = [s for s, options in candidates.items() if not options]
@@ -355,15 +327,20 @@ class Synthesizer:
                 resolve=resolve, candidates=candidates, chosen=(),
                 rejected=tuple(rejected))
 
+        # An empty Resolve (already deadlock-free) enumerates the one
+        # empty combination: only the livelock side needs checking.
         combos, exhausted = self._enumerate_combinations(candidates)
-        batch = 1 if self.jobs <= 1 else max(4 * self.jobs, 8)
-        for start in range(0, len(combos), batch):
-            chunk = combos[start:start + batch]
-            for combo, reason in zip(chunk, self._verdicts(chunk)):
-                if reason is None:
-                    return self._success(resolve, candidates, combo,
-                                         rejected)
-                rejected.append(RejectedCombination(combo, reason))
+        for combo, reason in zip(combos, self._judge_pool(
+                combos, first_accept=True)):
+            if reason is None:
+                if not resolve:
+                    return SynthesisResult(
+                        outcome=SynthesisOutcome.ALREADY_STABILIZING,
+                        protocol=self.protocol, resolve=resolve,
+                        candidates=candidates, chosen=())
+                return self._success(resolve, candidates, combo,
+                                     rejected)
+            rejected.append(RejectedCombination(combo, reason))
         if exhausted:
             rejected.append(RejectedCombination(
                 (), f"combination budget ({self.max_combinations}) "
@@ -389,96 +366,28 @@ class Synthesizer:
         return combos, exhausted
 
     # ------------------------------------------------------------------
-    def _verdicts(self, combos: list[tuple[LocalTransition, ...]],
-                  ) -> list[str | None]:
-        """Verdicts for *combos*, in order, through the memo / cache /
-        pool layers.  The memo key is the combination's transition
-        *set*, so permuted enumerations of the same t-arcs are answered
-        without another search."""
-        reasons: dict[int, str | None] = {}
-        pending: list[int] = []
-        for position, combo in enumerate(combos):
-            key = frozenset(combo)
-            if key in self._verdict_memo:
-                obs.metric("synthesis.verdict_cache_hits")
-                reasons[position] = self._verdict_memo[key]
-                continue
-            if self.cache is not None:
-                hit = self.cache.get(self._verdict_key(combo))
-                if hit is not None:  # a (reason,) tuple, even for None
-                    self.stats.cache_hits += 1
-                    self._verdict_memo[key] = hit[0]
-                    reasons[position] = hit[0]
-                    continue
-                self.stats.cache_misses += 1
-            pending.append(position)
-        if pending:
-            if self.search == "lattice":
-                computed = self._lattice_verdicts(
-                    [combos[i] for i in pending])
-                if self.cache is not None:
-                    # The lattice writes whole work units through; the
-                    # per-combination entries are stored here.
-                    for position, reason in zip(pending, computed):
-                        self.cache.put(
-                            self._verdict_key(combos[position]), (reason,))
-            else:
-                keys = ([self._verdict_key(combos[i]) for i in pending]
-                        if self.cache is not None else None)
-                # No prewarm hook: __init__ already compiled the local
-                # kernel in-parent, so workers fork with it hot.
-                computed = [entry[0] for entry in supervise_work_items(
-                    _combo_verdict_worker,
-                    [combos[i] for i in pending],
-                    jobs=self.jobs, context=self,
-                    stats=self.stats, policy=self.policy,
-                    cache=self.cache, keys=keys,
-                    fallback_worker=_combo_verdict_worker,
-                    plan=self.fault_plan)]
-            self.stats.work_items += len(pending)
-            for position, reason in zip(pending, computed):
-                self._verdict_memo[frozenset(combos[position])] = reason
-                reasons[position] = reason
-        return [reasons[i] for i in range(len(combos))]
+    def _judge_pool(self, combos: list[tuple[LocalTransition, ...]],
+                    first_accept: bool) -> list[str | None]:
+        """Reasons for one pool of combinations, in order (``None`` =
+        accepted).  With *first_accept* the list ends at the first
+        accepted combination; otherwise every combination is judged."""
+        if self.search == "lattice":
+            if self._lattice is None:
+                from repro.engine.synthsearch import LatticeSearch
 
-    def _verdict_key(self, combo) -> str:
-        # Backend- and search-independent on purpose: every strategy
-        # produces the same verdict strings, so cached entries are
-        # shared.  The combination is keyed on its canonical t-arc
-        # bitmask over local-state indices — distinct combinations
-        # whose ``str()`` renderings collide (labels truncate string
-        # cell values to their first character) must not share a key.
-        space = self.protocol.space
-        n = len(space.states)
-        mask = 0
-        for transition in combo:
-            mask |= 1 << (space.index(transition.source) * n
-                          + space.index(transition.target))
-        return analysis_key(
-            "synthesis-verdict", self.protocol,
-            max_ring_size=self.max_ring_size,
-            accept_contiguous_only=self.accept_contiguous_only,
-            combo=f"{mask:x}")
-
-    def _lattice_verdicts(self, combos: list[tuple[LocalTransition, ...]],
-                          ) -> list[str | None]:
-        """Judge the pending combinations through the incremental
-        lattice engine (see :mod:`repro.engine.synthsearch`)."""
-        if self._lattice is None:
-            from repro.engine.synthsearch import LatticeSearch
-
-            self._lattice = LatticeSearch(self)
-        return self._lattice.verdicts(combos)
-
-    # ------------------------------------------------------------------
-    def _livelock_verdict(
-            self, combo: tuple[LocalTransition, ...]) -> str | None:
-        """``None`` when the combination is accepted, else the reason."""
-        return self._verdicts([tuple(combo)])[0]
+                self._lattice = LatticeSearch(self)
+            return self._lattice.verdicts(combos, first_accept)
+        reasons: list[str | None] = []
+        for combo in combos:
+            reasons.append(self._evaluate_verdict(combo))
+            if first_accept and reasons[-1] is None:
+                break
+        self.stats.work_items += len(reasons)
+        return reasons
 
     def _evaluate_verdict(
             self, combo: tuple[LocalTransition, ...]) -> str | None:
-        """One un-memoized combination judgement (steps 4/5)."""
+        """One combination judged from scratch (steps 4/5)."""
         from repro.errors import AssumptionViolation
 
         if not self.protocol.unidirectional and \

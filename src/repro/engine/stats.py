@@ -61,7 +61,6 @@ _COUNTER_METRICS = {
     "skeleton_compiles": "localkernel.skeleton_compiles",
     "mask_evaluations": "localkernel.mask_evaluations",
     "trail_cache_hits": "localkernel.trail_cache_hits",
-    "verdict_cache_hits": "synthesis.verdict_cache_hits",
     "combos_pruned": "synthsearch.combos_pruned",
     "full_evaluations": "synthsearch.full_evaluations",
     "delta_reuses": "synthsearch.delta_reuses",
@@ -250,8 +249,7 @@ class EngineStats:
             parts.append(
                 f"localkernel {self.skeleton_compiles} skeletons, "
                 f"{self.mask_evaluations} mask evals, "
-                f"{self.trail_cache_hits} trail memo hits, "
-                f"{self.verdict_cache_hits} verdict memo hits")
+                f"{self.trail_cache_hits} trail memo hits")
         if self.combos_pruned or self.full_evaluations:
             search = (f"synthsearch {self.combos_pruned} combos pruned / "
                       f"{self.full_evaluations} evaluated, "

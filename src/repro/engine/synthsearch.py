@@ -41,14 +41,17 @@ parent's evaluation state is checkpointed in place:
   trail query count as ``synthsearch.combos_pruned``; the witness is
   the recorded prune justification.
 
-The pending combinations are partitioned into contiguous subtree work
-units (a single unit when ``jobs <= 1``) and dispatched through
-:func:`repro.engine.supervisor.supervise_work_items`; each unit is
-evaluated self-contained, so verdicts are byte-identical for every
-``--jobs`` setting.  With a result cache each unit's verdicts and
-counter deltas are written through under a content-addressed unit key
-as the unit completes, so a killed run's rerun replays its finished
-units instead of walking them again.
+One Resolve set's whole pool is partitioned into contiguous subtree
+work units (a single unit when ``jobs <= 1``) and dispatched once
+through :func:`repro.engine.supervisor.supervise_work_items`.  When the
+search stops at the first accept, each unit's walk stops at its own
+first accept and the joined result is cut after the first accept in
+unit order; units are contiguous, so the accepted combination and the
+rejections before it are byte-identical for every ``--jobs`` setting
+(units after the accepting one are speculative work).  With a result
+cache each unit's verdicts and counter deltas are written through under
+a content-addressed unit key as the unit completes, so a killed run's
+rerun replays its finished units instead of walking them again.
 """
 
 from __future__ import annotations
@@ -84,10 +87,6 @@ _BIDIRECTIONAL_REASON = (
     "livelocks; pass accept_contiguous_only=True to accept such "
     "certificates anyway")
 
-#: Sentinel: the combination batch violates the candidate-pool
-#: invariants the lattice relies on — fall back to flat evaluation.
-_INVALID_POOL = object()
-
 #: Counter names accumulated per work unit (keys of the delta dicts the
 #: unit workers return; also flat :class:`repro.engine.EngineStats`
 #: attribute names).
@@ -101,9 +100,11 @@ _SUPPORT_BYTES_PER_ARC = 8
 
 
 def _lattice_unit_worker(synthesizer: "Synthesizer",
-                         unit: Sequence[tuple]) -> tuple:
-    """Module-level worker for :func:`supervise_work_items`."""
-    return synthesizer._lattice.evaluate_unit(list(unit))
+                         unit: tuple[Sequence[tuple], bool]) -> tuple:
+    """Module-level worker for :func:`supervise_work_items`; a unit is
+    ``(combinations, first_accept)``."""
+    combos, first_accept = unit
+    return synthesizer._lattice.evaluate_unit(combos, first_accept)
 
 
 class BlockedMaskIndex:
@@ -407,10 +408,12 @@ class LatticeWalker:
                         del self._graph[arc.source.own]
 
     # -- verdicts ------------------------------------------------------
-    def verdicts(self, combos: Sequence[tuple]) -> list[str | None]:
-        """Reasons for *combos* in order (``None`` = accepted), sharing
+    def verdicts(self, combos: Sequence[tuple],
+                 first_accept: bool) -> list[str | None]:
+        """Reasons for *combos* in order (``None`` = accepted), ending
+        at the first accepted combination when *first_accept*.  Shares
         checkpoints along common prefixes — state persists across calls,
-        so consecutive batches keep extending the same trail."""
+        so consecutive units keep extending the same trail."""
         self.ensure_root()
         out: list[str | None] = []
         for combo in combos:
@@ -424,6 +427,8 @@ class LatticeWalker:
             for arc in combo[shared:]:
                 self._push(arc)
             out.append(self._leaf_reason())
+            if first_accept and out[-1] is None:
+                break
         return out
 
     def _leaf_reason(self) -> str | None:
@@ -451,9 +456,10 @@ class LatticeSearch:
     """Facade tying one :class:`Synthesizer` to the lattice engine.
 
     Owns the walker, the uniform assumption short-circuits, the work
-    unit partitioning and the supervised dispatch; verdict strings are
-    byte-identical to :meth:`Synthesizer._kernel_verdict` by
-    construction (the differential suite pins this).
+    unit partitioning, the unit cache probe and the supervised
+    dispatch; verdict strings are byte-identical to
+    :meth:`Synthesizer._kernel_verdict` by construction (the
+    differential suite pins this).
     """
 
     def __init__(self, synthesizer: "Synthesizer") -> None:
@@ -474,7 +480,6 @@ class LatticeSearch:
         self._base_self_enabling = any(
             t.target not in self.base_deadlocks
             for t in self.base_transitions)
-        self._uniform_memo: dict[frozenset, Any] = {}
         self._counts: dict[str, int | float] = \
             {name: 0 for name in COUNTER_NAMES}
         self._walker = LatticeWalker(
@@ -482,45 +487,34 @@ class LatticeSearch:
             self._counts)
 
     # -- uniform short-circuits ----------------------------------------
-    def _uniform_reason(self, combos: Sequence[tuple]) -> Any:
-        """A reason shared by the whole batch, ``None`` when the lattice
-        must walk, or :data:`_INVALID_POOL` when the candidate-pool
-        invariants do not hold and flat evaluation must take over.
+    def _uniform_reason(self, combos: Sequence[tuple]) -> str | None:
+        """A reason shared by the whole pool, or ``None`` when the
+        lattice must walk.
 
-        Candidate targets are merged-LTG sinks (base local deadlocks
-        outside the source set), so for full combinations Assumption 1
-        reduces to the base graph's cyclicity and Assumption 2 to a
-        base-only scan — both independent of which candidates were
-        picked, with the exact flat reason strings.
+        Every pool comes from
+        :meth:`repro.core.synthesis.Synthesizer.candidate_transitions`,
+        which guarantees by construction that each combination picks
+        exactly one arc out of every Resolve state and that every arc
+        targets a base local deadlock outside Resolve.  Candidate
+        targets are therefore merged-LTG sinks, so Assumption 1 reduces
+        to the base graph's cyclicity and Assumption 2 to a base-only
+        scan — both independent of which candidates were picked, with
+        the exact flat reason strings.  (The lattice-vs-flat suites
+        fail if those invariants ever break.)
         """
         if not self.protocol.unidirectional \
                 and not self.synthesizer.accept_contiguous_only:
             return _BIDIRECTIONAL_REASON
         sources = frozenset(t.source for t in combos[0])
-        cached = self._uniform_memo.get(sources)
-        arcs = {t for combo in combos for t in combo}
-        for combo in combos:
-            if len(combo) != len(sources) \
-                    or {t.source for t in combo} != sources:
-                return _INVALID_POOL
-        for arc in arcs:
-            if arc.target not in self.base_deadlocks \
-                    or arc.target in sources or arc.source not in sources:
-                return _INVALID_POOL
-        if cached is not None:
-            return cached[0]
         if self._base_cyclic:
-            reason = (f"protocol {self._name!r} is not self-terminating "
-                      f"(Assumption 1)")
-        elif self._base_self_enabling or any(
+            return (f"protocol {self._name!r} is not self-terminating "
+                    f"(Assumption 1)")
+        if self._base_self_enabling or any(
                 t.target in sources for t in self.base_transitions):
-            reason = (f"protocol {self._name!r} has self-enabling local "
-                      f"transitions (Assumption 2); apply "
-                      f"make_self_disabling() first")
-        else:
-            reason = None
-        self._uniform_memo[sources] = (reason,)
-        return reason
+            return (f"protocol {self._name!r} has self-enabling local "
+                    f"transitions (Assumption 2); apply "
+                    f"make_self_disabling() first")
+        return None
 
     # -- work units ----------------------------------------------------
     def _plan_units(self, combos: Sequence[tuple]) -> list[tuple[int, int]]:
@@ -543,16 +537,23 @@ class LatticeSearch:
                 break
         return ranges
 
-    def _unit_key(self, unit: Sequence[tuple]) -> str:
+    def _unit_key(self, combos: Sequence[tuple],
+                  first_accept: bool) -> str:
+        """The cache key of one unit.  Combinations are keyed on their
+        local-state index pairs, never on labels (which truncate string
+        cell values, so distinct arcs can share one), and the key
+        records *first_accept*, so a full walk never replays a unit
+        that stopped at its first accept."""
         walker = self._walker
-        payload = [[list(walker._pair(t)) for t in combo] for combo in unit]
+        payload = [[list(walker._pair(t)) for t in combo]
+                   for combo in combos]
         digest = hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()).hexdigest()
         return analysis_key(
             "synthsearch-unit", self.protocol,
             max_ring_size=self.max_ring_size,
             accept_contiguous_only=self.synthesizer.accept_contiguous_only,
-            unit=digest)
+            first_accept=first_accept, unit=digest)
 
     def _prewarm(self) -> None:
         """Build the root checkpoint in-parent so forked workers
@@ -568,40 +569,61 @@ class LatticeSearch:
                 obs.metric(f"synthsearch.{name}", value)
 
     # -- entry points --------------------------------------------------
-    def evaluate_unit(self, combos: Sequence[tuple]) -> tuple:
-        """One work unit: walk the unit's combinations.  Returns
-        ``(reasons, counter_delta)`` — both pickle-safe, so a cached
-        unit replays its verdicts *and* counters on a rerun."""
+    def evaluate_unit(self, combos: Sequence[tuple],
+                      first_accept: bool) -> tuple:
+        """One work unit: walk the unit's combinations, up to its own
+        first accept when *first_accept*.  Returns ``(reasons,
+        counter_delta)`` — both pickle-safe, so a cached unit replays
+        its verdicts *and* counters on a rerun."""
         counts = self._counts
         before = dict(counts)
-        reasons = self._walker.verdicts([tuple(c) for c in combos])
+        reasons = self._walker.verdicts([tuple(c) for c in combos],
+                                        first_accept)
         delta = {name: counts[name] - before.get(name, 0)
                  for name in COUNTER_NAMES if counts[name] != before.get(name, 0)}
         return reasons, delta
 
-    def verdicts(self, combos: Sequence[tuple]) -> list[str | None]:
-        """Lattice verdicts for *combos* (the pending subset of one
-        deterministic enumeration), dispatching subtree work units
-        through the supervisor."""
-        synthesizer = self.synthesizer
+    def verdicts(self, combos: Sequence[tuple],
+                 first_accept: bool) -> list[str | None]:
+        """Lattice verdicts for one pool, in order: one plan of work
+        units, cached units replayed, the rest dispatched in one
+        supervised call.  With *first_accept* the result ends at the
+        first accepted combination."""
         uniform = self._uniform_reason(combos)
-        if uniform is _INVALID_POOL:
-            return [synthesizer._evaluate_verdict(combo)
-                    for combo in combos]
         if uniform is not None:
             self._fold({"combos_pruned": len(combos)})
+            self.stats.work_items += len(combos)
             return [uniform] * len(combos)
-        items = [combos[start:end] for start, end in self._plan_units(combos)]
-        keys = ([self._unit_key(item) for item in items]
+        units = [(combos[start:end], first_accept)
+                 for start, end in self._plan_units(combos)]
+        keys = ([self._unit_key(*unit) for unit in units]
                 if self.cache is not None else None)
-        results = supervise_work_items(
-            _lattice_unit_worker, items, jobs=self.jobs,
-            context=synthesizer, stats=self.stats,
-            policy=self.policy, cache=self.cache, keys=keys,
+        # Probe up front, as the sweep does: the dispatcher counts only
+        # the hits it answers, so the misses are counted here.
+        results: dict[int, list[str | None]] = {}
+        for index, key in enumerate(keys or ()):
+            hit = self.cache.get(key)
+            if hit is None:
+                self.stats.cache_misses += 1
+                continue
+            self.stats.cache_hits += 1
+            self._fold(hit[1])
+            results[index] = hit[0]
+        pending = [i for i in range(len(units)) if i not in results]
+        fresh = supervise_work_items(
+            _lattice_unit_worker, [units[i] for i in pending],
+            jobs=self.jobs, context=self.synthesizer, stats=self.stats,
+            policy=self.policy, cache=self.cache,
+            keys=[keys[i] for i in pending] if keys is not None else None,
             fallback_worker=_lattice_unit_worker,
             plan=self.fault_plan, prewarm=self._prewarm)
-        reasons: list[str | None] = []
-        for unit_reasons, delta in results:
+        for index, (unit_reasons, delta) in zip(pending, fresh):
             self._fold(delta)
-            reasons.extend(unit_reasons)
+            self.stats.work_items += len(unit_reasons)
+            results[index] = unit_reasons
+        reasons: list[str | None] = []
+        for index in range(len(units)):
+            reasons.extend(results[index])
+            if first_accept and reasons[-1] is None:
+                break
         return reasons

@@ -104,13 +104,21 @@ def write_run_log(path, run: ObsRun) -> None:
 
 
 def load_run_log(path) -> list[dict[str, Any]]:
-    """Parse a JSONL run log back into its records."""
+    """Parse a JSONL run log back into its records.  A line that is not
+    a JSON object raises :class:`ValueError` naming the line."""
     records = []
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {number}: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ValueError(f"line {number} is not a JSON object")
+            records.append(record)
     return records
 
 

@@ -157,7 +157,7 @@ def validate_run_log_records(records: list[dict[str, Any]]) -> dict[str, int]:
 def validate_run_log(path) -> dict[str, int]:
     try:
         records = load_run_log(path)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ValidationError(f"{path}: not valid JSONL: {exc}") from exc
     return validate_run_log_records(records)
 

@@ -138,12 +138,12 @@ class TestBidirectionalGating:
         from repro.protocols import gouda_acharya_matching
 
         gated = Synthesizer(gouda_acharya_matching())
-        reason = gated._livelock_verdict(())
+        (reason,) = gated._judge_pool([()], first_accept=True)
         assert reason is not None and "contiguous" in reason
 
         lifted = Synthesizer(gouda_acharya_matching(),
                              accept_contiguous_only=True)
-        reason = lifted._livelock_verdict(())
+        (reason,) = lifted._judge_pool([()], first_accept=True)
         # the fragment has real trails, so it is still rejected — but
         # for the right (searched) reason now
         assert reason is not None and "contiguous trail" in reason

@@ -237,14 +237,10 @@ def test_synthesis_deterministic_across_jobs(factory):
     assert sweep_parallel == sweep_serial
 
 
-def test_synthesis_verdict_memo_hits():
+def test_repeated_sweep_returns_the_same_rows():
     synthesizer = Synthesizer(sum_not_two())
     first = synthesizer.evaluate_all_combinations()
-    hits_before = synthesizer.stats.verdict_cache_hits
-    second = synthesizer.evaluate_all_combinations()
-    assert second == first
-    assert (synthesizer.stats.verdict_cache_hits
-            >= hits_before + len(first))
+    assert synthesizer.evaluate_all_combinations() == first
 
 
 def test_synthesis_stats_expose_kernel_counters():

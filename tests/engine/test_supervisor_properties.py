@@ -234,9 +234,10 @@ def _synth_flat_reference(protocol):
 def _synth_unfaulted(protocol):
     """Unfaulted lattice run at the faulted runs' parallelism: the
     counter-split oracle.  The pruned/evaluated split is intrinsic per
-    judged combination, and ``jobs`` fixes which combinations the
-    speculative batches judge, so every faulted ``jobs=2`` run below
-    must reproduce this run's split exactly."""
+    judged combination, and ``jobs`` fixes the work-unit plan — every
+    unit of a walked pool runs, speculative ones included — so every
+    faulted ``jobs=2`` run below must reproduce this run's split
+    exactly."""
     synthesizer = Synthesizer(protocol, max_ring_size=SYNTH_MAX_RING,
                               search="lattice", jobs=2)
     comparable = _synth_comparable(synthesizer.synthesize())
@@ -275,13 +276,11 @@ def _synth_supervised(protocol, mode: str, tmp_path):
             pass
         else:
             # Nothing ever reached the supervised unit loop (e.g. a
-            # combination-free methodology outcome): no unit was
-            # written through — the cache holds only per-combination
-            # ``(reason,)`` verdicts — so there is no resume cycle to
-            # exercise, just a verdict to check.
-            on_disk = ResultCache(directory)
-            assert all(len(on_disk.get(path.stem)) == 1
-                       for path in directory.rglob("*.pkl"))
+            # combination-free methodology outcome, or a pool the
+            # uniform assumption check rejects): no unit was written
+            # through, so there is no resume cycle to exercise, just a
+            # verdict to check.
+            assert _entries(directory) == 0
             return (_synth_comparable(result),
                     (dying.stats.combos_pruned,
                      dying.stats.full_evaluations))

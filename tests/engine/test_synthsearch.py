@@ -9,16 +9,20 @@ The flat per-combination loop is the reference; the lattice walk
 * prune soundness — every combination the lattice answered without a
   leaf-level trail query must get the identical verdict from an
   un-memoized flat evaluation;
-* determinism — verdicts *and* the pruned/evaluated counter split are
-  identical across ``--jobs 1/2/4``.
+* determinism — verdicts are identical across ``--jobs 1/2/4``, and
+  so is the pruned/evaluated counter split wherever every combination
+  is judged;
+* one search — a Resolve set's pool is one supervised dispatch.
 
 Plus unit coverage for the engine's parts: the subset-closed
 :class:`BlockedMaskIndex`, the support-closure explosion cap, and the
-``_verdict_key`` bitmask regression (labels truncate string cell
+``_unit_key`` index-pair regression (labels truncate string cell
 values, so distinct combos used to collide).
 """
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 
@@ -37,6 +41,7 @@ from repro.protocol.ring import RingProtocol
 from repro.protocol.variables import Variable
 from repro.protocols import (
     agreement,
+    coloring,
     generalizable_matching,
     gouda_acharya_matching,
     livelock_agreement,
@@ -48,6 +53,7 @@ from repro.protocols import (
     three_coloring,
     two_coloring,
 )
+from repro.protocols.sum_not_two import forbidden_sum
 from repro.randomgen import ProtocolSampler
 
 BUNDLED = (
@@ -150,7 +156,7 @@ def test_pruned_combos_recheck_identically_flat():
     pruned = []
     for combo in combos:
         before = search._counts["combos_pruned"]
-        reasons, _delta = search.evaluate_unit([combo])
+        reasons, _delta = search.evaluate_unit([combo], False)
         if search._counts["combos_pruned"] > before:
             pruned.append((combo, reasons[0]))
     assert pruned, "three-coloring must exercise the pruning path"
@@ -175,21 +181,54 @@ def test_counter_split_covers_every_combination():
 @pytest.mark.skipif(not parallelism_available(),
                     reason="needs the fork start method")
 def test_verdicts_and_counters_invariant_across_jobs():
-    def run(jobs):
-        synthesizer = Synthesizer(three_coloring(), jobs=jobs,
-                                  search="lattice")
+    # three_coloring rejects every combination, so every jobs value
+    # judges the whole pool and the counter split must match too.
+    # forbidden_sum(6, 1) accepts its second combination, which falls
+    # in the second unit at jobs 2 and 4: units after it are
+    # speculative, so only the result is compared, against flat.
+    def run(factory, jobs):
+        synthesizer = Synthesizer(factory(), jobs=jobs, search="lattice")
         result = synthesizer.synthesize()
         stats = synthesizer.stats
+        assert stats.combos_pruned + stats.full_evaluations \
+            == stats.work_items
         return (_comparable(result),
                 stats.combos_pruned, stats.full_evaluations)
 
-    reference = run(1)
+    reference = run(three_coloring, 1)
     for jobs in (2, 4):
-        assert run(jobs) == reference, jobs
+        assert run(three_coloring, jobs) == reference, jobs
+
+    accepts_second = functools.partial(forbidden_sum, 6, 1)
+    flat = _comparable(
+        Synthesizer(accepts_second(), search="flat").synthesize())
+    assert flat[0].name.startswith("SUCCESS") and len(flat[3]) == 1
+    for jobs in (1, 2, 4):
+        assert run(accepts_second, jobs)[0] == flat, jobs
+
+
+def test_one_dispatch_per_pool(monkeypatch):
+    import repro.engine.synthsearch as synthsearch
+
+    calls = []
+    dispatch = synthsearch.supervise_work_items
+    monkeypatch.setattr(
+        synthsearch, "supervise_work_items",
+        lambda *args, **kwargs: calls.append(1) or dispatch(*args,
+                                                            **kwargs))
+    result = Synthesizer(coloring(5), jobs=1).synthesize()
+    assert len(result.rejected) == 1024
+    assert len(calls) == 1
+    # A pool the uniform Assumption 1/2 check rejects is not dispatched.
+    calls.clear()
+    result = Synthesizer(gouda_acharya_matching(),
+                         accept_contiguous_only=True).synthesize()
+    assert "(Assumption 2)" in result.rejected[0].reason
+    assert calls == []
 
 
 # ----------------------------------------------------------------------
-# _verdict_key regression: canonical bitmask, not label strings
+# _unit_key regression: local-state index pairs, not label strings
 # ----------------------------------------------------------------------
 def _label_colliding_protocol():
     """States over domain ("aa", "ab"): labels keep only the first
@@ -201,7 +240,7 @@ def _label_colliding_protocol():
     return RingProtocol("label_collider", process, "True")
 
 
-def test_verdict_key_distinguishes_label_colliding_combos():
+def test_unit_key_distinguishes_label_colliding_combos():
     from repro.core.synthesis import _transition_label
 
     protocol = _label_colliding_protocol()
@@ -214,12 +253,12 @@ def test_verdict_key_distinguishes_label_colliding_combos():
     # The historical failure mode: distinct transitions, same label.
     assert _transition_label(forward.source, forward.target) \
         == _transition_label(backward.source, backward.target) == "taa"
-    synthesizer = Synthesizer(protocol)
-    assert synthesizer._verdict_key((forward,)) \
-        != synthesizer._verdict_key((backward,))
-    # Permutations of one set still share a key (the memo contract).
-    assert synthesizer._verdict_key((forward, backward)) \
-        == synthesizer._verdict_key((backward, forward))
+    search = LatticeSearch(Synthesizer(protocol))
+    assert search._unit_key([(forward,)], True) \
+        != search._unit_key([(backward,)], True)
+    # A unit that stops at its first accept never answers a full walk.
+    assert search._unit_key([(forward,)], True) \
+        != search._unit_key([(forward,)], False)
 
 
 # ----------------------------------------------------------------------

@@ -57,6 +57,16 @@ def test_synthesize_failure(capsys):
     assert "failure" in out
 
 
+@pytest.mark.parametrize("flag", [["--search", "flat"],
+                                  ["--backend", "naive"]])
+def test_synthesize_has_no_oracle_flags(flag, capsys):
+    # The naive backend and the flat search are test oracles, reached
+    # through the API only.
+    with pytest.raises(SystemExit) as raised:
+        main(["synthesize", "sum-not-two", *flag])
+    assert raised.value.code == 2
+
+
 def test_simulate(capsys):
     assert main(["simulate", "agreement-ss", "-K", "6",
                  "--samples", "20"]) == 0

@@ -101,6 +101,33 @@ def test_report_validate_exit_codes(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().err
 
 
+def test_report_of_a_missing_run_log_is_an_error(tmp_path, capsys):
+    missing = tmp_path / "missing.jsonl"
+    assert main(["report", str(missing)]) == 1
+    assert f"invalid run log {missing}" in capsys.readouterr().err
+
+
+def test_report_of_an_unparseable_run_log_is_an_error(tmp_path, capsys):
+    log = tmp_path / "run.jsonl"
+    assert main(["check", "agreement-ss", "-K", "4",
+                 "--log-json", str(log)]) == 0
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(log.read_text() + "not json\n")
+    capsys.readouterr()
+    # One bad file does not stop the report of the next.
+    assert main(["report", str(bad), str(log)]) == 1
+    captured = capsys.readouterr()
+    assert f"invalid run log {bad}: line" in captured.err
+    assert "== run: repro check ==" in captured.out
+
+
+def test_report_validate_rejects_a_non_object_record(tmp_path, capsys):
+    log = tmp_path / "arr.jsonl"
+    log.write_text('[1, 2]\n{"type": "end"}\n')
+    assert main(["report", "--validate", str(log)]) == 1
+    assert "line 1 is not a JSON object" in capsys.readouterr().err
+
+
 def test_no_obs_flags_leaves_runtime_untouched(capsys):
     assert main(["check", "agreement-ss", "-K", "3"]) == 0
     assert obs.active() is None

@@ -21,14 +21,14 @@ from repro.engine import EngineStats
 from repro.obs import runtime as obs
 from repro.obs.metrics import MetricsRegistry
 
-#: A representative slice of every counter family (engine, supervisor,
-#: kernel, localkernel, fvs, synthesis).
+#: A representative slice of the counter families (engine, supervisor,
+#: kernel, localkernel, fvs).
 _COUNTERS = (
     "work_items", "states_explored", "cache_hits", "cache_misses",
     "supervisor_timeouts", "supervisor_retries", "supervisor_degraded",
     "compile_seconds", "encode_seconds", "states_encoded",
     "skeleton_compiles", "mask_evaluations", "trail_cache_hits",
-    "verdict_cache_hits", "fvs_nodes_explored",
+    "fvs_nodes_explored",
 )
 
 _STAGES = ("sweep", "check", "trail-search")

@@ -101,6 +101,26 @@ def test_retired_flags_do_not_split_identity():
     assert ledger.latest_matching([tuned, new], new)["run_id"] == "tuned"
 
 
+def test_synthesize_records_match_across_the_oracle_flag_removal():
+    # synthesize recorded backend=auto and search=lattice while it had
+    # --backend/--search; a run recorded after their removal carries
+    # neither and must still match.  An explicit backend still splits.
+    old = _record("old", command="synthesize",
+                  flags={"artifacts": "auto", "backend": "auto", "jobs": 1,
+                         "max_ring_size": 9, "search": "lattice"})
+    new = _record("new", command="synthesize",
+                  flags={"artifacts": "auto", "jobs": 1,
+                         "max_ring_size": 9})
+    assert ledger.identity(old) == ledger.identity(new)
+    assert ledger.latest_matching([old, new], new)["run_id"] == "old"
+    naive = _record("naive", command="synthesize",
+                    flags={"artifacts": "auto", "backend": "naive",
+                           "jobs": 1, "max_ring_size": 9,
+                           "search": "flat"})
+    assert ledger.identity(naive) != ledger.identity(new)
+    assert ledger.latest_matching([naive, new], new) is None
+
+
 def test_latest_matching_ignores_later_records():
     first = _record("first")
     later = _record("later")
