@@ -1,10 +1,14 @@
-"""Kernel perf smoke: naive vs compiled vs rotation quotient.
+"""Kernel perf smoke: the whole global check on each state-space engine.
 
-Times the three state-space engines on the paper's flagship protocol
-(Example 4.2 maximal matching) across ring sizes, asserts the compiled
-kernel is never slower than the naive interpreter (the CI perf-smoke
-gate), and emits ``BENCH_kernel.json`` (see ``write_bench_record``)
-with the per-K timings so regressions are diffable.
+Times :func:`check_instance` — state-graph build plus every analysis
+(closure, deadlocks, livelock SCCs and witnesses, distances) — on the
+naive interpreter, the compiled kernel and the rotation quotient for
+the paper's flagship protocol (Example 4.2 maximal matching) across
+ring sizes.  Each check's tracemalloc peak is recorded too, measured
+once the protocol is compiled.  The smoke asserts the kernel check is
+never slower than the naive one (the CI perf-smoke gate) and emits
+``BENCH_kernel.json`` (see ``write_bench_record``) with the per-K
+timings and peaks so regressions are diffable.
 
 ``REPRO_BENCH_MAX_K`` caps the largest ring size (CI uses 6 to stay
 fast; any cap but the default is the ``ci`` variant); the ≥5× speedup
@@ -14,9 +18,9 @@ the gap is far from timing noise.
 
 import os
 import time
+import tracemalloc
 
 from repro.checker import check_instance
-from repro.checker.statespace import StateGraph
 from repro.protocols import generalizable_matching
 from repro.viz import render_table
 
@@ -26,17 +30,25 @@ SIZES = tuple(range(4, MAX_K + 1))
 ROUNDS = 2  # best-of-N to damp scheduler noise
 
 
-def _timed_build(instance, **kwargs) -> tuple[StateGraph, float]:
-    """Build a graph and materialize every surface an analysis touches."""
+def _timed_check(instance, **kwargs):
+    """The check's report and its best wall time over ``ROUNDS``."""
     best = None
     for _ in range(ROUNDS):
         began = time.perf_counter()
-        graph = StateGraph(instance, **kwargs)
-        graph.successors
-        graph.in_invariant
+        report = check_instance(instance, **kwargs)
         elapsed = time.perf_counter() - began
         best = elapsed if best is None else min(best, elapsed)
-    return graph, best
+    return report, best
+
+
+def _peak_kib(instance, **kwargs) -> float:
+    """The check's tracemalloc peak, in KiB."""
+    tracemalloc.start()
+    try:
+        check_instance(instance, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
 
 
 def collect():
@@ -44,21 +56,28 @@ def collect():
     results = []
     for size in SIZES:
         instance = protocol.instantiate(size)
-        naive, naive_s = _timed_build(instance, backend="naive")
-        kernel, kernel_s = _timed_build(instance, backend="kernel")
-        quotient, quotient_s = _timed_build(
-            instance, backend="kernel", symmetry=True)
-        assert kernel.successors == naive.successors
-        assert kernel.in_invariant == naive.in_invariant
+        naive, naive_s = _timed_check(instance, backend="naive")
+        kernel, kernel_s = _timed_check(instance, backend="kernel")
+        quotient, quotient_s = _timed_check(instance, symmetry=True)
+        # Identical reports on both full engines; the quotient keeps
+        # every verdict and the recovery bound.
+        assert kernel == naive
+        assert quotient.self_stabilizing == naive.self_stabilizing
+        assert (quotient.worst_case_recovery_steps
+                == naive.worst_case_recovery_steps)
         results.append({
             "K": size,
-            "states": len(naive),
+            "states": naive.state_count,
             "naive_s": round(naive_s, 6),
             "kernel_s": round(kernel_s, 6),
             "speedup": round(naive_s / kernel_s, 2),
             "quotient_s": round(quotient_s, 6),
-            "quotient_states": len(quotient),
-            "quotient_ratio": round(len(kernel) / len(quotient), 2),
+            "quotient_states": quotient.state_count,
+            "quotient_ratio": round(kernel.state_count
+                                    / quotient.state_count, 2),
+            "naive_peak_kib": round(_peak_kib(instance, backend="naive")),
+            "kernel_peak_kib": round(_peak_kib(instance, backend="kernel")),
+            "quotient_peak_kib": round(_peak_kib(instance, symmetry=True)),
         })
     return results
 
@@ -67,28 +86,19 @@ def test_kernel_perf_smoke(benchmark, write_artifact, write_bench_record):
     results = benchmark.pedantic(collect, rounds=1, iterations=1)
     largest = results[-1]
 
-    # The gate: the compiled backend must beat the interpreter at the
-    # largest measured K (states dominate; compile time is amortized).
+    # The gate: the compiled backend's check must beat the
+    # interpreter's at the largest measured K (states dominate; compile
+    # time is amortized).
     assert largest["kernel_s"] < largest["naive_s"], largest
-    # Acceptance bound on full runs, where the margin is enormous
-    # (measured ~40x at K=8 on the development machine).
+    # Acceptance bound on full runs, where the margin is wide.
     if largest["K"] >= 8:
         assert largest["speedup"] >= 5.0, largest
     # The quotient keeps ~K-fold fewer states.
     assert largest["quotient_ratio"] > largest["K"] / 2
 
-    # Identical verdicts at the largest K, all three engines.
-    instance = generalizable_matching().instantiate(largest["K"])
-    naive_report = check_instance(instance, backend="naive")
-    kernel_report = check_instance(instance, backend="kernel")
-    quotient_report = check_instance(instance, symmetry=True)
-    assert kernel_report == naive_report
-    assert quotient_report.self_stabilizing == naive_report.self_stabilizing
-    assert (quotient_report.worst_case_recovery_steps
-            == naive_report.worst_case_recovery_steps)
-
     payload = {
         "protocol": "matching-ex4.2",
+        "measured": "check_instance: state graph plus every analysis",
         "sizes": list(SIZES),
         "largest_k_speedup": largest["speedup"],
         "results": results,
@@ -101,10 +111,12 @@ def test_kernel_perf_smoke(benchmark, write_artifact, write_bench_record):
         "kernel_backends.txt",
         render_table(
             ["K", "states", "naive", "kernel", "speedup",
-             "quotient", "orbit states"],
+             "quotient", "orbit states", "naive peak", "kernel peak"],
             [(r["K"], r["states"],
               f"{r['naive_s'] * 1e3:.1f} ms",
               f"{r['kernel_s'] * 1e3:.1f} ms",
               f"{r['speedup']:.1f}x",
               f"{r['quotient_s'] * 1e3:.1f} ms",
-              r["quotient_states"]) for r in results]))
+              r["quotient_states"],
+              f"{r['naive_peak_kib']} KiB",
+              f"{r['kernel_peak_kib']} KiB") for r in results]))

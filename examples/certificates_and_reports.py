@@ -53,7 +53,7 @@ def main() -> None:
     # No adversary can outlast the certificate's maximum.
     worst_seen = 0
     for seed in range(50):
-        start = graph.states[(seed * 13) % len(graph)]
+        start = graph.decode((seed * 13) % len(graph))
         trace = run(instance, start,
                     AdversarialScheduler(instance, seed=seed),
                     max_steps=certificate.max_rank + 1)

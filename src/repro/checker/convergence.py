@@ -19,23 +19,19 @@ from repro.obs import runtime as obs
 def is_closed(graph: StateGraph) -> bool:
     """Whether ``I(K)`` is closed in the protocol (no transition leaves
     the invariant)."""
-    for source, targets in enumerate(graph.successors):
-        if graph.in_invariant[source]:
-            if any(not graph.in_invariant[t] for t in targets):
-                return False
-    return True
+    return graph.scan.closed
 
 
 def strongly_converges(graph: StateGraph) -> bool:
     """No deadlock and no livelock outside ``I(K)`` (Proposition 2.1)."""
-    if illegitimate_deadlocks(graph):
+    if graph.scan.deadlocks:
         return False
     return not has_livelock(graph)
 
 
 def weakly_converges(graph: StateGraph) -> bool:
     """Every state has *some* path into ``I(K)``."""
-    return all(d is not None for d in graph.distances_to_invariant())
+    return None not in graph.distances_to_invariant()
 
 
 def is_self_stabilizing(graph: StateGraph) -> bool:
@@ -99,24 +95,24 @@ def check_instance(instance, max_witnesses: int = 8,
     with stats.stage("check", K=getattr(instance, "size", -1),
                      backend=backend, symmetry=symmetry):
         graph = StateGraph(instance, backend=backend, symmetry=symmetry)
+        scan = graph.scan
         deadlocks = tuple(illegitimate_deadlocks(graph))
         cycles = tuple(tuple(c) for c in livelock_cycles(
             graph, max_cycles=max_witnesses))
         distances = graph.distances_to_invariant()
-        reachable = [d for d in distances if d is not None]
-        worst = (max(reachable)
-                 if len(reachable) == len(distances) and reachable else None)
+        weak = None not in distances
+        worst = max(distances) if weak and distances else None
         obs.annotate(states=len(graph))
     stats.states_explored = len(graph)
     return GlobalReport(
         ring_size=getattr(instance, "size", -1),
         state_count=len(graph),
-        invariant_count=len(graph.invariant_indices),
-        closed=is_closed(graph),
+        invariant_count=scan.invariant_count,
+        closed=scan.closed,
         deadlocks_outside=deadlocks,
         livelock_cycles=cycles,
         strongly_converging=not deadlocks and not cycles,
-        weakly_converging=all(d is not None for d in distances),
+        weakly_converging=weak,
         worst_case_recovery_steps=worst,
         stats=stats,
     )

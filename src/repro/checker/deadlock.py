@@ -12,12 +12,12 @@ def illegitimate_deadlocks(graph: StateGraph) -> list:
     reasoning: a ring of local deadlocks with at least one illegitimate
     member.
     """
-    return [graph.states[i] for i in graph.deadlock_indices()
-            if not graph.in_invariant[i]]
+    return [graph.decode(i) for i in graph.scan.deadlocks]
 
 
 def legitimate_deadlocks(graph: StateGraph) -> list:
     """Deadlocks inside ``I(K)`` (fixpoints — fine for *silent* protocols
     such as matching or coloring)."""
-    return [graph.states[i] for i in graph.deadlock_indices()
-            if graph.in_invariant[i]]
+    off, inside = graph.succ_off, graph.invariant
+    return [graph.decode(i) for i in range(len(graph))
+            if inside[i] and off[i] == off[i + 1]]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.checker.statespace import StateGraph
-from repro.graphs.scc import cyclic_components
+from repro.graphs.scc import csr_components
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class RankingCertificate:
         return max(self.ranks)
 
     def rank_of(self, state) -> int:
-        return self.ranks[self.graph.index[state]]
+        return self.ranks[self.graph.index_of(state)]
 
     def layers(self) -> dict[int, int]:
         """Histogram: rank value -> number of states at that rank
@@ -56,31 +56,27 @@ class RankingCertificate:
 def compute_ranking(graph: StateGraph) -> RankingCertificate | None:
     """Extract the longest-escape ranking, or ``None`` when the instance
     is not strongly convergent (a deadlock or cycle outside ``I``)."""
-    outside = [i for i, inside in enumerate(graph.in_invariant)
-               if not inside]
-    outside_set = set(outside)
-    sub = graph.restricted_digraph(outside)
-    if cyclic_components(sub):
-        return None  # livelock: no finite ranking exists
-
+    scan = graph.scan
+    if scan.deadlocks:
+        return None  # deadlock outside I
+    off, flat, outside = graph.succ_off, graph.succ_flat, scan.outside
     ranks = [0] * len(graph)
-    # Longest path over the ¬I DAG, processed in reverse topological
-    # order (Tarjan's SCC output is reverse-topological; with no cycles
-    # every component is a singleton).
-    from repro.graphs.scc import strongly_connected_components
-
-    order = [c[0] for c in strongly_connected_components(sub)]
-    for node in order:
+    # Longest path over the ¬I DAG: Tarjan emits components in reverse
+    # topological order, so every ¬I successor is ranked first.  With
+    # no deadlock outside I no root is skipped, so every ¬I state is
+    # emitted.
+    for component in csr_components(off, flat, outside):
+        if len(component) > 1:
+            return None  # livelock: no finite ranking exists
+        node = component[0]
         best = 0
-        dead_end = True
-        for succ in graph.successors[node]:
-            dead_end = False
-            if succ in outside_set:
-                best = max(best, ranks[succ] + 1)
-            else:
-                best = max(best, 1)
-        if dead_end:
-            return None  # deadlock outside I
+        for position in range(off[node], off[node + 1]):
+            succ = flat[position]
+            if succ == node:
+                return None  # a self-loop outside I is a livelock too
+            step = ranks[succ] + 1 if outside[succ] else 1
+            if step > best:
+                best = step
         ranks[node] = best
     return RankingCertificate(graph=graph, ranks=tuple(ranks))
 
@@ -98,18 +94,16 @@ def verify_ranking(graph: StateGraph,
     """
     if len(ranks) != len(graph):
         return False
+    off, flat, inside = graph.succ_off, graph.succ_flat, graph.invariant
     for index in range(len(graph)):
-        if graph.in_invariant[index]:
+        if inside[index]:
             if ranks[index] != 0:
                 return False
             continue
-        if ranks[index] <= 0:
+        if ranks[index] <= 0 or off[index] == off[index + 1]:
             return False
-        successors = graph.successors[index]
-        if not successors:
-            return False
-        for succ in successors:
-            if not graph.in_invariant[succ] and \
-                    ranks[succ] >= ranks[index]:
+        for position in range(off[index], off[index + 1]):
+            succ = flat[position]
+            if not inside[succ] and ranks[succ] >= ranks[index]:
                 return False
     return True

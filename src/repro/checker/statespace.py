@@ -19,26 +19,51 @@ Two backends build the graph:
   ``tests/engine/`` asserts the kernel reproduces it state for state)
   and the only backend for duck-typed instances such as the token ring.
 
-Both populate the same public surface: ``states``, ``index``,
-``successors``, ``in_invariant``, ``invariant_indices``,
-``deadlock_indices``, ``predecessors_map``, ``restricted_digraph``,
-``distances_to_invariant``.
+Both emit the same storage — CSR adjacency ``succ_off``/``succ_flat``
+and one ``invariant`` byte per state, in the same state order — and
+share one public surface: ``len()``, ``succ_off``, ``succ_flat``,
+``invariant``, ``decode(index)``, ``index_of(state)``, ``scan``
+(closure, illegitimate deadlocks and the ``¬I`` mask in one pass) and
+``distances_to_invariant()``.  The global analyses run on these
+arrays and decode a state only when it is a witness.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
-
-from repro.graphs import Digraph
+from array import array
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress, islice
+from typing import Sequence
 
 BACKENDS = ("auto", "kernel", "naive")
+
+# bytes.translate table mapping an invariant byte (0/1) to its negation.
+_NEGATE = bytes([1]) + bytes(255)
+
+
+@dataclass(frozen=True)
+class GraphScan:
+    """What one pass over a :class:`StateGraph`'s rows decides."""
+
+    closed: bool
+    """No transition leaves ``I(K)``."""
+    invariant_count: int
+    deadlocks: list[int]
+    """Indices of the deadlocks outside ``I(K)``, ascending."""
+    outside: bytes
+    """One byte per state, 1 outside ``I(K)``: the mask livelock and
+    ranking analyses restrict the graph to."""
 
 
 class StateGraph:
     """The global transition graph of one protocol instance.
 
-    States are interned to integer indices; the invariant membership of
-    every state is precomputed.  Construction visits every global state
+    States are numbered in ``instance.states()`` order (the kernel's
+    packed codes follow it; the quotient keeps one representative per
+    orbit, in code order).  The successors of state ``i`` are
+    ``succ_flat[succ_off[i]:succ_off[i + 1]]`` and ``invariant[i]`` is
+    its ``I(K)`` membership.  Construction visits every global state
     once and its successors once.
 
     Parameters
@@ -58,6 +83,10 @@ class StateGraph:
         witnesses a livelock only up to rotation.
     """
 
+    succ_off: Sequence[int]
+    succ_flat: Sequence[int]
+    invariant: Sequence[int]
+
     def __init__(self, instance, backend: str = "auto",
                  symmetry: bool = False) -> None:
         from repro.engine.kernel import build_space, supports_kernel
@@ -76,125 +105,65 @@ class StateGraph:
             raise ValueError("the rotation-symmetry quotient requires "
                              "the kernel backend")
         self.symmetry = bool(symmetry)
-        self._packed = None
-        self._states: list[Hashable] | None = None
-        self._index: dict[Hashable, int] | None = None
-        self._successors: list[list[int]] | None = None
-        self._in_invariant: list[bool] | None = None
-        self._predecessors: list[list[int]] | None = None
         if use_kernel:
             self.backend = "kernel"
-            self._packed = build_space(instance, symmetry=symmetry)
+            space = build_space(instance, symmetry=symmetry)
+            self.succ_off = space.succ_off
+            self.succ_flat = space.succ_flat
+            self.invariant = space.invariant
+            self._decode = space.decode
+            self._index_of = space.index_of
         else:
             self.backend = "naive"
             states = list(instance.states())
             index = {state: i for i, state in enumerate(states)}
-            self._states = states
-            self._index = index
-            self._successors = [
-                [index[t] for t in instance.successors(state)]
-                for state in states]
-            self._in_invariant = [bool(instance.invariant_holds(state))
-                                  for state in states]
+            succ_off = array("q", [0])
+            succ_flat = array("q")
+            invariant = bytearray(len(states))
+            for i, state in enumerate(states):
+                succ_flat.extend(index[t] for t in instance.successors(state))
+                succ_off.append(len(succ_flat))
+                invariant[i] = bool(instance.invariant_holds(state))
+            self.succ_off, self.succ_flat = succ_off, succ_flat
+            self.invariant = invariant
+            self._decode = states.__getitem__
+            self._index_of = index.__getitem__
 
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
-        if self._packed is not None:
-            return len(self._packed)
-        return len(self._states)
+        return len(self.invariant)
 
-    @property
-    def states(self) -> list[Hashable]:
-        """All states (quotient: orbit representatives), by index.
+    def decode(self, index: int):
+        """The global state (quotient: orbit representative) *index*."""
+        return self._decode(index)
 
-        Kernel-backed graphs decode lazily: verdict-only analyses never
-        touch tuple states at all.
-        """
-        if self._states is None:
-            self._states = [self._packed.decode(i)
-                            for i in range(len(self._packed))]
-        return self._states
-
-    @property
-    def index(self) -> dict[Hashable, int]:
-        """State -> index (quotient: representatives only)."""
-        if self._index is None:
-            self._index = {state: i
-                           for i, state in enumerate(self.states)}
-        return self._index
-
-    @property
-    def successors(self) -> list[list[int]]:
-        """Per-state successor index lists."""
-        if self._successors is None:
-            self._successors = self._packed.successor_lists()
-        return self._successors
-
-    @property
-    def in_invariant(self) -> list[bool]:
-        """Per-state ``I(K)`` membership flags."""
-        if self._in_invariant is None:
-            self._in_invariant = [bool(b)
-                                  for b in self._packed.invariant]
-        return self._in_invariant
-
-    @property
-    def invariant_indices(self) -> list[int]:
-        """Indices of states inside ``I(K)``."""
-        if self._packed is not None:
-            return [i for i, member in enumerate(self._packed.invariant)
-                    if member]
-        return [i for i, member in enumerate(self.in_invariant)
-                if member]
-
-    def deadlock_indices(self) -> list[int]:
-        """Indices of states with no outgoing transition."""
-        if self._packed is not None:
-            off = self._packed.succ_off
-            return [i for i in range(len(self._packed))
-                    if off[i] == off[i + 1]]
-        return [i for i, succ in enumerate(self.successors) if not succ]
+    def index_of(self, state) -> int:
+        """The index of *state* (quotient: representatives only);
+        ``KeyError`` for a state outside the graph."""
+        return self._index_of(state)
 
     # ------------------------------------------------------------------
-    def predecessors_map(self) -> list[list[int]]:
-        """Reverse adjacency (computed once, then cached).
-
-        Both :meth:`distances_to_invariant` and the ranking extractor
-        call this; callers must not mutate the returned lists.
-        """
-        if self._predecessors is not None:
-            return self._predecessors
-        reverse: list[list[int]] = [[] for _ in range(len(self))]
-        if self._packed is not None:
-            off, flat = self._packed.succ_off, self._packed.succ_flat
-            for source in range(len(self._packed)):
-                for position in range(off[source], off[source + 1]):
-                    reverse[flat[position]].append(source)
-        else:
-            for source, targets in enumerate(self.successors):
-                for target in targets:
-                    reverse[target].append(source)
-        self._predecessors = reverse
-        return reverse
-
-    def restricted_digraph(self, keep: Iterable[int]) -> Digraph:
-        """The transition :class:`Digraph` induced over state indices
-        *keep* (used for livelock detection on ``Δ_p | ¬I``)."""
-        keep_set = set(keep)
-        graph = Digraph(nodes=keep_set)
-        if self._packed is not None:
-            off, flat = self._packed.succ_off, self._packed.succ_flat
-            for source in keep_set:
-                for position in range(off[source], off[source + 1]):
-                    target = flat[position]
-                    if target in keep_set:
-                        graph.add_edge(source, target)
-            return graph
-        for source in keep_set:
-            for target in self.successors[source]:
-                if target in keep_set:
-                    graph.add_edge(source, target)
-        return graph
+    @cached_property
+    def scan(self) -> GraphScan:
+        """Closure, the illegitimate deadlocks and the ``¬I`` mask, from
+        one pass over the rows (computed once, then cached)."""
+        off, flat = self.succ_off, self.succ_flat
+        inside = bytes(self.invariant)
+        closed = True
+        deadlocks = []
+        start = off[0]
+        for state, end in enumerate(islice(off, 1, None)):
+            if inside[state]:
+                if closed:
+                    for position in range(start, end):
+                        if not inside[flat[position]]:
+                            closed = False
+                            break
+            elif start == end:
+                deadlocks.append(state)
+            start = end
+        return GraphScan(closed=closed, invariant_count=inside.count(1),
+                         deadlocks=deadlocks,
+                         outside=inside.translate(_NEGATE))
 
     def distances_to_invariant(self) -> list[int | None]:
         """BFS distance (in transitions) from each state to ``I(K)``.
@@ -204,20 +173,42 @@ class StateGraph:
         quotient these equal the full-space distances (rotations are
         automorphisms preserving ``I``).
         """
-        reverse = self.predecessors_map()
+        pred_off, pred_flat = reverse_csr(self.succ_off, self.succ_flat)
         distance: list[int | None] = [None] * len(self)
-        frontier = []
-        for i in self.invariant_indices:
-            distance[i] = 0
-            frontier.append(i)
+        frontier = list(compress(range(len(self)), self.invariant))
+        for state in frontier:
+            distance[state] = 0
         depth = 0
         while frontier:
             depth += 1
             next_frontier = []
             for node in frontier:
-                for predecessor in reverse[node]:
+                for position in range(pred_off[node], pred_off[node + 1]):
+                    predecessor = pred_flat[position]
                     if distance[predecessor] is None:
                         distance[predecessor] = depth
                         next_frontier.append(predecessor)
             frontier = next_frontier
         return distance
+
+
+def reverse_csr(succ_off: Sequence[int],
+                succ_flat: Sequence[int]) -> tuple[array, array]:
+    """The transposed CSR graph, by counting sort: row ``v`` of the
+    result lists the sources of ``v``'s in-edges in ascending order."""
+    n = len(succ_off) - 1
+    pred_off = array("q", [0]) * (n + 1)
+    for target in succ_flat:
+        pred_off[target + 1] += 1
+    for state in range(n):
+        pred_off[state + 1] += pred_off[state]
+    fill = pred_off[:-1]
+    pred_flat = array("q", [0]) * len(succ_flat)
+    start = succ_off[0]
+    for source, end in enumerate(islice(succ_off, 1, None)):
+        for position in range(start, end):
+            target = succ_flat[position]
+            pred_flat[fill[target]] = source
+            fill[target] += 1
+        start = end
+    return pred_off, pred_flat

@@ -55,9 +55,10 @@ from __future__ import annotations
 import time
 import weakref
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import repro.engine.artifacts as artifact_plane
 from repro.obs import runtime as obs
@@ -315,7 +316,7 @@ class PackedSpace:
     def __len__(self) -> int:
         return len(self.invariant)
 
-    # -- decode / encode ------------------------------------------------
+    # -- decode / index_of ----------------------------------------------
     def decode(self, index: int) -> tuple:
         """The global state tuple of state index *index*."""
         code = index if self.codes is None else self.codes[index]
@@ -325,21 +326,21 @@ class PackedSpace:
             digits.append(digit)
         return tuple(self.cells[d] for d in reversed(digits))
 
-    def encode(self, state: tuple) -> int:
-        """The packed code of a global state tuple."""
+    def index_of(self, state: tuple) -> int:
+        """The state index of a global state tuple (quotient: of an
+        orbit representative); ``KeyError`` for any other tuple."""
+        if len(state) != self.ring_size:
+            raise KeyError(state)
         cell_index = {cell: i for i, cell in enumerate(self.cells)}
         code = 0
         for cell in state:
             code = code * self.cell_count + cell_index[cell]
-        return code
-
-    def successor_lists(self) -> list[list[int]]:
-        """Materialize the CSR adjacency as per-state lists."""
-        off, flat = self.succ_off, self.succ_flat
-        return [list(flat[off[i]:off[i + 1]]) for i in range(len(self))]
-
-    def iter_states(self) -> Iterator[tuple]:
-        return (self.decode(i) for i in range(len(self)))
+        if self.codes is None:
+            return code
+        index = bisect_left(self.codes, code)
+        if index == len(self.codes) or self.codes[index] != code:
+            raise KeyError(state)
+        return index
 
 
 def _count_encode(space: PackedSpace, seconds: float) -> None:

@@ -10,7 +10,7 @@ Used for:
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterator
+from collections.abc import Hashable, Iterator, Sequence
 
 from repro.graphs.digraph import Digraph
 from repro.graphs.scc import strongly_connected_components
@@ -209,6 +209,38 @@ def find_cycle_through(graph: Digraph, node: Hashable,
                     return path
                 if succ not in visited:
                     visited.add(succ)
+                    parents[succ] = current
+                    next_frontier.append(succ)
+        frontier = next_frontier
+    return None
+
+
+def csr_cycle_through(succ_off: Sequence[int], succ_flat: Sequence[int],
+                      member: Sequence[int], node: int) -> list[int] | None:
+    """A shortest cycle through *node* inside the vertices where
+    *member* is nonzero, on a CSR graph (see
+    :func:`repro.graphs.scc.csr_components`).
+
+    The same BFS as :func:`find_cycle_through` on the induced subgraph,
+    scanning each row in CSR order, so both return the same cycle.
+    Only the vertices the search reaches get a parent entry.
+    """
+    parents = {node: node}
+    frontier = [node]
+    while frontier:
+        next_frontier = []
+        for current in frontier:
+            for position in range(succ_off[current], succ_off[current + 1]):
+                succ = succ_flat[position]
+                if not member[succ]:
+                    continue
+                if succ == node:
+                    path = [current]
+                    while path[-1] != node:
+                        path.append(parents[path[-1]])
+                    path.reverse()
+                    return path
+                if succ not in parents:
                     parents[succ] = current
                     next_frontier.append(succ)
         frontier = next_frontier

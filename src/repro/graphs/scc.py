@@ -4,11 +4,18 @@ The deadlock-freedom decision procedure (Theorem 4.2) reduces to: *does any
 SCC of the deadlock-induced RCG both contain an illegitimate local state and
 contain a cycle?*  An SCC contains a cycle iff it has more than one node or
 its single node carries a self-loop.
+
+The same algorithm runs on three graph forms: a :class:`Digraph` over
+hashable nodes, bitmask rows over a small local state space
+(:func:`masked_cyclic_mask`), and CSR arrays over a global state space
+(:func:`csr_components`, the global checker's livelock and ranking
+analyses).
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
+from array import array
+from collections.abc import Hashable, Iterator, Sequence
 
 from repro.graphs.digraph import Digraph
 
@@ -159,6 +166,93 @@ def masked_cyclic_mask(succ_masks: list[int], alive: int) -> int:
             if size > 1 or (succ_masks[node] >> node) & 1:
                 cyclic |= component
     return cyclic
+
+
+def csr_components(succ_off: Sequence[int], succ_flat: Sequence[int],
+                   keep: Sequence[int]) -> Iterator[list[int]]:
+    """SCCs of a CSR graph's subgraph induced by the mask *keep*.
+
+    Vertex ``v``'s successors are ``succ_flat[succ_off[v]:succ_off[v +
+    1]]``; ``keep[v]`` is nonzero for the vertices of the subgraph.
+    Components are yielded lazily, in Tarjan's emission (reverse
+    topological) order, so a caller that needs only the first cyclic
+    one stops the walk there.  Roots are tried in ascending index and a
+    root with no successors at all is skipped: it is a trivial
+    component that no cycle passes through, and it is still emitted if
+    a later root reaches it.  The bookkeeping — visit numbers,
+    lowlinks, the Tarjan stack and the DFS path — lives in flat
+    ``array('q')`` buffers and a bytearray, never in per-vertex
+    objects, so the walk allocates ``O(n)`` machine words whatever the
+    graph.
+    """
+    n = len(keep)
+    order = array("q", [0]) * n  # visit number, 0 = unvisited
+    low = array("q", [0]) * n
+    on_stack = bytearray(n)
+    stack = array("q")
+    # The DFS path: its vertices and each one's next edge position.
+    path, resume = array("q"), array("q")
+    counter = 0
+    for root in range(n):
+        if (not keep[root] or order[root]
+                or succ_off[root] == succ_off[root + 1]):
+            continue
+        counter += 1
+        order[root] = low[root] = counter
+        stack.append(root)
+        on_stack[root] = 1
+        path.append(root)
+        resume.append(succ_off[root])
+        while path:
+            node = path[-1]
+            position = resume[-1]
+            end = succ_off[node + 1]
+            while position < end:
+                succ = succ_flat[position]
+                position += 1
+                if not keep[succ]:
+                    continue
+                if not order[succ]:
+                    resume[-1] = position
+                    counter += 1
+                    order[succ] = low[succ] = counter
+                    stack.append(succ)
+                    on_stack[succ] = 1
+                    path.append(succ)
+                    resume.append(succ_off[succ])
+                    break
+                if on_stack[succ] and order[succ] < low[node]:
+                    low[node] = order[succ]
+            else:
+                path.pop()
+                resume.pop()
+                if path and low[node] < low[path[-1]]:
+                    low[path[-1]] = low[node]
+                if low[node] == order[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack[member] = 0
+                        component.append(member)
+                        if member == node:
+                            break
+                    yield component
+
+
+def csr_cyclic_components(succ_off: Sequence[int],
+                          succ_flat: Sequence[int],
+                          keep: Sequence[int]) -> Iterator[list[int]]:
+    """The components of :func:`csr_components` that contain a cycle
+    (more than one vertex, or a self-loop), in the same order."""
+    for component in csr_components(succ_off, succ_flat, keep):
+        if len(component) > 1:
+            yield component
+            continue
+        node = component[0]
+        for position in range(succ_off[node], succ_off[node + 1]):
+            if succ_flat[position] == node:
+                yield component
+                break
 
 
 def cyclic_components(graph: Digraph) -> list[list[Hashable]]:

@@ -171,8 +171,7 @@ def _audit_one(max_ring_size: int, protocol: RingProtocol,
         deadlock_checks += 1
         graph = StateGraph(protocol.instantiate(size))
         states_explored += len(graph)
-        has_deadlock = any(not graph.in_invariant[i]
-                           for i in graph.deadlock_indices())
+        has_deadlock = bool(graph.scan.deadlocks)
         if has_deadlock != (size in predicted):
             discrepancies.append(Discrepancy(
                 "theorem-4.2-mismatch", size, protocol.pretty()))

@@ -51,7 +51,7 @@ def test_max_rank_bounds_adversarial_recovery():
     graph = StateGraph(instance)
     certificate = compute_ranking(graph)
     for seed in range(20):
-        start = graph.states[(seed * 7) % len(graph)]
+        start = graph.decode((seed * 7) % len(graph))
         trace = run(instance, start,
                     AdversarialScheduler(instance, seed=seed),
                     max_steps=certificate.max_rank + 1)
@@ -64,7 +64,7 @@ def test_rank_decreases_along_every_move():
     instance = protocol.instantiate(4)
     graph = StateGraph(instance)
     certificate = compute_ranking(graph)
-    for state in graph.states:
+    for state in instance.states():
         if instance.invariant_holds(state):
             assert certificate.rank_of(state) == 0
             continue
@@ -92,7 +92,7 @@ class TestVerifyRanking:
         graph = StateGraph(stabilizing_agreement().instantiate(3))
         certificate = compute_ranking(graph)
         tampered = list(certificate.ranks)
-        tampered[graph.invariant_indices[0]] = 5
+        tampered[list(graph.invariant).index(1)] = 5
         assert not verify_ranking(graph, tampered)
 
     def test_rejects_non_decreasing_step(self):

@@ -108,17 +108,17 @@ def test_quotient_orbits_partition_the_full_space():
     quotient = StateGraph(instance, backend="kernel", symmetry=True)
     assert quotient.symmetry and not full.symmetry
 
-    reps = set(quotient.states)
+    reps = {quotient.decode(i) for i in range(len(quotient))}
     size = instance.size
-    for state in full.states:
+    for state in instance.states():
         rotations = {tuple(state[r:] + state[:r]) for r in range(size)}
         assert len(rotations & reps) == 1
         # The representative is the canonical (minimal-code) rotation.
-        assert min(rotations, key=full.index.__getitem__) in reps
+        assert min(rotations, key=full.index_of) in reps
     # Orbit sizes, summed over representatives, tile the full space.
     orbit_total = sum(
         len({tuple(s[r:] + s[:r]) for r in range(size)})
-        for s in quotient.states)
+        for s in reps)
     assert orbit_total == len(full)
 
 
@@ -141,10 +141,11 @@ def test_quotient_distances_equal_full_space_distances():
     instance = stabilizing_agreement().instantiate(5)
     full = StateGraph(instance, backend="kernel")
     quotient = StateGraph(instance, backend="kernel", symmetry=True)
-    full_distance = dict(zip(full.states, full.distances_to_invariant()))
-    for state, distance in zip(quotient.states,
-                               quotient.distances_to_invariant()):
-        assert distance == full_distance[state]
+    full_distance = full.distances_to_invariant()
+    for index, distance in enumerate(quotient.distances_to_invariant()):
+        state = quotient.decode(index)
+        assert quotient.index_of(state) == index
+        assert distance == full_distance[full.index_of(state)]
 
 
 def test_quotient_stats_record_the_reduction():
