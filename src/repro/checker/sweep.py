@@ -138,8 +138,8 @@ def sweep_verify(protocol: "RingProtocol", up_to: int,
     kernel (and, opt-in, its rotation quotient) replaces the naive
     per-state interpretation with identical verdicts.
 
-    *policy* supervises the per-K checks (timeouts, crash retry,
-    degradation to the in-parent naive backend — see
+    *policy* supervises the per-K checks (timeouts, crash retry, and
+    an in-parent rerun of a size past its retries — see
     :mod:`repro.engine.supervisor`).  A supervised ``stop_on_failure``
     sweep checks speculatively like the parallel one.  *fault_plan* is
     test-only injection.
@@ -208,8 +208,7 @@ def sweep_verify(protocol: "RingProtocol", up_to: int,
             _sweep_worker, pending, jobs=jobs,
             context=(protocol, backend, symmetry),
             stats=stats, policy=policy, cache=cache,
-            keys=keys, fallback_worker=_sweep_fallback_worker,
-            plan=fault_plan,
+            keys=keys, plan=fault_plan,
             prewarm=lambda: _sweep_prewarm(protocol, backend),
             portable=_sweep_portable(protocol, backend, symmetry))
         for size, report in zip(pending, outcomes):
@@ -304,12 +303,3 @@ def _sweep_worker(context, size: int) -> GlobalReport:
     protocol, backend, symmetry = context
     return _check_size(protocol, size, backend, symmetry)
 
-
-def _sweep_fallback_worker(context, size: int) -> GlobalReport:
-    """A degraded work item: re-run in-parent on the reference naive
-    backend (reports are backend-identical, so the sweep result does
-    not change).  The rotation quotient exists only in the kernel, so
-    ``symmetry`` runs keep their requested backend."""
-    protocol, backend, symmetry = context
-    return _check_size(protocol, size,
-                       backend if symmetry else "naive", symmetry)

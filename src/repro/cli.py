@@ -100,13 +100,8 @@ def _add_engine_options(parser: argparse.ArgumentParser,
              "(default: 1024; 0 = unbounded)")
 
 
-def _add_backend_options(parser: argparse.ArgumentParser) -> None:
-    """The state-space backend flags (``--backend``, ``--symmetry``)."""
-    parser.add_argument(
-        "--backend", choices=("auto", "kernel", "naive"), default="auto",
-        help="global state-space engine: the compiled bit-packed kernel "
-             "(auto-selected for symmetric rings) or the naive "
-             "pure-Python reference interpreter")
+def _add_symmetry_option(parser: argparse.ArgumentParser) -> None:
+    """The state-space quotient flag (``--symmetry``)."""
     parser.add_argument(
         "--symmetry", action="store_true",
         help="quotient the global space by ring rotations (kernel only; "
@@ -122,12 +117,12 @@ def _add_supervisor_options(parser: argparse.ArgumentParser,
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="per-work-item wall-clock budget; an over-budget task is "
-             "killed and retried (--retries), then degraded to an "
-             "in-process serial fallback")
+             "killed and retried (--retries), then run once more "
+             "in-process")
     parser.add_argument(
         "--retries", type=int, default=None, metavar="N",
         help="extra attempts for a crashed or timed-out work item "
-             "before degrading (default: 2)")
+             "before its in-process rerun (default: 2)")
     if resume:
         parser.add_argument(
             "--checkpoint", action="store_true",
@@ -281,7 +276,7 @@ def _artifact_store(args: argparse.Namespace):
 #: and output flags are deliberately excluded: two runs of the same
 #: analysis must diff as equals however they are named or checkpointed.
 _LEDGER_FLAG_KEYS = (
-    "jobs", "backend", "symmetry",
+    "jobs", "symmetry",
     "timeout", "retries", "cache", "artifacts",
     "max_ring_size", "up_to", "ring_size", "samples", "seed",
     "stop_on_failure",
@@ -410,7 +405,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify_convergence(protocol,
                                 max_ring_size=args.max_ring_size,
                                 jobs=args.jobs, cache=cache,
-                                backend=args.backend,
                                 policy=_supervisor_policy(args))
     from repro.engine.fingerprint import protocol_fingerprint
 
@@ -468,7 +462,6 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
     report = hybrid_verify(protocol,
                            max_ring_size=args.max_ring_size,
                            check_up_to=args.check_up_to,
-                           backend=args.backend,
                            symmetry=args.symmetry)
     print(f"== hybrid verification of {protocol.name} ==")
     print(report.summary())
@@ -486,7 +479,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     result = sweep_verify(protocol, up_to=args.up_to,
                           stop_on_failure=args.stop_on_failure,
                           jobs=args.jobs, cache=cache,
-                          backend=args.backend, symmetry=args.symmetry,
+                          symmetry=args.symmetry,
                           policy=_supervisor_policy(args))
     _note_ledger(args, protocol=protocol.name, fingerprint=fingerprint,
                  verdict={
@@ -536,7 +529,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     # work (a cached report's own stats describe the run that made it).
     result = sweep_verify(protocol, start=args.ring_size,
                           up_to=args.ring_size, cache=cache,
-                          backend=args.backend, symmetry=args.symmetry,
+                          symmetry=args.symmetry,
                           policy=_supervisor_policy(args))
     report = dataclasses.replace(result.reports[0], stats=result.stats)
     from repro.engine.fingerprint import protocol_fingerprint
@@ -863,11 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="horizon for deadlocked-size prediction")
     verify.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
-    verify.add_argument(
-        "--backend", choices=("auto", "kernel", "naive"), default="auto",
-        help="contiguous-trail engine: the compiled bitmask "
-             "local-reasoning kernel (default) or the naive Digraph "
-             "reference searcher")
     _add_engine_options(verify)
     _add_supervisor_options(verify)
     _add_obs_options(verify)
@@ -886,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
     hybrid.add_argument("--max-ring-size", type=int, default=9)
     hybrid.add_argument("--check-up-to", type=int, default=7,
                         help="largest ring size to model-check")
-    _add_backend_options(hybrid)
+    _add_symmetry_option(hybrid)
     hybrid.set_defaults(func=_cmd_hybrid)
 
     sweep = sub.add_parser("sweep", help="cutoff-style per-size "
@@ -895,7 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--up-to", type=int, default=7)
     sweep.add_argument("--stop-on-failure", action="store_true")
     _add_engine_options(sweep)
-    _add_backend_options(sweep)
+    _add_symmetry_option(sweep)
     _add_supervisor_options(sweep, resume=True)
     _add_obs_options(sweep)
     sweep.set_defaults(func=_cmd_sweep)
@@ -919,7 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accepted for symmetry with sweep/fuzz; a "
                             "single instance is a single work item")
     _add_engine_options(check, jobs=False)
-    _add_backend_options(check)
+    _add_symmetry_option(check)
     _add_supervisor_options(check)
     _add_obs_options(check)
     check.set_defaults(func=_cmd_check)

@@ -81,17 +81,6 @@ def _find_trail_worker(searcher: ContiguousTrailSearcher,
     return searcher.find_trail(support)
 
 
-def _find_trail_fallback(searcher: ContiguousTrailSearcher,
-                         support) -> TrailWitness | None:
-    """A degraded trail search: in-parent, on the reference naive
-    Digraph searcher (verdict-identical to the kernel by the
-    differential suite)."""
-    fallback = ContiguousTrailSearcher(
-        searcher.protocol, max_ring_size=searcher.max_ring_size,
-        backend="naive")
-    return fallback.find_trail(support)
-
-
 class LivelockCertifier:
     """Runs the Theorem 5.14 sufficient condition on a protocol.
 
@@ -194,8 +183,7 @@ class LivelockCertifier:
                 backend=self.backend)
             found = supervise_work_items(
                 _find_trail_worker, supports, jobs=self.jobs,
-                context=searcher, stats=stats, policy=self.policy,
-                fallback_worker=_find_trail_fallback)
+                context=searcher, stats=stats, policy=self.policy)
         stats.work_items += len(supports)
         witnesses = [witness for witness in found if witness is not None]
 

@@ -25,8 +25,8 @@ identical work.  This package supplies the missing pieces:
 * :mod:`repro.engine.kernel` — the compiled bit-packed state-space
   backend behind :class:`repro.checker.StateGraph`: per-protocol guard
   compilation, base-``|C|`` packed global states in flat arrays, and
-  an opt-in ring-rotation symmetry quotient (CLI ``--backend`` /
-  ``--symmetry``);
+  an opt-in ring-rotation symmetry quotient (CLI ``--symmetry``; the
+  naive interpreter is the API-only test oracle ``backend="naive"``);
 * :mod:`repro.engine.localkernel` — the bitmask-compiled *local*
   reasoning kernel behind the contiguous-trail search, the Theorem 4.2
   check and the Section 6 synthesis loop: integer-indexed local
@@ -34,8 +34,9 @@ identical work.  This package supplies the missing pieces:
   and a support-fingerprint trail memo;
 * :mod:`repro.engine.supervisor` — the fault-tolerance layer:
   :func:`supervise_work_items` runs every task under per-task timeouts,
-  crash isolation, retry with backoff and degradation to a serial
-  fallback (CLI ``--timeout`` / ``--retries``);
+  crash isolation, retry with backoff and, past the retry budget, one
+  in-parent rerun of the task's own worker (CLI ``--timeout`` /
+  ``--retries``);
 * :mod:`repro.engine.scheduler` — the parallel execution strategy
   under :func:`supervise_work_items`: persistent supervised workers
   pulling adaptively sized batches (cost-model driven, heartbeat
@@ -79,7 +80,6 @@ __all__ = _lazy.exports(globals(), {
     "stats": ("EngineStats",),
     "supervisor": (
         "FaultPlan",
-        "SupervisorError",
         "SupervisorPolicy",
         "supervise_work_items",
     ),

@@ -29,10 +29,9 @@ work always runs under a :class:`SupervisorPolicy`
   injected SIGKILL) fails only its in-flight task, which is retried;
   the rest of the dead worker's batch is requeued without spending
   retry budget, and sibling workers keep running;
-* **degradation** — a task that exhausts its retry budget is executed
-  once more *in the parent process* through the caller's fallback
-  worker (the serial naive backend at the engine call sites) instead of
-  aborting the run;
+* **degradation** — a task that exhausts its retry budget, or whose
+  result does not pickle, runs its own worker once more *in the parent
+  process* instead of aborting the run;
 * **write-through** — with a :class:`repro.engine.cache.ResultCache`
   and one key per item, every completed item is stored in the cache the
   moment it completes (in the parent, never in a worker), and items the
@@ -55,9 +54,9 @@ unpicklable objects; only results cross the pipe.  A worker *exception*
 but re-raised in the parent with the remote traceback chained.
 
 Fault injection (:class:`FaultPlan`) is part of the module on purpose:
-the property-based differential suite and the CI smoke job inject
-worker crashes, hangs and parent deaths through the same code path
-users exercise, via the ``REPRO_INJECT_FAULT`` environment variable
+the differential matrix (``tests/differential/``) and the CI smoke job
+inject worker crashes, hangs and parent deaths through the same code
+path users exercise, via the ``REPRO_INJECT_FAULT`` environment variable
 (e.g. ``crash:0``, ``hang:1,2``, ``die-after:3``; test-only, never set
 in production).
 """
@@ -79,28 +78,21 @@ from repro.obs import runtime as obs
 FAULT_ENV = "REPRO_INJECT_FAULT"
 
 
-class SupervisorError(Exception):
-    """A task failed beyond its retry budget with degradation off."""
-
-
 @dataclass(frozen=True)
 class SupervisorPolicy:
     """How hard to try before giving up on a work item.
 
     ``timeout`` is the per-task wall-clock budget in seconds (``None``
     disables the deadline); ``retries`` is how many *additional*
-    attempts a crashed or timed-out task gets before degradation; the
-    backoff before attempt ``n`` is ``backoff * 2**(n-1)`` seconds,
-    capped at ``backoff_cap``.  With ``degrade`` (the default) a task
-    that exhausts its budget runs once more in the parent through the
-    fallback worker; without it the run raises :class:`SupervisorError`.
+    attempts a crashed or timed-out task gets before it degrades to one
+    in-parent run of its own worker; the backoff before attempt ``n`` is
+    ``backoff * 2**(n-1)`` seconds, capped at ``backoff_cap``.
     """
 
     timeout: float | None = None
     retries: int = 2
     backoff: float = 0.05
     backoff_cap: float = 2.0
-    degrade: bool = True
 
     def __post_init__(self) -> None:
         if self.timeout is not None and self.timeout <= 0:
@@ -224,7 +216,7 @@ class TaskLedger:
 
     def __init__(self, worker, work: Sequence[Any], context: Any,
                  stats: Any, policy: SupervisorPolicy, cache,
-                 keys: Sequence[str] | None, fallback_worker,
+                 keys: Sequence[str] | None,
                  plan: FaultPlan | None) -> None:
         self.worker = worker
         self.work = work
@@ -233,7 +225,6 @@ class TaskLedger:
         self.policy = policy
         self.cache = cache
         self.keys = keys
-        self.fallback_worker = fallback_worker or worker
         self.plan = plan
         self.results: dict[int, Any] = {}
         self.failure: WorkerFailure | None = None
@@ -277,19 +268,15 @@ class TaskLedger:
         self.results[task.index] = None
 
     def degrade(self, task: _Task, reason: str) -> None:
-        """Retry budget exhausted: run in-parent via the fallback."""
-        if not self.policy.degrade:
-            raise SupervisorError(
-                f"work item {task.index} failed after "
-                f"{task.attempts} attempts ({reason}) and degradation "
-                f"is disabled")
+        """Retry budget exhausted (or the result did not pickle): run
+        the task's own worker once more, in-parent."""
         obs.event("task-degraded", level="warning", index=task.index,
                   key=task.key, attempts=task.attempts, reason=reason)
         _bump(self.stats, "supervisor_degraded", "supervisor.degraded")
         live.note(degraded=1)
         with obs.span("supervisor.degraded", index=task.index,
                       reason=reason):
-            self.complete(task, self.fallback_worker(
+            self.complete(task, self.worker(
                 self.context, self.work[task.index]))
 
     def retry_or_degrade(self, task: _Task, reason: str) -> _Task | None:
@@ -392,8 +379,6 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
                          policy: SupervisorPolicy | None = None,
                          cache=None,
                          keys: Sequence[str] | None = None,
-                         fallback_worker: Callable[[Any, Any], Any]
-                         | None = None,
                          plan: FaultPlan | None = None,
                          prewarm: Callable[[], None] | None = None,
                          portable: PortableContext | None = None,
@@ -404,7 +389,7 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
     possible (it is pickled by qualified name); under fork, *worker*,
     *context* and *items* may hold unpicklable objects, but each
     **result** must pickle — an unpicklable result degrades that one
-    task to the fallback worker.  Work runs under *policy*'s
+    task to an in-parent rerun.  Work runs under *policy*'s
     timeout/retry/degradation ladder (``SupervisorPolicy()`` when
     omitted).  With a *cache* (a :class:`repro.engine.cache.ResultCache`)
     and *keys* (one per item), items the cache holds are returned
@@ -422,9 +407,7 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
     *plan* is fault injection (tests and smoke runs); ``None`` reads it
     from ``REPRO_INJECT_FAULT``, so callers that dispatch many times
     resolve it once and pass it (an empty ``FaultPlan()`` injects
-    nothing).  *fallback_worker* is what a degraded task runs in-parent
-    (the engine call sites pass the serial naive backend); it defaults
-    to *worker*.  *portable* (a :class:`repro.engine.pool.PortableContext`)
+    nothing).  *portable* (a :class:`repro.engine.pool.PortableContext`)
     unlocks spawn dispatch where fork is unavailable.  *stats*, when
     given, is an :class:`repro.engine.EngineStats` that receives the
     dispatch counters and ``parallel``.
@@ -450,7 +433,7 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
     policy = policy or _DEFAULT_POLICY
 
     ledger = TaskLedger(worker, work, context, stats, policy, cache,
-                        keys, fallback_worker, plan)
+                        keys, plan)
     pending = ledger.split_cached()
     live.begin_stage(getattr(worker, "__name__", "supervised.map"),
                      total=len(work),

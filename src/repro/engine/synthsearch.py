@@ -615,7 +615,6 @@ class LatticeSearch:
             jobs=self.jobs, context=self.synthesizer, stats=self.stats,
             policy=self.policy, cache=self.cache,
             keys=[keys[i] for i in pending] if keys is not None else None,
-            fallback_worker=_lattice_unit_worker,
             plan=self.fault_plan, prewarm=self._prewarm)
         for index, (unit_reasons, delta) in zip(pending, fresh):
             self._fold(delta)

@@ -164,21 +164,19 @@ def find_run(records: list[dict[str, Any]],
 
 
 #: Flags the CLI no longer has.  Records written while they existed
-#: still carry them (``schedule`` defaulted to ``auto``), so they are
-#: left out of the identity: a run must keep matching its baseline
-#: across the release that removed them.
-RETIRED_FLAGS = frozenset({"schedule", "batch_size", "search"})
+#: still carry them (``schedule`` and ``backend`` defaulted to
+#: ``auto``), so they are left out of the identity whatever their
+#: value: a run must keep matching its baseline across the release
+#: that removed them.
+RETIRED_FLAGS = frozenset({"schedule", "batch_size", "search",
+                           "backend"})
 
 
 def identity(record: dict[str, Any]) -> tuple:
-    """The comparison identity: what must match for a fair diff.
-
-    ``backend: auto`` counts as no backend: ``synthesize`` recorded it
-    while it had a ``--backend`` flag.  An explicit backend counts."""
+    """The comparison identity: what must match for a fair diff."""
     flags = {key: value
              for key, value in (record.get("flags") or {}).items()
-             if key not in RETIRED_FLAGS
-             and not (key == "backend" and value == "auto")}
+             if key not in RETIRED_FLAGS}
     return (record.get("command"), record.get("fingerprint"),
             json.dumps(flags, sort_keys=True, default=str))
 

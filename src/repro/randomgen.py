@@ -206,7 +206,7 @@ def audit_theorems(samples: int = 50, max_ring_size: int = 5,
     each as soon as it completes, so a killed audit's rerun resumes) —
     both with aggregate reports identical to the serial, uncached run.
     *policy* supervises the fanned-out audits (per-item timeouts, crash
-    retry, degradation to an in-parent audit — see
+    retry, and an in-parent rerun of an audit past its retries — see
     :mod:`repro.engine.supervisor`).
     """
     if sampler is None:
@@ -238,8 +238,7 @@ def audit_theorems(samples: int = 50, max_ring_size: int = 5,
             context=(max_ring_size, protocols), stats=stats,
             policy=policy, cache=cache,
             keys=([keys[index] for index in pending]
-                  if cache is not None else None),
-            fallback_worker=_audit_indexed_worker)
+                  if cache is not None else None))
         for index, outcome in zip(pending, fresh):
             stats.work_items += 1
             stats.states_explored += outcome.states_explored

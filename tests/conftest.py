@@ -77,6 +77,22 @@ def matching_invariant_only() -> RingProtocol:
     return matching_base()
 
 
+@pytest.fixture(scope="session")
+def matrix():
+    """The differential matrix: each naive reference and production
+    default is computed once per session (see ``tests/differential``)."""
+    from tests.differential.harness import Matrix
+
+    return Matrix()
+
+
+@pytest.fixture(autouse=True)
+def _no_ambient_fault_injection(monkeypatch):
+    """Keep the suite hermetic: a leaked REPRO_INJECT_FAULT in the
+    environment must not sabotage unrelated tests."""
+    monkeypatch.delenv("REPRO_INJECT_FAULT", raising=False)
+
+
 def empty_unidirectional(domain_size: int, name: str = "p",
                          legitimacy: str = "x[0] == x[-1]") -> RingProtocol:
     """A fresh empty unidirectional protocol for ad-hoc tests."""

@@ -90,10 +90,3 @@ def corrupt_checkpoint():
         path.write_bytes(data)
 
     return corrupt
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_fault_injection(monkeypatch):
-    """Keep the suite hermetic: a leaked REPRO_INJECT_FAULT in the
-    environment must not sabotage unrelated tests."""
-    monkeypatch.delenv("REPRO_INJECT_FAULT", raising=False)

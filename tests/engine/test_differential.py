@@ -1,55 +1,45 @@
-"""Differential test harness: three verification routes, one truth.
+"""Three verification routes, one truth.
 
 Seeded random small protocols are cross-validated three ways —
 
 1. the **local certifier** (Theorem 4.2 deadlock prediction plus the
    Theorem 5.14 livelock certificate),
-2. an explicit **serial per-K sweep** (the cutoff-style baseline), and
-3. the **parallel sweep** through the ``repro.engine`` process pool —
+2. the naive **serial per-K sweep** (the matrix's reference), and
+3. the **parallel sweep** through the engine's dispatcher (a ``jobs``
+   cell of :mod:`tests.differential`) —
 
 asserting verdict agreement on every instance: the deadlock prediction
 must match the swept per-K deadlocks exactly (the theorem is exact both
 ways), a livelock-freedom certificate must never coexist with a swept
 livelock (the theorem is sound), and the parallel sweep must reproduce
-the serial sweep's reports verbatim.
+the reference's reports verbatim.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.checker.sweep import SweepResult, sweep_verify
+from repro.checker.sweep import SweepResult
 from repro.core.deadlock import DeadlockAnalyzer
 from repro.core.livelock import LivelockCertifier, LivelockVerdict
-from repro.randomgen import ProtocolSampler
+from tests.differential import sources
 
 MAX_K = 4
-SEEDS = (0, 17, 42)
 SAMPLES_PER_SEED = 8
 
 
-def _sampled_protocols():
-    for seed in SEEDS:
-        sampler = ProtocolSampler(seed=seed)
-        for index in range(SAMPLES_PER_SEED):
-            yield pytest.param(sampler.sample(),
-                               id=f"seed{seed}-sample{index}")
-
-
-@pytest.mark.parametrize("protocol", _sampled_protocols())
-def test_three_routes_agree(protocol):
-    serial = sweep_verify(protocol, up_to=MAX_K, jobs=1)
-    parallel = sweep_verify(protocol, up_to=MAX_K, jobs=2)
+@pytest.mark.parametrize("source",
+                         sources.sample_block((0, 17, 42), SAMPLES_PER_SEED))
+def test_three_routes_agree(matrix, source):
+    matrix.cell("sweep", source, up_to=MAX_K, jobs=2)
+    swept = matrix.reference("sweep", source, up_to=MAX_K)
+    protocol = source.build()
     predicted = DeadlockAnalyzer(protocol).deadlocked_ring_sizes(MAX_K)
     certificate = LivelockCertifier(
         protocol, max_ring_size=MAX_K + 1).analyze()
     certified = certificate.verdict is LivelockVerdict.CERTIFIED_FREE
 
-    # Route 3 == route 2, report for report.
-    assert parallel.reports == serial.reports
-    assert parallel.sizes == serial.sizes
-
-    for report in serial.reports:
+    for report in swept.reports:
         # Theorem 4.2 is exact: the local prediction and the explicit
         # per-K check must agree on every instance, in both directions.
         assert bool(report.deadlocks_outside) == (
@@ -63,14 +53,13 @@ def test_three_routes_agree(protocol):
                 f"{protocol.pretty()}")
 
 
-def test_differential_verdict_aggregates():
+def test_differential_verdict_aggregates(matrix):
     """The aggregate sweep verdict is a pure function of the per-K
-    reports, so serial/parallel agreement extends to the aggregates."""
-    sampler = ProtocolSampler(seed=7)
-    for _ in range(SAMPLES_PER_SEED):
-        protocol = sampler.sample()
-        serial = sweep_verify(protocol, up_to=MAX_K, jobs=1)
-        parallel = sweep_verify(protocol, up_to=MAX_K, jobs=3)
+    reports, so agreement with the reference extends to the
+    aggregates."""
+    for source in sources.sampled_run(7, SAMPLES_PER_SEED):
+        parallel = matrix.cell("sweep", source, up_to=MAX_K, jobs=3).result
+        serial = matrix.reference("sweep", source, up_to=MAX_K)
         assert isinstance(parallel, SweepResult)
         assert parallel.all_self_stabilizing == serial.all_self_stabilizing
         assert parallel.failing_sizes == serial.failing_sizes

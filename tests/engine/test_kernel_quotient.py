@@ -5,99 +5,36 @@ quotient by rotation orbits preserves closure, deadlock existence,
 livelock existence, strong/weak convergence, self-stabilization, and
 BFS distances into the invariant (hence the worst-case recovery bound).
 State and witness *counts* refer to orbits — those are the only fields
-allowed to differ from the full space.
+allowed to differ from the full space.  The preservation cells are the
+matrix's ``backend="quotient"`` value (see :mod:`tests.differential`);
+this file adds the quotient's own mechanics.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.checker.convergence import check_instance
 from repro.checker.statespace import StateGraph
 from repro.engine import EngineStats
 from repro.engine.kernel import canonical_rotation
 from repro.protocols import (
     DijkstraTokenRing,
-    agreement,
     generalizable_matching,
-    gouda_acharya_matching,
-    livelock_agreement,
-    matching_base,
-    nongeneralizable_matching,
     stabilizing_agreement,
-    stabilizing_sum_not_two,
-    sum_not_two,
-    three_coloring,
-    two_coloring,
 )
-from repro.randomgen import ProtocolSampler
-
-BUNDLED = (
-    matching_base,
-    generalizable_matching,
-    nongeneralizable_matching,
-    gouda_acharya_matching,
-    agreement,
-    livelock_agreement,
-    stabilizing_agreement,
-    two_coloring,
-    three_coloring,
-    sum_not_two,
-    stabilizing_sum_not_two,
-)
-MAX_STATES = 1200
-
-# Every field of GlobalReport the quotient claims to preserve exactly.
-PRESERVED_FIELDS = (
-    "ring_size",
-    "closed",
-    "strongly_converging",
-    "weakly_converging",
-    "worst_case_recovery_steps",
-)
+from tests.differential import sources
 
 
-def assert_verdicts_preserved(instance) -> None:
-    full = check_instance(instance, backend="kernel")
-    quotient = check_instance(instance, backend="kernel", symmetry=True)
-    for name in PRESERVED_FIELDS:
-        assert getattr(quotient, name) == getattr(full, name), name
-    # Existence (not count) of witnesses is preserved.
-    assert bool(quotient.deadlocks_outside) == bool(full.deadlocks_outside)
-    assert bool(quotient.livelock_cycles) == bool(full.livelock_cycles)
-    assert quotient.self_stabilizing == full.self_stabilizing
-    # Size bounds: at most the full space, at least one rep per orbit
-    # (orbits have ≤ K members).
-    size = instance.size
-    assert quotient.state_count <= full.state_count
-    assert quotient.state_count * size >= full.state_count
-    assert quotient.invariant_count <= full.invariant_count
-    assert quotient.invariant_count * size >= full.invariant_count
-
-
-def _bundled_instances():
-    for factory in BUNDLED:
-        protocol = factory()
-        size = protocol.process.window_width
-        while len(protocol.space.cells) ** size <= MAX_STATES:
-            yield pytest.param(protocol, size,
-                               id=f"{protocol.name}-K{size}")
-            size += 1
-
-
-@pytest.mark.parametrize("protocol,size", _bundled_instances())
-def test_quotient_preserves_verdicts_on_bundled(protocol, size):
-    assert_verdicts_preserved(protocol.instantiate(size))
+@pytest.mark.parametrize("source,size", sources.bundled_instances())
+def test_quotient_preserves_verdicts_on_bundled(matrix, source, size):
+    matrix.cell("check", source, size=size, backend="quotient")
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_quotient_preserves_verdicts_on_random(seed):
-    sampler = ProtocolSampler(
-        seed=seed, restrict_sources_to_bad=bool(seed % 2))
-    for _ in range(4):
-        protocol = sampler.sample()
+def test_quotient_preserves_verdicts_on_random(matrix, seed):
+    for source in sources.sampled_run(seed, 4, alternate=True):
         for size in range(2, 5):
-            assert_verdicts_preserved(protocol.instantiate(size))
+            matrix.cell("check", source, size=size, backend="quotient")
 
 
 def test_quotient_orbits_partition_the_full_space():

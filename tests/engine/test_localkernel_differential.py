@@ -1,4 +1,4 @@
-"""Differential suite: the local-reasoning kernel == the naive pipeline.
+"""Differential cells: the local-reasoning kernel == the naive pipeline.
 
 The original ``Digraph``-per-query implementations are the reference;
 the bitmask kernel must reproduce them exactly:
@@ -12,8 +12,10 @@ the bitmask kernel must reproduce them exactly:
   included, over seeded random digraphs;
 * synthesis — byte-identical :class:`SynthesisResult` surfaces
   (outcome, Resolve, chosen combination, rejected list with reasons) on
-  every bundled protocol and on ≥ 60 seeded random protocols, and
+  every bundled protocol and on 60 seeded random protocols, and
   identical results under ``jobs=1`` vs ``jobs=2``.
+
+The trail and synthesis cells run through :mod:`tests.differential`.
 """
 
 from __future__ import annotations
@@ -25,10 +27,7 @@ import weakref
 import pytest
 
 from repro.core.convergence import verify_convergence
-from repro.core.pseudolivelock import (
-    SupportExplosion,
-    pseudo_livelock_supports,
-)
+from repro.core.pseudolivelock import pseudo_livelock_supports
 from repro.core.synthesis import Synthesizer
 from repro.core.trail import ContiguousTrailSearcher
 from repro.engine import EngineStats, localkernel, parallelism_available
@@ -38,69 +37,20 @@ from repro.graphs import (
     minimal_feedback_vertex_sets,
     minimal_feedback_vertex_sets_exhaustive,
 )
-from repro.protocols import (
-    agreement,
-    generalizable_matching,
-    gouda_acharya_matching,
-    livelock_agreement,
-    matching_base,
-    nongeneralizable_matching,
-    stabilizing_agreement,
-    stabilizing_sum_not_two,
-    sum_not_two,
-    three_coloring,
-    two_coloring,
-)
-from repro.randomgen import ProtocolSampler
+from repro.protocols import stabilizing_sum_not_two, sum_not_two
+from tests.differential import sources
 
-BUNDLED = (
-    matching_base,
-    generalizable_matching,
-    nongeneralizable_matching,
-    gouda_acharya_matching,
-    agreement,
-    livelock_agreement,
-    stabilizing_agreement,
-    two_coloring,
-    three_coloring,
-    sum_not_two,
-    stabilizing_sum_not_two,
-)
-
-RANDOM_SEEDS = tuple(range(10))
-SAMPLES_PER_SEED = 6  # 10 × 6 = 60 random protocols ≥ the 60 required
+#: 10 seeds x 6 samples = 60 random protocols, both sampler regimes.
+RANDOM = sources.sample_block(range(10), 6, alternate=True)
 RANDOM_MAX_RING = 5
 
 
 # ----------------------------------------------------------------------
 # Trail search
 # ----------------------------------------------------------------------
-def _supports(protocol):
-    try:
-        return pseudo_livelock_supports(protocol.space.transitions)
-    except SupportExplosion:
-        return []
-
-
-@pytest.mark.parametrize("factory", BUNDLED,
-                         ids=lambda f: f.__name__)
-def test_trail_kernel_matches_naive_on_bundled(factory):
-    protocol = factory()
-    kernel = ContiguousTrailSearcher(protocol, backend="kernel")
-    naive = ContiguousTrailSearcher(protocol, backend="naive")
-    for support in _supports(protocol):
-        found_kernel = kernel.find_trail(support)
-        found_naive = naive.find_trail(support)
-        assert (found_kernel is None) == (found_naive is None), support
-        if found_kernel is None:
-            continue
-        # The witness head is deterministic; the witnessing SCC's
-        # member states may legitimately differ between backends.
-        assert found_kernel.ring_size == found_naive.ring_size
-        assert found_kernel.enablements == found_naive.enablements
-        assert found_kernel.t_arcs == found_naive.t_arcs
-        assert found_kernel.illegitimate_states
-        assert set(found_kernel.states) <= set(protocol.space.states)
+@pytest.mark.parametrize("source", sources.bundled_by_factory())
+def test_trail_kernel_matches_naive_on_bundled(matrix, source):
+    matrix.cell("trail", source)
 
 
 def test_trail_kernel_memoizes_repeat_queries():
@@ -108,7 +58,7 @@ def test_trail_kernel_memoizes_repeat_queries():
     # recovery arcs give a non-empty support pool.
     protocol = stabilizing_sum_not_two()
     searcher = ContiguousTrailSearcher(protocol, backend="kernel")
-    supports = _supports(protocol)
+    supports = pseudo_livelock_supports(protocol.space.transitions)
     assert supports
     first = [searcher.find_trail(s) for s in supports]
     stats = EngineStats()
@@ -178,63 +128,25 @@ def test_fvs_truncation_is_a_prefix(seed):
 # ----------------------------------------------------------------------
 # Synthesis
 # ----------------------------------------------------------------------
-def _comparable(result):
-    """The backend-independent surface of a SynthesisResult."""
-    return (
-        result.outcome,
-        result.resolve,
-        result.chosen,
-        tuple((r.transitions, r.reason) for r in result.rejected),
-        result.resolve_sets_tried,
-        None if result.protocol is None else result.protocol.name,
-    )
+@pytest.mark.parametrize("source", sources.bundled_by_factory())
+def test_synthesis_kernel_matches_naive_on_bundled(matrix, source):
+    matrix.cell("synthesis", source)
 
 
-def _assert_synthesis_identical(protocol, **kwargs):
-    naive = Synthesizer(protocol, backend="naive", **kwargs).synthesize()
-    kernel = Synthesizer(protocol, backend="kernel", **kwargs).synthesize()
-    assert _comparable(kernel) == _comparable(naive)
-    return kernel
+@pytest.mark.parametrize("source", RANDOM)
+def test_synthesis_kernel_matches_naive_on_random(matrix, source):
+    matrix.cell("synthesis", source, max_ring_size=RANDOM_MAX_RING)
 
 
-@pytest.mark.parametrize("factory", BUNDLED,
-                         ids=lambda f: f.__name__)
-def test_synthesis_kernel_matches_naive_on_bundled(factory):
-    _assert_synthesis_identical(factory())
-
-
-def _random_protocols():
-    for seed in RANDOM_SEEDS:
-        # Alternate the closure restriction so both sampler regimes
-        # (synthesis-style and free-form) exercise the kernel.
-        sampler = ProtocolSampler(
-            seed=seed, restrict_sources_to_bad=bool(seed % 2))
-        for index in range(SAMPLES_PER_SEED):
-            yield pytest.param(sampler.sample(),
-                               id=f"seed{seed}-sample{index}")
-
-
-@pytest.mark.parametrize("protocol", _random_protocols())
-def test_synthesis_kernel_matches_naive_on_random(protocol):
-    _assert_synthesis_identical(protocol,
-                                max_ring_size=RANDOM_MAX_RING)
-
-
-@pytest.mark.parametrize("factory", (sum_not_two, three_coloring),
-                         ids=lambda f: f.__name__)
-def test_synthesis_deterministic_across_jobs(factory):
-    serial = Synthesizer(factory(), jobs=1).synthesize()
-    parallel = Synthesizer(factory(), jobs=2).synthesize()
-    assert _comparable(parallel) == _comparable(serial)
+@pytest.mark.parametrize(
+    "source", sources.bundled_by_factory(["sum-not-two", "3-coloring"]))
+def test_synthesis_deterministic_across_jobs(matrix, source):
+    parallel = matrix.cell("synthesis", source, jobs=2).result
     # Without fork (e.g. REPRO_START_METHOD=spawn) the synthesizer has
     # no portable context and runs serially by design.
     assert parallel.stats.parallel or not parallel.rejected \
         or not parallelism_available()
-    sweep_serial = Synthesizer(factory(),
-                               jobs=1).evaluate_all_combinations()
-    sweep_parallel = Synthesizer(factory(),
-                                 jobs=2).evaluate_all_combinations()
-    assert sweep_parallel == sweep_serial
+    matrix.cell("rows", source, jobs=2)
 
 
 def test_repeated_sweep_returns_the_same_rows():

@@ -1,9 +1,9 @@
 """Unit tests for :mod:`repro.engine.scheduler`.
 
-The property-based differential harness
-(test_supervisor_properties.py) pins verdict equality for batch mode on
-real protocols; this file pins the batch-specific mechanics — cost-model
-sizing, requeue-without-retry-charge on worker death, heartbeat-armed
+The differential matrix (``tests/differential/``) pins verdict
+equality for batch mode on real protocols; this file pins the
+batch-specific mechanics — cost-model sizing,
+requeue-without-retry-charge on worker death, heartbeat-armed
 timeouts, cache write-through and the routing / prewarm plumbing —
 on tiny synthetic workers.  Tests that pin batch shapes (or run
 self-killing workers at ``jobs=1``, which the dispatcher would run
@@ -42,17 +42,13 @@ needs_fork = pytest.mark.skipif(not parallelism_available(),
                                 reason="needs the fork start method")
 
 
-def identity_fallback(context, item):
-    return item * item
-
-
 def run_batch(worker, items, jobs=1, batch_size=None, stats=None,
-              policy=None, fallback_worker=None):
+              policy=None):
     """Run *items* on a :class:`BatchScheduler` built directly, with a
     pinned *batch_size*, bypassing the dispatcher's serial choice."""
     ledger = TaskLedger(worker, list(items), None, stats,
                         policy or SupervisorPolicy(backoff=0.01), None,
-                        None, fallback_worker, None)
+                        None, None)
     BatchScheduler(ledger, jobs=jobs, batch_size=batch_size).run(
         ledger.split_cached())
     if ledger.failure is not None:
@@ -255,28 +251,18 @@ class TestBatchExecution:
         assert len([c for c in calls if c.startswith("call-1-")]) <= 1
 
     def test_unpicklable_result_degrades_that_task(self):
+        parent = os.getpid()
+
         def lambda_result(context, item):
-            return lambda: item  # never pickles
+            if os.getpid() != parent:
+                return lambda: item  # never pickles
+            return item * item, "in-parent"
 
         stats = EngineStats()
-        results = run_batch(lambda_result, [3, 4], stats=stats,
-                            fallback_worker=identity_fallback)
-        assert results == [9, 16]
+        results = run_batch(lambda_result, [3, 4], stats=stats)
+        # Each degraded task is the worker's own answer, run in-parent.
+        assert results == [(9, "in-parent"), (16, "in-parent")]
         assert stats.supervisor_degraded == 2
-
-    def test_degradation_disabled_raises(self):
-        def always_crashes(context, item):
-            import os as _os
-            import signal as _signal
-
-            _os.kill(_os.getpid(), _signal.SIGKILL)
-
-        from repro.engine.supervisor import SupervisorError
-
-        with pytest.raises(SupervisorError, match="degradation"):
-            run_batch(always_crashes, range(2),
-                      policy=SupervisorPolicy(retries=0, backoff=0.01,
-                                              degrade=False))
 
 
 # ----------------------------------------------------------------------

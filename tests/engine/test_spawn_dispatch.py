@@ -7,13 +7,13 @@ kernel from scratch.  These tests pin the new contract: with a
 :class:`PortableContext` the batch scheduler really runs spawned
 workers, those workers *attach* the parent's published
 artifacts instead of compiling (the ``kernel.compile`` span never
-opens), and verdicts are byte-identical to fork and to ``--artifacts
-off`` in every combination.
+opens), and verdicts equal the naive reference under fork and spawn,
+with and without an artifact store (the matrix's ``start_method`` and
+``artifacts`` axes, see :mod:`tests.differential`).
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 
 import pytest
@@ -28,22 +28,14 @@ from repro.engine.pool import (
 )
 from repro.obs import runtime as obs
 from repro.protocols import generalizable_matching
-from repro.serialization import global_report_to_dict
+from tests.differential import sources
 
 needs_spawn = pytest.mark.skipif(
     "spawn" not in multiprocessing.get_all_start_methods(),
     reason="spawn start method unavailable")
 
 UP_TO = 6
-
-
-def _verdict_bytes(result) -> list[str]:
-    out = []
-    for report in result.reports:
-        data = global_report_to_dict(report)
-        data.pop("stats", None)
-        out.append(json.dumps(data, sort_keys=True))
-    return out
+MATCHING = sources.bundled("matching-ex4.2")
 
 
 def _warm_store(tmp_path) -> ap.ArtifactStore:
@@ -80,9 +72,8 @@ def test_spawn_workers_attach_instead_of_compiling(tmp_path, monkeypatch):
 
 
 @needs_spawn
-def test_batch_scheduler_runs_spawn_workers(tmp_path, monkeypatch):
+def test_batch_scheduler_runs_spawn_workers(matrix, tmp_path, monkeypatch):
     store = _warm_store(tmp_path)
-    reference = sweep_verify(generalizable_matching(), up_to=UP_TO)
     monkeypatch.setenv(START_METHOD_ENV, "spawn")
     with ap.plane(store), obs.run("spawn-batch") as run_ctx:
         result = sweep_verify(generalizable_matching(), up_to=UP_TO,
@@ -90,7 +81,8 @@ def test_batch_scheduler_runs_spawn_workers(tmp_path, monkeypatch):
     assert result.stats.scheduler_batches > 0
     assert result.stats.artifact_hits > 0
     assert run_ctx.metrics.value("kernel.compiles", default=0) == 0
-    assert _verdict_bytes(result) == _verdict_bytes(reference)
+    assert result.reports \
+        == matrix.reference("sweep", MATCHING, up_to=UP_TO).reports
     store.close()
 
 
@@ -98,29 +90,11 @@ def test_batch_scheduler_runs_spawn_workers(tmp_path, monkeypatch):
 # Differential: verdict bytes across start methods and artifact modes
 # ----------------------------------------------------------------------
 @needs_spawn
-def test_verdicts_identical_across_methods_and_modes(tmp_path, monkeypatch):
-    configurations = []
+def test_verdicts_identical_across_methods_and_modes(matrix):
     for method in ("fork", "spawn"):
-        if method not in multiprocessing.get_all_start_methods():
-            continue
         for artifacts in ("off", "rw"):
-            configurations.append((method, artifacts))
-    assert ("spawn", "rw") in configurations
-
-    baseline = None
-    for method, artifacts in configurations:
-        monkeypatch.setenv(START_METHOD_ENV, method)
-        store = (ap.ArtifactStore(tmp_path / f"{method}-{artifacts}")
-                 if artifacts == "rw" else None)
-        with ap.plane(store):
-            result = sweep_verify(generalizable_matching(),
-                                  up_to=UP_TO, jobs=2)
-        if store is not None:
-            store.close()
-        verdicts = _verdict_bytes(result)
-        if baseline is None:
-            baseline = verdicts
-        assert verdicts == baseline, (method, artifacts)
+            matrix.cell("sweep", MATCHING, up_to=UP_TO, jobs=2,
+                        start_method=method, artifacts=artifacts)
 
 
 # ----------------------------------------------------------------------

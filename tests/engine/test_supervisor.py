@@ -1,13 +1,15 @@
 """Unit tests for :mod:`repro.engine.supervisor`.
 
-The differential property suite (test_supervisor_properties.py) pins
-verdict equality on real protocols; this file pins the supervision
+The differential matrix (``tests/differential/``) pins verdict
+equality on real protocols; this file pins the supervision
 mechanics themselves — retry ladders, timeouts, degradation, cache
 write-through and the fault-injection plumbing — on tiny synthetic
 workers.
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
@@ -16,7 +18,6 @@ from repro.engine.pool import WorkerTraceback, parallelism_available
 from repro.engine.supervisor import (
     FAULT_ENV,
     FaultPlan,
-    SupervisorError,
     SupervisorPolicy,
     supervise_work_items,
 )
@@ -30,10 +31,6 @@ needs_fork = pytest.mark.skipif(not parallelism_available(),
 def failing_worker(context, item):
     if item == 2:
         raise ValueError(f"item {item} is cursed")
-    return item * item
-
-
-def identity_fallback(context, item):
     return item * item
 
 
@@ -69,7 +66,7 @@ class TestSupervisorPolicy:
         policy = SupervisorPolicy()
         assert policy.timeout is None
         assert policy.retries == 2
-        assert policy.degrade
+        assert (policy.backoff, policy.backoff_cap) == (0.05, 2.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -205,35 +202,23 @@ class TestCrashIsolation:
         assert results == [i * i for i in range(6)]
 
     def test_retry_budget_exhaustion_degrades(self):
-        def always_crashes(context, item):
-            import os as _os
+        parent = os.getpid()
+
+        def crashes_in_workers(context, item):
             import signal as _signal
 
-            if item == 1:
-                _os.kill(_os.getpid(), _signal.SIGKILL)
-            return item * item
+            if item == 1 and os.getpid() != parent:
+                os.kill(os.getpid(), _signal.SIGKILL)
+            return item * item, os.getpid() == parent
 
         stats = EngineStats()
         results = supervise_work_items(
-            always_crashes, range(3), jobs=2, stats=stats,
-            policy=SupervisorPolicy(retries=1, backoff=0.01),
-            fallback_worker=identity_fallback)
-        assert results == [0, 1, 4]
+            crashes_in_workers, range(3), jobs=2, stats=stats,
+            policy=SupervisorPolicy(retries=1, backoff=0.01))
+        # The degraded item is the worker's own answer, run in-parent.
+        assert results == [(0, False), (1, True), (4, False)]
         assert stats.supervisor_retries == 1
         assert stats.supervisor_degraded == 1
-
-    def test_degradation_disabled_raises(self):
-        def always_crashes(context, item):
-            import os as _os
-            import signal as _signal
-
-            _os.kill(_os.getpid(), _signal.SIGKILL)
-
-        with pytest.raises(SupervisorError, match="degradation"):
-            supervise_work_items(
-                always_crashes, [0], jobs=1,
-                policy=SupervisorPolicy(timeout=30.0, retries=0,
-                                        backoff=0.01, degrade=False))
 
 
 # ----------------------------------------------------------------------
@@ -254,17 +239,20 @@ class TestTimeouts:
         assert stats.supervisor_degraded == 0
 
     def test_persistent_hang_degrades_to_fallback(self):
-        def always_hangs(context, item):
+        parent = os.getpid()
+
+        def hangs_in_workers(context, item):
             import time as _time
 
-            _time.sleep(3600)
+            if os.getpid() != parent:
+                _time.sleep(3600)
+            return item * item
 
         stats = EngineStats()
         results = supervise_work_items(
-            always_hangs, [7], jobs=1, stats=stats,
+            hangs_in_workers, [7], jobs=1, stats=stats,
             policy=SupervisorPolicy(timeout=0.3, retries=1,
-                                    backoff=0.01),
-            fallback_worker=identity_fallback)
+                                    backoff=0.01))
         assert results == [49]
         assert stats.supervisor_timeouts == 2
         assert stats.supervisor_degraded == 1
@@ -302,14 +290,17 @@ class TestWorkerExceptions:
         assert len(list(counter_dir.iterdir())) == 1
 
     def test_unpicklable_result_degrades_that_task(self):
+        parent = os.getpid()
+
         def lambda_result(context, item):
-            return lambda: item  # never pickles
+            if os.getpid() != parent:
+                return lambda: item  # never pickles
+            return item * item
 
         stats = EngineStats()
         results = supervise_work_items(
             lambda_result, [3], jobs=1, stats=stats,
-            policy=SupervisorPolicy(timeout=30.0, backoff=0.01),
-            fallback_worker=identity_fallback)
+            policy=SupervisorPolicy(timeout=30.0, backoff=0.01))
         assert results == [9]
         assert stats.supervisor_degraded == 1
 
@@ -461,3 +452,36 @@ class TestWriteThroughUnderWorkers:
         assert results == [i * i for i in range(5)]
         assert stats.cache_hits == 2
         assert cache.stats.stores == 3
+
+
+# ----------------------------------------------------------------------
+# a degraded engine task reruns its own (kernel) worker
+# ----------------------------------------------------------------------
+@needs_fork
+class TestDegradedEngineTasks:
+    def test_degraded_sweep_item_checks_on_the_kernel(self):
+        from repro.checker.sweep import sweep_verify
+        from repro.protocols import nongeneralizable_matching
+
+        result = sweep_verify(
+            nongeneralizable_matching(), start=8, up_to=8,
+            policy=SupervisorPolicy(timeout=0.5, retries=0),
+            fault_plan=FaultPlan(hang_items=frozenset({0})))
+        (report,) = result.reports
+        assert result.stats.supervisor_degraded == 1
+        # The naive interpreter encodes nothing; the kernel packs every
+        # state of the in-parent rerun.
+        assert report.stats.states_encoded == report.state_count == 3 ** 8
+
+    def test_degraded_trail_search_runs_the_local_kernel(self,
+                                                         monkeypatch):
+        from repro.core.livelock import LivelockCertifier
+        from repro.protocols import stabilizing_sum_not_two
+
+        monkeypatch.setenv(FAULT_ENV, "hang:0")
+        report = LivelockCertifier(
+            stabilizing_sum_not_two(),
+            policy=SupervisorPolicy(timeout=0.5, retries=0)).analyze()
+        assert report.supports_checked == 1
+        assert report.stats.supervisor_degraded == 1
+        assert report.stats.mask_evaluations == 36

@@ -1,11 +1,13 @@
-"""Differential suite for the incremental lattice synthesis search.
+"""Differential cells and unit coverage for the lattice synthesis search.
 
-The flat per-combination loop is the reference; the lattice walk
-(:mod:`repro.engine.synthsearch`) must reproduce it exactly:
+The flat per-combination loop and the naive backend are the oracles;
+the lattice walk (:mod:`repro.engine.synthsearch`) must reproduce them
+exactly:
 
 * byte-identical :class:`SynthesisResult` surfaces (outcome, Resolve,
   chosen combination, rejected list with reasons) on every bundled
-  protocol and on >= 40 seeded random protocols;
+  protocol and on 40 seeded random protocols (the ``search="flat"``
+  cells of :mod:`tests.differential`);
 * prune soundness — every combination the lattice answered without a
   leaf-level trail query must get the identical verdict from an
   un-memoized flat evaluation;
@@ -22,8 +24,6 @@ values, so distinct combos used to collide).
 
 from __future__ import annotations
 
-import functools
-
 import pytest
 
 from repro.core.synthesis import Synthesizer
@@ -35,97 +35,41 @@ from repro.engine.synthsearch import (
     LatticeSearch,
 )
 from repro.protocol.actions import LocalTransition
-from repro.protocol.localstate import LocalState
 from repro.protocol.process import ProcessTemplate
 from repro.protocol.ring import RingProtocol
 from repro.protocol.variables import Variable
-from repro.protocols import (
-    agreement,
-    coloring,
-    generalizable_matching,
-    gouda_acharya_matching,
-    livelock_agreement,
-    matching_base,
-    nongeneralizable_matching,
-    stabilizing_agreement,
-    stabilizing_sum_not_two,
-    sum_not_two,
-    three_coloring,
-    two_coloring,
-)
-from repro.protocols.sum_not_two import forbidden_sum
-from repro.randomgen import ProtocolSampler
+from repro.protocols import coloring, gouda_acharya_matching, three_coloring
+from tests.differential import sources
+from tests.differential.harness import ANALYSES
 
-BUNDLED = (
-    matching_base,
-    generalizable_matching,
-    nongeneralizable_matching,
-    gouda_acharya_matching,
-    agreement,
-    livelock_agreement,
-    stabilizing_agreement,
-    two_coloring,
-    three_coloring,
-    sum_not_two,
-    stabilizing_sum_not_two,
-)
-
-RANDOM_SEEDS = tuple(range(8))
-SAMPLES_PER_SEED = 5  # 8 x 5 = 40 random protocols, the suite's floor
+RANDOM_SAMPLES = 5  # 8 seeds x 5 = 40 random protocols, the suite's floor
 RANDOM_MAX_RING = 5
-
-
-def _comparable(result):
-    """The search-independent surface of a SynthesisResult."""
-    return (
-        result.outcome,
-        result.resolve,
-        result.chosen,
-        tuple((r.transitions, r.reason) for r in result.rejected),
-        result.resolve_sets_tried,
-        None if result.protocol is None else result.protocol.name,
-    )
-
-
-def _sampled(seed: int, count: int):
-    sampler = ProtocolSampler(seed=seed)
-    return [sampler.sample() for _ in range(count)]
 
 
 # ----------------------------------------------------------------------
 # Verdict equality: lattice vs flat
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("factory", BUNDLED, ids=lambda f: f.__name__)
-def test_lattice_matches_flat_on_bundled(factory):
-    lattice = Synthesizer(factory(), search="lattice").synthesize()
-    flat = Synthesizer(factory(), search="flat").synthesize()
-    assert _comparable(lattice) == _comparable(flat)
+@pytest.mark.parametrize("source", sources.bundled_by_factory())
+def test_lattice_matches_flat_on_bundled(matrix, source):
+    matrix.cell("synthesis", source, search="flat")
 
 
-@pytest.mark.parametrize("factory", (three_coloring, sum_not_two),
-                         ids=lambda f: f.__name__)
-def test_lattice_matches_flat_full_sweep(factory):
+@pytest.mark.parametrize(
+    "source", sources.bundled_by_factory(["3-coloring", "sum-not-two"]))
+def test_lattice_matches_flat_full_sweep(matrix, source):
     # evaluate_all_combinations exercises the non-stop-at-first path:
     # every combination's reason string must match, not just the
     # winning prefix.
-    lattice = Synthesizer(factory(), search="lattice")
-    flat = Synthesizer(factory(), search="flat")
-    assert lattice.evaluate_all_combinations() \
-        == flat.evaluate_all_combinations()
+    matrix.cell("rows", source, search="flat")
 
 
-@pytest.mark.parametrize("seed", RANDOM_SEEDS)
-def test_lattice_matches_flat_on_random_protocols(seed):
-    # Fresh protocol objects per mode: the kernel trail memo hangs off
+@pytest.mark.parametrize("seed", range(8))
+def test_lattice_matches_flat_on_random_protocols(matrix, seed):
+    # Fresh protocol objects per run: the kernel trail memo hangs off
     # the protocol's kernel, and a shared one would mask divergence.
-    for lattice_p, flat_p in zip(_sampled(seed, SAMPLES_PER_SEED),
-                                 _sampled(seed, SAMPLES_PER_SEED)):
-        lattice = Synthesizer(lattice_p, max_ring_size=RANDOM_MAX_RING,
-                              search="lattice").synthesize()
-        flat = Synthesizer(flat_p, max_ring_size=RANDOM_MAX_RING,
-                           search="flat").synthesize()
-        assert _comparable(lattice) == _comparable(flat), \
-            f"seed {seed} diverged on {lattice_p.pretty()}"
+    for source in sources.sampled_run(seed, RANDOM_SAMPLES):
+        matrix.cell("synthesis", source, max_ring_size=RANDOM_MAX_RING,
+                    search="flat")
 
 
 def test_naive_backend_silently_searches_flat():
@@ -180,31 +124,30 @@ def test_counter_split_covers_every_combination():
 # ----------------------------------------------------------------------
 @pytest.mark.skipif(not parallelism_available(),
                     reason="needs the fork start method")
-def test_verdicts_and_counters_invariant_across_jobs():
+def test_verdicts_and_counters_invariant_across_jobs(matrix):
     # three_coloring rejects every combination, so every jobs value
     # judges the whole pool and the counter split must match too.
     # forbidden_sum(6, 1) accepts its second combination, which falls
     # in the second unit at jobs 2 and 4: units after it are
-    # speculative, so only the result is compared, against flat.
-    def run(factory, jobs):
-        synthesizer = Synthesizer(factory(), jobs=jobs, search="lattice")
-        result = synthesizer.synthesize()
-        stats = synthesizer.stats
+    # speculative, so only the result is compared, against the
+    # reference.
+    def split(source, jobs):
+        stats = matrix.cell("synthesis", source, jobs=jobs).result.stats
         assert stats.combos_pruned + stats.full_evaluations \
             == stats.work_items
-        return (_comparable(result),
-                stats.combos_pruned, stats.full_evaluations)
+        return stats.combos_pruned, stats.full_evaluations
 
-    reference = run(three_coloring, 1)
+    three = sources.coloring(3)
+    reference = split(three, 1)
     for jobs in (2, 4):
-        assert run(three_coloring, jobs) == reference, jobs
+        assert split(three, jobs) == reference, jobs
 
-    accepts_second = functools.partial(forbidden_sum, 6, 1)
-    flat = _comparable(
-        Synthesizer(accepts_second(), search="flat").synthesize())
-    assert flat[0].name.startswith("SUCCESS") and len(flat[3]) == 1
+    accepts_second = sources.forbidden_sum(6, 1)
+    surface = ANALYSES["synthesis"].surface(
+        matrix.cell("synthesis", accepts_second, search="flat").result)
+    assert surface[0].name.startswith("SUCCESS") and len(surface[3]) == 1
     for jobs in (1, 2, 4):
-        assert run(accepts_second, jobs)[0] == flat, jobs
+        matrix.cell("synthesis", accepts_second, jobs=jobs)
 
 
 def test_one_dispatch_per_pool(monkeypatch):

@@ -57,14 +57,37 @@ def test_synthesize_failure(capsys):
     assert "failure" in out
 
 
+#: One invocation of each command that once took an oracle flag.
+ORACLE_FLAG_COMMANDS = {
+    "synthesize": ["sum-not-two"],
+    "verify": ["agreement-ss"],
+    "check": ["agreement-ss", "-K", "3"],
+    "sweep": ["agreement-ss", "--up-to", "3"],
+    "hybrid": ["agreement-ss", "--check-up-to", "3"],
+}
+
+
 @pytest.mark.parametrize("flag", [["--search", "flat"],
                                   ["--backend", "naive"]])
 def test_synthesize_has_no_oracle_flags(flag, capsys):
     # The naive backend and the flat search are test oracles, reached
-    # through the API only.
-    with pytest.raises(SystemExit) as raised:
-        main(["synthesize", "sum-not-two", *flag])
-    assert raised.value.code == 2
+    # through the API only: no command takes --backend, and only
+    # synthesize ever took --search.
+    commands = (["synthesize"] if flag[0] == "--search"
+                else list(ORACLE_FLAG_COMMANDS))
+    for command in commands:
+        with pytest.raises(SystemExit) as raised:
+            main([command, *ORACLE_FLAG_COMMANDS[command], *flag])
+        assert raised.value.code == 2, command
+
+
+@pytest.mark.parametrize("command", ["check", "hybrid"])
+def test_symmetry_still_runs(command, capsys):
+    argv = [command, *ORACLE_FLAG_COMMANDS[command], "--symmetry"]
+    if command == "check":
+        argv += ["--no-cache", "--no-live", "--no-ledger"]
+    assert main(argv) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_simulate(capsys):

@@ -104,7 +104,7 @@ def test_retired_flags_do_not_split_identity():
 def test_synthesize_records_match_across_the_oracle_flag_removal():
     # synthesize recorded backend=auto and search=lattice while it had
     # --backend/--search; a run recorded after their removal carries
-    # neither and must still match.  An explicit backend still splits.
+    # neither and must still match, whatever value the old record has.
     old = _record("old", command="synthesize",
                   flags={"artifacts": "auto", "backend": "auto", "jobs": 1,
                          "max_ring_size": 9, "search": "lattice"})
@@ -117,8 +117,22 @@ def test_synthesize_records_match_across_the_oracle_flag_removal():
                     flags={"artifacts": "auto", "backend": "naive",
                            "jobs": 1, "max_ring_size": 9,
                            "search": "flat"})
-    assert ledger.identity(naive) != ledger.identity(new)
-    assert ledger.latest_matching([naive, new], new) is None
+    assert ledger.identity(naive) == ledger.identity(new)
+    assert ledger.latest_matching([naive, new], new)["run_id"] == "naive"
+
+
+def test_sweep_records_match_across_the_backend_flag_removal(tmp_path,
+                                                             capsys):
+    # sweep recorded --backend while it had the flag; a record with an
+    # explicit backend is the baseline of a run recorded after its
+    # removal.
+    assert main(["sweep", "sum-not-two", "--up-to", "4",
+                 "--cache-dir", str(tmp_path), "--no-cache",
+                 "--no-live"]) == 1
+    (new,) = ledger.load(ledger.ledger_path(tmp_path))[0]
+    old = dict(new, run_id="old",
+               flags={**new["flags"], "backend": "kernel"})
+    assert ledger.latest_matching([old, new], new)["run_id"] == "old"
 
 
 def test_latest_matching_ignores_later_records():
