@@ -14,7 +14,7 @@
     repro simulate agreement-ss -K 8       # random-daemon convergence study
     repro fuzz --samples 50                # random-protocol theorem audit
     repro figures --out figures/           # DOT files for the paper figures
-    repro cache                            # on-disk cache/artifact stats
+    repro cache                            # on-disk result cache stats
     repro cache --clear
     repro ps                               # live/recent runs on this host
     repro top <run-id> --follow            # refreshing view of one run
@@ -86,18 +86,9 @@ def _add_engine_options(parser: argparse.ArgumentParser,
         help="cache directory (default: .repro-cache/; implies --cache "
              "unless --no-cache is given)")
     parser.add_argument(
-        "--artifacts", choices=("auto", "off", "rw", "ro"),
-        default="auto", metavar="MODE",
-        help="zero-copy compiled-artifact store under "
-             "<cache-dir>/artifacts/ (auto|off|rw|ro): compiled kernels "
-             "and state graphs are mmap-attached across runs and worker "
-             "processes; auto activates it together with --cache, rw/ro "
-             "force it on, off disables it")
-    parser.add_argument(
         "--cache-limit", type=int, default=1024, metavar="MIB",
-        help="combined size cap in MiB for the on-disk result cache and "
-             "the artifact store, enforced LRU-by-mtime "
-             "(default: 1024; 0 = unbounded)")
+        help="size cap in MiB for the on-disk result cache, enforced "
+             "LRU-by-mtime (default: 1024; 0 = unbounded)")
 
 
 def _add_symmetry_option(parser: argparse.ArgumentParser) -> None:
@@ -232,52 +223,13 @@ def _cache_limit_bytes(args: argparse.Namespace) -> int | None:
     return limit << 20 if limit else None
 
 
-@contextlib.contextmanager
-def _artifact_store(args: argparse.Namespace):
-    """Activate the ambient artifact plane for one command.
-
-    Resolves ``--artifacts`` against the cache flags (``auto`` follows
-    ``--cache``), installs the store process-globally for the engine
-    layers to attach/publish through, and on the way out enforces the
-    shared ``--cache-limit`` budget across *both* disk layers (result
-    pickles and artifact files age out of one LRU together).
-    """
-    mode = getattr(args, "artifacts", None)
-    if mode is None:  # command without engine options
-        yield None
-        return
-    import repro.engine.artifacts as artifact_plane
-    from repro.engine import DEFAULT_CACHE_DIR
-
-    cache_dir = args.cache_dir or DEFAULT_CACHE_DIR
-    cache_requested = not (args.cache is False
-                           or (args.cache is None
-                               and args.cache_dir is None))
-    store = artifact_plane.open_store(cache_dir, mode=mode,
-                                      cache_requested=cache_requested)
-    with artifact_plane.plane(store):
-        try:
-            yield store
-        finally:
-            if store is not None:
-                limit = _cache_limit_bytes(args)
-                if limit is not None:
-                    from repro.engine.cache import ENTRY_SUFFIX
-
-                    artifact_plane.enforce_directory_limit(
-                        Path(cache_dir), limit,
-                        suffix=(ENTRY_SUFFIX,
-                                artifact_plane.ARTIFACT_SUFFIX))
-                store.close()
-
-
 #: ``args`` attributes recorded as the ledger identity's flags.  The
 #: run-identity flags (``--run-id``, ``--resume``, ``--checkpoint``)
 #: and output flags are deliberately excluded: two runs of the same
 #: analysis must diff as equals however they are named or checkpointed.
 _LEDGER_FLAG_KEYS = (
     "jobs", "symmetry",
-    "timeout", "retries", "cache", "artifacts",
+    "timeout", "retries", "cache",
     "max_ring_size", "up_to", "ring_size", "samples", "seed",
     "stop_on_failure",
 )
@@ -603,59 +555,54 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    """Inspect (or clear) the two on-disk layers under the cache root:
-    pickled result entries and mmap-attachable artifact files."""
-    import repro.engine.artifacts as artifact_plane
+    """Inspect (or clear) the result cache under the cache root.
+
+    Artifact files (``.art``) are what older versions' artifact plane
+    left under ``artifacts/``; no command reads or writes them any
+    more, so they are counted, never attached, and ``--clear`` removes
+    them with the result entries and the stray temporaries.
+    """
     from repro.engine import DEFAULT_CACHE_DIR
+    from repro.engine.artifacts import (
+        ARTIFACT_SUFFIX,
+        TEMP_SUFFIX,
+        enforce_directory_limit,
+    )
     from repro.engine.cache import ENTRY_SUFFIX
 
     root = Path(args.cache_dir or DEFAULT_CACHE_DIR)
-    art_root = root / artifact_plane.DEFAULT_SUBDIR
     if args.clear:
         # A limit below zero removes every match, empty files included
         # (a write killed before its first byte leaves one).
-        removed = artifact_plane.enforce_directory_limit(
-            root, -1, suffix=(ENTRY_SUFFIX,
-                              artifact_plane.ARTIFACT_SUFFIX,
-                              artifact_plane.TEMP_SUFFIX))
+        removed = enforce_directory_limit(
+            root, -1, suffix=(ENTRY_SUFFIX, ARTIFACT_SUFFIX, TEMP_SUFFIX))
         print(f"cleared {removed} entries under {root}")
         return 0
 
-    results = list(artifact_plane._iter_files(root, ENTRY_SUFFIX))
-    result_bytes = artifact_plane.directory_bytes(root,
-                                                  suffix=ENTRY_SUFFIX)
-    artifacts = list(artifact_plane._iter_files(
-        art_root, artifact_plane.ARTIFACT_SUFFIX))
-    artifact_bytes = artifact_plane.directory_bytes(
-        art_root, suffix=artifact_plane.ARTIFACT_SUFFIX)
-    valid = 0
-    for path in artifacts:
-        try:
-            artifact_plane.attach_artifact(path).close()
-            valid += 1
-        except (artifact_plane.ArtifactFormatError, OSError, ValueError):
-            pass
+    files = {suffix: [0, 0]
+             for suffix in (ENTRY_SUFFIX, ARTIFACT_SUFFIX, TEMP_SUFFIX)}
+    for path in root.rglob("*") if root.is_dir() else ():
+        tally = files.get(path.suffix)
+        if tally is not None and path.is_file():
+            with contextlib.suppress(OSError):
+                tally[1] += path.stat().st_size
+                tally[0] += 1
+    results, result_bytes = files[ENTRY_SUFFIX]
+    legacy, legacy_bytes = files[ARTIFACT_SUFFIX]
+    strays = files[TEMP_SUFFIX][0]
     limit = _cache_limit_bytes(args)
     print(f"cache root: {root}")
-    print(f"  results:   {len(results)} entries, "
+    print(f"  results:   {results} entries, "
           f"{result_bytes / 2**20:.1f} MiB")
-    line = (f"  artifacts: {len(artifacts)} files, "
-            f"{artifact_bytes / 2**20:.1f} MiB")
-    if artifacts:
-        line += (f" ({valid} valid"
-                 + (f", {len(artifacts) - valid} corrupt" if
-                    valid != len(artifacts) else "")
-                 + ")")
-    print(line)
-    strays = list(artifact_plane._iter_files(root,
-                                             artifact_plane.TEMP_SUFFIX))
+    if legacy:
+        print(f"  legacy artifacts: {legacy} files, "
+              f"{legacy_bytes / 2**20:.1f} MiB, removed by --clear")
     if strays:
-        print(f"  stray:     {len(strays)} temporary files left by "
+        print(f"  stray:     {strays} temporary files left by "
               f"interrupted writes (removed by --clear)")
-    total = result_bytes + artifact_bytes
     budget = ("unbounded" if limit is None
-              else f"{total / limit:.0%} of {limit >> 20} MiB cap")
-    print(f"  total:     {total / 2**20:.1f} MiB ({budget})")
+              else f"{result_bytes / limit:.0%} of {limit >> 20} MiB cap")
+    print(f"  total:     {result_bytes / 2**20:.1f} MiB ({budget})")
     print("  (hit/miss rates are per-run; see the engine summary each "
           "command prints, or 'repro report' on a --log-json file)")
     return 0
@@ -941,8 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
     figures.set_defaults(func=_cmd_figures)
 
     cache = sub.add_parser("cache", help="inspect or clear the on-disk "
-                                         "result cache and artifact "
-                                         "store")
+                                         "result cache")
     cache.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="cache directory (default: .repro-cache/)")
     cache.add_argument("--cache-limit", type=int, default=1024,
@@ -950,9 +896,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cap to report utilisation against "
                             "(default: 1024; 0 = unbounded)")
     cache.add_argument("--clear", action="store_true",
-                       help="delete every result entry, artifact file "
-                            "and stray temporary file under the cache "
-                            "root (run status under runs/ and the "
+                       help="delete every result entry, legacy artifact "
+                            "file and stray temporary file under the "
+                            "cache root (run status under runs/ and the "
                             "ledger are kept)")
     cache.set_defaults(func=_cmd_cache)
 
@@ -1036,9 +982,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _dispatch(args: argparse.Namespace) -> int:
     """Run the selected command, inside an observability run when the
     ``--trace`` / ``--log-json`` flags ask for one (trace files are
-    written even when the command fails), inside the ambient artifact
-    plane when ``--artifacts`` resolves to a store, and inside the
-    ambient live plane unless ``--no-live``.  The final verdict and
+    written even when the command fails) and inside the ambient live
+    plane unless ``--no-live``.  No command activates the artifact
+    plane: a cold run writes results only.  The final verdict and
     counters of a ledger-worthy command are appended to the cross-run
     ledger on the way out (``--no-ledger`` opts out)."""
     trace = getattr(args, "trace", None)
@@ -1055,7 +1001,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             return 2
     started = time.time()
     clock = time.perf_counter()
-    with _artifact_store(args), _live_plane(args) as live_run:
+    with _live_plane(args) as live_run:
         try:
             if not trace and not log_json:
                 code = args.func(args)

@@ -44,17 +44,18 @@ identical work.  This package supplies the missing pieces:
   per task (CLI ``--jobs``);
 * :mod:`repro.engine.artifacts` — the zero-copy artifact plane:
   compiled kernels, localkernel skeletons and per-``(protocol, K)``
-  packed state graphs serialized into a content-addressed store under
-  ``.repro-cache/artifacts/`` and mmap-attached by later runs, spawn
-  workers and batch workers as typed memoryviews — warm starts without
-  recompilation (CLI ``--artifacts`` / ``--cache-limit`` /
-  ``repro cache``).
+  packed state graphs serialized into a content-addressed
+  :class:`ArtifactStore` and mmap-attached by later runs, spawn workers
+  and batch workers as typed memoryviews.  API-only: a caller
+  activates it with ``artifacts.plane(store)``; no CLI command does,
+  so a cold CLI run writes results only.  The module also holds the
+  LRU size cap behind ``--cache-limit``.
 """
 
 from repro import _lazy
 
 __all__ = _lazy.exports(globals(), {
-    "artifacts": ("ArtifactStats", "ArtifactStore", "open_store"),
+    "artifacts": ("ArtifactStats", "ArtifactStore"),
     "cache": (
         "DEFAULT_CACHE_DIR",
         "CacheStats",

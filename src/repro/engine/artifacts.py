@@ -37,6 +37,14 @@ store that :func:`ambient` hands to ``compile_protocol`` /
 ``build_space`` / ``local_kernel_for`` deep inside the call stacks.
 Fork workers inherit the activation; spawn workers re-activate from the
 picklable :meth:`ArtifactStore.spec`.
+
+The plane is reachable from the API only (``with plane(store):``): no
+CLI command activates it, because a cold run's artifacts were never
+read back (the result cache answers every repeat).  The differential
+matrix's ``artifacts`` axis and ``benchmarks/bench_artifacts.py``
+still drive it.  The LRU helpers at the bottom
+(:func:`directory_bytes`, :func:`enforce_directory_limit`) are the
+result cache's ``--cache-limit`` machinery.
 """
 
 from __future__ import annotations
@@ -61,17 +69,11 @@ ARTIFACT_SUFFIX = ".art"
 #: is what a kill mid-write leaves behind, and ``repro cache --clear``
 #: removes it.
 TEMP_SUFFIX = ".tmp"
-DEFAULT_SUBDIR = "artifacts"
 
 _HEADER = struct.Struct("<8sII64s")
 _SECTION = struct.Struct("<24s8sQQ")
 _DIGEST_SIZE = 32
 _ALIGN = 8
-
-#: Store modes.  ``rw`` attaches and publishes, ``ro`` only attaches,
-#: ``off`` disables the plane entirely; ``auto`` resolves to ``rw`` at
-#: the CLI layer (it is never seen by :class:`ArtifactStore` itself).
-MODES = ("auto", "off", "rw", "ro")
 
 
 class ArtifactFormatError(Exception):
@@ -467,26 +469,3 @@ def plane(store: ArtifactStore | None) -> Iterator[ArtifactStore | None]:
         yield store
     finally:
         activate(previous)
-
-
-def open_store(cache_dir: str | Path | None,
-               mode: str = "auto",
-               cache_requested: bool = False,
-               ) -> ArtifactStore | None:
-    """Resolve a ``--artifacts`` flag value into a store (or ``None``).
-
-    ``off`` always disables the plane.  ``rw``/``ro`` force it on,
-    rooted under ``<cache-dir>/artifacts``.  ``auto`` follows the
-    result cache: the plane activates exactly when on-disk caching was
-    requested, so ``repro sweep --cache`` warm-starts across runs while
-    a bare invocation leaves the filesystem untouched.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown artifacts mode {mode!r}")
-    if mode == "off":
-        return None
-    if mode == "auto" and not cache_requested:
-        return None
-    root = Path(cache_dir if cache_dir is not None else ".repro-cache")
-    return ArtifactStore(root / DEFAULT_SUBDIR,
-                         mode="ro" if mode == "ro" else "rw")

@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.engine.artifacts import (
-    ARTIFACT_SUFFIX,
     TEMP_SUFFIX,
     directory_bytes,
     enforce_directory_limit,
@@ -41,12 +40,13 @@ from repro.engine.artifacts import (
 from repro.obs import runtime as obs
 
 DEFAULT_CACHE_DIR = ".repro-cache"
-DEFAULT_CACHE_LIMIT = 1 << 30  # 1 GiB, shared with the artifact store
+DEFAULT_CACHE_LIMIT = 1 << 30  # 1 GiB of result entries
 ENTRY_SUFFIX = ".pkl"
 RUNS_SUBDIR = "runs"
 
-#: Disk stores between LRU size-cap sweeps (a sweep stats every cached
-#: file, so enforcing on every put would be quadratic in cache size).
+#: Disk stores between LRU size-cap sweeps once the disk layer is over
+#: its cap (a sweep stats every cached file, so enforcing on every put
+#: would be quadratic in cache size).
 _SWEEP_INTERVAL = 32
 
 _MISS = object()
@@ -90,9 +90,11 @@ class ResultCache:
         Root of the on-disk layer; ``None`` keeps the cache purely
         in-memory.  The directory is created lazily on the first store.
     limit_bytes:
-        Size cap of the disk layer (LRU-by-mtime eviction; the artifact
-        store under the same root is capped by the same budget at the
-        CLI layer).  ``None`` leaves the layer unbounded.
+        Size cap of the disk layer (LRU-by-mtime eviction of ``.pkl``
+        entries).  The cache walks its directory once to learn the
+        size, keeps a running total of what it writes, and walks again
+        only to evict once over the cap.  ``None`` leaves the layer
+        unbounded.
     durable:
         Fsync every disk entry and its directory before :meth:`put`
         returns (a checkpointed run's writes must survive a crash).
@@ -108,6 +110,7 @@ class ResultCache:
         self.durable = durable
         self._memory: dict[str, Any] = {}
         self._stores_since_sweep = 0
+        self._disk_bytes: int | None = None  # unknown until walked
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -144,7 +147,8 @@ class ResultCache:
             payload = pickle.dumps(value)
         except Exception:
             return  # memory-only for unpicklable values
-        digest = hashlib.sha256(payload).hexdigest()
+        entry = hashlib.sha256(payload).hexdigest().encode("ascii") \
+            + b"\n" + payload
         path = self._entry_path(key)
         # Per-writer temporary: two processes storing one key must not
         # truncate each other's half-written file.
@@ -152,7 +156,7 @@ class ResultCache:
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             with open(temporary, "wb") as handle:
-                handle.write(digest.encode("ascii") + b"\n" + payload)
+                handle.write(entry)
                 if self.durable:
                     handle.flush()
                     os.fsync(handle.fileno())
@@ -165,14 +169,32 @@ class ResultCache:
             except OSError:
                 pass
             return
-        self._stores_since_sweep += 1
-        if (self.limit_bytes is not None
-                and self._stores_since_sweep >= _SWEEP_INTERVAL):
-            self.enforce_limit()
+        self._count_disk_store(len(entry))
 
     def clear_memory(self) -> None:
         """Drop the in-memory layer (the disk layer stays intact)."""
         self._memory.clear()
+
+    def _count_disk_store(self, nbytes: int) -> None:
+        """Add one written entry to the running disk total; sweep the
+        cap only once over it, at most every ``_SWEEP_INTERVAL`` stores.
+
+        The first store walks the directory to learn its size (entries
+        of earlier runs count against the cap too).  An overwritten
+        entry is counted twice, so the total can only overestimate,
+        which at worst sweeps early.
+        """
+        if self.limit_bytes is None:
+            return
+        self._stores_since_sweep += 1
+        if self._disk_bytes is None:
+            self._disk_bytes = directory_bytes(self.directory,
+                                               suffix=ENTRY_SUFFIX)
+        else:
+            self._disk_bytes += nbytes
+        if (self._disk_bytes > self.limit_bytes
+                and self._stores_since_sweep >= _SWEEP_INTERVAL):
+            self.enforce_limit()
 
     # ------------------------------------------------------------------
     def disk_bytes(self) -> int:
@@ -184,9 +206,9 @@ class ResultCache:
     def enforce_limit(self, limit_bytes: int | None = None) -> int:
         """LRU-by-mtime eviction down to the size cap; returns removals.
 
-        Only ``.pkl`` entries are candidates — live status snapshots and
-        artifacts sharing the cache root are never touched here (the
-        artifact store runs its own sweep against the shared budget).
+        Only ``.pkl`` entries are candidates — live status snapshots,
+        the ledger and legacy artifact files under the cache root are
+        never touched here.
         """
         limit = self.limit_bytes if limit_bytes is None else limit_bytes
         if self.directory is None or limit is None:
@@ -194,6 +216,10 @@ class ResultCache:
         self._stores_since_sweep = 0
         removed = enforce_directory_limit(self.directory, limit,
                                           suffix=ENTRY_SUFFIX)
+        # Eviction stops as soon as the total fits, so the cap bounds
+        # what is left; with nothing evicted the next store re-learns
+        # the size.
+        self._disk_bytes = limit if removed else None
         if removed:
             self.stats.evictions += removed
             obs.metric("cache.evictions", removed)

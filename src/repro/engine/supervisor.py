@@ -401,8 +401,9 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
     *prewarm*, when given, is called once in the parent immediately
     before workers start (never when everything runs serially or
     nothing is pending) — the engine call sites compile the protocol's
-    kernels here so every fork worker inherits hot caches, and spawn
-    workers attach what it publishes to the artifact store.
+    kernels here so every fork worker inherits hot caches; under an
+    artifact store a caller activated through the API, the compile
+    also publishes the tables for spawn workers to attach.
 
     *plan* is fault injection (tests and smoke runs); ``None`` reads it
     from ``REPRO_INJECT_FAULT``, so callers that dispatch many times

@@ -199,12 +199,17 @@ def audit_theorems(samples: int = 50, max_ring_size: int = 5,
     recorded as a :class:`Discrepancy`; a correct implementation always
     returns a clean report.
 
-    Sampling is always serial (the RNG stream fixes the protocols), but
-    the per-protocol audits are independent work items: ``jobs > 1``
-    fans them out over worker processes, and *cache* reuses per-sample
-    outcomes keyed on each protocol's structural fingerprint (storing
-    each as soon as it completes, so a killed audit's rerun resumes) —
-    both with aggregate reports identical to the serial, uncached run.
+    Sampling is always serial (the RNG stream fixes the protocols).
+    Small random protocols often repeat (about a third of the samples
+    at the default sizes), so each distinct protocol, keyed by its
+    structural fingerprint, is audited once, in first-sample order, and
+    a repeat counts its first sample's outcome, discrepancy listing
+    included: the report counts every sample, ``stats.work_items`` and
+    ``stats.states_explored`` the audits run.  The audits are
+    independent work items: ``jobs > 1`` fans them out over worker
+    processes, and *cache* answers and stores one outcome per distinct
+    protocol (each as soon as it completes, so a killed audit's rerun
+    resumes) — both with reports identical to the serial, uncached run.
     *policy* supervises the fanned-out audits (per-item timeouts, crash
     retry, and an in-parent rerun of an audit past its retries — see
     :mod:`repro.engine.supervisor`).
@@ -214,24 +219,27 @@ def audit_theorems(samples: int = 50, max_ring_size: int = 5,
     stats = EngineStats(jobs=jobs)
     protocols = [sampler.sample() for _ in range(samples)]
 
-    outcomes: dict[int, _SampleOutcome] = {}
+    outcomes: dict[str, _SampleOutcome] = {}
     with stats.stage("audit", samples=samples,
                      max_ring_size=max_ring_size, jobs=jobs):
+        keys = [analysis_key("audit-sample", protocol,
+                             max_ring_size=max_ring_size)
+                for protocol in protocols]
+        first: dict[str, int] = {}  # key -> its first sample, in order
+        for index, key in enumerate(keys):
+            first.setdefault(key, index)
         pending: list[int] = []
-        keys: dict[int, str] = {}
-        for index, protocol in enumerate(protocols):
+        for index in first.values():
             if cache is not None:
-                keys[index] = analysis_key("audit-sample", protocol,
-                                           max_ring_size=max_ring_size)
                 cached = cache.get(keys[index])
                 if cached is not None:
                     stats.cache_hits += 1
-                    outcomes[index] = cached
+                    outcomes[keys[index]] = cached
                     continue
                 stats.cache_misses += 1
             pending.append(index)
 
-        # No prewarm hook: every sampled protocol is distinct, so there
+        # No prewarm hook: every pending protocol is distinct, so there
         # is no shared kernel to compile ahead of the fork.
         fresh = supervise_work_items(
             _audit_indexed_worker, pending, jobs=jobs,
@@ -242,12 +250,12 @@ def audit_theorems(samples: int = 50, max_ring_size: int = 5,
         for index, outcome in zip(pending, fresh):
             stats.work_items += 1
             stats.states_explored += outcome.states_explored
-            outcomes[index] = outcome
+            outcomes[keys[index]] = outcome
 
     report = AuditReport(samples=samples, certificates_issued=0,
                          deadlock_checks=0, stats=stats)
-    for index in range(samples):
-        outcome = outcomes[index]
+    for key in keys:
+        outcome = outcomes[key]
         if outcome.certified:
             report.certificates_issued += 1
         report.deadlock_checks += outcome.deadlock_checks

@@ -95,16 +95,6 @@ def test_read_only_store_never_publishes(tmp_path):
     assert store.stats.stores == 0
 
 
-def test_open_store_resolves_modes(tmp_path):
-    assert ap.open_store(tmp_path, mode="off", cache_requested=True) is None
-    assert ap.open_store(tmp_path, mode="auto", cache_requested=False) is None
-    auto = ap.open_store(tmp_path, mode="auto", cache_requested=True)
-    assert auto is not None and auto.mode == "rw"
-    ro = ap.open_store(tmp_path, mode="ro")
-    assert ro is not None and ro.mode == "ro"
-    assert auto.root == tmp_path / "artifacts"
-
-
 # ----------------------------------------------------------------------
 # Corruption and version drift: each variant is a clean rebuild with
 # exactly one warning event and byte-identical verdicts.

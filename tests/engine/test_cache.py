@@ -13,6 +13,8 @@ from __future__ import annotations
 import os
 import re
 
+import repro.engine.artifacts as artifact_plane
+import repro.engine.cache as cache_module
 from repro.checker.sweep import sweep_verify
 from repro.cli import main
 from repro.engine import ResultCache, analysis_key, protocol_fingerprint
@@ -246,6 +248,72 @@ def test_clear_removes_stray_temporaries(tmp_path, capsys):
     assert "cleared 4 entries" in capsys.readouterr().out
     assert not any(stray.exists() for stray in strays)
     assert (tmp_path / "runs" / "r1" / "status.json").exists()
+
+
+def test_cache_lists_legacy_artifacts_without_attaching(tmp_path, capsys,
+                                                        monkeypatch):
+    # Older versions left mmap-able artifact files under artifacts/;
+    # nothing reads them now, so `repro cache` counts them and --clear
+    # removes them.
+    legacy = tmp_path / "artifacts" / "ab" / f"{'ab' * 32}.art"
+    legacy.parent.mkdir(parents=True)
+    legacy.write_bytes(artifact_plane.write_artifact_bytes(
+        "cd" * 32, {"meta": ("q", bytes(8))}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("repro cache attached a legacy artifact")
+
+    monkeypatch.setattr(artifact_plane, "attach_artifact", refuse)
+    assert main(["cache", "--cache-dir", str(tmp_path)]) == 0
+    assert "legacy artifacts: 1 files" in capsys.readouterr().out
+    assert main(["cache", "--clear", "--cache-dir", str(tmp_path)]) == 0
+    assert "cleared 1 entries" in capsys.readouterr().out
+    assert not legacy.exists()
+
+
+def _count_walks(monkeypatch) -> list[str]:
+    """Record each directory walk the result cache makes."""
+    walks: list[str] = []
+    for name in ("directory_bytes", "enforce_directory_limit"):
+        def counted(*args, _walk=getattr(cache_module, name), _name=name,
+                    **kwargs):
+            walks.append(_name)
+            return _walk(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, name, counted)
+    return walks
+
+
+def test_size_cap_walks_the_cache_once_while_under_it(tmp_path,
+                                                      monkeypatch):
+    filler = ResultCache(tmp_path)
+    for index in range(200):
+        filler.put(f"{index:064x}", index)
+    walks = _count_walks(monkeypatch)
+    cache = ResultCache(tmp_path, limit_bytes=1 << 30)
+    for index in range(200, 300):
+        cache.put(f"{index:064x}", index)
+    assert len(walks) <= 1
+    assert cache.stats.evictions == 0
+
+
+def test_size_cap_sweeps_every_interval_once_over_it(tmp_path,
+                                                      monkeypatch):
+    filler = ResultCache(tmp_path)
+    for index in range(200):
+        filler.put(f"{index:064x}", index)
+    entry = next(tmp_path.rglob("*.pkl")).stat().st_size
+    walks = _count_walks(monkeypatch)
+    # Earlier runs' entries count against the cap: 64 stores into a
+    # cache already over it sweep it back under twice, and walk once
+    # more to learn its size.
+    cache = ResultCache(tmp_path, limit_bytes=100 * entry)
+    for index in range(200, 264):
+        cache.put(f"{index:064x}", index)
+    assert walks == ["directory_bytes", "enforce_directory_limit",
+                     "enforce_directory_limit"]
+    assert cache.stats.evictions > 100
+    assert len(list(tmp_path.rglob("*.pkl"))) <= 100
 
 
 # ----------------------------------------------------------------------

@@ -197,7 +197,7 @@ def test_fuzz_counts_certificates_and_artifact_writes(tmp_path, jobs):
     assert stats.artifact_stores == written
     assert stats.mask_evaluations > 0
     assert stats.skeleton_compiles > 0
-    assert stats.work_items == 40
+    assert stats.work_items == 37  # 40 samples, 37 distinct protocols
 
 
 def test_synthesis_counts_local_kernel_artifact_traffic(tmp_path):

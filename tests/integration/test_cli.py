@@ -81,6 +81,26 @@ def test_synthesize_has_no_oracle_flags(flag, capsys):
         assert raised.value.code == 2, command
 
 
+@pytest.mark.parametrize("command", ["verify", "check", "sweep", "fuzz",
+                                     "synthesize"])
+def test_no_command_takes_artifacts(command, capsys):
+    # The artifact plane is reachable from the API only.
+    argv = [command, *ORACLE_FLAG_COMMANDS.get(command, ["--samples", "1"]),
+            "--artifacts", "rw"]
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 2
+
+
+def test_cached_runs_write_results_only(tmp_path, capsys):
+    for argv in (["sweep", "agreement-ss", "--up-to", "4"],
+                 ["fuzz", "--samples", "10", "--max-ring-size", "3"]):
+        assert main([*argv, "--cache-dir", str(tmp_path), "--no-live"]) == 0
+    assert list(tmp_path.rglob("*.pkl"))
+    assert not (tmp_path / "artifacts").exists()
+    assert not list(tmp_path.rglob("*.art"))
+
+
 @pytest.mark.parametrize("command", ["check", "hybrid"])
 def test_symmetry_still_runs(command, capsys):
     argv = [command, *ORACLE_FLAG_COMMANDS[command], "--symmetry"]

@@ -2,14 +2,24 @@
 
 import pytest
 
+import repro.randomgen as randomgen
 from repro.core.selfdisabling import is_self_disabling
 from repro.core.convergence import check_local_closure
+from repro.engine import ResultCache, analysis_key
 from repro.randomgen import (
     AuditReport,
     Discrepancy,
     ProtocolSampler,
     audit_theorems,
 )
+
+
+def _sample_keys(seed: int, samples: int) -> list[tuple[str, str]]:
+    """``(audit key, listing)`` of each sample the audit draws."""
+    sampler = ProtocolSampler(seed=seed)
+    protocols = [sampler.sample() for _ in range(samples)]
+    return [(analysis_key("audit-sample", p, max_ring_size=5), p.pretty())
+            for p in protocols]
 
 
 class TestSampler:
@@ -76,6 +86,38 @@ class TestAudit:
         report = audit_theorems(samples=10, max_ring_size=3,
                                 sampler=sampler)
         assert report.clean
+
+    def test_each_distinct_protocol_is_audited_once(self, tmp_path):
+        assert len({key for key, _ in _sample_keys(1, 40)}) == 37
+        cache = ResultCache(tmp_path)
+        report = audit_theorems(samples=40, seed=1, cache=cache)
+        assert report.stats.work_items == 37
+        assert (cache.stats.misses, cache.stats.stores) == (37, 37)
+        # The report still counts every sample, repeats included.
+        assert (report.samples, report.certificates_issued,
+                report.deadlock_checks, report.discrepancies) \
+            == (40, 37, 160, [])
+        warm = audit_theorems(samples=40, seed=1, cache=ResultCache(tmp_path))
+        assert warm.stats.cache_hits == 37 and warm.stats.work_items == 0
+        assert warm == report
+
+    def test_repeats_carry_the_first_samples_discrepancy(self,
+                                                         monkeypatch):
+        def disagree(max_ring_size, protocol):
+            return randomgen._SampleOutcome(
+                certified=False, deadlock_checks=1, states_explored=0,
+                discrepancies=(Discrepancy("theorem-4.2-mismatch", 2,
+                                           protocol.pretty()),))
+
+        monkeypatch.setattr(randomgen, "_audit_one", disagree)
+        report = audit_theorems(samples=40, seed=1)
+        samples = _sample_keys(1, 40)
+        first: dict[str, str] = {}
+        for key, listing in samples:
+            first.setdefault(key, listing)
+        assert [d.protocol_listing for d in report.discrepancies] \
+            == [first[key] for key, _ in samples]
+        assert report.stats.work_items == 37
 
     def test_discrepancy_rendering(self):
         report = AuditReport(samples=1, certificates_issued=0,
