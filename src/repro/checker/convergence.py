@@ -103,7 +103,6 @@ def check_instance(instance, max_witnesses: int = 8,
         weak = None not in distances
         worst = max(distances) if weak and distances else None
         obs.annotate(states=len(graph))
-    stats.states_explored = len(graph)
     return GlobalReport(
         ring_size=getattr(instance, "size", -1),
         state_count=len(graph),

@@ -36,6 +36,8 @@ from functools import cached_property
 from itertools import compress, islice
 from typing import Sequence
 
+from repro.obs import runtime as obs
+
 BACKENDS = ("auto", "kernel", "naive")
 
 # bytes.translate table mapping an invariant byte (0/1) to its negation.
@@ -64,7 +66,8 @@ class StateGraph:
     orbit, in code order).  The successors of state ``i`` are
     ``succ_flat[succ_off[i]:succ_off[i + 1]]`` and ``invariant[i]`` is
     its ``I(K)`` membership.  Construction visits every global state
-    once and its successors once.
+    once and its successors once, and records the state count once, as
+    the layer counter ``checker.states_explored``.
 
     Parameters
     ----------
@@ -128,6 +131,7 @@ class StateGraph:
             self.invariant = invariant
             self._decode = states.__getitem__
             self._index_of = index.__getitem__
+        obs.metric("checker.states_explored", len(self))
 
     def __len__(self) -> int:
         return len(self.invariant)

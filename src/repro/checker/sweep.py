@@ -7,11 +7,12 @@ than or equal to the cutoff"; this module implements that baseline —
 verify ``p(K)`` for each ``K`` in a range — so the comparison can be
 made concretely (benchmark X2 and the ablation benches use it).
 
-Each ``p(K)`` is an independent work item, so the sweep fans out over
-:func:`repro.engine.supervise_work_items` when ``jobs > 1`` and reuses prior
-per-K reports through a :class:`repro.engine.ResultCache`; verdicts are
-identical to the serial, uncached run by construction (deterministic
-result ordering, whole-report caching).
+Each ``p(K)`` is an independent work item, so the sweep is one call to
+:func:`repro.engine.supervise_work_items`, which fans the sizes out when
+``jobs > 1`` and answers prior per-K reports from a
+:class:`repro.engine.ResultCache`; verdicts are identical to the serial,
+uncached run by construction (deterministic result ordering,
+whole-report caching).
 
 No general cutoff theorem applies to arbitrary convergence properties,
 so a sweep result is evidence for the checked range only; contrast with
@@ -21,7 +22,6 @@ ring sizes.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -30,7 +30,6 @@ from repro.engine import EngineStats, ResultCache, analysis_key, \
     supervise_work_items
 from repro.engine.pool import PortableContext
 from repro.engine.supervisor import FaultPlan, SupervisorPolicy
-from repro.obs import live
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.protocol.ring import RingProtocol
@@ -83,9 +82,8 @@ def _sweep_key(protocol: "RingProtocol", size: int,
     # Backend choice never perturbs the report (the kernel reproduces
     # the naive graph state for state) so it stays out of the key;
     # the quotient changes state/witness counts and gets its own keys.
-    # The value is always the bare GlobalReport, whichever of the
-    # in-order loop or the dispatcher stored it (``repro check`` is a
-    # one-size sweep).
+    # The value is always the bare GlobalReport the dispatcher stored
+    # (``repro check`` is a one-size sweep).
     if symmetry:
         return analysis_key("check-instance", protocol, ring_size=size,
                             symmetry=True)
@@ -100,7 +98,10 @@ def _check_size(protocol: "RingProtocol", size: int,
 
 
 def _check_seconds(report: GlobalReport) -> float:
-    """The wall time of one computed size, as measured by the check."""
+    """The wall time of one size's check, as measured when it ran (a
+    stored report without stats reads 0)."""
+    if report.stats is None:
+        return 0.0
     return report.stats.stage_seconds.get("check", 0.0)
 
 
@@ -125,14 +126,12 @@ def sweep_verify(protocol: "RingProtocol", up_to: int,
     """Model-check every ring size from *start* (default: the read-window
     width) through *up_to*.
 
-    With ``stop_on_failure`` the sweep aborts at the first
+    With ``stop_on_failure`` the sweep ends at the first
     non-stabilizing size — the typical bug-hunting mode.  ``jobs > 1``
-    fans the per-K checks out over worker processes (a parallel
-    ``stop_on_failure`` sweep still checks every size speculatively and
-    truncates afterwards, so its result equals the serial one); *cache*
-    reuses per-K reports across runs, keyed on the protocol fingerprint
-    and the ring size, and stores each size as soon as it is checked —
-    so rerunning a killed sweep with the same cache skips every size it
+    fans the per-K checks out over worker processes; *cache* reuses
+    per-K reports across runs, keyed on the protocol fingerprint and the
+    ring size, and stores each size as soon as it is checked — so
+    rerunning a killed sweep with the same cache skips every size it
     finished.  *backend* and *symmetry* are forwarded to
     :func:`repro.checker.convergence.check_instance` — the compiled
     kernel (and, opt-in, its rotation quotient) replaces the naive
@@ -140,114 +139,43 @@ def sweep_verify(protocol: "RingProtocol", up_to: int,
 
     *policy* supervises the per-K checks (timeouts, crash retry, and
     an in-parent rerun of a size past its retries — see
-    :mod:`repro.engine.supervisor`).  A supervised ``stop_on_failure``
-    sweep checks speculatively like the parallel one.  *fault_plan* is
-    test-only injection.
+    :mod:`repro.engine.supervisor`).  *fault_plan* is test-only
+    injection.
 
-    The pending sizes go to :func:`repro.engine.supervise_work_items`,
-    which picks serial or parallel execution.  The one exception is an
-    unsupervised ``jobs <= 1`` sweep (no policy or fault plan,
-    ``REPRO_INJECT_FAULT`` included): it checks sizes in order here, so
-    ``stop_on_failure`` stops at the first failing size instead of
-    checking the rest speculatively.
+    The sizes are one :func:`repro.engine.supervise_work_items` call,
+    which decides serial or parallel execution, answers cached sizes,
+    counts the work and applies the ``stop_on_failure`` stop: a serial
+    sweep checks nothing past the first failing size, a parallel or
+    timed one checks the rest speculatively (none past a failing size
+    the cache answers) and truncates, so both return the same result.
+    ``elapsed_seconds`` is each size's own check time, also for a size
+    answered from the cache.
     """
     first = protocol.process.window_width if start is None else start
     if first > up_to:
         raise ValueError(f"empty sweep range {first}..{up_to}")
     sizes = list(range(first, up_to + 1))
     stats = EngineStats(jobs=jobs)
-    if fault_plan is None:
-        # An environment-injected fault must reach the dispatcher; the
-        # in-order loop below never injects one.
-        fault_plan = FaultPlan.from_env()
-    supervised = policy is not None or fault_plan is not None
-
-    if jobs <= 1 and not supervised:
-        # Serial: check sizes in order so stop_on_failure exits early.
-        kept_reports: list[GlobalReport] = []
-        kept_timings: list[float] = []
-        live.begin_stage("sweep", total=len(sizes))
-        with stats.stage("sweep", start=first, up_to=up_to, jobs=jobs):
-            for size in sizes:
-                report, elapsed = _checked_size(protocol, size, cache,
-                                                stats, backend, symmetry)
-                kept_reports.append(report)
-                kept_timings.append(elapsed)
-                live.note(done=1)
-                live.tick(lambda: live.cache_payload(stats))
-                if stop_on_failure and not report.self_stabilizing:
-                    break
-        return SweepResult(reports=tuple(kept_reports),
-                           elapsed_seconds=tuple(kept_timings),
-                           stats=stats)
-
-    # Parallel / supervised: probe the cache up front, hand the misses
-    # to the dispatcher (which stores each as it completes), truncate
-    # afterwards (speculative checking keeps the result equal to
-    # serial).
-    reports: dict[int, GlobalReport] = {}
-    timings: dict[int, float] = {}
-
     with stats.stage("sweep", start=first, up_to=up_to, jobs=jobs):
-        pending = []
-        for size in sizes:
-            if cache is not None:
-                probe_began = time.perf_counter()
-                cached = cache.get(_sweep_key(protocol, size, symmetry))
-                if cached is not None:
-                    stats.cache_hits += 1
-                    reports[size] = cached
-                    timings[size] = time.perf_counter() - probe_began
-                    continue
-                stats.cache_misses += 1
-            pending.append(size)
-
-        keys = [_sweep_key(protocol, size, symmetry)
-                for size in pending] if cache is not None else None
-        outcomes = supervise_work_items(
-            _sweep_worker, pending, jobs=jobs,
+        reports = supervise_work_items(
+            _sweep_worker, sizes, jobs=jobs,
             context=(protocol, backend, symmetry),
             stats=stats, policy=policy, cache=cache,
-            keys=keys, plan=fault_plan,
+            keys=[_sweep_key(protocol, size, symmetry) for size in sizes]
+            if cache is not None else None,
+            plan=fault_plan,
             prewarm=lambda: _sweep_prewarm(protocol, backend),
-            portable=_sweep_portable(protocol, backend, symmetry))
-        for size, report in zip(pending, outcomes):
-            stats.work_items += 1
-            stats.states_explored += report.state_count
-            reports[size] = report
-            timings[size] = _check_seconds(report)
-
-    kept_reports = []
-    kept_timings = []
-    for size in sizes:
-        kept_reports.append(reports[size])
-        kept_timings.append(timings[size])
-        if stop_on_failure and not reports[size].self_stabilizing:
-            break
-    return SweepResult(reports=tuple(kept_reports),
-                       elapsed_seconds=tuple(kept_timings),
+            portable=PortableContext(
+                _sweep_context,
+                (_SerializedProtocol(protocol), backend, symmetry)),
+            until=_fails if stop_on_failure else None)
+    return SweepResult(reports=tuple(reports),
+                       elapsed_seconds=tuple(map(_check_seconds, reports)),
                        stats=stats)
 
 
-def _checked_size(protocol: "RingProtocol", size: int,
-                  cache: ResultCache | None, stats: EngineStats,
-                  backend: str = "auto",
-                  symmetry: bool = False) -> tuple[GlobalReport, float]:
-    """One serial work item: cache probe, compute on miss, store."""
-    if cache is not None:
-        probe_began = time.perf_counter()
-        cached = cache.get(_sweep_key(protocol, size, symmetry))
-        if cached is not None:
-            stats.cache_hits += 1
-            return cached, time.perf_counter() - probe_began
-        stats.cache_misses += 1
-    report = _check_size(protocol, size, backend, symmetry)
-    elapsed = _check_seconds(report)
-    stats.work_items += 1
-    stats.states_explored += report.state_count
-    if cache is not None:
-        cache.put(_sweep_key(protocol, size, symmetry), report)
-    return report, elapsed
+def _fails(report: GlobalReport) -> bool:
+    return not report.self_stabilizing
 
 
 def _sweep_prewarm(protocol: "RingProtocol", backend: str) -> None:
@@ -271,31 +199,36 @@ def _sweep_prewarm(protocol: "RingProtocol", backend: str) -> None:
         compile_protocol(protocol)
 
 
-def _rebuild_sweep_context(payload) -> tuple:
-    """Spawn-side builder: re-hydrate the sweep worker context."""
-    from repro.serialization import protocol_from_dict
+class _SerializedProtocol:
+    """A protocol that pickles as its serialized DSL form.
 
-    data, backend, symmetry = payload
-    return (protocol_from_dict(data), backend, symmetry)
-
-
-def _sweep_portable(protocol: "RingProtocol", backend: str,
-                    symmetry: bool) -> PortableContext | None:
-    """A portable recipe for the sweep context, when one exists.
-
-    DSL-defined protocols round-trip through their serialized form;
-    protocols carrying opaque predicate callables (e.g. sampled ones)
-    do not, and return ``None`` — those keep the serial no-fork
-    fallback.
+    Only a spawn dispatch pickles the sweep's recipe, so fork and
+    serial sweeps never serialize the protocol; a spawn dispatch does
+    it once, however many workers it starts.  A protocol with no
+    serialized form (one carrying opaque predicate callables, e.g. a
+    sampled one) does not pickle, which keeps the dispatcher's serial
+    no-fork fallback.
     """
-    from repro.serialization import protocol_to_dict
 
-    try:
-        payload = protocol_to_dict(protocol)
-    except Exception:
-        return None
-    return PortableContext(_rebuild_sweep_context,
-                           (payload, backend, symmetry))
+    __slots__ = ("protocol", "data")
+
+    def __init__(self, protocol: "RingProtocol") -> None:
+        self.protocol = protocol
+        self.data = None
+
+    def __reduce__(self):
+        from repro.serialization import protocol_from_dict, \
+            protocol_to_dict
+
+        if self.data is None:
+            self.data = protocol_to_dict(self.protocol)
+        return protocol_from_dict, (self.data,)
+
+
+def _sweep_context(payload: tuple) -> tuple:
+    """Spawn-side builder: unpickling the payload rebuilt the protocol,
+    so the payload is the sweep worker context."""
+    return payload
 
 
 def _sweep_worker(context, size: int) -> GlobalReport:

@@ -10,7 +10,7 @@ the problem statement's precondition that ``I`` be closed in ``p``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import TYPE_CHECKING
 
@@ -204,10 +204,7 @@ def verify_convergence(protocol: "RingProtocol",
         cached = cache.get(key)
         if cached is not None:
             stats.cache_hits += 1
-            return ConvergenceReport(
-                verdict=cached.verdict, deadlock=cached.deadlock,
-                livelock=cached.livelock, closure_ok=cached.closure_ok,
-                stats=stats)
+            return replace(cached, stats=stats)
         stats.cache_misses += 1
 
     with stats.stage("closure"):
@@ -246,7 +243,5 @@ def verify_convergence(protocol: "RingProtocol",
                                livelock=livelock, closure_ok=closure_ok,
                                stats=stats)
     if cache is not None and key is not None:
-        cache.put(key, ConvergenceReport(
-            verdict=verdict, deadlock=deadlock, livelock=livelock,
-            closure_ok=closure_ok))
+        cache.put(key, replace(report, stats=None))
     return report

@@ -20,7 +20,7 @@ so explicitly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.core.pseudolivelock import (
@@ -124,26 +124,13 @@ class LivelockCertifier:
             cached = self.cache.get(self._cache_key())
             if cached is not None:
                 stats.cache_hits += 1
-                return LivelockReport(
-                    verdict=cached.verdict,
-                    supports_checked=cached.supports_checked,
-                    trail_witnesses=cached.trail_witnesses,
-                    contiguous_only=cached.contiguous_only,
-                    note=cached.note,
-                    stats=stats,
-                )
+                return replace(cached, stats=stats)
             stats.cache_misses += 1
 
         report = self._analyze(stats)
         if self.cache is not None:
             # Store without run-local stats: a later hit gets its own.
-            self.cache.put(self._cache_key(), LivelockReport(
-                verdict=report.verdict,
-                supports_checked=report.supports_checked,
-                trail_witnesses=report.trail_witnesses,
-                contiguous_only=report.contiguous_only,
-                note=report.note,
-            ))
+            self.cache.put(self._cache_key(), replace(report, stats=None))
         return report
 
     def _analyze(self, stats: EngineStats) -> LivelockReport:
@@ -184,7 +171,6 @@ class LivelockCertifier:
             found = supervise_work_items(
                 _find_trail_worker, supports, jobs=self.jobs,
                 context=searcher, stats=stats, policy=self.policy)
-        stats.work_items += len(supports)
         witnesses = [witness for witness in found if witness is not None]
 
         verdict = (LivelockVerdict.CERTIFIED_FREE if not witnesses

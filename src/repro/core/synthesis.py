@@ -382,7 +382,6 @@ class Synthesizer:
             reasons.append(self._evaluate_verdict(combo))
             if first_accept and reasons[-1] is None:
                 break
-        self.stats.work_items += len(reasons)
         return reasons
 
     def _evaluate_verdict(

@@ -10,13 +10,15 @@ identical work.  This package supplies the missing pieces:
 * :func:`supervise_work_items` — the one dispatcher every fan-out goes
   through: deterministic result ordering, serial in-parent when nothing
   calls for worker processes, the batch scheduler otherwise
-  (:func:`run_work_items` is its unsupervised spelling);
+  (:func:`run_work_items` is its unsupervised spelling).  It also
+  answers cached items, counts cache hits, misses and work items, and
+  ends the result list where the caller's ``until`` says;
 * :class:`ResultCache` — a content-addressed result cache keyed on a
   canonical protocol fingerprint plus analysis parameters, with an
   in-memory layer and an optional on-disk layer under ``.repro-cache/``;
-  the dispatcher writes each finished work item through to it, which is
-  what makes a killed run resumable (CLI ``--checkpoint`` /
-  ``--resume`` turn on durable, fsynced writes);
+  the dispatcher looks each work item up in it and writes each finished
+  one through, which is what makes a killed run resumable (CLI
+  ``--checkpoint`` / ``--resume`` turn on durable, fsynced writes);
 * :class:`EngineStats` — lightweight instrumentation (per-stage wall
   time, states explored, cache hit/miss counters, kernel compile /
   encode-rate / quotient counters) threaded into the sweep / livelock /

@@ -12,10 +12,11 @@ or hand-edited entry is detected, counted, deleted and treated as a
 plain miss — corruption never raises out of :meth:`ResultCache.get`.
 
 The cache is also what makes a killed run resumable: the dispatcher
-(:func:`repro.engine.supervisor.supervise_work_items`) writes each
-finished work item through :meth:`ResultCache.put` as soon as it
-completes, so rerunning the same command with the same cache answers
-every item the dead run finished.  ``durable=True`` (``--checkpoint`` /
+(:func:`repro.engine.supervisor.supervise_work_items`) looks each work
+item up with one :meth:`ResultCache.get` and writes each finished one
+through :meth:`ResultCache.put` as soon as it completes, so rerunning
+the same command with the same cache answers every item the dead run
+finished.  ``durable=True`` (``--checkpoint`` /
 ``--resume``) fsyncs each entry and its directory before ``put``
 returns, so those writes also survive a machine crash.  The LRU size cap
 treats a checkpointed run's entries like any other: an evicted entry is
@@ -130,11 +131,6 @@ class ResultCache:
         self.stats.hits += 1
         obs.metric("cache.hits")
         return value
-
-    def __contains__(self, key: str) -> bool:
-        return (key in self._memory
-                or (self.directory is not None
-                    and self._entry_path(key).exists()))
 
     def put(self, key: str, value: Any) -> None:
         """Store *value* in both layers (disk failures are non-fatal)."""

@@ -221,18 +221,19 @@ def _worker_main(worker, context, work: Sequence[Any],
 def _spawn_worker_main(worker, portable: PortableContext | None,
                        work: Sequence[Any], plan: FaultPlan | None,
                        commands, results,
-                       artifact_spec: tuple[str, str] | None) -> None:
+                       artifact_spec: tuple[str, str] | None,
+                       traced: bool) -> None:
     """Spawn-mode bootstrap around :func:`_worker_main`.
 
     A spawned worker inherits nothing, so this re-creates what fork
     would have provided: the ambient artifact store (compiled kernels
     and packed spaces attach by fingerprint — the spawn counterpart of
     the parent-side ``prewarm`` + fork inheritance), an observability
-    run so per-task spans ship back, and the worker context rebuilt
-    from its portable recipe.
+    run when the parent has one (*traced*), so per-task spans ship
+    back, and the worker context rebuilt from its portable recipe.
     """
     artifact_plane.activate_from_spec(artifact_spec)
-    if obs.active() is None:
+    if traced and obs.active() is None:
         obs.start("spawn-worker")
     context = portable.build() if portable is not None else None
     _worker_main(worker, context, work, plan, commands, results)
@@ -371,7 +372,8 @@ class BatchScheduler:
                 target=_spawn_worker_main,
                 args=(ledger.worker, self.portable, ledger.work,
                       ledger.plan, cmd_recv, res_send,
-                      store.spec() if store is not None else None),
+                      store.spec() if store is not None else None,
+                      obs.active() is not None),
                 daemon=True)
         process.start()
         cmd_recv.close()  # child ends live in the child

@@ -12,15 +12,17 @@ names (``engine.work_items``, ``kernel.compile_seconds``,
 counter meet here:
 
 * *layer counters* (the :data:`repro.obs.runtime.LAYER_FAMILIES`:
-  kernel, local kernel, FVS, synthesis, artifacts, stage timings) are
-  recorded once, where the event happens, by ``obs.metric``; a stats
+  checker states explored, kernel, local kernel, FVS, synthesis,
+  artifacts, stage timings) are recorded once, where the event
+  happens, by ``obs.metric``; a stats
   object receives them while it is open (:meth:`collecting`, and every
   :meth:`stage`), together with every other open stats object and the
   workers' counts shipped back by the dispatcher.  Nested reports
   therefore need no fold;
 * *report counters* (``engine.``, ``supervisor.``, ``scheduler.``,
-  ``pool.``) are written on a report's own stats by the code that owns
-  the report, and never reach an enclosing one.
+  ``pool.``) are written on a report's own stats — work items and cache
+  hits and misses by the dispatcher the stats were given to — and never
+  reach an enclosing one.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.obs.metrics import MetricsRegistry
 #: dataclass carried, plus the pool-degradation counter.
 _COUNTER_METRICS = {
     "work_items": "engine.work_items",
-    "states_explored": "engine.states_explored",
+    "states_explored": "checker.states_explored",
     "cache_hits": "engine.cache_hits",
     "cache_misses": "engine.cache_misses",
     "pool_fallbacks": "pool.fallbacks",

@@ -1,14 +1,15 @@
 """The engine's one dispatcher: fault-tolerant, ordered work-item fan-out.
 
 Every fan-out in the analyses above it — per-K sweep instances,
-per-support trail searches, per-combination synthesis verdicts,
-per-protocol fuzzing audits — hands its pending items to
-:func:`supervise_work_items`, which decides in one place how they run:
+per-support trail searches, lattice synthesis units, per-protocol
+fuzzing audits — hands all its items to :func:`supervise_work_items`,
+which decides in one place how they run:
 
 * **serially, in-parent** (:meth:`TaskLedger.run_serial`) when nothing
   calls for children: ``jobs <= 1`` (or at most one pending item), no
   per-task timeout to enforce and no injected crash, hang or delay.
-  This is a planned choice, not a fallback;
+  This is a planned choice, not a fallback; a ``jobs <= 1`` run claims
+  its items one at a time;
 * on the **batch scheduler**
   (:class:`repro.engine.scheduler.BatchScheduler`) otherwise — ``jobs``
   persistent forked workers pulling adaptively sized batches from a
@@ -33,20 +34,31 @@ work always runs under a :class:`SupervisorPolicy`
   result does not pickle, runs its own worker once more *in the parent
   process* instead of aborting the run;
 * **write-through** — with a :class:`repro.engine.cache.ResultCache`
-  and one key per item, every completed item is stored in the cache the
-  moment it completes (in the parent, never in a worker), and items the
-  cache already holds are returned without re-execution.  A killed run
-  therefore loses only its in-flight items: rerunning it with the same
-  cache is the resume (``repro sweep --resume``);
+  and one key per item, the dispatcher looks each item it claims up
+  once and returns what the cache holds without re-execution, and
+  stores every completed item the moment it completes (in the parent,
+  never in a worker).  A killed run therefore loses only its in-flight
+  items: rerunning it with the same cache is the resume (``repro sweep
+  --resume``);
+* **one stop rule** — ``until`` ends the result list at the first
+  item, in item order, whose result it accepts, and claiming ends
+  there.  A ``jobs <= 1`` serial run claims items one at a time, so
+  it looks up and runs nothing past that item; any other run claims
+  its items before any of them runs, so only a cached stop ends its
+  claims early, and its pending items run speculatively and are cut
+  at the stop;
 * **observability** — ``task-timeout`` / ``task-retry`` /
   ``task-degraded`` events, ``supervisor.*`` counters, each item's
   layer counts shipped back to the stats open at the dispatch (see
   :mod:`repro.obs.runtime`), and worker spans re-parented as
   ``item[i]`` subtrees.
 
-The cache/retry/degrade bookkeeping lives in one :class:`TaskLedger`
-that the serial loop and the batch scheduler share, so a run's verdicts
-do not depend on which of them executed it.
+Whether the cache answers an item, whether it runs, how it is counted
+(one cache hit or miss per keyed lookup, one ``work_items`` per item
+run) and where the result list stops are all decided in one
+:class:`TaskLedger` that the serial loop and the batch scheduler share,
+so a run's verdicts and counts do not depend on which of them executed
+it, and no caller probes the cache or counts its own items.
 
 Forked workers inherit worker, context and items, so all three may hold
 unpicklable objects; only results cross the pipe.  A worker *exception*
@@ -68,7 +80,7 @@ import pickle
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.engine.pool import PortableContext, WorkerFailure, start_method
 from repro.obs import live
@@ -196,9 +208,10 @@ class _Task:
     ready_at: float = 0.0
 
 
-def _bump(stats: Any, attribute: str, metric: str,
+def _bump(stats: Any, attribute: str, metric: str | None = None,
           amount: float = 1) -> None:
-    obs.metric(metric, amount)
+    if metric is not None:
+        obs.metric(metric, amount)
     if stats is not None:
         setattr(stats, attribute, getattr(stats, attribute) + amount)
 
@@ -206,18 +219,20 @@ def _bump(stats: Any, attribute: str, metric: str,
 class TaskLedger:
     """The supervision bookkeeping of one dispatch.
 
-    Answering items from the cache, writing completed items through to
-    it, the retry/degrade ladder, deterministic-failure latching and
-    result ordering all live here; :meth:`run_serial` and
-    :class:`repro.engine.scheduler.BatchScheduler` are pure execution
-    strategies over one ledger — which is what makes their verdicts
-    identical by construction.
+    Claiming each item (answered by the cache, or pending), writing
+    completed items through to the cache, the retry/degrade ladder,
+    deterministic-failure latching, the dispatch's cache and work-item
+    counts, and where the ordered result list stops all live here;
+    :meth:`run_serial` and :class:`repro.engine.scheduler.BatchScheduler`
+    are pure execution strategies over one ledger — which is what makes
+    their verdicts identical by construction.
     """
 
     def __init__(self, worker, work: Sequence[Any], context: Any,
                  stats: Any, policy: SupervisorPolicy, cache,
                  keys: Sequence[str] | None,
-                 plan: FaultPlan | None) -> None:
+                 plan: FaultPlan | None,
+                 until: Callable[[Any], bool] | None = None) -> None:
         self.worker = worker
         self.work = work
         self.context = context
@@ -226,35 +241,45 @@ class TaskLedger:
         self.cache = cache
         self.keys = keys
         self.plan = plan
+        self.until = until
+        #: The result list ends before this index (see :meth:`_settle`).
+        self.stop = len(work)
         self.results: dict[int, Any] = {}
         self.failure: WorkerFailure | None = None
+        self.ran = 0  # items completed by running, however they ran
         self.writes = 0
 
-    def key(self, index: int) -> str | None:
-        return self.keys[index] if self.keys is not None else None
-
-    def split_cached(self) -> list[_Task]:
-        """Answer the items the cache already holds; return the rest.
-
-        ``key in cache`` guards the lookup, so a key the caller already
-        probed and missed is not counted as a miss a second time.
-        """
-        pending: list[_Task] = []
+    def claims(self) -> Iterator[_Task]:
+        """Claim the items in order and yield each one the cache does
+        not answer.  Claiming ends at the item where the result list
+        stops, so a lazy consumer that runs each task before it asks
+        for the next looks up and runs nothing past that item, and a
+        consumer that lists the claims first looks up nothing past a
+        cached stop."""
         for index in range(len(self.work)):
-            key = self.key(index)
-            if self.cache is not None and key in self.cache:
+            if index >= self.stop:
+                return
+            key = self.keys[index] if self.keys is not None else None
+            if self.cache is not None:
                 value = self.cache.get(key, _MISS)
                 if value is not _MISS:  # None is a real result
-                    self.results[index] = value
-                    if self.stats is not None:
-                        self.stats.cache_hits += 1
+                    _bump(self.stats, "cache_hits")
+                    live.note(done=1, resumed=1)
+                    self._settle(index, value)
                     continue
-            pending.append(_Task(index=index, key=key))
-        return pending
+                _bump(self.stats, "cache_misses")
+            yield _Task(index=index, key=key)
+
+    def _settle(self, index: int, result: Any) -> None:
+        self.results[index] = result
+        if index < self.stop and self.until is not None \
+                and self.until(result):
+            self.stop = index + 1
 
     def complete(self, task: _Task, result: Any) -> None:
         live.note(done=1)
-        self.results[task.index] = result
+        self.ran += 1
+        self._settle(task.index, result)
         if self.cache is not None:
             self.cache.put(task.key, result)
             self.writes += 1
@@ -300,8 +325,9 @@ class TaskLedger:
         return task
 
     # -- serial mode (no workers needed / none available) -------------
-    def run_serial(self, pending: list[_Task], reason: str) -> None:
-        """Run *pending* in-parent, in order.  *reason* is ``serial``
+    def run_serial(self, pending: Iterable[_Task], reason: str) -> None:
+        """Run *pending* in-parent, in order — a list, or the lazy
+        :meth:`claims` of a serial dispatch.  *reason* is ``serial``
         (nothing called for worker processes) or ``no-fork`` (workers
         were wanted but the platform cannot start them — recorded as a
         ``pool-fallback`` event and ``pool.fallbacks`` count)."""
@@ -309,17 +335,18 @@ class TaskLedger:
             obs.event("pool-fallback", level="warning", reason=reason,
                       items=len(pending))
             _bump(self.stats, "pool_fallbacks", "pool.fallbacks")
-        with obs.span("supervisor.serial", reason=reason,
-                      items=len(pending)):
+        with obs.span("supervisor.serial", reason=reason) as span:
             for task in pending:
                 if self.plan is not None:
                     self.plan.child_delay()
                 self.complete(task, self.worker(
                     self.context, self.work[task.index]))
-                live.tick()
+                live.tick(lambda: live.cache_payload(self.stats))
+            if span is not None:
+                span.attrs["items"] = self.ran
 
     def ordered_results(self) -> list[Any]:
-        return [self.results[i] for i in range(len(self.work))]
+        return [self.results[i] for i in range(self.stop)]
 
 
 #: Dispatches executing in this process right now (see
@@ -382,6 +409,7 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
                          plan: FaultPlan | None = None,
                          prewarm: Callable[[], None] | None = None,
                          portable: PortableContext | None = None,
+                         until: Callable[[Any], bool] | None = None,
                          ) -> list[Any]:
     """Apply ``worker(context, item)`` to every item, results in order.
 
@@ -392,11 +420,22 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
     task to an in-parent rerun.  Work runs under *policy*'s
     timeout/retry/degradation ladder (``SupervisorPolicy()`` when
     omitted).  With a *cache* (a :class:`repro.engine.cache.ResultCache`)
-    and *keys* (one per item), items the cache holds are returned
-    without re-execution and each completed item is stored under its
-    key as soon as it completes, so its value must be exactly what the
-    caller stores under that key elsewhere.  See the module docstring
-    for how the serial-vs-parallel decision is made.
+    and *keys* (one per item), each item claimed is looked up once —
+    counted as one ``cache_hits`` or ``cache_misses`` on *stats* — an
+    item the cache holds is returned without re-execution, and each
+    completed item is stored under its key as soon as it completes, so
+    its value must be exactly what the caller stores under that key
+    elsewhere.
+    Every item that runs adds one ``work_items`` to *stats*.  See the
+    module docstring for how the serial-vs-parallel decision is made.
+
+    *until*, when given, ends the result list at the first item, in
+    item order, whose result it accepts (a cached result included);
+    no item past a cached stop is looked up or run.  A ``jobs <= 1``
+    serial run claims items one at a time, so nothing past that item
+    is looked up or run; any other run claims its items before it runs
+    them, runs the pending ones speculatively and cuts the list
+    afterwards, so both return the same list.
 
     *prewarm*, when given, is called once in the parent immediately
     before workers start (never when everything runs serially or
@@ -428,31 +467,38 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
         # processes cannot start workers of their own, and the live
         # plane, the environment's fault plan and the cache writes
         # belong to the outer dispatch.
-        return [worker(context, item) for item in work]
+        results = []
+        for item in work:
+            results.append(worker(context, item))
+            if until is not None and until(results[-1]):
+                break
+        _bump(stats, "work_items", amount=len(results))
+        return results
     if plan is None:
         plan = FaultPlan.from_env()
     policy = policy or _DEFAULT_POLICY
 
     ledger = TaskLedger(worker, work, context, stats, policy, cache,
-                        keys, plan)
-    pending = ledger.split_cached()
+                        keys, plan, until)
     live.begin_stage(getattr(worker, "__name__", "supervised.map"),
-                     total=len(work),
-                     resumed=len(work) - len(pending))
+                     total=len(work))
     live.tick()
-    if pending:
-        injected = plan is not None and (plan.crash_items
-                                         or plan.hang_items
-                                         or plan.delay_seconds)
-        _running += 1
-        try:
-            if policy.timeout is not None or injected \
-                    or (jobs > 1 and len(pending) > 1):
+    injected = plan is not None and (plan.crash_items or plan.hang_items
+                                     or plan.delay_seconds)
+    supervised = policy.timeout is not None or injected
+    _running += 1
+    try:
+        if jobs <= 1 and not supervised:
+            ledger.run_serial(ledger.claims(), "serial")
+        else:
+            pending = list(ledger.claims())
+            if len(pending) > 1 or (pending and supervised):
                 _run_workers(ledger, pending, jobs, prewarm, portable)
-            else:
+            elif pending:
                 ledger.run_serial(pending, "serial")
-        finally:
-            _running -= 1
+    finally:
+        _running -= 1
+    _bump(stats, "work_items", amount=ledger.ran)
     if ledger.failure is not None:
         ledger.failure.reraise()
     return ledger.ordered_results()

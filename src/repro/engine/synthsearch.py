@@ -45,13 +45,16 @@ One Resolve set's whole pool is partitioned into contiguous subtree
 work units (a single unit when ``jobs <= 1``) and dispatched once
 through :func:`repro.engine.supervisor.supervise_work_items`.  When the
 search stops at the first accept, each unit's walk stops at its own
-first accept and the joined result is cut after the first accept in
-unit order; units are contiguous, so the accepted combination and the
-rejections before it are byte-identical for every ``--jobs`` setting
-(units after the accepting one are speculative work).  With a result
-cache each unit's verdicts and counter deltas are written through under
-a content-addressed unit key as the unit completes, so a killed run's
-rerun replays its finished units instead of walking them again.
+first accept and the dispatcher's ``until`` ends the unit list at the
+first unit that ended on an accept; units are contiguous, so the
+accepted combination, the rejections before it and the
+``combos_pruned``/``full_evaluations`` split are identical for every
+``--jobs`` setting (units after the accepting one are speculative work,
+run but kept out of the result and of the ``synthsearch.*`` counters).
+With a result cache the dispatcher answers and writes through each
+unit's verdicts and counter deltas under a content-addressed unit key,
+so a killed run's rerun replays its finished units instead of walking
+them again.
 """
 
 from __future__ import annotations
@@ -456,8 +459,9 @@ class LatticeSearch:
     """Facade tying one :class:`Synthesizer` to the lattice engine.
 
     Owns the walker, the uniform assumption short-circuits, the work
-    unit partitioning, the unit cache probe and the supervised
-    dispatch; verdict strings are byte-identical to
+    unit partitioning and keys, and the supervised dispatch (which
+    answers cached units, counts them and applies the first-accept
+    stop); verdict strings are byte-identical to
     :meth:`Synthesizer._kernel_verdict` by construction (the
     differential suite pins this).
     """
@@ -586,43 +590,31 @@ class LatticeSearch:
     def verdicts(self, combos: Sequence[tuple],
                  first_accept: bool) -> list[str | None]:
         """Lattice verdicts for one pool, in order: one plan of work
-        units, cached units replayed, the rest dispatched in one
-        supervised call.  With *first_accept* the result ends at the
-        first accepted combination."""
+        units in one supervised call.  With *first_accept* the result
+        ends at the first accepted combination."""
         uniform = self._uniform_reason(combos)
         if uniform is not None:
             self._fold({"combos_pruned": len(combos)})
-            self.stats.work_items += len(combos)
             return [uniform] * len(combos)
         units = [(combos[start:end], first_accept)
                  for start, end in self._plan_units(combos)]
-        keys = ([self._unit_key(*unit) for unit in units]
-                if self.cache is not None else None)
-        # Probe up front, as the sweep does: the dispatcher counts only
-        # the hits it answers, so the misses are counted here.
-        results: dict[int, list[str | None]] = {}
-        for index, key in enumerate(keys or ()):
-            hit = self.cache.get(key)
-            if hit is None:
-                self.stats.cache_misses += 1
-                continue
-            self.stats.cache_hits += 1
-            self._fold(hit[1])
-            results[index] = hit[0]
-        pending = [i for i in range(len(units)) if i not in results]
-        fresh = supervise_work_items(
-            _lattice_unit_worker, [units[i] for i in pending],
-            jobs=self.jobs, context=self.synthesizer, stats=self.stats,
+        results = supervise_work_items(
+            _lattice_unit_worker, units, jobs=self.jobs,
+            context=self.synthesizer, stats=self.stats,
             policy=self.policy, cache=self.cache,
-            keys=[keys[i] for i in pending] if keys is not None else None,
-            plan=self.fault_plan, prewarm=self._prewarm)
-        for index, (unit_reasons, delta) in zip(pending, fresh):
-            self._fold(delta)
-            self.stats.work_items += len(unit_reasons)
-            results[index] = unit_reasons
+            keys=([self._unit_key(*unit) for unit in units]
+                  if self.cache is not None else None),
+            plan=self.fault_plan, prewarm=self._prewarm,
+            until=_ends_on_accept if first_accept else None)
         reasons: list[str | None] = []
-        for index in range(len(units)):
-            reasons.extend(results[index])
-            if first_accept and reasons[-1] is None:
-                break
+        for unit_reasons, delta in results:
+            self._fold(delta)
+            reasons.extend(unit_reasons)
         return reasons
+
+
+def _ends_on_accept(result: tuple) -> bool:
+    """Whether a unit's ``(reasons, counter_delta)`` ended on an
+    accepted combination."""
+    reasons, _delta = result
+    return reasons[-1] is None

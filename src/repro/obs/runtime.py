@@ -100,8 +100,8 @@ _NULL_SPAN = nullcontext(None)
 
 #: The layer counter families: recorded once, where the event happens,
 #: by one :func:`metric` call, and collected by every open report.
-LAYER_FAMILIES = ("kernel.", "localkernel.", "fvs.", "synthsearch.",
-                  "artifacts.", "stage.")
+LAYER_FAMILIES = ("checker.", "kernel.", "localkernel.", "fvs.",
+                  "synthsearch.", "artifacts.", "stage.")
 
 #: The registries collecting layer counters right now (see
 #: :func:`collect`).

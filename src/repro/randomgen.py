@@ -147,7 +147,6 @@ class _SampleOutcome:
 
     certified: bool
     deadlock_checks: int
-    states_explored: int
     discrepancies: tuple[Discrepancy, ...]
 
 
@@ -165,12 +164,10 @@ def _audit_one(max_ring_size: int, protocol: RingProtocol,
         protocol, max_ring_size=max_ring_size + 1).analyze()
     certified = certificate.verdict is LivelockVerdict.CERTIFIED_FREE
     deadlock_checks = 0
-    states_explored = 0
     discrepancies: list[Discrepancy] = []
     for size in range(2, max_ring_size + 1):
         deadlock_checks += 1
         graph = StateGraph(protocol.instantiate(size))
-        states_explored += len(graph)
         has_deadlock = bool(graph.scan.deadlocks)
         if has_deadlock != (size in predicted):
             discrepancies.append(Discrepancy(
@@ -180,7 +177,6 @@ def _audit_one(max_ring_size: int, protocol: RingProtocol,
                 "theorem-5.14-unsound", size, protocol.pretty()))
     return _SampleOutcome(certified=certified,
                           deadlock_checks=deadlock_checks,
-                          states_explored=states_explored,
                           discrepancies=tuple(discrepancies))
 
 
@@ -205,21 +201,20 @@ def audit_theorems(samples: int = 50, max_ring_size: int = 5,
     structural fingerprint, is audited once, in first-sample order, and
     a repeat counts its first sample's outcome, discrepancy listing
     included: the report counts every sample, ``stats.work_items`` and
-    ``stats.states_explored`` the audits run.  The audits are
-    independent work items: ``jobs > 1`` fans them out over worker
-    processes, and *cache* answers and stores one outcome per distinct
-    protocol (each as soon as it completes, so a killed audit's rerun
-    resumes) — both with reports identical to the serial, uncached run.
-    *policy* supervises the fanned-out audits (per-item timeouts, crash
-    retry, and an in-parent rerun of an audit past its retries — see
-    :mod:`repro.engine.supervisor`).
+    ``stats.states_explored`` the audits run.  The distinct protocols
+    are one :func:`repro.engine.supervise_work_items` call: ``jobs > 1``
+    fans the audits out over worker processes, and *cache* answers and
+    stores one outcome per distinct protocol (each as soon as it
+    completes, so a killed audit's rerun resumes) — both with reports
+    identical to the serial, uncached run.  *policy* supervises the
+    audits (per-item timeouts, crash retry, and an in-parent rerun of an
+    audit past its retries — see :mod:`repro.engine.supervisor`).
     """
     if sampler is None:
         sampler = ProtocolSampler(seed=seed)
     stats = EngineStats(jobs=jobs)
     protocols = [sampler.sample() for _ in range(samples)]
 
-    outcomes: dict[str, _SampleOutcome] = {}
     with stats.stage("audit", samples=samples,
                      max_ring_size=max_ring_size, jobs=jobs):
         keys = [analysis_key("audit-sample", protocol,
@@ -228,29 +223,13 @@ def audit_theorems(samples: int = 50, max_ring_size: int = 5,
         first: dict[str, int] = {}  # key -> its first sample, in order
         for index, key in enumerate(keys):
             first.setdefault(key, index)
-        pending: list[int] = []
-        for index in first.values():
-            if cache is not None:
-                cached = cache.get(keys[index])
-                if cached is not None:
-                    stats.cache_hits += 1
-                    outcomes[keys[index]] = cached
-                    continue
-                stats.cache_misses += 1
-            pending.append(index)
-
-        # No prewarm hook: every pending protocol is distinct, so there
-        # is no shared kernel to compile ahead of the fork.
-        fresh = supervise_work_items(
-            _audit_indexed_worker, pending, jobs=jobs,
+        # No prewarm hook: every dispatched protocol is distinct, so
+        # there is no shared kernel to compile ahead of the fork.
+        outcomes = dict(zip(first, supervise_work_items(
+            _audit_indexed_worker, list(first.values()), jobs=jobs,
             context=(max_ring_size, protocols), stats=stats,
             policy=policy, cache=cache,
-            keys=([keys[index] for index in pending]
-                  if cache is not None else None))
-        for index, outcome in zip(pending, fresh):
-            stats.work_items += 1
-            stats.states_explored += outcome.states_explored
-            outcomes[keys[index]] = outcome
+            keys=list(first) if cache is not None else None)))
 
     report = AuditReport(samples=samples, certificates_issued=0,
                          deadlock_checks=0, stats=stats)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.checker.sweep import sweep_verify
+from repro.checker.sweep import _sweep_key, sweep_verify
+from repro.engine import ResultCache
 from repro.engine.pool import parallelism_available
 from repro.engine.supervisor import FAULT_ENV
 from repro.protocols import (
@@ -27,11 +28,41 @@ def test_sweep_finds_example43_failures():
     assert "fails at K = [4, 6, 7]" in result.summary()
 
 
-def test_stop_on_failure_truncates():
-    result = sweep_verify(nongeneralizable_matching(), up_to=8,
-                          stop_on_failure=True)
+class _RecordingCache(ResultCache):
+    """A result cache that records every key it is asked for."""
+
+    def __init__(self, directory) -> None:
+        super().__init__(directory)
+        self.looked_up: list[str] = []
+
+    def get(self, key, default=None):
+        self.looked_up.append(key)
+        return super().get(key, default)
+
+
+def test_stop_on_failure_truncates(tmp_path):
+    protocol = nongeneralizable_matching()
+    result = sweep_verify(protocol, up_to=8, stop_on_failure=True)
     assert result.sizes == (3, 4)  # window width .. first failure
     assert result.failing_sizes == (4,)
+    # Cached, the serial sweep still stops at K = 4: it checks and
+    # stores two sizes cold, answers both warm, and never looks past 4.
+    # A parallel sweep claims its sizes before it runs any, so a
+    # failure the cache answers ends its claims just the same.
+    past = {_sweep_key(protocol, size) for size in range(5, 9)}
+    for run, jobs in (("cold", 1), ("warm", 1), ("warm", 2)):
+        cache = _RecordingCache(tmp_path)
+        cached = sweep_verify(protocol, up_to=8, stop_on_failure=True,
+                              cache=cache, jobs=jobs)
+        assert cached.reports == result.reports
+        assert past.isdisjoint(cache.looked_up)
+        stats = cached.stats
+        if run == "cold":
+            assert stats.work_items == stats.cache_misses == 2
+            assert len(list(tmp_path.rglob("*.pkl"))) == 2
+        else:
+            assert (stats.cache_hits, stats.cache_misses) == (2, 0)
+            assert stats.work_items == 0
 
 
 @pytest.mark.skipif(not parallelism_available(),

@@ -104,7 +104,6 @@ def test_memory_roundtrip_and_stats():
     assert cache.get("missing", default=7) == 7
     cache.put("k", {"verdict": "ok"})
     assert cache.get("k") == {"verdict": "ok"}
-    assert "k" in cache and "missing" not in cache
     assert cache.stats == CacheStats(hits=1, misses=2, stores=1)
 
 
@@ -160,7 +159,7 @@ def test_unpicklable_value_stays_in_memory(tmp_path):
     cache.put("good", 42)
     assert callable(cache.get("bad"))
     fresh = ResultCache(tmp_path)
-    assert "bad" not in fresh
+    assert fresh.get("bad") is None
     assert fresh.get("good") == 42
 
 
@@ -202,8 +201,7 @@ def test_durable_roundtrip_across_instances(tmp_path):
         {"value": i} for i in range(3)]
     assert resumed.stats.disk_hits == 3
     assert resumed.stats.corrupt_entries == 0
-    assert f"{1:064x}" in resumed
-    assert "missing" not in resumed
+    assert resumed.get("missing") is None
 
 
 def test_default_cache_does_not_fsync(tmp_path, monkeypatch):

@@ -50,7 +50,7 @@ def run_batch(worker, items, jobs=1, batch_size=None, stats=None,
                         policy or SupervisorPolicy(backoff=0.01), None,
                         None, None)
     BatchScheduler(ledger, jobs=jobs, batch_size=batch_size).run(
-        ledger.split_cached())
+        list(ledger.claims()))
     if ledger.failure is not None:
         ledger.failure.reraise()
     return ledger.ordered_results()

@@ -117,6 +117,22 @@ def test_pool_spawn_dispatch_with_portable(monkeypatch):
     assert results == [6, 12, 18]
 
 
+def _untraced(context, item):
+    return obs.active() is None
+
+
+@needs_spawn
+def test_spawn_workers_trace_only_when_the_parent_does(monkeypatch):
+    monkeypatch.setenv(START_METHOD_ENV, "spawn")
+    portable = PortableContext(_build_context, {"factor": 1})
+    assert obs.active() is None
+    assert run_work_items(_untraced, range(4), jobs=2,
+                          portable=portable) == [True] * 4
+    with obs.run("traced"):
+        assert run_work_items(_untraced, range(4), jobs=2,
+                              portable=portable) == [False] * 4
+
+
 @needs_spawn
 def test_pool_spawn_without_portable_falls_back_serially(monkeypatch):
     monkeypatch.setenv(START_METHOD_ENV, "spawn")

@@ -323,10 +323,17 @@ class TestWriteThrough:
         assert stats.cache_hits == 4
 
     def test_a_probed_miss_is_counted_once(self, tmp_path):
+        # The dispatcher is the only prober: one lookup per key, and
+        # one miss and one store per key the cache does not hold.
+        ResultCache(tmp_path).put("key-1", 1)
         cache = ResultCache(tmp_path)
-        assert cache.get("key-0") is None  # the caller's own probe
-        supervise_work_items(square, [3], cache=cache, keys=["key-0"])
-        assert (cache.stats.misses, cache.stats.stores) == (1, 1)
+        stats = EngineStats()
+        results = supervise_work_items(square, [3, 1, 4], stats=stats,
+                                       cache=cache,
+                                       keys=["key-0", "key-1", "key-2"])
+        assert results == [9, 1, 16]
+        assert (cache.stats.misses, cache.stats.stores) == (2, 2)
+        assert (stats.cache_misses, stats.cache_hits) == (2, 1)
 
     @pytest.mark.parametrize("mode", ["truncate", "tamper", "garbage"])
     def test_corrupt_entry_is_recomputed(self, tmp_path,

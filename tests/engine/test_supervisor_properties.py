@@ -82,9 +82,9 @@ def _split(outcome) -> tuple[int, int]:
 def _assert_lattice_fault_free(matrix, seed: int, mode: str) -> None:
     source = _sample(mode, seed, offset=5000)
     # The counter-split oracle: the pruned/evaluated split is intrinsic
-    # per judged combination, and ``jobs`` fixes the work-unit plan —
-    # every unit of a walked pool runs, speculative ones included — so
-    # every faulted ``jobs=2`` run must reproduce the unfaulted one.
+    # per judged combination and covers the units up to the accepting
+    # one, whichever runs or replays them — so every faulted ``jobs=2``
+    # run must reproduce the unfaulted one.
     unfaulted = matrix.cell("synthesis", source,
                             max_ring_size=SYNTH_MAX_RING, jobs=2)
     faulted = matrix.cell("synthesis", source,

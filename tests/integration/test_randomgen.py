@@ -105,7 +105,7 @@ class TestAudit:
                                                          monkeypatch):
         def disagree(max_ring_size, protocol):
             return randomgen._SampleOutcome(
-                certified=False, deadlock_checks=1, states_explored=0,
+                certified=False, deadlock_checks=1,
                 discrepancies=(Discrepancy("theorem-4.2-mismatch", 2,
                                            protocol.pretty()),))
 

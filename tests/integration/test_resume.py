@@ -108,7 +108,11 @@ def test_warm_synthesis_replays_every_unit(tmp_path, monkeypatch, jobs):
     assert warm.rejected == cold.rejected
     assert walked == []  # the accepting unit came from disk
     stats, cold_stats = warm_synthesizer.stats, cold_synthesizer.stats
-    assert (stats.cache_hits, stats.cache_misses) == (units, 0)
+    # The accepting unit is the pool's first, and claiming ends there: a
+    # warm run looks that one unit up at every jobs value, and none of
+    # the speculative units a cold jobs=2 run stored after it.
+    assert (units == 1) if jobs == 1 else (units > 1)
+    assert (stats.cache_hits, stats.cache_misses) == (1, 0)
     assert stats.work_items == 0
     assert (stats.combos_pruned, stats.full_evaluations) \
         == (cold_stats.combos_pruned, cold_stats.full_evaluations)
