@@ -31,6 +31,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.errors import ProtocolDefinitionError
 from repro.obs import runtime as obs
 from repro.protocols.registry import REGISTRY, get_protocol
 
@@ -38,12 +39,52 @@ from repro.protocols.registry import REGISTRY, get_protocol
 # loads only the subsystems its command uses.
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than *minimum*."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" message
+    return parse
+
+
+def _positive_seconds(text: str) -> float:
+    """An argparse type: a number of seconds greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _resolve_protocol(name: str):
-    """A registry name, or a path to a JSON protocol file."""
+    """A registry name, or a path to a JSON protocol file.  A file that
+    cannot be read or parsed raises :class:`ProtocolDefinitionError`."""
     if name.endswith(".json"):
         from repro.serialization import load_protocol
 
-        protocol = load_protocol(name)
+        try:
+            protocol = load_protocol(name)
+        except OSError as exc:
+            reason = exc.strerror or str(exc)
+        except json.JSONDecodeError as exc:
+            reason = f"not valid JSON ({exc})"
+        except KeyError as exc:
+            reason = f"missing field {exc}"
+        except TypeError as exc:
+            reason = f"malformed ({exc})"
+        else:
+            reason = None
+        if reason is not None:
+            raise ProtocolDefinitionError(
+                f"cannot load protocol file {name}: {reason}")
     else:
         protocol = get_protocol(name)
     _annotate_protocol(protocol)
@@ -86,7 +127,7 @@ def _add_engine_options(parser: argparse.ArgumentParser,
         help="cache directory (default: .repro-cache/; implies --cache "
              "unless --no-cache is given)")
     parser.add_argument(
-        "--cache-limit", type=int, default=1024, metavar="MIB",
+        "--cache-limit", type=_at_least(0), default=1024, metavar="MIB",
         help="size cap in MiB for the on-disk result cache, enforced "
              "LRU-by-mtime (default: 1024; 0 = unbounded)")
 
@@ -106,12 +147,13 @@ def _add_supervisor_options(parser: argparse.ArgumentParser,
     long-running commands, ``--checkpoint`` / ``--run-id`` /
     ``--resume``)."""
     parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=_positive_seconds, default=None,
+        metavar="SECONDS",
         help="per-work-item wall-clock budget; an over-budget task is "
              "killed and retried (--retries), then run once more "
              "in-process")
     parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=_at_least(0), default=None, metavar="N",
         help="extra attempts for a crashed or timed-out work item "
              "before its in-process rerun (default: 2)")
     if resume:
@@ -425,6 +467,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.checker.sweep import sweep_fingerprint, sweep_verify
 
     protocol = _resolve_protocol(args.protocol)
+    first = protocol.process.window_width
+    if args.up_to < first:
+        print(f"error: --up-to {args.up_to} is below the smallest ring "
+              f"size of {protocol.name} ({first})", file=sys.stderr)
+        return 2
     cache = _engine_cache(args)
     fingerprint = sweep_fingerprint(protocol, args.up_to,
                                     symmetry=args.symmetry)
@@ -797,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="parameterized verification "
                                            "(all ring sizes)")
     verify.add_argument("protocol")
-    verify.add_argument("--max-ring-size", type=int, default=9,
+    verify.add_argument("--max-ring-size", type=_at_least(2), default=9,
                         help="bound for the contiguous-trail sweep")
     verify.add_argument("--max-sizes", type=int, default=20,
                         help="horizon for deadlocked-size prediction")
@@ -818,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
     hybrid = sub.add_parser("hybrid", help="local certificates refined "
                                            "by bounded global checking")
     hybrid.add_argument("protocol")
-    hybrid.add_argument("--max-ring-size", type=int, default=9)
+    hybrid.add_argument("--max-ring-size", type=_at_least(2), default=9)
     hybrid.add_argument("--check-up-to", type=int, default=7,
                         help="largest ring size to model-check")
     _add_symmetry_option(hybrid)
@@ -837,8 +884,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser("fuzz", help="random-protocol audit of the "
                                        "theorems against brute force")
-    fuzz.add_argument("--samples", type=int, default=50)
-    fuzz.add_argument("--max-ring-size", type=int, default=5)
+    fuzz.add_argument("--samples", type=_at_least(1), default=50)
+    fuzz.add_argument("--max-ring-size", type=_at_least(2), default=5)
     fuzz.add_argument("--seed", type=int, default=0)
     _add_engine_options(fuzz)
     _add_supervisor_options(fuzz)
@@ -868,7 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synthesize", help="Section 6 synthesis "
                                               "methodology")
     synth.add_argument("protocol")
-    synth.add_argument("--max-ring-size", type=int, default=9)
+    synth.add_argument("--max-ring-size", type=_at_least(2), default=9)
     _add_engine_options(synth)
     _add_supervisor_options(synth, resume=True)
     _add_obs_options(synth)
@@ -878,7 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                "study")
     simulate.add_argument("protocol")
     simulate.add_argument("-K", "--ring-size", type=int, required=True)
-    simulate.add_argument("--samples", type=int, default=200)
+    simulate.add_argument("--samples", type=_at_least(1), default=200)
     simulate.add_argument("--seed", type=int, default=0)
     simulate.set_defaults(func=_cmd_simulate)
 
@@ -891,7 +938,7 @@ def build_parser() -> argparse.ArgumentParser:
                                          "result cache")
     cache.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="cache directory (default: .repro-cache/)")
-    cache.add_argument("--cache-limit", type=int, default=1024,
+    cache.add_argument("--cache-limit", type=_at_least(0), default=1024,
                        metavar="MIB",
                        help="cap to report utilisation against "
                             "(default: 1024; 0 = unbounded)")
@@ -1049,6 +1096,9 @@ def main(argv: list[str] | None = None) -> int:
         return _dispatch(args)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except ProtocolDefinitionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -153,6 +153,8 @@ class Synthesizer:
                  policy: SupervisorPolicy | None = None,
                  search: str = "lattice",
                  fault_plan: FaultPlan | None = None) -> None:
+        if max_ring_size < 2:
+            raise ValueError("max_ring_size must be at least 2")
         resolved = "kernel" if backend == "auto" else backend
         if resolved not in ("kernel", "naive"):
             raise ValueError(f"unknown synthesis backend {backend!r}")

@@ -36,14 +36,14 @@ identical work.  This package supplies the missing pieces:
   and a support-fingerprint trail memo;
 * :mod:`repro.engine.supervisor` — the fault-tolerance layer:
   :func:`supervise_work_items` runs every task under per-task timeouts,
-  crash isolation, retry with backoff and, past the retry budget, one
+  crash isolation, immediate retry and, past the retry budget, one
   in-parent rerun of the task's own worker (CLI ``--timeout`` /
   ``--retries``);
 * :mod:`repro.engine.scheduler` — the parallel execution strategy
   under :func:`supervise_work_items`: persistent supervised workers
-  pulling adaptively sized batches (cost-model driven, heartbeat
-  timeouts, requeue-on-crash) so micro-task sweeps do not pay one fork
-  per task (CLI ``--jobs``);
+  fed batches sized from the queue alone (guided self-scheduling,
+  heartbeat timeouts, requeue-on-crash) so micro-task sweeps do not
+  pay one fork per task (CLI ``--jobs``);
 * :mod:`repro.engine.artifacts` — the zero-copy artifact plane:
   compiled kernels, localkernel skeletons and per-``(protocol, K)``
   packed state graphs serialized into a content-addressed
@@ -86,6 +86,6 @@ __all__ = _lazy.exports(globals(), {
         "SupervisorPolicy",
         "supervise_work_items",
     ),
-    "scheduler": ("BatchScheduler", "CostModel"),
+    "scheduler": ("BatchScheduler",),
     "localkernel": ("LocalKernel", "local_kernel_for"),
 })

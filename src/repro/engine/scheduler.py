@@ -1,4 +1,4 @@
-"""Adaptive batch scheduling over persistent supervised workers.
+"""Guided batch scheduling over persistent supervised workers.
 
 The engine's one parallel execution strategy (chosen by
 :func:`repro.engine.supervisor.supervise_work_items` whenever work
@@ -6,9 +6,8 @@ should leave the parent process).  The compiled kernels drove per-task
 cost down to fractions of a millisecond, at which point one ``fork``
 and one pipe round-trip per task would dominate wall-clock.
 :class:`BatchScheduler` amortizes that overhead: it starts ``--jobs``
-**persistent workers once**, then feeds each worker **batches** of task
-indices sized by a :class:`CostModel` so one pipe round-trip covers
-~:data:`TARGET_BATCH_SECONDS` of useful work.
+**persistent workers once**, then feeds each idle worker a **batch** of
+task indices sized from the queue alone (:func:`batch_size`).
 
 Supervision stays at *task* granularity despite the batched transport:
 
@@ -16,25 +15,24 @@ Supervision stays at *task* granularity despite the batched transport:
   touching it — the heartbeat that arms the per-task timeout deadline
   in the parent;
 * a worker death (segfault, OOM kill, injected SIGKILL) fails **only
-  the in-flight task** — that task re-enters the retry/backoff/degrade
-  ladder, while the not-yet-started remainder of the dead worker's
-  batch is **requeued without spending retry budget** (those tasks were
-  innocent bystanders, and charging them attempts would let batch
-  composition change verdicts under ``retries=0``);
+  the in-flight task** — that task re-enters the retry/degrade ladder
+  at the back of the queue, while the not-yet-started remainder of the
+  dead worker's batch is **requeued at the front without spending
+  retry budget** (those tasks were innocent bystanders, and charging
+  them attempts would let batch composition change verdicts under
+  ``retries=0``);
 * deterministic worker exceptions latch into the shared
   :class:`~repro.engine.supervisor.TaskLedger` and re-raise with the
   remote traceback after in-flight work is stopped.
 
-The cost model is deliberately boring: an exponentially weighted moving
-average of observed per-task seconds (seeded from the ambient obs run's
-``scheduler.task_seconds`` histogram when a prior stage already
-measured this workload), clamped so a batch targets
-:data:`TARGET_BATCH_SECONDS` of work.  Near the end of a run the fair-
-share cap ``ceil(remaining / workers / 2)`` overrides it, splitting the
-tail across workers instead of letting one worker hoard the last big
-batch while its siblings idle — each cap hit is counted as a *steal*
-(``scheduler.steals``), the work-stealing this design gets without a
-shared-memory deque.
+Batch sizing is guided self-scheduling (Polychronopoulos & Kuck, 1987):
+each batch takes ``ceil(remaining / (2·T))`` of the queued tasks, where
+``T = min(jobs, pending)`` is the dispatch's worker target.  Batches
+start large, so a micro-task sweep pays few round-trips, and shrink
+geometrically towards one task, so the tail is split across workers
+instead of one worker hoarding the last big batch while its siblings
+idle.  No timing enters the rule: a fault-free dispatch's batch count is
+a function of its item count and ``--jobs`` alone, traced or not.
 
 Fork workers inherit everything — including kernels compiled by the
 parent's ``prewarm`` hook — so unpicklable workers/contexts/items are
@@ -46,7 +44,6 @@ artifacts instead.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -64,87 +61,12 @@ from repro.obs import runtime as obs
 from repro.obs.metrics import Histogram
 from repro.obs.trace import Span
 
-#: How much useful work one batch dispatch should cover.  Well above
-#: the ~0.1 ms cost of a pipe round-trip (so dispatch overhead is
-#: amortized to noise) and well below any sane ``--timeout`` (so a
-#: batch never delays fault detection noticeably).
-TARGET_BATCH_SECONDS = 0.1
 
-#: Hard ceiling on one batch regardless of how cheap tasks look — a
-#: mis-estimated EWMA must not assign half the run to one worker.
-MAX_BATCH_ITEMS = 256
-
-#: Weight of the newest sample in the per-task-seconds EWMA.  High
-#: enough to adapt within a few batches when per-K cost grows along a
-#: sweep, low enough not to chase single-task noise.
-EWMA_ALPHA = 0.25
-
-#: Samples below this are clamped before sizing (a 0-second clock tick
-#: must not produce a huge batch).
-MIN_TASK_SECONDS = 1e-6
-
-
-@dataclass
-class CostModel:
-    """Adaptive batch sizing from observed per-task durations.
-
-    ``fixed`` bypasses adaptation (a test seam: the scheduler tests pin
-    batch shapes with it; nothing above :class:`BatchScheduler` sets it).
-    Otherwise the first dispatch to each worker is a **probe** of one
-    task (no estimate yet → smallest possible commitment), and every
-    completed task updates the EWMA that sizes subsequent batches to
-    :data:`TARGET_BATCH_SECONDS` of estimated work.
-    """
-
-    fixed: int | None = None
-    ewma: float | None = None
-    target_seconds: float = TARGET_BATCH_SECONDS
-    max_items: int = MAX_BATCH_ITEMS
-
-    def __post_init__(self) -> None:
-        if self.fixed is not None and self.fixed < 1:
-            raise ValueError("batch size must be >= 1")
-
-    @classmethod
-    def from_ambient(cls, fixed: int | None = None) -> "CostModel":
-        """Seed the EWMA from the ambient run's task-duration histogram
-        (a resumed or multi-stage run already knows this workload)."""
-        model = cls(fixed=fixed)
-        run = obs.active()
-        if run is not None and "scheduler.task_seconds" in run.metrics:
-            sample = run.metrics.histogram("scheduler.task_seconds")
-            if sample.count:
-                model.ewma = max(sample.mean, MIN_TASK_SECONDS)
-        return model
-
-    def observe(self, seconds: float) -> None:
-        seconds = max(seconds, MIN_TASK_SECONDS)
-        if self.ewma is None:
-            self.ewma = seconds
-        else:
-            self.ewma = (EWMA_ALPHA * seconds
-                         + (1.0 - EWMA_ALPHA) * self.ewma)
-
-    def batch_size(self, remaining: int,
-                   workers: int) -> tuple[int, bool]:
-        """Size the next batch; returns ``(size, tail_limited)``.
-
-        *tail_limited* reports that the fair-share tail cap — not the
-        cost model — bounded the batch: the caller counts it as a
-        steal when other workers are still busy.
-        """
-        if remaining <= 0:
-            return 0, False
-        if self.fixed is not None:
-            return min(self.fixed, remaining), False
-        if self.ewma is None:
-            return 1, False  # probe: measure before committing
-        size = int(round(self.target_seconds / self.ewma))
-        size = max(1, min(size, self.max_items, remaining))
-        fair = max(1, math.ceil(remaining / max(1, workers) / 2))
-        if size > fair:
-            return fair, True
-        return size, False
+def batch_size(remaining: int, target: int) -> int:
+    """Tasks in the next batch: ``ceil(remaining / (2 * target))``,
+    for *remaining* queued tasks and *target* workers (at least one
+    task while any remain)."""
+    return -(-remaining // (2 * target))
 
 
 # ----------------------------------------------------------------------
@@ -277,11 +199,9 @@ class _Worker:
 class BatchScheduler:
     """Parallel execution strategy over a shared
     :class:`~repro.engine.supervisor.TaskLedger` (see module docstring:
-    per-task supervision, batched transport).  *batch_size* pins the
-    :class:`CostModel` (tests only)."""
+    per-task supervision, batched transport)."""
 
     def __init__(self, ledger: TaskLedger, jobs: int = 1,
-                 batch_size: int | None = None,
                  start_method: str = "fork",
                  portable: PortableContext | None = None) -> None:
         if start_method not in ("fork", "spawn"):
@@ -289,22 +209,20 @@ class BatchScheduler:
         self.ledger = ledger
         self.jobs = max(1, jobs)
         self.policy = ledger.policy
-        self.model = CostModel.from_ambient(fixed=batch_size)
         self.start_method = start_method
         self.portable = portable
         self._mp = multiprocessing.get_context(start_method)
         self.workers: list[_Worker] = []
         self.queue: deque = deque()      # ready tasks, FIFO
-        self.delayed: list[_Task] = []   # retries waiting out backoff
         self._next_ident = 0
-        # Local (not ambient) so stall detection works without --trace.
+        # Local (not ambient) so stall detection and the live plane's
+        # per-task cost work without --trace.
         self.durations = Histogram("scheduler.task_seconds")
 
     # -- lifecycle -----------------------------------------------------
     def run(self, pending: list[_Task]) -> None:
         ledger = self.ledger
         self.queue = deque(pending)
-        self.delayed = []
         target = min(self.jobs, max(1, len(pending)))
         if ledger.stats is not None and target > 1:
             ledger.stats.parallel = True
@@ -320,37 +238,16 @@ class BatchScheduler:
     def _loop(self, target: int) -> None:
         ledger = self.ledger
         while ledger.failure is None and (
-                self.queue or self.delayed
-                or any(w.busy for w in self.workers)):
-            now = time.monotonic()
-            self._mature(now)
+                self.queue or any(w.busy for w in self.workers)):
             self._dispatch(target)
             if not self.workers:
-                # Every worker died and nothing could be respawned
-                # (queue drained into `delayed` backoffs): sleep to the
-                # first retry and go around.
-                if self.delayed:
-                    wake = min(t.ready_at for t in self.delayed)
-                    time.sleep(max(0.0, min(wake - now, 0.25)))
-                continue
+                continue  # the queue is empty and every worker is gone
             ready = multiprocessing.connection.wait(
                 [w.results for w in self.workers]
                 + [w.process.sentinel for w in self.workers],
-                timeout=self._wait_timeout(now))
+                timeout=self._wait_timeout())
             self._service(set(ready))
             live.tick(self._live_payload)
-
-    def _mature(self, now: float) -> None:
-        """Move backoff-expired retries back into the ready queue."""
-        if not self.delayed:
-            return
-        still: list[_Task] = []
-        for task in self.delayed:
-            if task.ready_at <= now:
-                self.queue.append(task)
-            else:
-                still.append(task)
-        self.delayed = still
 
     # -- dispatch ------------------------------------------------------
     def _spawn(self) -> _Worker:
@@ -393,8 +290,7 @@ class BatchScheduler:
                 if len(self.workers) >= target:
                     return
                 worker = self._spawn()
-            size, tail_limited = self.model.batch_size(
-                len(self.queue), max(1, len(self.workers)))
+            size = batch_size(len(self.queue), target)
             batch = [self.queue.popleft() for _ in range(size)]
             try:
                 worker.commands.send(
@@ -414,13 +310,6 @@ class BatchScheduler:
             _bump(self.ledger.stats, "scheduler_batch_items",
                   "scheduler.batch_items", len(batch))
             obs.observe("scheduler.batch_size", len(batch))
-            if tail_limited and any(w.busy for w in self.workers
-                                    if w is not worker):
-                # The fair-share tail cap bound this batch: work that
-                # the cost model would have assigned elsewhere was
-                # effectively stolen for this worker.
-                _bump(self.ledger.stats, "scheduler_steals",
-                      "scheduler.steals")
 
     # -- servicing -----------------------------------------------------
     def _service(self, ready: set) -> None:
@@ -460,7 +349,6 @@ class BatchScheduler:
             worker.deadline = None
             assert task is not None and task.index == index
             elapsed = time.monotonic() - worker.started_at
-            self.model.observe(elapsed)
             self.durations.observe(elapsed)
             obs.observe("scheduler.task_seconds", elapsed)
             obs.adopt_child(capture, f"item[{task.index}]",
@@ -487,9 +375,10 @@ class BatchScheduler:
 
     # -- fault handling ------------------------------------------------
     def _retry(self, task: _Task, reason: str) -> None:
-        requeued = self.ledger.retry_or_degrade(task, reason)
-        if requeued is not None:
-            self.delayed.append(requeued)
+        """Charge *task* one attempt and put it straight back on the
+        queue (or, past its retry budget, degrade it in-parent)."""
+        if self.ledger.retry_or_degrade(task, reason):
+            self.queue.append(task)
 
     def _requeue_survivors(self, worker: _Worker) -> None:
         """Return a dead/killed worker's unstarted tasks to the queue —
@@ -594,13 +483,13 @@ class BatchScheduler:
                              age_seconds=round(age, 3),
                              stalled=age > threshold)
             workers.append(entry)
-        remaining = (len(self.queue) + len(self.delayed)
-                     + assigned + in_flight)
+        remaining = len(self.queue) + assigned + in_flight
         stage: dict[str, Any] = {"mode": "batch"}
-        if self.model.ewma is not None:
-            stage["ewma_task_seconds"] = self.model.ewma
+        if self.durations.count:
+            mean = self.durations.mean
+            stage["mean_task_seconds"] = mean
             stage["eta_seconds"] = round(
-                remaining * self.model.ewma
+                remaining * mean
                 / max(1, len(self.workers) or self.jobs), 3)
         if p95 is not None:
             stage["p95_task_seconds"] = p95
@@ -610,14 +499,11 @@ class BatchScheduler:
         return payload
 
     # -- pacing --------------------------------------------------------
-    def _wait_timeout(self, now: float) -> float:
+    def _wait_timeout(self) -> float:
         horizon = 0.5
         deadlines = [w.deadline for w in self.workers
                      if w.deadline is not None]
         if deadlines:
-            horizon = min(horizon, max(0.0, min(deadlines) - now))
-        if self.delayed:
-            wake = min(t.ready_at for t in self.delayed)
-            if wake > now:
-                horizon = min(horizon, wake - now)
+            horizon = min(horizon,
+                          max(0.0, min(deadlines) - time.monotonic()))
         return max(horizon, 0.005)

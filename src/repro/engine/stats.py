@@ -47,7 +47,6 @@ _COUNTER_METRICS = {
     "supervisor_degraded": "supervisor.degraded",
     "scheduler_batches": "scheduler.batches",
     "scheduler_batch_items": "scheduler.batch_items",
-    "scheduler_steals": "scheduler.steals",
     "scheduler_requeued": "scheduler.requeued",
     "live_snapshots": "live.snapshots",
     "artifact_hits": "artifacts.hits",
@@ -236,8 +235,7 @@ class EngineStats:
             parts.append(
                 f"scheduler {self.scheduler_batches} batches "
                 f"(mean {self.scheduler_batch_items / self.scheduler_batches:.1f}"
-                f" items), {self.scheduler_steals} steals, "
-                f"{self.scheduler_requeued} requeued")
+                f" items), {self.scheduler_requeued} requeued")
         if self.states_encoded:
             kernel = (f"kernel compile {self.compile_seconds * 1e3:.1f} ms"
                       f", {self.states_encoded} states @ "

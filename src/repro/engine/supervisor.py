@@ -12,8 +12,7 @@ which decides in one place how they run:
   its items one at a time;
 * on the **batch scheduler**
   (:class:`repro.engine.scheduler.BatchScheduler`) otherwise — ``jobs``
-  persistent forked workers pulling adaptively sized batches from a
-  shared queue;
+  persistent forked workers fed batches sized from a shared queue;
 * on the batch scheduler over **spawned** workers when fork is
   unavailable but the caller's :class:`~repro.engine.pool.PortableContext`
   and the worker payload pickle; failing that, serially with a
@@ -25,11 +24,11 @@ work always runs under a :class:`SupervisorPolicy`
 (``SupervisorPolicy()`` when the caller gives none):
 
 * **timeouts** — a task exceeding the per-task wall-clock budget is
-  SIGKILLed and retried with exponential backoff;
+  SIGKILLed and put straight back on the queue as a retry;
 * **crash isolation** — a worker that dies (segfault, OOM kill,
-  injected SIGKILL) fails only its in-flight task, which is retried;
-  the rest of the dead worker's batch is requeued without spending
-  retry budget, and sibling workers keep running;
+  injected SIGKILL) fails only its in-flight task, which is retried
+  the same way; the rest of the dead worker's batch is requeued
+  without spending retry budget, and sibling workers keep running;
 * **degradation** — a task that exhausts its retry budget, or whose
   result does not pickle, runs its own worker once more *in the parent
   process* instead of aborting the run;
@@ -97,25 +96,18 @@ class SupervisorPolicy:
     ``timeout`` is the per-task wall-clock budget in seconds (``None``
     disables the deadline); ``retries`` is how many *additional*
     attempts a crashed or timed-out task gets before it degrades to one
-    in-parent run of its own worker; the backoff before attempt ``n`` is
-    ``backoff * 2**(n-1)`` seconds, capped at ``backoff_cap``.
+    in-parent run of its own worker.  A retried task goes straight back
+    on the queue.
     """
 
     timeout: float | None = None
     retries: int = 2
-    backoff: float = 0.05
-    backoff_cap: float = 2.0
 
     def __post_init__(self) -> None:
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive (or None)")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-
-    def delay_before(self, attempt: int) -> float:
-        """Backoff in seconds before retry *attempt* (1-based)."""
-        return min(self.backoff * (2.0 ** (attempt - 1)),
-                   self.backoff_cap)
 
 
 #: The policy of a dispatch given none (shared: policies are frozen).
@@ -205,7 +197,6 @@ class _Task:
     index: int
     key: str | None
     attempts: int = 0
-    ready_at: float = 0.0
 
 
 def _bump(stats: Any, attribute: str, metric: str | None = None,
@@ -304,25 +295,21 @@ class TaskLedger:
             self.complete(task, self.worker(
                 self.context, self.work[task.index]))
 
-    def retry_or_degrade(self, task: _Task, reason: str) -> _Task | None:
+    def retry_or_degrade(self, task: _Task, reason: str) -> bool:
         """Spend one unit of *task*'s retry budget.
 
-        Returns the task (with its backoff ``ready_at`` stamped) when
-        it should be requeued, or ``None`` when it was degraded and is
-        already complete.
+        Returns whether the task should be requeued; ``False`` means it
+        was degraded and is already complete.
         """
         task.attempts += 1
         if task.attempts > self.policy.retries:
             self.degrade(task, reason)
-            return None
-        delay = self.policy.delay_before(task.attempts)
-        task.ready_at = time.monotonic() + delay
+            return False
         obs.event("task-retry", level="warning", index=task.index,
-                  key=task.key, attempt=task.attempts, reason=reason,
-                  delay_seconds=delay)
+                  key=task.key, attempt=task.attempts, reason=reason)
         _bump(self.stats, "supervisor_retries", "supervisor.retries")
         live.note(retried=1)
-        return task
+        return True
 
     # -- serial mode (no workers needed / none available) -------------
     def run_serial(self, pending: Iterable[_Task], reason: str) -> None:

@@ -57,8 +57,9 @@ HEALTH_COUNTERS = (
 
 #: Counters measuring the amount of work done: any drift on a matched
 #: identity means the two runs did not compute the same thing.  Only
-#: timing-independent counters belong here (``scheduler_batches``, for
-#: example, varies with the adaptive batch sizing and must not).
+#: counters independent of how work was dispatched belong here
+#: (``scheduler_batches``, for example, follows ``--jobs`` and the
+#: faults a run met, and must not).
 WORK_COUNTERS = (
     "work_items", "states_explored",
     # Lattice-search split: both are intrinsic to the candidate set

@@ -81,7 +81,7 @@ class LiveRun:
 
     All state lives in the parent process; heartbeat call sites push
     cheap counter increments (:meth:`note`) and hand richer payloads
-    (worker tables, cost model readouts) to :meth:`publish` only when
+    (worker tables, per-task cost and ETA) to :meth:`publish` only when
     :meth:`due` says a snapshot is actually owed.
     """
 
@@ -380,9 +380,9 @@ def render_top(status: dict[str, Any],
     stage = status.get("stage") or {}
     if stage:
         detail = f"  stage     {stage.get('name', '?')}"
-        ewma = stage.get("ewma_task_seconds")
-        if ewma:
-            detail += f": {ewma * 1e3:.1f} ms/task"
+        mean = stage.get("mean_task_seconds")
+        if mean:
+            detail += f": {mean * 1e3:.1f} ms/task"
         p95 = stage.get("p95_task_seconds")
         if p95:
             detail += f" (p95 {p95 * 1e3:.1f} ms)"

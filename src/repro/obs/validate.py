@@ -83,7 +83,7 @@ _EVENT_REQUIRED_FIELDS = {
     "pool-fallback": ("reason", "items"),
     "supervisor-serial": ("reason", "items"),
     "task-timeout": ("index", "attempt", "timeout_seconds"),
-    "task-retry": ("index", "attempt", "reason", "delay_seconds"),
+    "task-retry": ("index", "attempt", "reason"),
     "task-degraded": ("index", "attempts", "reason"),
     "batch-requeued": ("worker", "items"),
     "artifact-corrupt": ("artifact", "path", "reason"),

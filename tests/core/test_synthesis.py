@@ -72,6 +72,13 @@ class TestColorings:
         with pytest.raises(SynthesisFailure):
             synthesize_convergence(two_coloring(), raise_on_failure=True)
 
+    @pytest.mark.parametrize("backend", ["auto", "naive"])
+    def test_ring_bound_below_two_is_refused(self, backend):
+        # An empty (K, |E|) range certifies nothing: it must not turn
+        # §6.1's failure into a success.
+        with pytest.raises(ValueError, match="at least 2"):
+            Synthesizer(three_coloring(), max_ring_size=1, backend=backend)
+
 
 class TestSumNotTwo:
     def test_success_at_pl_stage(self):

@@ -287,13 +287,13 @@ def _fault(mode: str):
     from repro.engine.supervisor import FaultPlan, SupervisorPolicy
 
     if mode == "crash":
-        return (SupervisorPolicy(retries=2, backoff=0.01),
+        return (SupervisorPolicy(retries=2),
                 FaultPlan(crash_items=frozenset({0, 2})))
     if mode == "hang":
-        return (SupervisorPolicy(timeout=0.15, retries=2, backoff=0.01),
+        return (SupervisorPolicy(timeout=0.15, retries=2),
                 FaultPlan(hang_items=frozenset({1}), hang_seconds=30.0))
     if mode == "kill-resume":
-        return SupervisorPolicy(retries=2, backoff=0.01), None
+        return SupervisorPolicy(retries=2), None
     return None, None
 
 

@@ -132,7 +132,7 @@ class TestDispatchPaths:
         # The killed attempts recorded their counts before dying; those
         # never reach the parent, the successful retries do.
         stats = _dispatch(crash_once({1, 4}),
-                          policy=SupervisorPolicy(backoff=0.01))
+                          policy=SupervisorPolicy())
         assert stats.supervisor_retries == 2
         assert stats.mask_evaluations == K * ITEMS
 
@@ -141,7 +141,7 @@ class TestDispatchPaths:
         # No retry budget: the killed item reruns in-parent and counts
         # there, directly.
         stats = _dispatch(crash_once({2}),
-                          policy=SupervisorPolicy(retries=0, backoff=0.01))
+                          policy=SupervisorPolicy(retries=0))
         assert stats.supervisor_degraded == 1
         assert stats.mask_evaluations == K * ITEMS
 

@@ -55,7 +55,7 @@ class TestSpawnOnlyFallback:
         with obs.run("no-fork-check") as run:
             results = supervise_work_items(
                 square, range(4), jobs=2, stats=stats,
-                policy=SupervisorPolicy(timeout=30.0, backoff=0.01))
+                policy=SupervisorPolicy(timeout=30.0))
         assert results == [0, 1, 4, 9]
         assert stats.pool_fallbacks == 1
         assert _fallback_events(run)
@@ -67,7 +67,7 @@ class TestSpawnOnlyFallback:
         with obs.run("no-fork-sweep") as run:
             swept = sweep_verify(
                 protocol, up_to=4, jobs=2,
-                policy=SupervisorPolicy(timeout=30.0, backoff=0.01))
+                policy=SupervisorPolicy(timeout=30.0))
         assert len(swept.reports) == 3  # sizes 2..4, all checked
         assert _fallback_events(run)
 
@@ -81,7 +81,7 @@ class TestSpawnOnlyFallback:
         with obs.run("no-fork-verify") as run:
             report = verify_convergence(
                 protocol, max_ring_size=4, jobs=2,
-                policy=SupervisorPolicy(timeout=30.0, backoff=0.01))
+                policy=SupervisorPolicy(timeout=30.0))
         assert report.verdict is not None
         assert _fallback_events(run)
 
@@ -89,7 +89,7 @@ class TestSpawnOnlyFallback:
         with obs.run("no-fork-fuzz") as run:
             report = audit_theorems(
                 samples=3, max_ring_size=3, jobs=2,
-                policy=SupervisorPolicy(timeout=30.0, backoff=0.01))
+                policy=SupervisorPolicy(timeout=30.0))
         assert report.clean
         assert report.samples == 3
         assert _fallback_events(run)
@@ -103,7 +103,7 @@ class TestSpawnOnlyFallback:
         with obs.run("no-fork-synthesize") as run:
             result = synthesize_convergence(
                 agreement(), max_ring_size=4, jobs=2,
-                policy=SupervisorPolicy(timeout=30.0, backoff=0.01))
+                policy=SupervisorPolicy(timeout=30.0))
         assert result is not None
         assert _fallback_events(run)
 
@@ -114,7 +114,7 @@ class TestSpawnOnlyFallback:
         from repro.checker.sweep import sweep_verify
 
         protocol = _protocol()
-        policy = SupervisorPolicy(timeout=30.0, backoff=0.01)
+        policy = SupervisorPolicy(timeout=30.0)
         reference = sweep_verify(protocol, up_to=4, jobs=2,
                                  policy=policy)
         try:

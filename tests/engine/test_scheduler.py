@@ -2,12 +2,12 @@
 
 The differential matrix (``tests/differential/``) pins verdict
 equality for batch mode on real protocols; this file pins the
-batch-specific mechanics — cost-model sizing,
+batch-specific mechanics — guided batch sizing,
 requeue-without-retry-charge on worker death, heartbeat-armed
 timeouts, cache write-through and the routing / prewarm plumbing —
-on tiny synthetic workers.  Tests that pin batch shapes (or run
-self-killing workers at ``jobs=1``, which the dispatcher would run
-in-parent) build the :class:`BatchScheduler` directly.
+on tiny synthetic workers.  Tests that run self-killing workers at
+``jobs=1`` (which the dispatcher would run in-parent) build the
+:class:`BatchScheduler` directly.
 """
 
 from __future__ import annotations
@@ -22,12 +22,7 @@ import pytest
 
 from repro.engine import EngineStats, ResultCache
 from repro.engine.pool import WorkerTraceback, parallelism_available
-from repro.engine.scheduler import (
-    MAX_BATCH_ITEMS,
-    MIN_TASK_SECONDS,
-    BatchScheduler,
-    CostModel,
-)
+from repro.engine.scheduler import BatchScheduler, batch_size
 from repro.engine.supervisor import (
     FaultPlan,
     SupervisorPolicy,
@@ -42,80 +37,77 @@ needs_fork = pytest.mark.skipif(not parallelism_available(),
                                 reason="needs the fork start method")
 
 
-def run_batch(worker, items, jobs=1, batch_size=None, stats=None,
-              policy=None):
-    """Run *items* on a :class:`BatchScheduler` built directly, with a
-    pinned *batch_size*, bypassing the dispatcher's serial choice."""
+def run_batch(worker, items, jobs=1, stats=None, policy=None):
+    """Run *items* on a :class:`BatchScheduler` built directly,
+    bypassing the dispatcher's serial choice."""
     ledger = TaskLedger(worker, list(items), None, stats,
-                        policy or SupervisorPolicy(backoff=0.01), None,
+                        policy or SupervisorPolicy(), None,
                         None, None)
-    BatchScheduler(ledger, jobs=jobs, batch_size=batch_size).run(
-        list(ledger.claims()))
+    BatchScheduler(ledger, jobs=jobs).run(list(ledger.claims()))
     if ledger.failure is not None:
         ledger.failure.reraise()
     return ledger.ordered_results()
 
 
+def batch_shape(items: int, target: int) -> list[int]:
+    """The batch sizes a fault-free dispatch of *items* hands out."""
+    sizes = []
+    while items:
+        sizes.append(batch_size(items, target))
+        items -= sizes[-1]
+    return sizes
+
+
+def slow_square(context, item):
+    time.sleep(0.002)
+    return item * item
+
+
 # ----------------------------------------------------------------------
-# cost model
+# batch sizing
 # ----------------------------------------------------------------------
-class TestCostModel:
-    def test_fixed_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CostModel(fixed=0)
-        with pytest.raises(ValueError):
-            CostModel(fixed=-3)
+class TestBatchSize:
+    def test_guided_self_scheduling_shape(self):
+        assert batch_shape(246, 2) == [62, 46, 35, 26, 20, 15, 11, 8, 6,
+                                       5, 3, 3, 2, 1, 1, 1, 1]
+        assert batch_shape(8, 2) == [2, 2, 1, 1, 1, 1]
 
-    def test_first_dispatch_is_a_probe_of_one(self):
-        model = CostModel()
-        assert model.batch_size(1000, 4) == (1, False)
-
-    def test_fixed_size_bypasses_adaptation(self):
-        model = CostModel(fixed=8)
-        model.observe(1e-6)  # would suggest a huge batch
-        assert model.batch_size(100, 4) == (8, False)
-        assert model.batch_size(5, 4) == (5, False)  # remaining clamps
-
-    def test_ewma_sizes_to_the_target(self):
-        model = CostModel()
-        model.observe(0.01)  # -> 10 tasks per 0.1 s target
-        size, tail_limited = model.batch_size(1000, 1)
-        assert size == 10
-        assert not tail_limited
-
-    def test_ewma_weights_new_samples(self):
-        model = CostModel()
-        model.observe(0.01)
-        model.observe(0.03)
-        assert model.ewma == pytest.approx(0.25 * 0.03 + 0.75 * 0.01)
-
-    def test_zero_duration_sample_is_clamped(self):
-        model = CostModel()
-        model.observe(0.0)  # a clock tick must not explode the batch
-        assert model.ewma == MIN_TASK_SECONDS
-        size, _ = model.batch_size(10 ** 9, 1)
-        assert size == MAX_BATCH_ITEMS
+    def test_first_batch_takes_a_share_of_the_queue(self):
+        assert batch_size(1000, 4) == 125
+        assert batch_size(12, 1) == 6  # one worker: half the queue
+        assert batch_size(10, 1) == 5
 
     def test_tail_fair_share_caps_the_batch(self):
-        model = CostModel()
-        model.observe(1e-5)  # cost model alone would take everything
-        size, tail_limited = model.batch_size(8, 4)
-        assert size == 1  # ceil(8 / 4 / 2)
-        assert tail_limited
+        assert batch_size(8, 4) == 1  # ceil(8 / 4 / 2)
+        assert batch_size(1, 4) == 1
 
     def test_exhausted_queue_sizes_to_zero(self):
-        assert CostModel().batch_size(0, 4) == (0, False)
+        assert batch_size(0, 4) == 0
 
-    def test_from_ambient_seeds_from_the_histogram(self):
-        with obs.run("seeding"):
-            obs.observe("scheduler.task_seconds", 0.02)
-            obs.observe("scheduler.task_seconds", 0.04)
-            model = CostModel.from_ambient()
-        assert model.ewma == pytest.approx(0.03)
-        # And without a prior histogram: no seed, probe-first.
-        with obs.run("cold"):
-            assert CostModel.from_ambient().ewma is None
-        assert CostModel.from_ambient().ewma is None  # no run at all
+    @needs_fork
+    def test_batch_count_is_a_function_of_items_and_jobs(self):
+        for _ in range(3):
+            stats = EngineStats()
+            results = supervise_work_items(square, range(246), jobs=2,
+                                           stats=stats)
+            assert results == [i * i for i in range(246)]
+            assert stats.scheduler_batches == 17
+            assert stats.scheduler_batch_items == 246
+
+    @needs_fork
+    def test_tracing_does_not_change_batching(self):
+        untraced = EngineStats()
+        supervise_work_items(slow_square, range(40), jobs=2,
+                             stats=untraced)
+        traced = EngineStats()
+        with obs.run("seeded"):
+            # A prior stage already measured tasks of this dispatch.
+            for _ in range(4):
+                obs.observe("scheduler.task_seconds", 0.02)
+            supervise_work_items(slow_square, range(40), jobs=2,
+                                 stats=traced)
+        assert traced.scheduler_batches == untraced.scheduler_batches \
+            == len(batch_shape(40, 2))
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +119,7 @@ class TestRouting:
         calls = []
         results = supervise_work_items(
             square, range(6), jobs=2,
-            policy=SupervisorPolicy(backoff=0.01),
+            policy=SupervisorPolicy(),
             prewarm=lambda: calls.append(1))
         assert results == [i * i for i in range(6)]
         assert calls == [1]  # parent-side: visible, and exactly once
@@ -173,23 +165,15 @@ class TestRouting:
 # ----------------------------------------------------------------------
 @needs_fork
 class TestBatchExecution:
-    def test_pinned_batch_size_shapes_the_dispatch(self):
-        stats = EngineStats()
-        results = run_batch(square, range(9), batch_size=3, stats=stats)
-        assert results == [i * i for i in range(9)]
-        assert stats.scheduler_batches == 3  # ceil(9 / 3), one worker
-        assert stats.scheduler_batch_items == 9
-
     def test_crash_charges_only_the_casualty(self, crashing_worker):
-        # One worker, one batch of six: the crash on item 0 must retry
-        # item 0 alone and requeue the five bystanders with their
-        # attempt counters untouched.
+        # One worker, twelve items: a first batch of six.  The crash on
+        # item 0 must retry item 0 alone and requeue the five
+        # bystanders with their attempt counters untouched.
         worker = crashing_worker(crash_items={0})
         stats = EngineStats()
-        results = run_batch(worker, range(6), batch_size=6, stats=stats,
-                            policy=SupervisorPolicy(retries=1,
-                                                    backoff=0.01))
-        assert results == [i * i for i in range(6)]
+        results = run_batch(worker, range(12), stats=stats,
+                            policy=SupervisorPolicy(retries=1))
+        assert results == [i * i for i in range(12)]
         assert stats.supervisor_retries == 1
         assert stats.scheduler_requeued == 5
         # retries=1 with 5 requeued bystanders: had requeueing spent
@@ -200,20 +184,21 @@ class TestBatchExecution:
         stats = EngineStats()
         results = supervise_work_items(
             square, range(4), jobs=2, stats=stats,
-            policy=SupervisorPolicy(backoff=0.01),
+            policy=SupervisorPolicy(),
             plan=FaultPlan(crash_items=frozenset({0})))
         assert results == [0, 1, 4, 9]
         assert stats.supervisor_retries == 1
 
     def test_hung_task_is_killed_retried_and_bystanders_requeued(
             self, hanging_worker):
+        # One worker, ten items: a first batch of five, so the kill on
+        # item 0's deadline requeues four bystanders.
         worker = hanging_worker(hang_items={0})
         stats = EngineStats()
-        results = run_batch(worker, range(5), batch_size=5, stats=stats,
+        results = run_batch(worker, range(10), stats=stats,
                             policy=SupervisorPolicy(timeout=0.4,
-                                                    retries=2,
-                                                    backoff=0.01))
-        assert results == [i * i for i in range(5)]
+                                                    retries=2))
+        assert results == [i * i for i in range(10)]
         assert stats.supervisor_timeouts == 1
         assert stats.scheduler_requeued == 4
         assert stats.supervisor_degraded == 0
@@ -227,7 +212,7 @@ class TestBatchExecution:
         with pytest.raises(ValueError, match="item 2 is cursed") as info:
             supervise_work_items(
                 cursed, range(4), jobs=2,
-                policy=SupervisorPolicy(backoff=0.01))
+                policy=SupervisorPolicy())
         cause = info.value.__cause__
         assert isinstance(cause, WorkerTraceback)
         assert "cursed" in cause.text
@@ -243,7 +228,7 @@ class TestBatchExecution:
 
         with pytest.raises(RuntimeError, match="deterministic"):
             run_batch(counting_failure, range(2),
-                      policy=SupervisorPolicy(retries=3, backoff=0.01))
+                      policy=SupervisorPolicy(retries=3))
         # The failing item ran exactly once; no retry burned on a
         # deterministic exception.
         calls = [p.name for p in counter_dir.iterdir()]
@@ -280,7 +265,7 @@ class TestBatchWriteThrough:
         results = supervise_work_items(
             square, range(40), jobs=2, keys=keys,
             cache=ResultCache(tmp_path, durable=True),
-            policy=SupervisorPolicy(backoff=0.01))
+            policy=SupervisorPolicy())
         assert results == [i * i for i in range(40)]
         # Each completed item was written (and synced) by the parent
         # as it arrived, not after the run.
@@ -298,7 +283,7 @@ class TestBatchWriteThrough:
         results = supervise_work_items(
             worker, range(4), jobs=2, stats=stats, cache=cache,
             keys=[f"key-{i}" for i in range(4)],
-            policy=SupervisorPolicy(retries=0, backoff=0.01))
+            policy=SupervisorPolicy(retries=0))
         assert results == [0, 1, 4, 9]
         assert stats.cache_hits == 2
         assert stats.supervisor_retries == 0
@@ -339,9 +324,9 @@ def _running(pid: int) -> bool:
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
 @pytest.mark.parametrize("result_bytes", [8, 256 * 1024])
 def test_workers_exit_when_the_parent_is_killed(tmp_path, result_bytes):
-    # The parent dies by os._exit after six cache writes (past the
-    # one-task probes, so workers hold multi-task batches), never
-    # shutting its workers down; they must notice and exit on their own
+    # The parent dies by os._exit after six cache writes (the first
+    # batches hold ten and eight tasks, so workers are mid-batch),
+    # never shutting its workers down; they must notice and exit on their own
     # — also mid-batch, blocked sending a result larger than the pipe
     # buffer.
     completed = subprocess.run(

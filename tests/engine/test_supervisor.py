@@ -9,6 +9,7 @@ workers.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
@@ -66,7 +67,9 @@ class TestSupervisorPolicy:
         policy = SupervisorPolicy()
         assert policy.timeout is None
         assert policy.retries == 2
-        assert (policy.backoff, policy.backoff_cap) == (0.05, 2.0)
+        # Nothing to tune beyond the two values the CLI sets.
+        assert [f.name for f in dataclasses.fields(SupervisorPolicy)] \
+            == ["timeout", "retries"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -75,13 +78,6 @@ class TestSupervisorPolicy:
             SupervisorPolicy(timeout=-1.0)
         with pytest.raises(ValueError):
             SupervisorPolicy(retries=-1)
-
-    def test_backoff_doubles_and_caps(self):
-        policy = SupervisorPolicy(backoff=0.1, backoff_cap=0.35)
-        assert policy.delay_before(1) == pytest.approx(0.1)
-        assert policy.delay_before(2) == pytest.approx(0.2)
-        assert policy.delay_before(3) == pytest.approx(0.35)
-        assert policy.delay_before(10) == pytest.approx(0.35)
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +175,7 @@ class TestCrashIsolation:
         stats = EngineStats()
         results = supervise_work_items(
             worker, range(5), jobs=2, stats=stats,
-            policy=SupervisorPolicy(backoff=0.01))
+            policy=SupervisorPolicy())
         assert results == [0, 1, 4, 9, 16]
         assert stats.supervisor_retries == 2
         assert stats.supervisor_degraded == 0
@@ -188,7 +184,7 @@ class TestCrashIsolation:
         stats = EngineStats()
         results = supervise_work_items(
             square, range(4), jobs=2, stats=stats,
-            policy=SupervisorPolicy(backoff=0.01),
+            policy=SupervisorPolicy(),
             plan=FaultPlan(crash_items=frozenset({0})))
         assert results == [0, 1, 4, 9]
         assert stats.supervisor_retries == 1
@@ -198,7 +194,7 @@ class TestCrashIsolation:
         worker = crashing_worker(crash_items={0})
         results = supervise_work_items(
             worker, range(6), jobs=3,
-            policy=SupervisorPolicy(backoff=0.01))
+            policy=SupervisorPolicy())
         assert results == [i * i for i in range(6)]
 
     def test_retry_budget_exhaustion_degrades(self):
@@ -214,7 +210,7 @@ class TestCrashIsolation:
         stats = EngineStats()
         results = supervise_work_items(
             crashes_in_workers, range(3), jobs=2, stats=stats,
-            policy=SupervisorPolicy(retries=1, backoff=0.01))
+            policy=SupervisorPolicy(retries=1))
         # The degraded item is the worker's own answer, run in-parent.
         assert results == [(0, False), (1, True), (4, False)]
         assert stats.supervisor_retries == 1
@@ -231,8 +227,7 @@ class TestTimeouts:
         stats = EngineStats()
         results = supervise_work_items(
             worker, range(3), jobs=2, stats=stats,
-            policy=SupervisorPolicy(timeout=0.4, retries=2,
-                                    backoff=0.01))
+            policy=SupervisorPolicy(timeout=0.4, retries=2))
         assert results == [0, 1, 4]
         assert stats.supervisor_timeouts >= 1
         assert stats.supervisor_retries >= 1
@@ -251,8 +246,7 @@ class TestTimeouts:
         stats = EngineStats()
         results = supervise_work_items(
             hangs_in_workers, [7], jobs=1, stats=stats,
-            policy=SupervisorPolicy(timeout=0.3, retries=1,
-                                    backoff=0.01))
+            policy=SupervisorPolicy(timeout=0.3, retries=1))
         assert results == [49]
         assert stats.supervisor_timeouts == 2
         assert stats.supervisor_degraded == 1
@@ -267,7 +261,7 @@ class TestWorkerExceptions:
         with pytest.raises(ValueError, match="item 2 is cursed") as info:
             supervise_work_items(
                 failing_worker, range(4), jobs=2,
-                policy=SupervisorPolicy(backoff=0.01))
+                policy=SupervisorPolicy())
         cause = info.value.__cause__
         assert isinstance(cause, WorkerTraceback)
         assert "failing_worker" in cause.text
@@ -285,8 +279,7 @@ class TestWorkerExceptions:
         with pytest.raises(RuntimeError, match="deterministic"):
             supervise_work_items(
                 counting_failure, [0], jobs=1,
-                policy=SupervisorPolicy(timeout=30.0, retries=3,
-                                        backoff=0.01))
+                policy=SupervisorPolicy(timeout=30.0, retries=3))
         assert len(list(counter_dir.iterdir())) == 1
 
     def test_unpicklable_result_degrades_that_task(self):
@@ -300,7 +293,7 @@ class TestWorkerExceptions:
         stats = EngineStats()
         results = supervise_work_items(
             lambda_result, [3], jobs=1, stats=stats,
-            policy=SupervisorPolicy(timeout=30.0, backoff=0.01))
+            policy=SupervisorPolicy(timeout=30.0))
         assert results == [9]
         assert stats.supervisor_degraded == 1
 
@@ -410,7 +403,7 @@ class TestWriteThroughUnderWorkers:
         keys = [f"key-{i}" for i in range(4)]
         results = supervise_work_items(
             square, range(4), jobs=2, cache=ResultCache(tmp_path),
-            keys=keys, policy=SupervisorPolicy(backoff=0.01))
+            keys=keys, policy=SupervisorPolicy())
         assert results == [0, 1, 4, 9]
         fresh = ResultCache(tmp_path)
         assert [fresh.get(key) for key in keys] == [0, 1, 4, 9]
@@ -427,7 +420,7 @@ class TestWriteThroughUnderWorkers:
         results = supervise_work_items(
             worker, range(4), jobs=2, stats=stats, cache=cache,
             keys=[f"key-{i}" for i in range(4)],
-            policy=SupervisorPolicy(retries=0, backoff=0.01))
+            policy=SupervisorPolicy(retries=0))
         assert results == [0, 1, 4, 9]
         assert stats.cache_hits == 2
         assert stats.supervisor_retries == 0
@@ -446,7 +439,7 @@ class TestWriteThroughUnderWorkers:
             supervise_work_items(
                 square, range(5), jobs=1, cache=ResultCache(tmp_path),
                 keys=keys,
-                policy=SupervisorPolicy(timeout=30.0, backoff=0.01),
+                policy=SupervisorPolicy(timeout=30.0),
                 plan=plan)
         # Exactly two items were written before the "kill -9".
         assert _entries(tmp_path) == 2
@@ -455,7 +448,7 @@ class TestWriteThroughUnderWorkers:
         cache = ResultCache(tmp_path)
         results = supervise_work_items(
             square, range(5), jobs=2, stats=stats, cache=cache,
-            keys=keys, policy=SupervisorPolicy(backoff=0.01))
+            keys=keys, policy=SupervisorPolicy())
         assert results == [i * i for i in range(5)]
         assert stats.cache_hits == 2
         assert cache.stats.stores == 3

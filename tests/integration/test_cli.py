@@ -134,3 +134,50 @@ def test_unknown_protocol_exit_code(capsys):
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+#: Bad input, one row per way it used to end in a traceback or in a
+#: silently wrong answer.  Exit 1 is every protocol command's negative
+#: verdict, so bad input must exit 2 instead.
+BAD_INPUT = {
+    "timeout-zero": ["verify", "sum-not-two-ss", "--timeout", "0"],
+    "retries-negative": ["verify", "sum-not-two-ss", "--retries", "-1"],
+    "verify-ring-bound": ["verify", "sum-not-two-ss",
+                          "--max-ring-size", "1"],
+    "hybrid-ring-bound": ["hybrid", "sum-not-two-ss",
+                          "--max-ring-size", "1"],
+    "synthesize-ring-bound": ["synthesize", "3-coloring",
+                              "--max-ring-size", "1"],
+    "fuzz-ring-bound": ["fuzz", "--samples", "3", "--max-ring-size", "1"],
+    "fuzz-samples-negative": ["fuzz", "--samples", "-3"],
+    "fuzz-cache-limit-negative": ["fuzz", "--samples", "3",
+                                  "--cache-limit", "-1"],
+    "cache-limit-negative": ["cache", "--cache-limit", "-1"],
+    "sweep-empty-range": ["sweep", "sum-not-two-ss", "--up-to", "1"],
+    "check-degenerate-ring": ["check", "sum-not-two-ss", "-K", "1"],
+    "missing-file": ["verify", "{tmp}/missing.json"],
+    "not-json": ["verify", "{tmp}/garbage.json"],
+    "no-variables": ["verify", "{tmp}/no-variables.json"],
+}
+
+
+@pytest.mark.parametrize("row", list(BAD_INPUT))
+def test_bad_input_exits_2_with_one_error_line(row, tmp_path, capsys):
+    (tmp_path / "garbage.json").write_text("not json\n")
+    (tmp_path / "no-variables.json").write_text('{"name": "x"}\n')
+    argv = [arg.format(tmp=tmp_path) for arg in BAD_INPUT[row]]
+    if argv[0] != "hybrid":
+        argv += ["--cache-dir", str(tmp_path / "cache")]
+    if argv[0] not in ("cache", "hybrid"):
+        argv += ["--no-live", "--no-ledger"]
+    try:
+        code = main(argv)
+    except SystemExit as exit_:  # argparse rejects the value
+        code = exit_.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    if row == "no-variables":
+        assert "missing field 'variables'" in line
+    assert not (tmp_path / "cache").exists()  # nothing ran

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.engine.pool import parallelism_available
+from repro.engine.supervisor import FAULT_ENV
 from repro.obs import runtime as obs, validate
 
 
@@ -50,6 +52,23 @@ def test_sweep_trace_and_log_artifacts_validate(tmp_path, capsys):
     last_end = max(e["ts"] + e["dur"] for e in data["traceEvents"]
                    if e["ph"] == "X")
     assert root["dur"] >= 0.95 * (last_end - root["ts"])
+
+
+@pytest.mark.skipif(not parallelism_available(),
+                    reason="needs the fork start method")
+def test_log_of_a_retried_sweep_validates(tmp_path, capsys, monkeypatch):
+    # The first size's worker dies once; its retry goes straight back on
+    # the queue, and the run log's task-retry event must validate.
+    monkeypatch.setenv(FAULT_ENV, "crash:0")
+    log = tmp_path / "run.jsonl"
+    assert main(["sweep", "sum-not-two-ss", "--up-to", "4", "--jobs", "2",
+                 "--log-json", str(log), "--cache-dir", str(tmp_path),
+                 "--no-cache", "--no-ledger"]) == 0
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    retries = [r for r in records if r.get("kind") == "task-retry"]
+    assert len(retries) == 1 and "delay_seconds" not in retries[0]
+    capsys.readouterr()
+    assert main(["report", "--validate", str(log)]) == 0
 
 
 def test_trace_written_even_when_command_fails(tmp_path, capsys):

@@ -102,6 +102,7 @@ def _event(kind, **fields):
 
 @pytest.mark.parametrize("kind,fields", [
     ("task-timeout", {"index": 0, "attempt": 1, "timeout_seconds": 5}),
+    # Older logs carry the retired backoff field; they still validate.
     ("task-retry", {"index": 0, "attempt": 1, "reason": "crash",
                     "delay_seconds": 0.1}),
     ("task-degraded", {"index": 0, "attempts": 3, "reason": "timeout"}),
@@ -115,6 +116,13 @@ def _event(kind, **fields):
 ])
 def test_event_vocabulary_accepts_complete_events(kind, fields):
     validate._validate_event(_event(kind, **fields), "event")
+
+
+def test_task_retry_needs_no_delay_seconds():
+    # A retry goes straight back on the queue: there is no delay to log.
+    validate._validate_event(
+        _event("task-retry", index=0, attempt=1, reason="worker-died"),
+        "event")
 
 
 @pytest.mark.parametrize("record,complaint", [

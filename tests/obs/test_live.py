@@ -8,6 +8,7 @@ import pytest
 
 from repro.checker.sweep import sweep_verify
 from repro.cli import main
+from repro.engine.supervisor import FAULT_ENV
 from repro.obs import live, runtime as obs, validate
 from repro.protocols import sum_not_two
 
@@ -152,7 +153,7 @@ def test_render_ps_and_top(tmp_path):
               "started": now - 5.0, "snapshots": 3,
               "tasks": {"total": 4, "done": 2, "in_flight": 1,
                         "retried": 0, "degraded": 0},
-              "stage": {"name": "sweep", "ewma_task_seconds": 0.01,
+              "stage": {"name": "sweep", "mean_task_seconds": 0.01,
                         "p95_task_seconds": 0.02, "eta_seconds": 0.5},
               "cache": {"results": {"hits": 3, "misses": 1,
                                     "rate": 0.75}},
@@ -220,9 +221,13 @@ def test_cli_checkpoint_run_shares_directory(tmp_path, capsys):
     assert status["state"] == "finished"
 
 
-def test_cli_failed_command_publishes_failed_state(tmp_path, capsys):
-    with pytest.raises(ValueError):
-        main(["sweep", "sum-not-two", "--up-to", "1",
+def test_cli_failed_command_publishes_failed_state(tmp_path, capsys,
+                                                   monkeypatch):
+    # An error raised inside the command (here, a malformed fault plan
+    # read by the dispatcher) ends the run in the failed state.
+    monkeypatch.setenv(FAULT_ENV, "bogus:1")
+    with pytest.raises(ValueError, match="bogus"):
+        main(["sweep", "sum-not-two", "--up-to", "3",
               "--cache-dir", str(tmp_path)])
     (run_dir,) = (tmp_path / "runs").iterdir()
     assert live.load_status(run_dir)["state"] == "failed"
