@@ -33,12 +33,12 @@ def artifact_dir() -> Path:
 
 @pytest.fixture(autouse=True)
 def obs_run_report(request, artifact_dir):
-    """Benchmarks emit the same structured run reports the CLI does.
+    """Benchmarks emit the same run file the CLI does.
 
-    Each benchmark runs under an ambient observability run; the JSONL
-    run log (spans, metrics, events — identical schema to the CLI's
-    ``--log-json``) lands next to the figure artifacts in
-    ``benchmarks/out/`` as ``<test>.runlog.jsonl``, and the run's final
+    Each benchmark runs under an ambient observability run; its Chrome
+    trace (spans, events, metrics and wall time, the format of the
+    CLI's ``--trace``) lands next to the figure artifacts in
+    ``benchmarks/out/`` as ``<test>.trace.json``, and the run's final
     counters and timings are folded into ``benchmarks/out/ledger.jsonl``
     so ``repro runs diff`` can compare benchmark runs across commits
     the same way it compares CLI runs.
@@ -50,7 +50,7 @@ def obs_run_report(request, artifact_dir):
                  benchmark=request.node.nodeid) as run_ctx:
         yield
     safe = re.sub(r"[^A-Za-z0-9._-]+", "_", request.node.name)
-    export.write_run_log(artifact_dir / f"{safe}.runlog.jsonl", run_ctx)
+    export.write_chrome_trace(artifact_dir / f"{safe}.trace.json", run_ctx)
     from repro.engine.cache import new_run_id
     from repro.obs import ledger
 

@@ -219,16 +219,13 @@ def _open_checkpoint(args: argparse.Namespace) -> bool:
 
 
 def _add_obs_options(parser: argparse.ArgumentParser) -> None:
-    """The observability flags (``--trace``, ``--log-json``,
-    ``--live``, ``--ledger``)."""
+    """The observability flags (``--trace``, ``--live``,
+    ``--ledger``)."""
     parser.add_argument(
         "--trace", default=None, metavar="FILE",
-        help="write a Chrome trace-format span tree of this run "
-             "(open in chrome://tracing or Perfetto)")
-    parser.add_argument(
-        "--log-json", default=None, metavar="FILE",
-        help="write a JSONL run log (spans, events, metrics); "
-             "render it with 'repro report FILE'")
+        help="write this run's spans, events, metrics and wall time as "
+             "one Chrome trace (open it in Perfetto or chrome://tracing; "
+             "render it with 'repro report FILE')")
     parser.add_argument(
         "--live", action=argparse.BooleanOptionalAction, default=True,
         help="publish rate-limited status.json snapshots under "
@@ -581,23 +578,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return validate.main(list(args.files))
     status = 0
     for path in args.files:
-        if str(path).endswith(".jsonl"):
-            try:
-                records = export.load_run_log(path)
-            except (OSError, ValueError) as exc:
-                print(f"invalid run log {path}: {exc}", file=sys.stderr)
-                status = 1
-            else:
-                print(export.render_report(records))
+        try:
+            data = validate.load_json(path)
+            validate.validate_chrome_trace_data(data)
+        except (OSError, validate.ValidationError) as exc:
+            print(f"invalid trace {path}: {exc} (repro report reads the "
+                  f"Chrome trace a --trace FILE run writes)",
+                  file=sys.stderr)
+            status = 1
         else:
-            try:
-                counts = validate.validate_chrome_trace(path)
-            except (OSError, validate.ValidationError) as exc:
-                print(f"invalid trace {path}: {exc}", file=sys.stderr)
-                status = 1
-            else:
-                print(f"chrome trace {path}: {counts['X']} spans, "
-                      f"{counts['M']} metadata events")
+            print(export.render_trace(data, source=str(path)))
     return status
 
 
@@ -607,7 +597,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     Artifact files (``.art``) are what older versions' artifact plane
     left under ``artifacts/``; no command reads or writes them any
     more, so they are counted, never attached, and ``--clear`` removes
-    them with the result entries and the stray temporaries.
+    them with the result entries and the stray temporaries.  ``--clear``
+    also removes the status snapshot of every run that has ended
+    (finished, failed or stale), and the run directory that leaves
+    empty.
     """
     from repro.engine import DEFAULT_CACHE_DIR
     from repro.engine.artifacts import (
@@ -615,15 +608,19 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         TEMP_SUFFIX,
         enforce_directory_limit,
     )
-    from repro.engine.cache import ENTRY_SUFFIX
+    from repro.engine.cache import ENTRY_SUFFIX, runs_root
 
     root = Path(args.cache_dir or DEFAULT_CACHE_DIR)
     if args.clear:
+        from repro.obs import live as live_mod
+
         # A limit below zero removes every match, empty files included
         # (a write killed before its first byte leaves one).
         removed = enforce_directory_limit(
             root, -1, suffix=(ENTRY_SUFFIX, ARTIFACT_SUFFIX, TEMP_SUFFIX))
-        print(f"cleared {removed} entries under {root}")
+        runs = live_mod.remove_ended(runs_root(root))
+        print(f"cleared {removed} entries and {runs} ended runs "
+              f"under {root}")
         return 0
 
     files = {suffix: [0, 0]
@@ -651,7 +648,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
               else f"{result_bytes / limit:.0%} of {limit >> 20} MiB cap")
     print(f"  total:     {result_bytes / 2**20:.1f} MiB ({budget})")
     print("  (hit/miss rates are per-run; see the engine summary each "
-          "command prints, or 'repro report' on a --log-json file)")
+          "command prints, or 'repro report' on a --trace file)")
     return 0
 
 
@@ -1012,11 +1009,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="render or validate "
                                            "observability artifacts "
-                                           "(--trace / --log-json files)")
+                                           "(--trace files)")
     report.add_argument("files", nargs="+", metavar="FILE",
-                        help=".jsonl run logs are rendered as a span "
-                             "tree; other files are checked as Chrome "
-                             "traces")
+                        help="Chrome traces, rendered as the span tree, "
+                             "events, metrics and wall time")
     report.add_argument("--validate", action="store_true",
                         help="schema-validate the artifacts instead of "
                              "rendering (CI mode; nonzero exit on any "
@@ -1028,14 +1024,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> int:
     """Run the selected command, inside an observability run when the
-    ``--trace`` / ``--log-json`` flags ask for one (trace files are
-    written even when the command fails) and inside the ambient live
-    plane unless ``--no-live``.  No command activates the artifact
-    plane: a cold run writes results only.  The final verdict and
-    counters of a ledger-worthy command are appended to the cross-run
-    ledger on the way out (``--no-ledger`` opts out)."""
+    ``--trace`` flag asks for one (the trace is written even when the
+    command fails) and inside the ambient live plane unless
+    ``--no-live``.  No command activates the artifact plane: a cold run
+    writes results only.  The final verdict and counters of a
+    ledger-worthy command are appended to the cross-run ledger on the
+    way out (``--no-ledger`` opts out)."""
     trace = getattr(args, "trace", None)
-    log_json = getattr(args, "log_json", None)
     if hasattr(args, "live"):
         from repro.engine.cache import new_run_id
 
@@ -1050,10 +1045,10 @@ def _dispatch(args: argparse.Namespace) -> int:
     clock = time.perf_counter()
     with _live_plane(args) as live_run:
         try:
-            if not trace and not log_json:
+            if not trace:
                 code = args.func(args)
             else:
-                code = _dispatch_traced(args, trace, log_json)
+                code = _dispatch_traced(args, trace)
         except BaseException:
             if live_run is not None:
                 live_run.finish(state="failed")
@@ -1065,8 +1060,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return code
 
 
-def _dispatch_traced(args: argparse.Namespace, trace: str | None,
-                     log_json: str | None) -> int:
+def _dispatch_traced(args: argparse.Namespace, trace: str) -> int:
     from repro.obs import export
 
     attrs = {"command": args.command}
@@ -1078,12 +1072,8 @@ def _dispatch_traced(args: argparse.Namespace, trace: str | None,
             return args.func(args)
     finally:
         if run_ctx is not None:
-            if trace:
-                export.write_chrome_trace(trace, run_ctx)
-                print(f"wrote Chrome trace: {trace}", file=sys.stderr)
-            if log_json:
-                export.write_run_log(log_json, run_ctx)
-                print(f"wrote run log: {log_json}", file=sys.stderr)
+            export.write_chrome_trace(trace, run_ctx)
+            print(f"wrote Chrome trace: {trace}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -142,8 +142,8 @@ class DeadlockAnalyzer:
         width = self.protocol.process.window_width
         return {k for k in lengths if k >= width}
 
-    def resolve_candidates(self, max_sets: int | None = None,
-                           stats=None) -> list[frozenset[LocalState]]:
+    def resolve_candidates(
+            self, max_sets: int | None = None) -> list[frozenset[LocalState]]:
         """Minimal sets of illegitimate deadlocks whose resolution yields
         deadlock-freedom for all K (the ``Resolve`` sets of Section 6.1).
 
@@ -151,8 +151,7 @@ class DeadlockAnalyzer:
         deadlock-induced RCG, drawn from ``¬LC_r``, breaking every cycle
         that passes through an illegitimate deadlock.  *max_sets* bounds
         the enumeration (the branch-and-bound search stops as soon as
-        that many minimal sets are found); *stats* is an optional
-        :class:`repro.graphs.fvs.FvsStats` accumulating search counters.
+        that many minimal sets are found).
         """
         from repro.graphs import minimal_feedback_vertex_sets
 
@@ -162,7 +161,6 @@ class DeadlockAnalyzer:
             allowed=report.illegitimate_deadlocks,
             bad=report.illegitimate_deadlocks,
             max_sets=max_sets,
-            stats=stats,
         ))
 
 

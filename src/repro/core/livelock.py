@@ -27,7 +27,12 @@ from repro.core.pseudolivelock import (
     SupportExplosion,
     pseudo_livelock_supports,
 )
-from repro.core.selfdisabling import is_self_disabling, is_self_terminating
+from repro.core.selfdisabling import (
+    is_self_disabling,
+    is_self_terminating,
+    not_self_terminating_reason,
+    self_enabling_reason,
+)
 from repro.core.trail import ContiguousTrailSearcher, TrailWitness
 from repro.engine import EngineStats, ResultCache, analysis_key, \
     supervise_work_items
@@ -138,13 +143,10 @@ class LivelockCertifier:
         if self.require_self_disabling:
             if not is_self_terminating(space):
                 raise AssumptionViolation(
-                    f"protocol {self.protocol.name!r} is not "
-                    f"self-terminating (Assumption 1)")
+                    not_self_terminating_reason(self.protocol.name))
             if not is_self_disabling(space):
                 raise AssumptionViolation(
-                    f"protocol {self.protocol.name!r} has self-enabling "
-                    f"local transitions (Assumption 2); apply "
-                    f"make_self_disabling() first")
+                    self_enabling_reason(self.protocol.name))
 
         with stats.stage("supports"):
             try:

@@ -28,9 +28,21 @@ from repro.graphs.scc import strongly_connected_components
 from repro.protocol.actions import LocalTransition
 
 
+#: The default cap on the support closure of
+#: :func:`pseudo_livelock_supports` (the lattice search uses it too).
+MAX_SUPPORTS = 4096
+
+
 class SupportExplosion(ReproError):
     """The union lattice of elementary pseudo-livelocks is too large to
     enumerate; callers should degrade to a conservative verdict."""
+
+
+def explosion_reason(max_supports: int = MAX_SUPPORTS) -> str:
+    """The message of the :class:`SupportExplosion` a closure capped at
+    *max_supports* raises (and a synthesis rejection's reason)."""
+    return (f"more than {max_supports} pseudo-livelock supports; "
+            f"raise max_supports or reduce the candidate set")
 
 
 def write_projection_graph(
@@ -73,7 +85,7 @@ def elementary_pseudo_livelocks(
 
 def pseudo_livelock_supports(
         transitions: Iterable[LocalTransition],
-        max_supports: int = 4096,
+        max_supports: int = MAX_SUPPORTS,
 ) -> list[frozenset[LocalTransition]]:
     """All transition sets that *entirely* form pseudo-livelocks.
 
@@ -97,10 +109,7 @@ def pseudo_livelock_supports(
                 seen.add(union)
                 next_frontier.append(union)
                 if len(seen) > max_supports:
-                    raise SupportExplosion(
-                        f"more than {max_supports} pseudo-livelock "
-                        f"supports; raise max_supports or reduce the "
-                        f"candidate set")
+                    raise SupportExplosion(explosion_reason(max_supports))
         frontier = next_frontier
     supports = [s for s in frontier if s]
     supports.sort(key=lambda s: (len(s), sorted(repr(t) for t in s)))

@@ -47,6 +47,18 @@ def is_self_disabling(space: LocalStateSpace) -> bool:
     return all(space.is_deadlock(t.target) for t in space.transitions)
 
 
+def not_self_terminating_reason(name: str) -> str:
+    """Why protocol *name* fails Assumption 1 (the certifier's
+    violation and a synthesis rejection's reason)."""
+    return f"protocol {name!r} is not self-terminating (Assumption 1)"
+
+
+def self_enabling_reason(name: str) -> str:
+    """Why protocol *name* fails Assumption 2."""
+    return (f"protocol {name!r} has self-enabling local transitions "
+            f"(Assumption 2); apply make_self_disabling() first")
+
+
 def self_disabling_transitions(
         space: LocalStateSpace) -> tuple[LocalTransition, ...]:
     """The self-disabling transition set equivalent to ``δ_r``.

@@ -38,7 +38,10 @@ from repro.core.pseudolivelock import (
 from repro.core.selfdisabling import (
     action_for_transition,
     local_transition_graph,
+    not_self_terminating_reason,
+    self_enabling_reason,
 )
+from repro.core.trail import trail_reason
 from repro.engine import EngineStats, ResultCache, analysis_key
 from repro.engine.supervisor import FaultPlan, SupervisorPolicy
 from repro.errors import SynthesisFailure
@@ -48,6 +51,15 @@ from repro.protocol.localstate import LocalState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.protocol.ring import RingProtocol
+
+#: A combination's rejection on a bidirectional ring unless
+#: ``accept_contiguous_only``: there Theorem 5.14 only excludes
+#: contiguous livelocks, which is not enough evidence for the
+#: methodology (stated for unidirectional rings).
+BIDIRECTIONAL_REASON = (
+    "bidirectional ring: Theorem 5.14 only excludes contiguous "
+    "livelocks; pass accept_contiguous_only=True to accept such "
+    "certificates anyway")
 
 
 class SynthesisOutcome(enum.Enum):
@@ -393,13 +405,7 @@ class Synthesizer:
 
         if not self.protocol.unidirectional and \
                 not self.accept_contiguous_only:
-            # Fail fast: on bidirectional rings Theorem 5.14 can only
-            # exclude contiguous livelocks, which is not enough evidence
-            # for the methodology (stated for unidirectional rings).
-            return ("bidirectional ring: Theorem 5.14 only excludes "
-                    "contiguous livelocks; pass "
-                    "accept_contiguous_only=True to accept such "
-                    "certificates anyway")
+            return BIDIRECTIONAL_REASON
 
         if self._kernel is not None:
             return self._kernel_verdict(combo)
@@ -419,10 +425,8 @@ class Synthesizer:
             # conservative UNKNOWN carries the reason in its note.
             return report.note
         witness = report.trail_witnesses[0]
-        return (f"pseudo-livelock {{"
-                + ", ".join(sorted(t.label or str(t) for t in witness.t_arcs))
-                + f"}} forms a contiguous trail (K={witness.ring_size}, "
-                  f"|E|={witness.enablements})")
+        return trail_reason(witness.t_arcs, witness.ring_size,
+                            witness.enablements)
 
     def _kernel_verdict(
             self, combo: tuple[LocalTransition, ...]) -> str | None:
@@ -440,14 +444,11 @@ class Synthesizer:
         merged = self._base_transitions + tuple(combo)
         name = f"{self.protocol.name}_ss"
         if has_cycle(local_transition_graph(merged)):
-            return (f"protocol {name!r} is not self-terminating "
-                    f"(Assumption 1)")
+            return not_self_terminating_reason(name)
         combo_sources = {t.source for t in combo}
         if any(t.target not in self._base_deadlocks
                or t.target in combo_sources for t in merged):
-            return (f"protocol {name!r} has self-enabling local "
-                    f"transitions (Assumption 2); apply "
-                    f"make_self_disabling() first")
+            return self_enabling_reason(name)
         try:
             supports = pseudo_livelock_supports(merged)
         except SupportExplosion as explosion:
@@ -455,12 +456,8 @@ class Synthesizer:
         for support in supports:
             witness = self._kernel.find_trail(support, self.max_ring_size)
             if witness is not None:
-                return (f"pseudo-livelock {{"
-                        + ", ".join(sorted(t.label or str(t)
-                                           for t in witness.t_arcs))
-                        + f"}} forms a contiguous trail "
-                          f"(K={witness.ring_size}, "
-                          f"|E|={witness.enablements})")
+                return trail_reason(witness.t_arcs, witness.ring_size,
+                                    witness.enablements)
         return None
 
     def _materialize(self,

@@ -99,6 +99,16 @@ class TrailWitness:
                 f"t-arcs: {arcs})")
 
 
+def trail_reason(t_arcs: Iterable[LocalTransition], ring_size: int,
+                 enablements: int) -> str:
+    """The synthesis rejection of a support whose t-arcs form a
+    contiguous trail at ``(K, |E|) = (ring_size, enablements)``."""
+    return ("pseudo-livelock {"
+            + ", ".join(sorted(t.label or str(t) for t in t_arcs))
+            + f"}} forms a contiguous trail (K={ring_size}, "
+              f"|E|={enablements})")
+
+
 class ContiguousTrailSearcher:
     """Searches an LTG for contiguous trails with a given t-arc support.
 

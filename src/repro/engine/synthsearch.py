@@ -63,8 +63,18 @@ import hashlib
 import json
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.core.pseudolivelock import elementary_pseudo_livelocks
-from repro.core.selfdisabling import local_transition_graph
+from repro.core.pseudolivelock import (
+    MAX_SUPPORTS,
+    elementary_pseudo_livelocks,
+    explosion_reason,
+)
+from repro.core.selfdisabling import (
+    local_transition_graph,
+    not_self_terminating_reason,
+    self_enabling_reason,
+)
+from repro.core.synthesis import BIDIRECTIONAL_REASON
+from repro.core.trail import trail_reason
 from repro.engine.fingerprint import analysis_key
 from repro.engine.supervisor import supervise_work_items
 from repro.graphs import has_cycle
@@ -73,22 +83,6 @@ from repro.protocol.actions import LocalTransition
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.synthesis import Synthesizer
-
-#: Support-closure cap — must match the default ``max_supports`` of
-#: :func:`repro.core.pseudolivelock.pseudo_livelock_supports`, which the
-#: flat path calls without an override.
-MAX_SUPPORTS = 4096
-
-#: The flat path surfaces :class:`SupportExplosion` via ``str()``; the
-#: union count is order-independent, so whenever the incremental closure
-#: trips the cap the flat enumeration trips it too, with this message.
-EXPLOSION_REASON = (f"more than {MAX_SUPPORTS} pseudo-livelock supports; "
-                    f"raise max_supports or reduce the candidate set")
-
-_BIDIRECTIONAL_REASON = (
-    "bidirectional ring: Theorem 5.14 only excludes contiguous "
-    "livelocks; pass accept_contiguous_only=True to accept such "
-    "certificates anyway")
 
 #: Counter names accumulated per work unit (keys of the delta dicts the
 #: unit workers return; also flat :class:`repro.engine.EngineStats`
@@ -440,7 +434,9 @@ class LatticeWalker:
         if node.exploded:
             counts["combos_pruned" if not node.queried
                    else "full_evaluations"] += 1
-            return EXPLOSION_REASON
+            # The union count is order-independent, so the flat
+            # enumeration trips the same cap with the same message.
+            return explosion_reason()
         if node.witness is None:
             counts["full_evaluations"] += 1
             return None
@@ -449,10 +445,7 @@ class LatticeWalker:
         else:
             counts["combos_pruned"] += 1
         _key, support, head = node.witness
-        return ("pseudo-livelock {"
-                + ", ".join(sorted(t.label or str(t) for t in support))
-                + f"}} forms a contiguous trail (K={head[0]}, "
-                  f"|E|={head[1]})")
+        return trail_reason(support, head[0], head[1])
 
 
 class LatticeSearch:
@@ -508,16 +501,13 @@ class LatticeSearch:
         """
         if not self.protocol.unidirectional \
                 and not self.synthesizer.accept_contiguous_only:
-            return _BIDIRECTIONAL_REASON
+            return BIDIRECTIONAL_REASON
         sources = frozenset(t.source for t in combos[0])
         if self._base_cyclic:
-            return (f"protocol {self._name!r} is not self-terminating "
-                    f"(Assumption 1)")
+            return not_self_terminating_reason(self._name)
         if self._base_self_enabling or any(
                 t.target in sources for t in self.base_transitions):
-            return (f"protocol {self._name!r} has self-enabling local "
-                    f"transitions (Assumption 2); apply "
-                    f"make_self_disabling() first")
+            return self_enabling_reason(self._name)
         return None
 
     # -- work units ----------------------------------------------------

@@ -28,7 +28,6 @@ __all__ = _lazy.exports(globals(), {
     ),
     "cycles": ("has_cycle", "simple_cycles", "find_cycle_through"),
     "fvs": (
-        "FvsStats",
         "minimal_feedback_vertex_sets",
         "minimal_feedback_vertex_sets_exhaustive",
         "is_feedback_vertex_set",

@@ -89,8 +89,6 @@ def simple_cycles(graph: Digraph,
                     yield list(path)
                     found = True
                 elif succ not in blocked:
-                    if max_length is not None and len(path) >= max_length:
-                        continue
                     sub_found = False
                     for cycle in circuit(succ):
                         yield cycle

@@ -25,21 +25,11 @@ suite in ``tests/engine/test_localkernel_differential.py`` pins that.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator
-from dataclasses import dataclass
 from itertools import combinations
 
 from repro.graphs.digraph import Digraph
 from repro.graphs.scc import cyclic_components, masked_cyclic_mask
 from repro.obs import runtime as obs
-
-
-@dataclass
-class FvsStats:
-    """Branch-and-bound instrumentation (threaded into ``EngineStats``)."""
-
-    nodes_explored: int = 0
-    nodes_pruned: int = 0
-    cycle_checks: int = 0
 
 
 class _MaskedGraph:
@@ -96,7 +86,6 @@ def minimal_feedback_vertex_sets(
         allowed: Iterable[Hashable] | None = None,
         bad: Iterable[Hashable] | None = None,
         max_sets: int | None = None,
-        stats: FvsStats | None = None,
 ) -> Iterator[frozenset[Hashable]]:
     """Enumerate minimal feedback vertex sets, smallest first.
 
@@ -112,18 +101,16 @@ def minimal_feedback_vertex_sets(
         nodes (classical feedback vertex sets).
     max_sets:
         Stop after yielding this many sets.
-    stats:
-        Optional :class:`FvsStats` accumulating search-tree counters.
 
     Yields ``frozenset`` instances.  Every yielded set is *minimal*: no
     proper subset is itself a feedback vertex set for the same problem.
     Sets are yielded in order of non-decreasing cardinality, and within
     one cardinality in the ``itertools.combinations`` order over the
     repr-sorted pool — byte-identical to
-    :func:`minimal_feedback_vertex_sets_exhaustive`.
+    :func:`minimal_feedback_vertex_sets_exhaustive`.  Each cardinality's
+    search-tree nodes are counted as ``fvs.nodes_explored`` /
+    ``fvs.nodes_pruned``.
     """
-    if stats is None:
-        stats = FvsStats()
     masked = _MaskedGraph(graph, bad)
     pool = sorted(set(graph.nodes) if allowed is None else set(allowed),
                   key=repr)
@@ -139,18 +126,14 @@ def minimal_feedback_vertex_sets(
     found_masks: list[int] = []
     emitted = 0
     for size in range(len(pool) + 1):
-        explored_before = stats.nodes_explored
-        pruned_before = stats.nodes_pruned
         with obs.span("fvs.search", size=size) as span:
-            solutions = _solutions_of_size(masked, allowed_mask, size,
-                                           found_masks, stats)
+            solutions, explored, pruned = _solutions_of_size(
+                masked, allowed_mask, size, found_masks)
             if span is not None:
                 span.attrs["solutions"] = len(solutions)
-                span.attrs["nodes"] = (stats.nodes_explored
-                                       - explored_before)
-        obs.metric("fvs.nodes_explored",
-                   stats.nodes_explored - explored_before)
-        obs.metric("fvs.nodes_pruned", stats.nodes_pruned - pruned_before)
+                span.attrs["nodes"] = explored
+        obs.metric("fvs.nodes_explored", explored)
+        obs.metric("fvs.nodes_pruned", pruned)
         ordered = sorted(
             solutions,
             key=lambda mask: tuple(sorted(pool_position[i]
@@ -165,25 +148,26 @@ def minimal_feedback_vertex_sets(
 
 
 def _solutions_of_size(masked: _MaskedGraph, allowed_mask: int, size: int,
-                       found_masks: list[int],
-                       stats: FvsStats) -> set[int]:
-    """All FVSs of exactly *size* vertices not containing a found set."""
+                       found_masks: list[int]) -> tuple[set[int], int, int]:
+    """All FVSs of exactly *size* vertices not containing a found set,
+    with the number of search nodes explored and pruned."""
     solutions: set[int] = set()
     # (chosen, banned) pairs already expanded at this depth budget.
     seen: set[tuple[int, int]] = set()
+    explored = pruned = 0
 
     def descend(chosen: int, banned: int) -> None:
+        nonlocal explored, pruned
         state = (chosen, banned)
         if state in seen:
-            stats.nodes_pruned += 1
+            pruned += 1
             return
         seen.add(state)
-        stats.nodes_explored += 1
+        explored += 1
         if any(prior & ~chosen == 0 for prior in found_masks):
-            stats.nodes_pruned += 1  # contains a smaller minimal set
+            pruned += 1  # contains a smaller minimal set
             return
         alive = masked.all_mask & ~chosen
-        stats.cycle_checks += 1
         cyclic = masked_cyclic_mask(masked.succ, alive)
         if not cyclic & masked.bad_mask:
             if _popcount(chosen) == size:
@@ -192,17 +176,17 @@ def _solutions_of_size(masked: _MaskedGraph, allowed_mask: int, size: int,
             return
         budget = size - _popcount(chosen)
         if budget <= 0:
-            stats.nodes_pruned += 1
+            pruned += 1
             return
         if budget > 1 and _packing_bound(masked, alive, cyclic) > budget:
-            stats.nodes_pruned += 1
+            pruned += 1
             return
         cycle = _bad_cycle(masked, alive, cyclic)
         branch = [vertex for vertex in cycle
                   if (allowed_mask >> vertex) & 1
                   and not (banned >> vertex) & 1]
         if not branch:
-            stats.nodes_pruned += 1  # this bad cycle cannot be hit
+            pruned += 1  # this bad cycle cannot be hit
             return
         # Inclusion/exclusion over one cycle's vertices: branch i takes
         # cycle[i] and bans cycle[0..i-1], so every solution containing
@@ -213,7 +197,7 @@ def _solutions_of_size(masked: _MaskedGraph, allowed_mask: int, size: int,
             newly_banned |= 1 << vertex
 
     descend(0, 0)
-    return solutions
+    return solutions, explored, pruned
 
 
 def _packing_bound(masked: _MaskedGraph, alive: int, cyclic: int) -> int:

@@ -1,29 +1,30 @@
-"""Exporters: Chrome trace files, JSONL run logs, human tree reports.
+"""Exporters: the Chrome trace file and its human report.
 
-Three renderings of one :class:`repro.obs.runtime.ObsRun`:
+A run's one file is its Chrome trace: :func:`chrome_trace` /
+:func:`write_chrome_trace` render a :class:`repro.obs.runtime.ObsRun`
+in the Trace Event Format that ``chrome://tracing`` and Perfetto open,
+and :func:`render_trace` turns any such document back into the human
+report ``repro report`` prints.  The document holds:
 
-* :func:`chrome_trace` / :func:`write_chrome_trace` — the Trace Event
-  Format consumed by ``chrome://tracing`` and Perfetto: one complete
-  (``"ph": "X"``) event per span, timestamps in microseconds relative
-  to the run start, worker spans under their own ``pid`` rows.
-* :func:`run_log_records` / :func:`write_run_log` — a JSONL event log:
-  a ``run`` header, every span in pre-order with its depth and path,
-  every structured event, one ``metrics`` record, and an ``end``
-  footer with the wall time.  This is the machine-readable run report
-  the CLI's ``--log-json`` writes and ``repro report`` renders.
-* :func:`render_report` — the human tree view (span hierarchy with
-  durations and attributes, then events and metrics).
+* one complete (``"ph": "X"``) event per span, in :meth:`ObsRun.walk`
+  order, timestamps in microseconds relative to the run start, worker
+  spans under their own ``pid`` rows.  ``args`` are the span's
+  attributes; a top-level ``depth`` is its depth in the tracer's tree
+  (a key of its own: other writers, like the e2e harness, put their own
+  ``depth`` in ``args``);
+* one instant (``"ph": "i"``) event per structured event, named by its
+  kind, with its level and fields as ``args`` (a marker in Perfetto);
+* one ``process_name`` metadata (``"ph": "M"``) event per pid;
+* ``otherData``: the run's name, attributes, ``started`` epoch,
+  ``wall_seconds`` and final metrics.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Iterator
+from typing import Any
 
 from repro.obs.runtime import ObsRun
-from repro.obs.trace import Span
-
-RUN_LOG_VERSION = 1
 
 
 def _jsonify(value: Any) -> Any:
@@ -46,7 +47,7 @@ def chrome_trace(run: ObsRun) -> dict[str, Any]:
     base = min((span.start for _depth, span in run.walk()),
                default=run.started)
     pids: set[int] = set()
-    for _depth, span in run.walk():
+    for depth, span in run.walk():
         pids.add(span.pid)
         events.append({
             "name": span.name,
@@ -56,7 +57,20 @@ def chrome_trace(run: ObsRun) -> dict[str, Any]:
             "dur": round((span.duration or 0.0) * 1e6, 3),
             "pid": span.pid,
             "tid": 1,
+            "depth": depth,
             "args": _jsonify(span.attrs),
+        })
+    for record in run.events:
+        pids.add(record["pid"])
+        events.append({
+            "name": record["kind"],
+            "cat": "repro",
+            "ph": "i",
+            "ts": round((record["ts"] - base) * 1e6, 3),
+            "pid": record["pid"],
+            "tid": 1,
+            "args": _jsonify({key: value for key, value in record.items()
+                              if key not in ("ts", "kind", "pid")}),
         })
     for pid in sorted(pids):
         events.append({
@@ -69,6 +83,8 @@ def chrome_trace(run: ObsRun) -> dict[str, Any]:
         "otherData": {
             "run": run.name,
             "attrs": _jsonify(run.attrs),
+            "started": run.started,
+            "wall_seconds": run.wall_seconds,
             "metrics": _jsonify(run.metrics.as_dict()),
         },
     }
@@ -78,48 +94,6 @@ def write_chrome_trace(path, run: ObsRun) -> None:
     with open(path, "w") as handle:
         json.dump(chrome_trace(run), handle, indent=1)
         handle.write("\n")
-
-
-# ----------------------------------------------------------------------
-# JSONL run log
-# ----------------------------------------------------------------------
-def run_log_records(run: ObsRun) -> Iterator[dict[str, Any]]:
-    """The run as a flat record stream (one JSON object per line)."""
-    yield {"type": "run", "version": RUN_LOG_VERSION, "name": run.name,
-           "started": run.started, "attrs": _jsonify(run.attrs)}
-    for depth, span in run.walk():
-        yield {"type": "span", "name": span.name, "depth": depth,
-               "start": span.start, "duration": span.duration,
-               "pid": span.pid, "attrs": _jsonify(span.attrs)}
-    for event in run.events:
-        yield {"type": "event", **_jsonify(event)}
-    yield {"type": "metrics", "values": _jsonify(run.metrics.as_dict())}
-    yield {"type": "end", "wall_seconds": run.wall_seconds}
-
-
-def write_run_log(path, run: ObsRun) -> None:
-    with open(path, "w") as handle:
-        for record in run_log_records(run):
-            handle.write(json.dumps(record) + "\n")
-
-
-def load_run_log(path) -> list[dict[str, Any]]:
-    """Parse a JSONL run log back into its records.  A line that is not
-    a JSON object raises :class:`ValueError` naming the line."""
-    records = []
-    with open(path) as handle:
-        for number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {number}: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ValueError(f"line {number} is not a JSON object")
-            records.append(record)
-    return records
 
 
 # ----------------------------------------------------------------------
@@ -175,6 +149,30 @@ def _span_line(name: str, duration: float | None, depth: int,
     return f"{ms}  {'  ' * depth}{name}{_format_attrs(attrs)}"
 
 
+def _span_tree(events: list[dict[str, Any]]) -> list[tuple[int, dict]]:
+    """``(depth, event)`` for every ``X`` event, in tree pre-order.
+
+    A trace whose spans all carry a tree ``depth`` is already in that
+    order.  Any other trace is nested by time on each pid row: a span
+    lies under every earlier span on its row that is still open when it
+    starts.
+    """
+    spans = [event for event in events if event["ph"] == "X"]
+    if all("depth" in event for event in spans):
+        return [(event["depth"], event) for event in spans]
+    tree: list[tuple[int, dict]] = []
+    open_ends: list[float] = []
+    row = None
+    for event in sorted(spans, key=lambda e: (e["pid"], e["ts"], -e["dur"])):
+        if event["pid"] != row:
+            row, open_ends = event["pid"], []
+        while open_ends and event["ts"] >= open_ends[-1]:
+            open_ends.pop()
+        tree.append((len(open_ends), event))
+        open_ends.append(event["ts"] + event["dur"])
+    return tree
+
+
 def _cache_effectiveness_lines(metrics: dict[str, Any]) -> list[str]:
     """Hit/miss summaries of the two warm-start layers, from their
     dotted counters (empty when neither layer saw any traffic)."""
@@ -203,47 +201,33 @@ def _cache_effectiveness_lines(metrics: dict[str, Any]) -> list[str]:
     return lines
 
 
-def render_report(records: list[dict[str, Any]]) -> str:
-    """Render run-log *records* (see :func:`run_log_records`) as text."""
-    lines: list[str] = []
-    events: list[dict[str, Any]] = []
-    metrics: dict[str, Any] = {}
-    wall = None
-    for record in records:
-        kind = record.get("type")
-        if kind == "run":
-            lines.append(f"== run: {record['name']} ==")
-            for key, value in (record.get("attrs") or {}).items():
-                lines.append(f"   {key}: {value}")
-        elif kind == "span":
-            lines.append(_span_line(record["name"], record.get("duration"),
-                                    record.get("depth", 0),
-                                    record.get("attrs") or {}))
-        elif kind == "event":
-            events.append(record)
-        elif kind == "metrics":
-            metrics = record.get("values") or {}
-        elif kind == "end":
-            wall = record.get("wall_seconds")
-    if events:
+def render_trace(data: dict[str, Any], source: str = "trace") -> str:
+    """Render a (validated) Chrome trace document as text: the span
+    tree, then events, cache effectiveness, metrics and wall time.  A
+    trace without ``otherData`` is titled by *source*."""
+    other = data.get("otherData") or {}
+    events = data["traceEvents"]
+    lines = [f"== run: {other.get('run', source)} =="]
+    for key, value in (other.get("attrs") or {}).items():
+        lines.append(f"   {key}: {value}")
+    for depth, event in _span_tree(events):
+        lines.append(_span_line(event["name"], event["dur"] / 1e6, depth,
+                                event.get("args") or {}))
+    markers = [event for event in events if event["ph"] == "i"]
+    if markers:
         lines.append("events:")
-        for record in events:
-            detail = {k: v for k, v in record.items()
-                      if k not in ("type", "ts", "kind", "level", "pid")}
-            lines.append(f"  [{record.get('level', 'info')}] "
-                         f"{record.get('kind')}"
+        for marker in markers:
+            detail = dict(marker["args"])
+            level = detail.pop("level")
+            lines.append(f"  [{level}] {marker['name']}"
                          + (f" {detail}" if detail else ""))
+    metrics = other.get("metrics") or {}
     lines.extend(_cache_effectiveness_lines(metrics))
     if metrics:
         lines.append("metrics:")
         for name in sorted(metrics):
             lines.append(f"  {name} = {metrics[name]}")
+    wall = other.get("wall_seconds")
     if wall is not None:
         lines.append(f"wall time: {wall * 1e3:.1f} ms")
     return "\n".join(lines)
-
-
-def render_run(run: ObsRun) -> str:
-    """Render a live :class:`ObsRun` (finishing its wall clock)."""
-    run.finish()
-    return render_report(list(run_log_records(run)))

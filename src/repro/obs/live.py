@@ -1,7 +1,7 @@
 """Live run telemetry: rate-limited status snapshots (`repro ps/top`).
 
 While an hour-scale sweep or synthesis search executes, the only
-windows into it used to be post-hoc (``--trace``, ``--log-json``,
+window into it used to be post-hoc (a ``--trace`` file, rendered by
 ``repro report``).  This module gives a running command a *live plane*:
 a :class:`LiveRun` publishes a single ``status.json`` under
 ``.repro-cache/runs/<run-id>/`` — the directory ``--resume`` looks
@@ -34,6 +34,7 @@ the supervisor's ``--timeout``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -317,6 +318,25 @@ def scan_runs(root: str | Path) -> list[dict[str, Any]]:
             statuses.append(status)
     statuses.sort(key=lambda s: s.get("updated", 0.0))
     return statuses
+
+
+def remove_ended(root: str | Path) -> int:
+    """Delete every snapshot under *root* whose run has ended
+    (finished, failed or stale), and each run directory that leaves
+    empty; returns how many snapshots went.  A live run, or a snapshot
+    in no known state, keeps both."""
+    directory = Path(root)
+    removed = 0
+    for child in directory.iterdir() if directory.is_dir() else ():
+        status = load_status(child)
+        if status is None \
+                or liveness(status) not in ("finished", "failed", "stale"):
+            continue
+        with contextlib.suppress(OSError):
+            (child / STATUS_NAME).unlink()
+            removed += 1
+            child.rmdir()
+    return removed
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,10 @@
 Instrumented code throughout the engine calls the module-level helpers
 (:func:`span`, :func:`event`, :func:`metric`, :func:`annotate`).  When
 no run is active every helper is a near-free no-op — one global check —
-so library users pay nothing; the CLI's ``--trace`` / ``--log-json``
-flags (and the benchmark harness) activate a run around each command.
+so library users pay nothing; the CLI's ``--trace`` flag (and the
+benchmark harness) activate a run around each command, whose spans,
+events, metrics and wall time :mod:`repro.obs.export` writes as one
+Chrome trace.
 
 Counting: :func:`metric` is the one way a layer records a count or a
 timing.  A *layer counter* (a name in :data:`LAYER_FAMILIES`) reaches
@@ -109,9 +111,9 @@ _COLLECTORS: list[MetricsRegistry] = []
 
 #: Out-of-band event subscribers (token -> callable).  The live
 #: telemetry plane registers here so warning-level events reach the
-#: ``status.json`` snapshot even when no ``--trace``/``--log-json`` run
-#: is active; :func:`event` stays a single-check no-op when both the
-#: ambient run and the sink table are empty.
+#: ``status.json`` snapshot even when no ``--trace`` run is active;
+#: :func:`event` stays a single-check no-op when both the ambient run
+#: and the sink table are empty.
 _EVENT_SINKS: dict[int, Any] = {}
 _NEXT_SINK_TOKEN = 0
 

@@ -1,11 +1,11 @@
 """Schema validation for exported observability artifacts.
 
 Used by the test suite and the CI smoke job (as
-``python -m repro.obs.validate trace.json run.jsonl``) to check that a
-``--trace`` file is valid Chrome Trace Event Format, a ``--log-json``
-file is a well-formed JSONL run log, a live-plane ``status.json`` is a
-well-formed snapshot and ``ledger.jsonl`` holds well-formed run
-records, without pulling in a JSON-schema dependency.
+``python -m repro.obs.validate trace.json status.json ledger.jsonl``)
+to check that a ``--trace`` file is a valid Chrome trace holding a
+well-formed run (span tree, events, metrics, wall time), a live-plane
+``status.json`` is a well-formed snapshot and ``ledger.jsonl`` holds
+well-formed run records, without pulling in a JSON-schema dependency.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import sys
 from typing import Any
 
-from repro.obs.export import RUN_LOG_VERSION, load_run_log
 from repro.obs.ledger import LEDGER_VERSION
 from repro.obs.live import STATUS_VERSION
 
@@ -28,52 +27,19 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-# ----------------------------------------------------------------------
-# Chrome trace files
-# ----------------------------------------------------------------------
-def validate_chrome_trace_data(data: Any) -> dict[str, int]:
-    """Validate a parsed Chrome trace document; returns event counts."""
-    _require(isinstance(data, dict), "trace root must be a JSON object")
-    events = data.get("traceEvents")
-    _require(isinstance(events, list), "traceEvents must be a list")
-    counts = {"X": 0, "M": 0}
-    for i, event in enumerate(events):
-        where = f"traceEvents[{i}]"
-        _require(isinstance(event, dict), f"{where} must be an object")
-        phase = event.get("ph")
-        _require(phase in ("X", "M"), f"{where}.ph must be 'X' or 'M'")
-        _require(isinstance(event.get("name"), str),
-                 f"{where}.name must be a string")
-        _require(isinstance(event.get("pid"), int),
-                 f"{where}.pid must be an int")
-        _require(isinstance(event.get("tid"), int),
-                 f"{where}.tid must be an int")
-        if phase == "X":
-            for key in ("ts", "dur"):
-                value = event.get(key)
-                _require(isinstance(value, (int, float)) and value >= 0,
-                         f"{where}.{key} must be a non-negative number")
-            args = event.get("args")
-            _require(isinstance(args, dict), f"{where}.args must be an object")
-        counts[phase] += 1
-    _require(counts["X"] > 0, "trace contains no complete ('X') span events")
-    return counts
-
-
-def validate_chrome_trace(path) -> dict[str, int]:
+def load_json(path) -> Any:
+    """Parse one JSON artifact; a :class:`ValidationError` if it is
+    not JSON."""
     with open(path) as handle:
         try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    return validate_chrome_trace_data(data)
+            return json.load(handle)
+        except ValueError as exc:  # undecodable text, too
+            raise ValidationError(f"not valid JSON: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
-# JSONL run logs
+# Structured events (trace markers and status snapshots)
 # ----------------------------------------------------------------------
-_SPAN_KEYS = ("name", "depth", "start", "pid", "attrs")
-
 #: Required fields per known structured-event kind.  Unknown kinds are
 #: allowed (forward compatibility); known kinds missing their payload
 #: are a validation failure — this is what keeps ``repro report
@@ -87,7 +53,7 @@ _EVENT_REQUIRED_FIELDS = {
     "task-degraded": ("index", "attempts", "reason"),
     "batch-requeued": ("worker", "items"),
     "artifact-corrupt": ("artifact", "path", "reason"),
-    # Retired with the run journal; kept so older run logs validate.
+    # Retired with the run journal; kept so older snapshots validate.
     "task-resumed": ("index", "key"),
     "checkpoint": ("run_id", "key", "seq"),
     "prune-broadcast": ("entries", "source"),
@@ -109,57 +75,82 @@ def _validate_event(record: dict[str, Any], where: str) -> None:
                  f"{where} ({kind!r} event) lacks {field!r}")
 
 
-def validate_run_log_records(records: list[dict[str, Any]]) -> dict[str, int]:
-    """Validate parsed run-log records; returns per-type counts."""
-    _require(bool(records), "run log is empty")
-    head, tail = records[0], records[-1]
-    _require(head.get("type") == "run", "first record must have type 'run'")
-    _require(head.get("version") == RUN_LOG_VERSION,
-             f"run log version must be {RUN_LOG_VERSION}")
-    _require(isinstance(head.get("name"), str), "run name must be a string")
-    _require(tail.get("type") == "end", "last record must have type 'end'")
-    counts: dict[str, int] = {}
+# ----------------------------------------------------------------------
+# Chrome trace files
+# ----------------------------------------------------------------------
+_NUMBER = (int, float)
+
+#: ``otherData`` keys a ``repro`` trace writes, with their types.  Each
+#: is checked where present: other writers' traces (the e2e harness's)
+#: carry none of them.
+_RUN_KEYS = {"run": (str, "a string"),
+             "attrs": (dict, "an object"),
+             "started": (_NUMBER, "a number"),
+             "wall_seconds": ((*_NUMBER, type(None)), "a number or null"),
+             "metrics": (dict, "an object")}
+
+
+def _validate_run_data(other: Any) -> None:
+    _require(isinstance(other, dict), "otherData must be an object")
+    for key, (kind, expected) in _RUN_KEYS.items():
+        if key in other:
+            _require(isinstance(other[key], kind),
+                     f"otherData.{key} must be {expected}")
+    for key, value in (other.get("metrics") or {}).items():
+        if key.startswith("synthsearch."):
+            _require(isinstance(value, _NUMBER)
+                     and not isinstance(value, bool),
+                     f"otherData.metrics key {key!r} must be numeric")
+
+
+def validate_chrome_trace_data(data: Any) -> dict[str, int]:
+    """Validate a parsed Chrome trace document; returns event counts
+    per phase: ``X`` spans, ``i`` structured events, ``M`` metadata."""
+    _require(isinstance(data, dict), "trace root must be a JSON object")
+    events = data.get("traceEvents")
+    _require(isinstance(events, list), "traceEvents must be a list")
+    counts = {"X": 0, "i": 0, "M": 0}
     previous_depth = -1
-    for i, record in enumerate(records):
-        kind = record.get("type")
-        _require(isinstance(kind, str), f"record {i} lacks a 'type'")
-        counts[kind] = counts.get(kind, 0) + 1
-        if kind == "span":
-            for key in _SPAN_KEYS:
-                _require(key in record, f"span record {i} lacks {key!r}")
-            depth = record["depth"]
-            _require(isinstance(depth, int) and depth >= 0,
-                     f"span record {i} depth must be a non-negative int")
-            _require(depth <= previous_depth + 1,
-                     f"span record {i} depth {depth} breaks pre-order "
-                     f"(previous depth {previous_depth})")
-            previous_depth = depth
-        elif kind == "metrics":
-            values = record.get("values")
-            _require(isinstance(values, dict),
-                     f"metrics record {i} lacks a 'values' object")
-            for key, value in values.items():
-                if isinstance(key, str) and key.startswith("synthsearch."):
-                    _require(isinstance(value, (int, float))
-                             and not isinstance(value, bool),
-                             f"metrics record {i} key {key!r} must be "
-                             f"numeric")
-        elif kind == "event":
-            _validate_event(record, f"event record {i}")
-    _require(counts.get("run", 0) == 1, "expected exactly one 'run' record")
-    _require(counts.get("end", 0) == 1, "expected exactly one 'end' record")
-    _require(counts.get("metrics", 0) == 1,
-             "expected exactly one 'metrics' record")
-    _require(counts.get("span", 0) > 0, "run log contains no span records")
+    for i, event in enumerate(events):
+        where = f"traceEvents[{i}]"
+        _require(isinstance(event, dict), f"{where} must be an object")
+        phase = event.get("ph")
+        _require(phase in ("X", "i", "M"),
+                 f"{where}.ph must be 'X', 'i' or 'M'")
+        _require(isinstance(event.get("name"), str),
+                 f"{where}.name must be a string")
+        _require(isinstance(event.get("pid"), int),
+                 f"{where}.pid must be an int")
+        _require(isinstance(event.get("tid"), int),
+                 f"{where}.tid must be an int")
+        if phase != "M":
+            _require(isinstance(event.get("args"), dict),
+                     f"{where}.args must be an object")
+        if phase == "X":
+            for key in ("ts", "dur"):
+                value = event.get(key)
+                _require(isinstance(value, _NUMBER) and value >= 0,
+                         f"{where}.{key} must be a non-negative number")
+            if "depth" in event:
+                depth = event["depth"]
+                _require(isinstance(depth, int) and depth >= 0,
+                         f"{where}.depth must be a non-negative int")
+                _require(depth <= previous_depth + 1,
+                         f"{where}.depth {depth} breaks pre-order "
+                         f"(previous depth {previous_depth})")
+                previous_depth = depth
+        elif phase == "i":
+            _validate_event({**event["args"], "kind": event["name"],
+                             "ts": event.get("ts")}, where)
+        counts[phase] += 1
+    _require(counts["X"] > 0, "trace contains no complete ('X') span events")
+    if "otherData" in data:
+        _validate_run_data(data["otherData"])
     return counts
 
 
-def validate_run_log(path) -> dict[str, int]:
-    try:
-        records = load_run_log(path)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: not valid JSONL: {exc}") from exc
-    return validate_run_log_records(records)
+def validate_chrome_trace(path) -> dict[str, int]:
+    return validate_chrome_trace_data(load_json(path))
 
 
 # ----------------------------------------------------------------------
@@ -197,12 +188,7 @@ def validate_status_data(data: Any) -> dict[str, int]:
 
 
 def validate_status(path) -> dict[str, int]:
-    with open(path) as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    return validate_status_data(data)
+    return validate_status_data(load_json(path))
 
 
 # ----------------------------------------------------------------------
@@ -240,20 +226,17 @@ def validate_ledger(path) -> dict[str, int]:
 
 
 def _validator_for(path: str):
-    name = str(path)
-    base = name.rsplit("/", 1)[-1]
+    base = str(path).rsplit("/", 1)[-1]
     if base == "status.json" or base.endswith(".status.json"):
         return validate_status
     if base.endswith("ledger.jsonl"):
         return validate_ledger
-    if name.endswith(".jsonl"):
-        return validate_run_log
     return validate_chrome_trace
 
 
 def main(argv: list[str] | None = None) -> int:
     """Validate each path by name: ``status.json`` = live snapshot,
-    ``*ledger.jsonl`` = ledger, other ``.jsonl`` = run log, else trace."""
+    ``*ledger.jsonl`` = ledger, anything else = Chrome trace."""
     paths = sys.argv[1:] if argv is None else argv
     if not paths:
         print("usage: python -m repro.obs.validate ARTIFACT...",

@@ -33,7 +33,6 @@ from repro.core.trail import ContiguousTrailSearcher
 from repro.engine import EngineStats, localkernel, parallelism_available
 from repro.graphs import (
     Digraph,
-    FvsStats,
     minimal_feedback_vertex_sets,
     minimal_feedback_vertex_sets_exhaustive,
 )
@@ -103,15 +102,16 @@ def test_fvs_branch_and_bound_matches_exhaustive(seed):
     nodes = list(graph.nodes)
     allowed = rng.sample(nodes, rng.randrange(1, len(nodes) + 1))
     bad = rng.sample(nodes, rng.randrange(1, len(nodes) + 1))
-    stats = FvsStats()
-    mine = list(minimal_feedback_vertex_sets(
-        graph, allowed=allowed, bad=bad, stats=stats))
+    stats = EngineStats()
+    with stats.collecting():
+        mine = list(minimal_feedback_vertex_sets(
+            graph, allowed=allowed, bad=bad))
     oracle = list(minimal_feedback_vertex_sets_exhaustive(
         graph, allowed=allowed, bad=bad))
     # Same sets in the same (size-then-combinations) order.
     assert mine == oracle
     if mine and mine != [frozenset()]:
-        assert stats.nodes_explored > 0
+        assert stats.fvs_nodes_explored > 0
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -29,7 +29,6 @@ import pytest
 from repro.core.synthesis import Synthesizer
 from repro.engine.pool import parallelism_available
 from repro.engine.synthsearch import (
-    EXPLOSION_REASON,
     MAX_SUPPORTS,
     BlockedMaskIndex,
     LatticeSearch,
@@ -255,7 +254,9 @@ def test_explosion_reason_matches_flat_string():
         arcs.append(LocalTransition(b, b.replace_own(a.own)))
     with pytest.raises(SupportExplosion) as info:
         pseudo_livelock_supports(arcs)
-    assert str(info.value) == EXPLOSION_REASON
+    assert str(info.value) == (
+        "more than 4096 pseudo-livelock supports; raise max_supports or "
+        "reduce the candidate set")
     assert MAX_SUPPORTS == 4096
 
 
@@ -283,21 +284,19 @@ def test_prune_broadcast_event_schema_is_validated():
 
 
 def test_synthsearch_metrics_must_be_numeric():
-    from repro.obs.validate import ValidationError, validate_run_log_records
-    from repro.obs.validate import RUN_LOG_VERSION
+    from repro.obs.validate import ValidationError, validate_chrome_trace_data
 
-    def log(values):
-        return [
-            {"type": "run", "version": RUN_LOG_VERSION, "name": "x"},
-            {"type": "span", "name": "s", "depth": 0, "start": 0.0,
-             "pid": 1, "attrs": {}},
-            {"type": "metrics", "values": values},
-            {"type": "end"},
-        ]
+    def trace(values):
+        return {
+            "traceEvents": [{"ph": "X", "name": "s", "pid": 1, "tid": 1,
+                             "ts": 0.0, "dur": 1.0, "depth": 0,
+                             "args": {}}],
+            "otherData": {"run": "x", "metrics": values},
+        }
 
-    validate_run_log_records(log({"synthsearch.combos_pruned": 4}))
+    validate_chrome_trace_data(trace({"synthsearch.combos_pruned": 4}))
     with pytest.raises(ValidationError, match="must be numeric"):
-        validate_run_log_records(log({"synthsearch.combos_pruned": "4"}))
+        validate_chrome_trace_data(trace({"synthsearch.combos_pruned": "4"}))
 
 
 def test_stats_summary_mentions_the_search_counters():

@@ -5,9 +5,9 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import EngineStats
 from repro.graphs import (
     Digraph,
-    FvsStats,
     is_feedback_vertex_set,
     minimal_feedback_vertex_sets,
     minimal_feedback_vertex_sets_exhaustive,
@@ -127,12 +127,13 @@ def test_max_sets_truncates_to_a_prefix(edges, max_sets):
 
 def test_stats_count_search_effort():
     g = build([(0, 1), (1, 2), (2, 0), (3, 4), (4, 3), (5, 5)])
-    stats = FvsStats()
-    sets = list(minimal_feedback_vertex_sets(g, stats=stats))
+    stats = EngineStats()
+    with stats.collecting():
+        sets = list(minimal_feedback_vertex_sets(g))
     assert sets  # 3-cycle × 2-cycle × self-loop: 6 minimal sets
-    assert stats.nodes_explored > 0
-    assert stats.cycle_checks > 0
+    assert stats.fvs_nodes_explored > 0
     # A second run accumulates into the same counters.
-    explored = stats.nodes_explored
-    list(minimal_feedback_vertex_sets(g, stats=stats))
-    assert stats.nodes_explored > explored
+    explored = stats.fvs_nodes_explored
+    with stats.collecting():
+        list(minimal_feedback_vertex_sets(g))
+    assert stats.fvs_nodes_explored > explored

@@ -1,4 +1,4 @@
-"""Exporter formats: Chrome traces, JSONL run logs, tree reports."""
+"""Exporter formats: the Chrome trace run file and its tree report."""
 
 import json
 
@@ -37,29 +37,31 @@ def test_chrome_trace_schema(sample_run, tmp_path):
     assert data["otherData"]["metrics"]["engine.work_items"] == 1
 
 
-def test_run_log_schema_and_roundtrip(sample_run, tmp_path):
-    path = tmp_path / "run.jsonl"
-    export.write_run_log(path, sample_run)
-    counts = validate.validate_run_log(path)
-    assert counts == {"run": 1, "span": 3, "event": 1,
-                      "metrics": 1, "end": 1}
-
-    records = export.load_run_log(path)
-    spans = [r for r in records if r["type"] == "span"]
-    assert [(s["name"], s["depth"]) for s in spans] == [
+def test_chrome_trace_holds_events_depths_and_wall_time(sample_run):
+    data = export.chrome_trace(sample_run)
+    assert validate.validate_chrome_trace_data(data) == {
+        "X": 3, "i": 1, "M": 1}
+    assert {e["ph"] for e in data["traceEvents"]} == {"X", "i", "M"}
+    spans = [e for e in data["traceEvents"] if e["ph"] == "X"]
+    assert [(e["name"], e["depth"]) for e in spans] == [
         ("sample", 0), ("sweep", 1), ("check", 2)]
-    metrics = next(r for r in records if r["type"] == "metrics")
-    assert metrics["values"]["engine.work_items"] == 1
-    event = next(r for r in records if r["type"] == "event")
-    assert event["reason"] == "no-fork"
-    assert event["level"] == "warning"
+    [marker] = [e for e in data["traceEvents"] if e["ph"] == "i"]
+    assert marker["name"] == "pool-fallback"
+    assert marker["args"] == {"level": "warning", "reason": "no-fork",
+                              "items": 1}
+    assert marker["ts"] >= 0
+    other = data["otherData"]
+    assert other["run"] == "sample"
+    assert other["started"] == sample_run.started
+    assert other["wall_seconds"] == sample_run.wall_seconds > 0
 
 
 def test_render_report_tree(sample_run):
-    text = export.render_report(list(export.run_log_records(sample_run)))
+    text = export.render_trace(export.chrome_trace(sample_run))
     assert "== run: sample ==" in text
     assert "sweep" in text and "check" in text
-    assert "[warning] pool-fallback" in text
+    assert "[warning] pool-fallback {'reason': 'no-fork', 'items': 1}" \
+        in text
     assert "engine.work_items = 1" in text
     assert "wall time:" in text
     # Depth shows as indentation: check is deeper than sweep.
@@ -70,26 +72,68 @@ def test_render_report_tree(sample_run):
     assert check_line.index("check") > sweep_line.index("sweep")
 
 
+def test_rendered_spans_follow_the_walk_at_its_depths():
+    # A serial traced analysis: the report's span lines are the run's
+    # walk, line for line, each indented by its tree depth.
+    from repro.core.convergence import verify_convergence
+    from repro.protocols import stabilizing_sum_not_two
+
+    with obs.run("verify") as run_ctx:
+        verify_convergence(stabilizing_sum_not_two(), jobs=1)
+    walk = [(depth, span.name) for depth, span in run_ctx.walk()]
+    assert len(walk) > 3 and max(depth for depth, _ in walk) >= 2
+    lines = export.render_trace(export.chrome_trace(run_ctx)).splitlines()
+    assert lines[0] == "== run: verify =="
+    span_lines = lines[1:1 + len(walk)]
+    ms_column = len("      0.0 ms  ")
+    assert [line[ms_column:].split("  [")[0] for line in span_lines] \
+        == ["  " * depth + name for depth, name in walk]
+    assert lines[1 + len(walk)] in ("events:", "metrics:")
+
+
 def test_validator_rejects_malformed_artifacts(tmp_path):
     bad_trace = tmp_path / "bad.json"
     bad_trace.write_text(json.dumps({"traceEvents": [{"ph": "X"}]}))
     with pytest.raises(validate.ValidationError):
         validate.validate_chrome_trace(bad_trace)
 
+    span = {"ph": "X", "name": "s", "pid": 1, "tid": 1, "ts": 0, "dur": 1,
+            "args": {}}
+    for events, complaint in [
+        ([dict(span, depth=1)], "breaks pre-order"),
+        ([dict(span, depth=-1)], "non-negative int"),
+        ([span, {"ph": "i", "name": "x", "pid": 1, "tid": 1, "ts": 0,
+                 "args": {"level": "loud"}}], "level"),
+        ([span, {"ph": "i", "name": "task-retry", "pid": 1, "tid": 1,
+                 "ts": 0, "args": {"level": "warning"}}], "'index'"),
+        ([span, {"ph": "i", "name": "x", "pid": 1, "tid": 1,
+                 "args": {"level": "info"}}], "ts"),
+        ([span, {"ph": "B", "name": "x", "pid": 1, "tid": 1}], "ph"),
+        ([span, {"ph": ["X"], "name": "x", "pid": 1, "tid": 1}], "ph"),
+    ]:
+        with pytest.raises(validate.ValidationError, match=complaint):
+            validate.validate_chrome_trace_data({"traceEvents": events})
+    for other, complaint in [
+        ({"run": 7}, "otherData.run"),
+        ({"wall_seconds": "1"}, "otherData.wall_seconds"),
+        ({"metrics": {"synthsearch.combos_pruned": "4"}}, "numeric"),
+    ]:
+        with pytest.raises(validate.ValidationError, match=complaint):
+            validate.validate_chrome_trace_data(
+                {"traceEvents": [span], "otherData": other})
+
     bad_log = tmp_path / "bad.jsonl"
     bad_log.write_text(json.dumps({"type": "span", "name": "x"}) + "\n")
     with pytest.raises(validate.ValidationError):
-        validate.validate_run_log(bad_log)
+        validate.validate_chrome_trace(bad_log)
 
     assert validate.main([str(bad_trace), str(bad_log)]) == 1
 
 
 def test_validator_main_accepts_good_artifacts(sample_run, tmp_path):
     trace = tmp_path / "t.json"
-    log = tmp_path / "r.jsonl"
     export.write_chrome_trace(trace, sample_run)
-    export.write_run_log(log, sample_run)
-    assert validate.main([str(trace), str(log)]) == 0
+    assert validate.main([str(trace)]) == 0
 
 
 # ----------------------------------------------------------------------
@@ -149,7 +193,7 @@ def test_validator_main_dispatches_by_artifact_name(tmp_path):
     assert validate._validator_for("out/bench.ledger.jsonl") \
         is validate.validate_ledger
     assert validate._validator_for("run.jsonl") \
-        is validate.validate_run_log
+        is validate.validate_chrome_trace
     assert validate._validator_for("trace.json") \
         is validate.validate_chrome_trace
 

@@ -264,3 +264,25 @@ def test_sweep_verdicts_identical_live_on_vs_off(tmp_path, jobs):
     status = live.load_status(tmp_path)
     assert validate.validate_status_data(status)
     assert status["tasks"]["done"] == 5
+
+
+def test_cache_clear_removes_ended_runs_and_keeps_live_ones(tmp_path,
+                                                           capsys):
+    for _ in range(3):
+        assert main(["verify", "sum-not-two-ss", "--cache-dir",
+                     str(tmp_path), "--no-ledger"]) == 0
+    runs = tmp_path / "runs"
+    assert len(list(runs.iterdir())) == 3
+    assert main(["cache", "--clear", "--cache-dir", str(tmp_path)]) == 0
+    assert "3 ended runs" in capsys.readouterr().out
+    assert main(["ps", "--cache-dir", str(tmp_path)]) == 0
+    assert "(no runs found)" in capsys.readouterr().out
+    assert list(runs.iterdir()) == []
+
+    planted = live.LiveRun(runs / "planted", "planted", command="sweep")
+    planted.publish(force=True)  # this pid, fresh `updated`: live
+    assert main(["cache", "--clear", "--cache-dir", str(tmp_path)]) == 0
+    assert "0 ended runs" in capsys.readouterr().out
+    assert main(["ps", "--cache-dir", str(tmp_path)]) == 0
+    assert "planted" in capsys.readouterr().out
+    assert (runs / "planted" / live.STATUS_NAME).exists()
