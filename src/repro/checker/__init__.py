@@ -1,8 +1,9 @@
 """Explicit-state global model checking for fixed ring sizes.
 
 This is the substrate the paper's local method is contrasted with (and
-validated against): for one concrete ``K`` it enumerates the full global
-state space ``S_p(K)`` and decides closure, deadlock-freedom,
+validated against): for one concrete ``K`` it explores the global state
+space ``S_p(K)`` — on symmetric rings through its rotation quotient,
+reporting the full space — and decides closure, deadlock-freedom,
 livelock-freedom and strong/weak convergence exactly (Proposition 2.1).
 
 The cost grows exponentially in ``K`` — which is precisely the paper's

@@ -8,6 +8,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 from repro.checker.deadlock import illegitimate_deadlocks
 from repro.checker.livelock import has_livelock, livelock_cycles
@@ -80,33 +81,53 @@ class GlobalReport:
 
 
 def check_instance(instance, max_witnesses: int = 8,
-                   backend: str = "auto",
-                   symmetry: bool = False) -> GlobalReport:
+                   backend: str = "auto") -> GlobalReport:
     """Run the full global analysis on one protocol instance.
 
     *backend* selects the state-space engine (``"auto"`` picks the
-    compiled kernel for symmetric ring instances); ``symmetry`` runs
-    on the rotation quotient — every verdict field and
-    ``worst_case_recovery_steps`` are preserved, while state/witness
-    counts then refer to rotation orbits (and a livelock cycle
-    witnesses repetition up to rotation).
+    compiled kernel for symmetric ring instances).  On the kernel every
+    verdict comes from the rotation quotient, and the report still
+    describes the full space: state counts add up orbit sizes and the
+    deadlocks are the deadlock orbits' rotations, in state order.  Only
+    a quotient with a livelock has the full graph built, to name the
+    witness cycles (a cycle of orbits repeats only up to rotation).
+    The report equals the naive backend's field for field.
     """
+    from repro.engine.kernel import supports_kernel
+
+    size = getattr(instance, "size", -1)
     stats = EngineStats(work_items=1)
-    with stats.stage("check", K=getattr(instance, "size", -1),
-                     backend=backend, symmetry=symmetry):
-        graph = StateGraph(instance, backend=backend, symmetry=symmetry)
+    with stats.stage("check", K=size, backend=backend):
+        quotient = backend != "naive" and supports_kernel(instance)
+        graph = StateGraph(instance, backend=backend, symmetry=quotient)
         scan = graph.scan
-        deadlocks = tuple(illegitimate_deadlocks(graph))
-        cycles = tuple(tuple(c) for c in livelock_cycles(
-            graph, max_cycles=max_witnesses))
         distances = graph.distances_to_invariant()
+        if quotient:
+            space = graph.space
+            state_count = space.full_states
+            invariant_count = sum(
+                len(space.orbit(i))
+                for i in compress(range(len(graph)), graph.invariant))
+            deadlocks = tuple(map(space.decode_code, sorted(
+                code for i in scan.deadlocks for code in space.orbit(i))))
+            witness_graph = (StateGraph(instance, backend=backend)
+                             if has_livelock(graph) else None)
+            obs.annotate(orbits=len(graph))
+        else:
+            state_count = len(graph)
+            invariant_count = scan.invariant_count
+            deadlocks = tuple(illegitimate_deadlocks(graph))
+            witness_graph = graph
+        cycles = () if witness_graph is None else tuple(
+            tuple(c) for c in livelock_cycles(witness_graph,
+                                              max_cycles=max_witnesses))
         weak = None not in distances
         worst = max(distances) if weak and distances else None
-        obs.annotate(states=len(graph))
+        obs.annotate(states=state_count)
     return GlobalReport(
-        ring_size=getattr(instance, "size", -1),
-        state_count=len(graph),
-        invariant_count=scan.invariant_count,
+        ring_size=size,
+        state_count=state_count,
+        invariant_count=invariant_count,
         closed=scan.closed,
         deadlocks_outside=deadlocks,
         livelock_cycles=cycles,

@@ -12,8 +12,9 @@ Two backends build the graph:
   :mod:`repro.engine.kernel`: guards compile once into a flat local
   transition table, global states are base-``|C|`` packed integers,
   adjacency and invariant flags live in flat arrays.  Selected
-  automatically for symmetric :class:`RingInstance` objects; supports
-  the opt-in rotation-symmetry quotient (``symmetry=True``).
+  automatically for symmetric :class:`RingInstance` objects; builds
+  the rotation-symmetry quotient with ``symmetry=True``, the graph
+  :func:`repro.checker.convergence.check_instance` decides on.
 * ``"naive"`` — the original pure-Python interpreter over tuple
   states.  The reference implementation (the differential suite in
   ``tests/engine/`` asserts the kernel reproduces it state for state)
@@ -81,9 +82,13 @@ class StateGraph:
         are automorphisms of symmetric rings, so deadlock existence,
         livelock existence, closure, weak convergence and distances to
         the invariant — hence every convergence verdict — are
-        preserved, at a ~K-fold state reduction.  State *counts* then
-        refer to rotation orbits, and a cycle of representatives
+        preserved, at a ~K-fold state reduction.  The graph's states
+        are then rotation orbits, ``space.orbit(i)`` lists the packed
+        codes orbit ``i`` stands for, and a cycle of representatives
         witnesses a livelock only up to rotation.
+
+    ``space`` is the kernel's :class:`~repro.engine.kernel.PackedSpace`
+    (``None`` on the naive backend).
     """
 
     succ_off: Sequence[int]
@@ -110,7 +115,7 @@ class StateGraph:
         self.symmetry = bool(symmetry)
         if use_kernel:
             self.backend = "kernel"
-            space = build_space(instance, symmetry=symmetry)
+            self.space = space = build_space(instance, symmetry=symmetry)
             self.succ_off = space.succ_off
             self.succ_flat = space.succ_flat
             self.invariant = space.invariant
@@ -118,6 +123,7 @@ class StateGraph:
             self._index_of = space.index_of
         else:
             self.backend = "naive"
+            self.space = None
             states = list(instance.states())
             index = {state: i for i, state in enumerate(states)}
             succ_off = array("q", [0])

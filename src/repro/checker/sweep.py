@@ -57,7 +57,8 @@ class SweepResult:
                      if not r.self_stabilizing)
 
     @property
-    def total_states_explored(self) -> int:
+    def total_states(self) -> int:
+        """The checked instances' states, summed over the sizes."""
         return sum(r.state_count for r in self.reports)
 
     def summary(self) -> str:
@@ -70,31 +71,19 @@ class SweepResult:
                 f"  K={report.ring_size}: {report.state_count} states, "
                 f"{'ok' if report.self_stabilizing else 'FAIL'} "
                 f"({elapsed * 1e3:.1f} ms)")
-        lines.append(f"total states explored: "
-                     f"{self.total_states_explored}")
+        lines.append(f"total states: {self.total_states}")
         if self.stats is not None:
             lines.append(self.stats.summary())
         return "\n".join(lines)
 
 
-def _sweep_key(protocol: "RingProtocol", size: int,
-               symmetry: bool = False) -> str:
-    # Backend choice never perturbs the report (the kernel reproduces
-    # the naive graph state for state) so it stays out of the key;
-    # the quotient changes state/witness counts and gets its own keys.
-    # The value is always the bare GlobalReport the dispatcher stored
-    # (``repro check`` is a one-size sweep).
-    if symmetry:
-        return analysis_key("check-instance", protocol, ring_size=size,
-                            symmetry=True)
+def _sweep_key(protocol: "RingProtocol", size: int) -> str:
+    # Backend choice never perturbs the report (the kernel's
+    # quotient-backed check reproduces the naive report field for
+    # field) so it stays out of the key.  The value is always the bare
+    # GlobalReport the dispatcher stored (``repro check`` is a one-size
+    # sweep).
     return analysis_key("check-instance", protocol, ring_size=size)
-
-
-def _check_size(protocol: "RingProtocol", size: int,
-                backend: str = "auto",
-                symmetry: bool = False) -> GlobalReport:
-    return check_instance(protocol.instantiate(size),
-                          backend=backend, symmetry=symmetry)
 
 
 def _check_seconds(report: GlobalReport) -> float:
@@ -106,12 +95,15 @@ def _check_seconds(report: GlobalReport) -> float:
 
 
 def sweep_fingerprint(protocol: "RingProtocol", up_to: int,
-                      start: int | None = None,
-                      symmetry: bool = False) -> str:
-    """The identity of one sweep (its ledger fingerprint)."""
+                      start: int | None = None) -> str:
+    """The identity of one sweep (its ledger fingerprint).
+
+    The key keeps ``symmetry=False``, the value every sweep had before
+    the rotation quotient became the checker's one path, so ledger
+    records from before still match."""
     first = protocol.process.window_width if start is None else start
     return analysis_key("sweep", protocol, start=first, up_to=up_to,
-                        symmetry=symmetry)
+                        symmetry=False)
 
 
 def sweep_verify(protocol: "RingProtocol", up_to: int,
@@ -120,7 +112,6 @@ def sweep_verify(protocol: "RingProtocol", up_to: int,
                  jobs: int = 1,
                  cache: ResultCache | None = None,
                  backend: str = "auto",
-                 symmetry: bool = False,
                  policy: SupervisorPolicy | None = None,
                  fault_plan: FaultPlan | None = None) -> SweepResult:
     """Model-check every ring size from *start* (default: the read-window
@@ -132,10 +123,10 @@ def sweep_verify(protocol: "RingProtocol", up_to: int,
     per-K reports across runs, keyed on the protocol fingerprint and the
     ring size, and stores each size as soon as it is checked — so
     rerunning a killed sweep with the same cache skips every size it
-    finished.  *backend* and *symmetry* are forwarded to
+    finished.  *backend* is forwarded to
     :func:`repro.checker.convergence.check_instance` — the compiled
-    kernel (and, opt-in, its rotation quotient) replaces the naive
-    per-state interpretation with identical verdicts.
+    kernel's rotation quotient replaces the naive per-state
+    interpretation with identical reports.
 
     *policy* supervises the per-K checks (timeouts, crash retry, and
     an in-parent rerun of a size past its retries — see
@@ -159,15 +150,15 @@ def sweep_verify(protocol: "RingProtocol", up_to: int,
     with stats.stage("sweep", start=first, up_to=up_to, jobs=jobs):
         reports = supervise_work_items(
             _sweep_worker, sizes, jobs=jobs,
-            context=(protocol, backend, symmetry),
+            context=(protocol, backend),
             stats=stats, policy=policy, cache=cache,
-            keys=[_sweep_key(protocol, size, symmetry) for size in sizes]
+            keys=[_sweep_key(protocol, size) for size in sizes]
             if cache is not None else None,
             plan=fault_plan,
             prewarm=lambda: _sweep_prewarm(protocol, backend),
             portable=PortableContext(
                 _sweep_context,
-                (_SerializedProtocol(protocol), backend, symmetry)),
+                (_SerializedProtocol(protocol), backend)),
             until=_fails if stop_on_failure else None)
     return SweepResult(reports=tuple(reports),
                        elapsed_seconds=tuple(map(_check_seconds, reports)),
@@ -233,6 +224,6 @@ def _sweep_context(payload: tuple) -> tuple:
 
 def _sweep_worker(context, size: int) -> GlobalReport:
     """Module-level worker for :func:`repro.engine.supervise_work_items`."""
-    protocol, backend, symmetry = context
-    return _check_size(protocol, size, backend, symmetry)
+    protocol, backend = context
+    return check_instance(protocol.instantiate(size), backend=backend)
 

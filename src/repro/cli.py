@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -130,15 +131,6 @@ def _add_engine_options(parser: argparse.ArgumentParser,
         "--cache-limit", type=_at_least(0), default=1024, metavar="MIB",
         help="size cap in MiB for the on-disk result cache, enforced "
              "LRU-by-mtime (default: 1024; 0 = unbounded)")
-
-
-def _add_symmetry_option(parser: argparse.ArgumentParser) -> None:
-    """The state-space quotient flag (``--symmetry``)."""
-    parser.add_argument(
-        "--symmetry", action="store_true",
-        help="quotient the global space by ring rotations (kernel only; "
-             "~K-fold smaller, all verdicts preserved, state counts "
-             "refer to rotation orbits)")
 
 
 def _add_supervisor_options(parser: argparse.ArgumentParser,
@@ -267,7 +259,7 @@ def _cache_limit_bytes(args: argparse.Namespace) -> int | None:
 #: and output flags are deliberately excluded: two runs of the same
 #: analysis must diff as equals however they are named or checkpointed.
 _LEDGER_FLAG_KEYS = (
-    "jobs", "symmetry",
+    "jobs",
     "timeout", "retries", "cache",
     "max_ring_size", "up_to", "ring_size", "samples", "seed",
     "stop_on_failure",
@@ -452,8 +444,7 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
     protocol = _resolve_protocol(args.protocol)
     report = hybrid_verify(protocol,
                            max_ring_size=args.max_ring_size,
-                           check_up_to=args.check_up_to,
-                           symmetry=args.symmetry)
+                           check_up_to=args.check_up_to)
     print(f"== hybrid verification of {protocol.name} ==")
     print(report.summary())
     return 0 if report.verdict in (HybridVerdict.CONVERGES,
@@ -470,12 +461,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"size of {protocol.name} ({first})", file=sys.stderr)
         return 2
     cache = _engine_cache(args)
-    fingerprint = sweep_fingerprint(protocol, args.up_to,
-                                    symmetry=args.symmetry)
+    fingerprint = sweep_fingerprint(protocol, args.up_to)
     result = sweep_verify(protocol, up_to=args.up_to,
                           stop_on_failure=args.stop_on_failure,
                           jobs=args.jobs, cache=cache,
-                          symmetry=args.symmetry,
                           policy=_supervisor_policy(args))
     _note_ledger(args, protocol=protocol.name, fingerprint=fingerprint,
                  verdict={
@@ -525,7 +514,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     # work (a cached report's own stats describe the run that made it).
     result = sweep_verify(protocol, start=args.ring_size,
                           up_to=args.ring_size, cache=cache,
-                          symmetry=args.symmetry,
                           policy=_supervisor_policy(args))
     report = dataclasses.replace(result.reports[0], stats=result.stats)
     from repro.engine.fingerprint import protocol_fingerprint
@@ -865,7 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
     hybrid.add_argument("--max-ring-size", type=_at_least(2), default=9)
     hybrid.add_argument("--check-up-to", type=int, default=7,
                         help="largest ring size to model-check")
-    _add_symmetry_option(hybrid)
     hybrid.set_defaults(func=_cmd_hybrid)
 
     sweep = sub.add_parser("sweep", help="cutoff-style per-size "
@@ -874,7 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--up-to", type=int, default=7)
     sweep.add_argument("--stop-on-failure", action="store_true")
     _add_engine_options(sweep)
-    _add_symmetry_option(sweep)
     _add_supervisor_options(sweep, resume=True)
     _add_obs_options(sweep)
     sweep.set_defaults(func=_cmd_sweep)
@@ -895,10 +881,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--json", action="store_true",
                        help="emit the report as JSON")
     check.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="accepted for symmetry with sweep/fuzz; a "
+                       help="accepted for parity with sweep/fuzz; a "
                             "single instance is a single work item")
     _add_engine_options(check, jobs=False)
-    _add_symmetry_option(check)
     _add_supervisor_options(check)
     _add_obs_options(check)
     check.set_defaults(func=_cmd_check)
@@ -1090,6 +1075,15 @@ def main(argv: list[str] | None = None) -> int:
     except ProtocolDefinitionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro ... | head``): exit quietly
+        # with the status a shell gives a process SIGPIPE killed
+        # (128 + 13).  stdout now points at /dev/null, so the
+        # interpreter's final flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

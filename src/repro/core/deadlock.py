@@ -19,6 +19,7 @@ Beyond the boolean verdict, this module extracts:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.core.rcg import build_rcg
@@ -85,15 +86,22 @@ class DeadlockAnalyzer:
         self._report: DeadlockReport | None = None
 
     # ------------------------------------------------------------------
-    def analyze(self) -> DeadlockReport:
-        """Run (or return the cached) analysis."""
-        if self._report is not None:
-            return self._report
+    @cached_property
+    def _induced(self) -> tuple[tuple[LocalState, ...],
+                                tuple[LocalState, ...], Digraph]:
+        """The local deadlocks, the illegitimate ones among them and the
+        RCG induced over the deadlocks (built once per analyzer)."""
         space = self.protocol.space
         deadlocks = space.deadlocks()
         illegitimate = tuple(s for s in deadlocks
                              if not self.protocol.is_legitimate(s))
-        induced = build_rcg(space, vertices=deadlocks)
+        return deadlocks, illegitimate, build_rcg(space, vertices=deadlocks)
+
+    def analyze(self) -> DeadlockReport:
+        """Run (or return the cached) analysis."""
+        if self._report is not None:
+            return self._report
+        deadlocks, illegitimate, induced = self._induced
 
         offending: list[tuple[LocalState, ...]] = []
         bad_set = set(illegitimate)
@@ -134,11 +142,12 @@ class DeadlockAnalyzer:
 
         Computed as the lengths of closed walks of the deadlock-induced RCG
         through an illegitimate local deadlock, restricted to sizes at
-        least the read-window width (smaller rings are degenerate).
+        least the read-window width (smaller rings are degenerate).  Needs
+        only the induced RCG, not the witness cycles :meth:`analyze`
+        enumerates.
         """
-        report = self.analyze()
-        lengths = closed_walk_lengths(
-            report.induced_rcg, report.illegitimate_deadlocks, upto)
+        _, illegitimate, induced = self._induced
+        lengths = closed_walk_lengths(induced, illegitimate, upto)
         width = self.protocol.process.window_width
         return {k for k in lengths if k >= width}
 

@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.checker.livelock import livelock_cycles
+from repro.checker.livelock import has_livelock, livelock_cycles
 from repro.checker.statespace import StateGraph
 from repro.core.convergence import (
     ConvergenceReport,
@@ -118,19 +118,17 @@ def _witness_sizes(witness: TrailWitness, bound: int,
 
 def hybrid_verify(protocol: "RingProtocol",
                   max_ring_size: int = 9,
-                  check_up_to: int = 7,
-                  backend: str = "auto",
-                  symmetry: bool = False) -> HybridReport:
+                  check_up_to: int = 7) -> HybridReport:
     """Run the local analyses, then refine UNKNOWN livelock verdicts by
     explicit-state checking up to ``check_up_to`` processes.
 
     The per-size global checks are also used to *find* real livelocks
     that the trail parameters suggest, returning a concrete
-    counterexample cycle when one exists.  The bounded checks ride the
-    compiled kernel by default (*backend*); with *symmetry* they run on
-    the rotation quotient — verdicts and witness classifications are
-    unchanged, but a returned counterexample cycle then repeats only up
-    to rotation (its states are still genuine global states).
+    counterexample cycle when one exists.  Each size asks only whether
+    a livelock exists, which the kernel's rotation quotient decides;
+    the full space is built once, at the first livelocked size, to
+    name the counterexample (a cycle of orbits repeats only up to
+    rotation).
     """
     base = verify_convergence(protocol, max_ring_size=max_ring_size)
 
@@ -142,31 +140,29 @@ def hybrid_verify(protocol: "RingProtocol",
 
     minimum = protocol.process.window_width
     all_sizes = list(range(max(2, minimum), check_up_to + 1))
-    cycles_by_size: dict[int, list] = {}
-    for size in all_sizes:
-        graph = StateGraph(protocol.instantiate(size),
-                           backend=backend, symmetry=symmetry)
-        cycles_by_size[size] = livelock_cycles(graph, max_cycles=1)
+    livelocked = {size: has_livelock(StateGraph(
+        protocol.instantiate(size), symmetry=True)) for size in all_sizes}
 
     witnesses = (base.livelock.trail_witnesses
                  if base.livelock is not None else ())
     classifications = []
     for witness in witnesses:
         sizes = _witness_sizes(witness, check_up_to, minimum)
-        real_at = next((s for s in sizes if cycles_by_size.get(s)), None)
+        real_at = next((s for s in sizes if livelocked.get(s)), None)
         classifications.append(WitnessClassification(
             witness=witness, checked_sizes=tuple(sizes),
             real_at=real_at))
 
-    first_real = next((size for size in all_sizes
-                       if cycles_by_size[size]), None)
+    first_real = next((size for size in all_sizes if livelocked[size]),
+                      None)
     if first_real is not None:
+        full = StateGraph(protocol.instantiate(first_real))
         return HybridReport(
             verdict=HybridVerdict.DIVERGES_LIVELOCK,
             base=base,
             classifications=tuple(classifications),
             checked_sizes=tuple(all_sizes),
-            counterexample=tuple(cycles_by_size[first_real][0]),
+            counterexample=tuple(livelock_cycles(full, max_cycles=1)[0]),
         )
     return HybridReport(
         verdict=HybridVerdict.BOUNDED,

@@ -27,8 +27,9 @@ identical work.  This package supplies the missing pieces:
 * :mod:`repro.engine.kernel` — the compiled bit-packed state-space
   backend behind :class:`repro.checker.StateGraph`: per-protocol guard
   compilation, base-``|C|`` packed global states in flat arrays, and
-  an opt-in ring-rotation symmetry quotient (CLI ``--symmetry``; the
-  naive interpreter is the API-only test oracle ``backend="naive"``);
+  the ring-rotation symmetry quotient every kernel check decides on
+  (the full space is built only to name a livelock; the naive
+  interpreter is the API-only test oracle ``backend="naive"``);
 * :mod:`repro.engine.localkernel` — the bitmask-compiled *local*
   reasoning kernel behind the contiguous-trail search, the Theorem 4.2
   check and the Section 6 synthesis loop: integer-indexed local

@@ -28,7 +28,7 @@ explicit-state engine can do.  This module removes it in three steps:
    the per-state successor segment needs no dedup and matches the
    naive backend's ordering exactly.
 
-3. **Rotation quotient** (:func:`build_quotient`, opt-in).  All ``K``
+3. **Rotation quotient** (:func:`build_quotient`).  All ``K``
    processes of a :class:`RingInstance` are instantiated from the same
    template and the invariant is the conjunction of the same local
    predicate at every position, so the cyclic rotation
@@ -41,9 +41,13 @@ explicit-state engine can do.  This module removes it in three steps:
    the canonicalization.  Because rotations are automorphisms, the
    quotient preserves deadlock existence, livelock/SCC existence,
    closure, weak convergence and BFS distances to the invariant, hence
-   every convergence *verdict*; state/witness *counts* refer to orbits
-   (each reported state is still a genuine global state, but a cycle of
-   representatives witnesses a global livelock only up to rotation).
+   every convergence *verdict*.  The global checker
+   (:func:`repro.checker.convergence.check_instance`) runs on it for
+   every kernel instance and reports the full space: counts are orbit
+   sizes summed (:meth:`PackedSpace.orbit`), deadlocks are orbits
+   expanded and decoded (:meth:`PackedSpace.decode_code`), and only a
+   quotient with a livelock has its full space built (:func:`build_full`),
+   because a cycle of representatives repeats only up to rotation.
 
 The kernel applies to symmetric rings only — exactly
 :class:`RingInstance` (Dijkstra's token ring has a distinguished root
@@ -316,15 +320,29 @@ class PackedSpace:
     def __len__(self) -> int:
         return len(self.invariant)
 
-    # -- decode / index_of ----------------------------------------------
+    # -- decode / index_of / orbit --------------------------------------
     def decode(self, index: int) -> tuple:
         """The global state tuple of state index *index*."""
-        code = index if self.codes is None else self.codes[index]
+        return self.decode_code(
+            index if self.codes is None else self.codes[index])
+
+    def decode_code(self, code: int) -> tuple:
+        """The global state tuple of the packed *code*: any state of
+        the full space, kept by this space or not."""
         digits = []
         for _ in range(self.ring_size):
             code, digit = divmod(code, self.cell_count)
             digits.append(digit)
         return tuple(self.cells[d] for d in reversed(digits))
+
+    def orbit(self, index: int) -> list[int]:
+        """The packed codes state index *index* stands for, ascending:
+        its rotation orbit on a quotient, its own code on a full
+        space."""
+        if self.codes is None:
+            return [index]
+        return rotations(self.codes[index], self.ring_size,
+                         self.cell_count)
 
     def index_of(self, state: tuple) -> int:
         """The state index of a global state tuple (quotient: of an
@@ -422,16 +440,23 @@ def _build_full(instance: "RingInstance") -> PackedSpace:
     return space
 
 
-def canonical_rotation(code: int, ring_size: int, cell_count: int) -> int:
-    """The minimal packed code over all rotations of *code*."""
+def rotations(code: int, ring_size: int, cell_count: int) -> list[int]:
+    """The distinct packed codes of *code*'s rotation orbit, ascending:
+    the first is the canonical representative the quotient keeps.
+
+    Rotating a code returns to it after its period, which divides the
+    ring size; the rotations before that are distinct."""
     msd = cell_count ** (ring_size - 1)
-    best = rotated = code
+    orbit = [code]
+    rotated = code
     for _ in range(ring_size - 1):
         high, low = divmod(rotated, msd)
         rotated = low * cell_count + high
-        if rotated < best:
-            best = rotated
-    return best
+        if rotated == code:
+            break
+        orbit.append(rotated)
+    orbit.sort()
+    return orbit
 
 
 def build_quotient(instance: "RingInstance") -> PackedSpace:

@@ -279,7 +279,7 @@ class BatchScheduler:
                          commands=cmd_send, results=res_recv)
         self._next_ident += 1
         self.workers.append(worker)
-        obs.gauge("scheduler.workers", len(self.workers))
+        obs.metric("scheduler.workers_started")
         return worker
 
     def _dispatch(self, target: int) -> None:
@@ -428,7 +428,6 @@ class BatchScheduler:
     def _discard(self, worker: _Worker) -> None:
         if worker in self.workers:
             self.workers.remove(worker)
-        obs.gauge("scheduler.workers", len(self.workers))
         for conn in (worker.commands, worker.results):
             try:
                 conn.close()

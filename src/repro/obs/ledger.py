@@ -166,11 +166,11 @@ def find_run(records: list[dict[str, Any]],
 
 #: Flags the CLI no longer has.  Records written while they existed
 #: still carry them (``schedule``, ``backend`` and ``artifacts``
-#: defaulted to ``auto``), so they are left out of the identity
-#: whatever their value: a run must keep matching its baseline across
-#: the release that removed them.
+#: defaulted to ``auto``; ``symmetry`` is there when it was set), so
+#: they are left out of the identity whatever their value: a run must
+#: keep matching its baseline across the release that removed them.
 RETIRED_FLAGS = frozenset({"schedule", "batch_size", "search",
-                           "backend", "artifacts"})
+                           "backend", "artifacts", "symmetry"})
 
 
 def identity(record: dict[str, Any]) -> tuple:

@@ -154,12 +154,15 @@ def _audit_one(max_ring_size: int, protocol: RingProtocol,
                ) -> _SampleOutcome:
     """Audit a single protocol against brute force (one work item).
 
-    The brute-force side rides the compiled kernel backend through
-    :class:`StateGraph` — one packed enumeration per size answers both
-    the deadlock and (under a certificate) the livelock comparison.
+    The brute-force side asks only whether a deadlock or a livelock
+    exists at each size, which the kernel's rotation quotient decides
+    exactly: one quotient :class:`StateGraph` per size answers both the
+    deadlock and (under a certificate) the livelock comparison.  The
+    local side needs only the deadlock-induced RCG, not the witness
+    cycles ``DeadlockAnalyzer.analyze`` enumerates.
     """
-    analyzer = DeadlockAnalyzer(protocol)
-    predicted = analyzer.deadlocked_ring_sizes(max_ring_size)
+    predicted = DeadlockAnalyzer(protocol).deadlocked_ring_sizes(
+        max_ring_size)
     certificate = LivelockCertifier(
         protocol, max_ring_size=max_ring_size + 1).analyze()
     certified = certificate.verdict is LivelockVerdict.CERTIFIED_FREE
@@ -167,7 +170,7 @@ def _audit_one(max_ring_size: int, protocol: RingProtocol,
     discrepancies: list[Discrepancy] = []
     for size in range(2, max_ring_size + 1):
         deadlock_checks += 1
-        graph = StateGraph(protocol.instantiate(size))
+        graph = StateGraph(protocol.instantiate(size), symmetry=True)
         has_deadlock = bool(graph.scan.deadlocks)
         if has_deadlock != (size in predicted):
             discrepancies.append(Discrepancy(

@@ -17,7 +17,7 @@ def test_sweep_of_stabilizing_protocol():
     assert result.sizes == (2, 3, 4, 5, 6)
     assert result.all_self_stabilizing
     assert result.failing_sizes == ()
-    assert result.total_states_explored == 4 + 8 + 16 + 32 + 64
+    assert result.total_states == 4 + 8 + 16 + 32 + 64
     assert "self-stabilizing throughout" in result.summary()
 
 

@@ -43,6 +43,32 @@ class TestVerdicts:
                 (i + 1) % len(report.counterexample)]
             assert nxt in instance.successors(state)
 
+    def test_full_graph_built_only_at_the_first_livelocked_size(
+            self, monkeypatch):
+        # Every size is decided on the rotation quotient; the full
+        # space is built once, to name the counterexample.
+        from repro.checker.livelock import livelock_cycles
+        from repro.checker.statespace import StateGraph
+        from repro.engine import kernel
+
+        built = []
+        build_full = kernel.build_full
+
+        def counting(instance):
+            built.append(instance.size)
+            return build_full(instance)
+
+        monkeypatch.setattr(kernel, "build_full", counting)
+        report = hybrid_verify(livelock_agreement(), check_up_to=6)
+        assert report.verdict is HybridVerdict.DIVERGES_LIVELOCK
+        first = len(report.counterexample[0])
+        assert built == [first]
+        assert report.checked_sizes[-1] > first
+        monkeypatch.undo()
+        full = StateGraph(livelock_agreement().instantiate(first))
+        assert report.counterexample \
+            == tuple(livelock_cycles(full, max_cycles=1)[0])
+
     def test_real_witness_classified_real(self):
         report = hybrid_verify(livelock_agreement(), check_up_to=6)
         assert any(not c.spurious for c in report.classifications)

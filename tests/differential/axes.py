@@ -23,7 +23,7 @@ class Axis(NamedTuple):
 
 #: name, values, production default, reference value, what it sets.
 AXES = (
-    Axis("backend", ("kernel", "naive", "quotient"), "kernel", "naive", "backend=, symmetry="),
+    Axis("backend", ("kernel", "naive"), "kernel", "naive", "backend="),
     Axis("search", ("lattice", "flat"), "lattice", "flat", "search="),
     Axis("jobs", (1, 2), 1, 1, "jobs="),
     Axis("start_method", ("fork", "spawn"), "fork", "fork", "env REPRO_START_METHOD"),

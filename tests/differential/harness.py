@@ -14,7 +14,9 @@ default, itself a cell.  The reference and the default are computed
 once per session.  Where the naive engine may legitimately pick other
 witnesses (trail, livelock, verify), the reference comparison covers
 the backend-independent surface and the default comparison the whole
-result.  The rotation quotient is compared on the fields it preserves.
+result.  A kernel ``check`` or ``sweep`` runs on the rotation
+quotient, and its reports must equal the naive full-space reports in
+full, witnesses and their order included.
 
 A divergence fails the test with a 1-minimal reproducer: the shrinker
 drops actions while the same cell still diverges from the reference.
@@ -68,12 +70,6 @@ class Outcome:
 # ----------------------------------------------------------------------
 # the analyses
 # ----------------------------------------------------------------------
-def _backend(config) -> dict:
-    if config["backend"] == "quotient":
-        return {"backend": "kernel", "symmetry": True}
-    return {"backend": config["backend"]}
-
-
 def _graph(protocol, config, *, size, **_):
     from repro.checker.statespace import StateGraph
 
@@ -101,7 +97,8 @@ def _graph_surface(graph):
 def _check(protocol, config, *, size, **_):
     from repro.checker.convergence import check_instance
 
-    return check_instance(protocol.instantiate(size), **_backend(config))
+    return check_instance(protocol.instantiate(size),
+                          backend=config["backend"])
 
 
 def _sweep(protocol, config, *, cache=None, policy=None, plan=None,
@@ -110,7 +107,7 @@ def _sweep(protocol, config, *, cache=None, policy=None, plan=None,
 
     return sweep_verify(protocol, jobs=config["jobs"], cache=cache,
                         policy=policy, fault_plan=plan,
-                        **_backend(config), **params)
+                        backend=config["backend"], **params)
 
 
 def _supports(protocol):
@@ -235,8 +232,6 @@ class Analysis:
     exact: Callable | None = None
     """Identity with the production default beyond the surface, for
     analyses whose witnesses the naive engine may pick differently."""
-    reports: Callable | None = None
-    """The per-K reports, for the quotient's preserved-field check."""
     fault_env: bool = False
     """Faults go through ``REPRO_INJECT_FAULT`` (no ``fault_plan=``)."""
     resumed: Callable | None = None
@@ -246,13 +241,11 @@ ANALYSES = {
     "graph": Analysis(_graph, _graph_surface,
                       {"backend": KERNEL_OR_NAIVE}),
     "check": Analysis(_check, lambda report: report,
-                      {"backend": None, "artifacts": None},
-                      reports=lambda report: [report]),
+                      {"backend": None, "artifacts": None}),
     "sweep": Analysis(_sweep, lambda result: result.reports,
                       {"backend": None, "jobs": None,
                        "start_method": None, "artifacts": None,
                        "cache": None, "fault": None},
-                      reports=lambda result: list(result.reports),
                       resumed=_sweep_resumed),
     "trail": Analysis(_trail, lambda found: tuple(map(_head, found)),
                       {"backend": KERNEL_OR_NAIVE}),
@@ -394,43 +387,9 @@ def execute(spec: Analysis, subject, config: dict, params: dict) -> Outcome:
 # ----------------------------------------------------------------------
 # comparing
 # ----------------------------------------------------------------------
-#: GlobalReport fields the rotation quotient preserves exactly.
-ORBIT_FIELDS = ("ring_size", "closed", "strongly_converging",
-                "weakly_converging", "worst_case_recovery_steps",
-                "self_stabilizing")
-
-
-def _orbit_divergence(quotient_reports, full_reports) -> str | None:
-    if len(quotient_reports) != len(full_reports):
-        return "the quotient checked different sizes"
-    for quotient, full in zip(quotient_reports, full_reports):
-        for name in ORBIT_FIELDS:
-            if getattr(quotient, name) != getattr(full, name):
-                return f"the quotient changed {name}"
-        # Existence (not count) of witnesses is preserved.
-        if bool(quotient.deadlocks_outside) != bool(full.deadlocks_outside) \
-                or bool(quotient.livelock_cycles) \
-                != bool(full.livelock_cycles):
-            return "the quotient changed a witness's existence"
-        # At most the full space, at least one state per orbit (orbits
-        # have at most K members).
-        size = full.ring_size
-        for name in ("state_count", "invariant_count"):
-            orbits, states = getattr(quotient, name), getattr(full, name)
-            if not orbits <= states <= orbits * size:
-                return f"the quotient's {name} is out of bounds"
-    return None
-
-
-def divergence(spec: Analysis, config: dict, result, reference,
-               default) -> str | None:
+def divergence(spec: Analysis, result, reference, default) -> str | None:
     """Why *result* disagrees with its oracles, or ``None``."""
-    if config.get("backend") == "quotient":
-        problem = _orbit_divergence(spec.reports(result),
-                                    spec.reports(reference))
-        if problem is not None:
-            return problem
-    elif spec.surface(result) != spec.surface(reference):
+    if spec.surface(result) != spec.surface(reference):
         return "diverged from the naive serial reference"
     exact = spec.exact or spec.surface
     if default is not None and exact(result) != exact(default):
@@ -513,8 +472,7 @@ class Matrix:
                                        reference_config) else None)
         outcome = execute(spec, source.build(), config, params)
         for run in outcome.runs:
-            problem = divergence(spec, config, run.result, expected,
-                                 default)
+            problem = divergence(spec, run.result, expected, default)
             if problem is not None:
                 _fail(analysis, spec, source, config, params, problem)
         if config == default_config and source.key is not None:
@@ -539,7 +497,7 @@ def _fail(analysis, spec, source, config, params, problem) -> None:
             default = (run(default_config).result
                        if _against_default(config, default_config,
                                            reference_config) else None)
-            return any(divergence(spec, config, each.result, expected,
+            return any(divergence(spec, each.result, expected,
                                   default) is not None
                        for each in run(config).runs)
 

@@ -39,7 +39,6 @@ COMBOS = (
     ("sweep", {"jobs": 2, "fault": "hang"}),
     ("sweep", {"jobs": 2, "fault": "kill-resume"}),
     ("sweep", {"jobs": 2, "cache": "warm"}),
-    ("sweep", {"jobs": 2, "backend": "quotient"}),
     ("sweep", {"jobs": 2, "start_method": "spawn"}),
     ("sweep", {"jobs": 2, "artifacts": "rw"}),
     ("sweep", {"jobs": 2, "start_method": "spawn", "artifacts": "rw"}),

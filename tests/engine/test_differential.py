@@ -63,5 +63,4 @@ def test_differential_verdict_aggregates(matrix):
         assert isinstance(parallel, SweepResult)
         assert parallel.all_self_stabilizing == serial.all_self_stabilizing
         assert parallel.failing_sizes == serial.failing_sizes
-        assert (parallel.total_states_explored
-                == serial.total_states_explored)
+        assert parallel.total_states == serial.total_states

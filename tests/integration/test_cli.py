@@ -101,13 +101,14 @@ def test_cached_runs_write_results_only(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.art"))
 
 
-@pytest.mark.parametrize("command", ["check", "hybrid"])
-def test_symmetry_still_runs(command, capsys):
-    argv = [command, *ORACLE_FLAG_COMMANDS[command], "--symmetry"]
-    if command == "check":
-        argv += ["--no-cache", "--no-live", "--no-ledger"]
-    assert main(argv) == 0
-    assert "Traceback" not in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["check", "sweep", "hybrid"])
+def test_no_command_takes_symmetry(command, capsys):
+    # Every kernel check decides on the rotation quotient and reports
+    # the full space, so the quotient is no longer a flag.
+    with pytest.raises(SystemExit) as raised:
+        main([command, *ORACLE_FLAG_COMMANDS[command], "--symmetry"])
+    assert raised.value.code == 2
+    assert "--symmetry" in capsys.readouterr().err
 
 
 def test_simulate(capsys):

@@ -1,6 +1,10 @@
 """The --trace flag, `repro report`, and --json stats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +74,41 @@ def test_trace_of_a_retried_sweep_validates(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["report", str(trace)]) == 0
     assert "[warning] task-retry" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(not parallelism_available(),
+                    reason="needs the fork start method")
+def test_trace_counts_the_workers_that_ran(tmp_path, capsys):
+    # Shutdown retires every worker; the trace still says two ran.
+    trace = tmp_path / "trace.json"
+    assert main(["sweep", "sum-not-two-ss", "--up-to", "9", "--jobs", "2",
+                 "--trace", str(trace), "--no-cache", "--no-live",
+                 "--no-ledger"]) == 0
+    assert "8 work items" in capsys.readouterr().out
+    metrics = json.loads(trace.read_text())["otherData"]["metrics"]
+    assert metrics["scheduler.workers_started"] == 2
+
+
+def test_report_into_a_closed_pipe_exits_quietly(tmp_path):
+    # `repro report TRACE | head -1`: the reader goes away with most of
+    # a >64 KiB report unwritten.
+    events = [{"ph": "X", "name": f"span-{i:05d}-" + "x" * 40, "pid": 1,
+               "tid": 0, "ts": i * 10, "dur": 5, "args": {}}
+              for i in range(2000)]
+    trace = tmp_path / "big.trace.json"
+    trace.write_text(json.dumps({"traceEvents": events}))
+    src = Path(__file__).resolve().parents[2] / "src"
+    report = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "report", str(trace)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert report.stdout.readline().startswith(b"== run:")
+    report.stdout.close()
+    status = report.wait(timeout=120)
+    stderr = report.stderr.read().decode()
+    report.stderr.close()
+    assert status == 141, stderr
+    assert "Traceback" not in stderr
 
 
 def test_trace_written_even_when_command_fails(tmp_path, capsys):

@@ -101,6 +101,23 @@ def test_retired_flags_do_not_split_identity():
     assert ledger.latest_matching([tuned, new], new)["run_id"] == "tuned"
 
 
+def test_sweep_records_match_across_the_symmetry_flag_removal():
+    # A sweep recorded with --symmetry carries symmetry=True; one
+    # recorded after the flag went carries none and must still match.
+    # Its fingerprint is the one a sweep without the flag had.
+    from repro.checker.sweep import sweep_fingerprint
+    from repro.engine import analysis_key
+    from repro.protocols import stabilizing_agreement
+
+    protocol = stabilizing_agreement()
+    assert sweep_fingerprint(protocol, 6) == analysis_key(
+        "sweep", protocol, start=2, up_to=6, symmetry=False)
+    old = _record("old", flags={"up_to": 6, "symmetry": True})
+    new = _record("new", flags={"up_to": 6})
+    assert ledger.identity(old) == ledger.identity(new)
+    assert ledger.latest_matching([old, new], new)["run_id"] == "old"
+
+
 def test_synthesize_records_match_across_the_oracle_flag_removal():
     # synthesize recorded backend=auto and search=lattice while it had
     # --backend/--search; a run recorded after their removal carries
@@ -264,7 +281,8 @@ def test_cli_warm_check_records_only_its_own_work(tmp_path, capsys):
     cold, warm = (record["counters"] for record in
                   ledger.load(ledger.ledger_path(tmp_path))[0])
     assert (cold["cache_hits"], cold["cache_misses"]) == (0, 1)
-    assert cold["work_items"] == 1 and cold["states_explored"] == 64
+    # The check decides on the 14 rotation orbits of the 2^6 states.
+    assert cold["work_items"] == 1 and cold["states_explored"] == 14
     assert cold["artifact_stores"] == 0  # a cold run writes results only
     assert warm["cache_hits"] == 1 and warm["cache_misses"] == 0
     assert warm["work_items"] == 0 and warm["states_explored"] == 0
