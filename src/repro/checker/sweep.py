@@ -171,9 +171,8 @@ def _fails(report: GlobalReport) -> bool:
 
 def _sweep_prewarm(protocol: "RingProtocol", backend: str) -> None:
     """Compile the protocol's kernel once in the parent so forked
-    workers inherit a hot compile cache instead of recompiling per K —
-    and, with an artifact store active, so the compiled table is
-    *published* for spawn workers and later runs to attach.
+    workers inherit a hot compile cache instead of recompiling per K
+    (spawned workers compile their own).
 
     The kernel-support probe runs on a throwaway smallest instance:
     :func:`supports_kernel` classifies instances, not protocols.

@@ -590,13 +590,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     (finished, failed or stale), and the run directory that leaves
     empty.
     """
-    from repro.engine import DEFAULT_CACHE_DIR
-    from repro.engine.artifacts import (
+    from repro.engine.cache import (
         ARTIFACT_SUFFIX,
+        DEFAULT_CACHE_DIR,
+        ENTRY_SUFFIX,
         TEMP_SUFFIX,
         enforce_directory_limit,
+        runs_root,
     )
-    from repro.engine.cache import ENTRY_SUFFIX, runs_root
 
     root = Path(args.cache_dir or DEFAULT_CACHE_DIR)
     if args.clear:
@@ -880,13 +881,12 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("-K", "--ring-size", type=int, required=True)
     check.add_argument("--json", action="store_true",
                        help="emit the report as JSON")
-    check.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="accepted for parity with sweep/fuzz; a "
-                            "single instance is a single work item")
     _add_engine_options(check, jobs=False)
     _add_supervisor_options(check)
     _add_obs_options(check)
-    check.set_defaults(func=_cmd_check)
+    # One instance is one work item, so check takes no --jobs; jobs=1
+    # stays in its ledger identity, which older check records carry.
+    check.set_defaults(func=_cmd_check, jobs=1)
 
     export = sub.add_parser("export", help="save a bundled protocol as "
                                            "a JSON file")
@@ -1011,8 +1011,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     """Run the selected command, inside an observability run when the
     ``--trace`` flag asks for one (the trace is written even when the
     command fails) and inside the ambient live plane unless
-    ``--no-live``.  No command activates the artifact plane: a cold run
-    writes results only.  The final verdict and counters of a
+    ``--no-live``.  The final verdict and counters of a
     ledger-worthy command are appended to the cross-run ledger on the
     way out (``--no-ledger`` opts out)."""
     trace = getattr(args, "trace", None)

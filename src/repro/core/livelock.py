@@ -20,7 +20,7 @@ so explicitly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.pseudolivelock import (
@@ -34,8 +34,7 @@ from repro.core.selfdisabling import (
     self_enabling_reason,
 )
 from repro.core.trail import ContiguousTrailSearcher, TrailWitness
-from repro.engine import EngineStats, ResultCache, analysis_key, \
-    supervise_work_items
+from repro.engine import EngineStats, supervise_work_items
 from repro.engine.supervisor import SupervisorPolicy
 from repro.errors import AssumptionViolation
 
@@ -91,54 +90,29 @@ class LivelockCertifier:
 
     Each candidate t-arc support is an independent contiguous-trail
     search, so ``jobs > 1`` fans the supports out over worker processes
-    (witnesses keep the serial support order); *cache* reuses whole
-    reports across runs, keyed on the protocol fingerprint and the
-    analysis parameters.
+    (witnesses keep the serial support order).  The certificate is not
+    cached on its own: :func:`repro.core.convergence.verify_convergence`
+    caches the whole report that carries it.
     """
 
     def __init__(self, protocol: "RingProtocol",
                  max_ring_size: int = 9,
                  require_self_disabling: bool = True,
                  jobs: int = 1,
-                 cache: ResultCache | None = None,
                  backend: str = "auto",
                  policy: SupervisorPolicy | None = None) -> None:
         self.protocol = protocol
         self.max_ring_size = max_ring_size
         self.require_self_disabling = require_self_disabling
         self.jobs = jobs
-        self.cache = cache
         self.backend = backend
         self.policy = policy
-
-    def _cache_key(self) -> str:
-        # The backend is part of the key: verdicts are identical, but a
-        # witness's `states` may come from a different matching SCC.
-        return analysis_key(
-            "livelock-certificate", self.protocol,
-            max_ring_size=self.max_ring_size,
-            require_self_disabling=self.require_self_disabling,
-            backend="kernel" if self.backend == "auto" else self.backend)
 
     def analyze(self) -> LivelockReport:
         """Run the analysis; raises :class:`AssumptionViolation` when the
         protocol breaks Assumption 1/2 (use
         :func:`repro.core.selfdisabling.make_self_disabling` first)."""
         stats = EngineStats(jobs=self.jobs)
-        if self.cache is not None:
-            cached = self.cache.get(self._cache_key())
-            if cached is not None:
-                stats.cache_hits += 1
-                return replace(cached, stats=stats)
-            stats.cache_misses += 1
-
-        report = self._analyze(stats)
-        if self.cache is not None:
-            # Store without run-local stats: a later hit gets its own.
-            self.cache.put(self._cache_key(), replace(report, stats=None))
-        return report
-
-    def _analyze(self, stats: EngineStats) -> LivelockReport:
         space = self.protocol.space
         if self.require_self_disabling:
             if not is_self_terminating(space):
@@ -189,9 +163,7 @@ class LivelockCertifier:
 def certify_livelock_freedom(protocol: "RingProtocol",
                              max_ring_size: int = 9,
                              jobs: int = 1,
-                             cache: ResultCache | None = None,
                              backend: str = "auto") -> LivelockReport:
     """Convenience wrapper around :class:`LivelockCertifier`."""
     return LivelockCertifier(protocol, max_ring_size=max_ring_size,
-                             jobs=jobs, cache=cache,
-                             backend=backend).analyze()
+                             jobs=jobs, backend=backend).analyze()

@@ -44,21 +44,17 @@ identical work.  This package supplies the missing pieces:
   under :func:`supervise_work_items`: persistent supervised workers
   fed batches sized from the queue alone (guided self-scheduling,
   heartbeat timeouts, requeue-on-crash) so micro-task sweeps do not
-  pay one fork per task (CLI ``--jobs``);
-* :mod:`repro.engine.artifacts` — the zero-copy artifact plane:
-  compiled kernels, localkernel skeletons and per-``(protocol, K)``
-  packed state graphs serialized into a content-addressed
-  :class:`ArtifactStore` and mmap-attached by later runs, spawn workers
-  and batch workers as typed memoryviews.  API-only: a caller
-  activates it with ``artifacts.plane(store)``; no CLI command does,
-  so a cold CLI run writes results only.  The module also holds the
-  LRU size cap behind ``--cache-limit``.
+  pay one fork per task (CLI ``--jobs``).
+
+Every kernel is built on the heap of the process that uses it: fork
+workers inherit what the parent compiled, and spawn workers compile
+their own.  :mod:`repro.engine.artifacts`, a standalone store of
+mmap-attachable files that no engine path calls, is not exported.
 """
 
 from repro import _lazy
 
 __all__ = _lazy.exports(globals(), {
-    "artifacts": ("ArtifactStats", "ArtifactStore"),
     "cache": (
         "DEFAULT_CACHE_DIR",
         "CacheStats",

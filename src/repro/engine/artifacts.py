@@ -1,17 +1,20 @@
-"""Zero-copy artifact plane: mmap-shared compiled engine structures.
+"""A content-addressed store of mmap-attachable binary artifacts.
 
-Every hot structure the engine builds — the window-indexed transition
-tables of :func:`repro.engine.kernel.compile_protocol`, the localkernel
-bitmask skeletons, and the per-``(protocol, K)`` packed-state-graph CSR
-buffers — is a flat ``array('q')``/``bytearray`` at heart.  This module
-gives those buffers a life outside one process's heap: a
-content-addressed store under ``<cache-dir>/artifacts/`` serializes
-them into a fixed binary layout, and readers attach the files with
-``mmap`` and hand out typed :class:`memoryview` sections — no
-deserialization, no copy, and (via the page cache) no duplication
-across processes attaching the same artifact.
+No engine path uses this module: every kernel, localkernel skeleton and
+packed state space is built on the heap of the process that needs it,
+and spawn workers compile their own.  It stays, standalone, for one
+reason: the end-to-end benchmark harness (``benchmarks/e2e/spans.py``)
+imports it and wraps :meth:`ArtifactStore.attach`,
+:meth:`ArtifactStore.publish` and :func:`enforce_directory_limit` by
+name, and a traced benchmark run fails when one of them is missing.
+The module goes once the harness skips absent names.
+:func:`enforce_directory_limit` itself lives in
+:mod:`repro.engine.cache` (the ``--cache-limit`` LRU) and is imported
+here under the name the harness wraps.
 
-Binary layout (all integers little-endian)::
+An :class:`ArtifactStore` keeps one file per ``(kind, fingerprint,
+params)`` key under its root.  Binary layout (all integers
+little-endian)::
 
     offset 0   magic            8 bytes  b"REPROART"
     offset 8   format version   u32
@@ -28,23 +31,8 @@ Binary layout (all integers little-endian)::
 
 Attach validates magic, version, fingerprint and the trailing digest
 before exposing a single view; any mismatch is *corruption*, handled by
-the store as discard + rebuild + one ``artifact-corrupt`` event — it
-never raises out of :meth:`ArtifactStore.attach`.
-
-The store is threaded through the engine ambiently (mirroring
-``repro.obs.runtime``): :func:`activate` installs a process-global
-store that :func:`ambient` hands to ``compile_protocol`` /
-``build_space`` / ``local_kernel_for`` deep inside the call stacks.
-Fork workers inherit the activation; spawn workers re-activate from the
-picklable :meth:`ArtifactStore.spec`.
-
-The plane is reachable from the API only (``with plane(store):``): no
-CLI command activates it, because a cold run's artifacts were never
-read back (the result cache answers every repeat).  The differential
-matrix's ``artifacts`` axis and ``benchmarks/bench_artifacts.py``
-still drive it.  The LRU helpers at the bottom
-(:func:`directory_bytes`, :func:`enforce_directory_limit`) are the
-result cache's ``--cache-limit`` machinery.
+the store as discard + one ``artifact-corrupt`` event — it never raises
+out of :meth:`ArtifactStore.attach`.
 """
 
 from __future__ import annotations
@@ -55,20 +43,20 @@ import mmap
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
+from repro.engine.cache import (
+    ARTIFACT_SUFFIX,
+    TEMP_SUFFIX,
+    directory_bytes,
+    enforce_directory_limit,
+)
 from repro.obs import runtime as obs
 
 MAGIC = b"REPROART"
 FORMAT_VERSION = 1
-ARTIFACT_SUFFIX = ".art"
-#: Suffix of in-flight writes here and in the result cache
-#: (``<name>.<pid>.tmp``, renamed into place when complete); a stray one
-#: is what a kill mid-write leaves behind, and ``repro cache --clear``
-#: removes it.
-TEMP_SUFFIX = ".tmp"
 
 _HEADER = struct.Struct("<8sII64s")
 _SECTION = struct.Struct("<24s8sQQ")
@@ -251,11 +239,10 @@ class ArtifactStats:
 class ArtifactStore:
     """Content-addressed artifact files under one root directory.
 
-    Keys are derived from an artifact *kind* (``"kernel"``,
-    ``"space"``, ``"localkernel"``), the protocol fingerprint and any
-    discriminating parameters (ring size, symmetry); the fingerprint is
-    additionally embedded in the file header so a key collision or a
-    renamed file can never satisfy the wrong protocol.
+    Keys are derived from an artifact *kind*, the protocol fingerprint
+    and any discriminating parameters; the fingerprint is additionally
+    embedded in the file header so a key collision or a renamed file
+    can never satisfy the wrong protocol.
     """
 
     def __init__(self, root: str | Path, mode: str = "rw") -> None:
@@ -267,10 +254,6 @@ class ArtifactStore:
         self._attached: list[AttachedArtifact] = []
 
     # -- identity -------------------------------------------------------
-    def spec(self) -> tuple[str, str]:
-        """A picklable description spawn workers re-activate from."""
-        return (str(self.root), self.mode)
-
     @staticmethod
     def key(kind: str, fingerprint: str, **params: object) -> str:
         material = [kind, fingerprint]
@@ -359,8 +342,8 @@ class ArtifactStore:
         """Evict oldest-mtime artifacts until the root fits *limit_bytes*.
 
         Returns the number of files removed.  Shared with the result
-        cache via :func:`enforce_directory_limit` — this wrapper only
-        adds the store's eviction counter.
+        cache via :func:`repro.engine.cache.enforce_directory_limit` —
+        this wrapper only adds the store's eviction counter.
         """
         removed = enforce_directory_limit(self.root, limit_bytes,
                                           suffix=ARTIFACT_SUFFIX)
@@ -368,104 +351,3 @@ class ArtifactStore:
         if removed:
             obs.metric("artifacts.evictions", removed)
         return removed
-
-
-# ----------------------------------------------------------------------
-# Shared size-cap enforcement (result cache + artifact store)
-# ----------------------------------------------------------------------
-
-def _iter_files(root: Path,
-                suffix: str | tuple[str, ...] | None) -> Iterator[Path]:
-    if isinstance(suffix, str):
-        suffix = (suffix,)
-    if not root.is_dir():
-        return
-    for path in root.rglob("*"):
-        if not path.is_file():
-            continue
-        if suffix is not None and path.suffix not in suffix:
-            continue
-        yield path
-
-
-def directory_bytes(root: Path,
-                    suffix: str | tuple[str, ...] | None = None) -> int:
-    """Total size in bytes of the (matching) files under *root*."""
-    total = 0
-    for path in _iter_files(root, suffix):
-        with contextlib.suppress(OSError):
-            total += path.stat().st_size
-    return total
-
-
-def enforce_directory_limit(root: Path, limit_bytes: int,
-                            suffix: str | tuple[str, ...] | None = None,
-                            ) -> int:
-    """LRU-by-mtime eviction: delete oldest files until under the cap.
-
-    Missing files (raced deletions) are skipped silently; empty
-    subdirectories left behind are pruned.  Returns the removal count.
-    """
-    entries: list[tuple[float, int, Path]] = []
-    total = 0
-    for path in _iter_files(root, suffix):
-        try:
-            stat = path.stat()
-        except OSError:
-            continue
-        entries.append((stat.st_mtime, stat.st_size, path))
-        total += stat.st_size
-    if total <= limit_bytes:
-        return 0
-    entries.sort()  # oldest mtime first
-    removed = 0
-    for _, size, path in entries:
-        if total <= limit_bytes:
-            break
-        with contextlib.suppress(OSError):
-            path.unlink()
-            total -= size
-            removed += 1
-            parent = path.parent
-            if parent != root and not any(parent.iterdir()):
-                parent.rmdir()
-    return removed
-
-
-# ----------------------------------------------------------------------
-# Ambient activation (the plane)
-# ----------------------------------------------------------------------
-
-_ACTIVE: ArtifactStore | None = None
-
-
-def activate(store: ArtifactStore | None) -> ArtifactStore | None:
-    """Install *store* as the ambient plane; returns the previous one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = store
-    return previous
-
-
-def ambient() -> ArtifactStore | None:
-    """The process-global artifact store, or ``None`` when inactive."""
-    return _ACTIVE
-
-
-def activate_from_spec(spec: tuple[str, str] | None) -> None:
-    """Re-activate a parent's store in a spawned worker."""
-    if spec is None:
-        activate(None)
-        return
-    root, mode = spec
-    activate(ArtifactStore(root, mode=mode))
-
-
-@contextlib.contextmanager
-def plane(store: ArtifactStore | None) -> Iterator[ArtifactStore | None]:
-    """``with plane(store):`` — scoped ambient activation."""
-    previous = activate(store)
-    try:
-        yield store
-    finally:
-        activate(previous)

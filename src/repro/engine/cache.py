@@ -25,25 +25,29 @@ simply recomputed on resume.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import pickle
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
-from repro.engine.artifacts import (
-    TEMP_SUFFIX,
-    directory_bytes,
-    enforce_directory_limit,
-)
 from repro.obs import runtime as obs
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 DEFAULT_CACHE_LIMIT = 1 << 30  # 1 GiB of result entries
 ENTRY_SUFFIX = ".pkl"
 RUNS_SUBDIR = "runs"
+#: Suffix of the files older versions' artifact plane left under
+#: ``<cache-dir>/artifacts/``: ``repro cache`` counts them on its
+#: legacy line and ``--clear`` removes them.
+ARTIFACT_SUFFIX = ".art"
+#: Suffix of in-flight writes (``<name>.<pid>.tmp``, renamed into place
+#: when complete); a stray one is what a kill mid-write leaves behind,
+#: and ``repro cache --clear`` removes it.
+TEMP_SUFFIX = ".tmp"
 
 #: Disk stores between LRU size-cap sweeps once the disk layer is over
 #: its cap (a sweep stats every cached file, so enforcing on every put
@@ -246,6 +250,68 @@ class ResultCache:
             except OSError:
                 pass
             return _MISS
+
+
+# ----------------------------------------------------------------------
+# The LRU-by-mtime size cap (``--cache-limit``, ``repro cache --clear``)
+# ----------------------------------------------------------------------
+
+def _iter_files(root: Path,
+                suffix: str | tuple[str, ...] | None) -> Iterator[Path]:
+    if isinstance(suffix, str):
+        suffix = (suffix,)
+    if not root.is_dir():
+        return
+    for path in root.rglob("*"):
+        if not path.is_file():
+            continue
+        if suffix is not None and path.suffix not in suffix:
+            continue
+        yield path
+
+
+def directory_bytes(root: Path,
+                    suffix: str | tuple[str, ...] | None = None) -> int:
+    """Total size in bytes of the (matching) files under *root*."""
+    total = 0
+    for path in _iter_files(root, suffix):
+        with contextlib.suppress(OSError):
+            total += path.stat().st_size
+    return total
+
+
+def enforce_directory_limit(root: Path, limit_bytes: int,
+                            suffix: str | tuple[str, ...] | None = None,
+                            ) -> int:
+    """LRU-by-mtime eviction: delete oldest files until under the cap.
+
+    Missing files (raced deletions) are skipped silently; empty
+    subdirectories left behind are pruned.  Returns the removal count.
+    """
+    entries: list[tuple[float, int, Path]] = []
+    total = 0
+    for path in _iter_files(root, suffix):
+        try:
+            stat = path.stat()
+        except OSError:
+            continue
+        entries.append((stat.st_mtime, stat.st_size, path))
+        total += stat.st_size
+    if total <= limit_bytes:
+        return 0
+    entries.sort()  # oldest mtime first
+    removed = 0
+    for _, size, path in entries:
+        if total <= limit_bytes:
+            break
+        with contextlib.suppress(OSError):
+            path.unlink()
+            total -= size
+            removed += 1
+            parent = path.parent
+            if parent != root and not any(parent.iterdir()):
+                parent.rmdir()
+    return removed
 
 
 def _fsync_directory(directory: Path) -> None:

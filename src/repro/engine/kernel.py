@@ -61,22 +61,13 @@ import weakref
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
-import repro.engine.artifacts as artifact_plane
 from repro.obs import runtime as obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.protocol.instance import RingInstance
     from repro.protocol.ring import RingProtocol
-
-
-def _protocol_fingerprint(protocol: "RingProtocol") -> str:
-    # Deferred import: fingerprint -> serialization -> protocol layers.
-    from repro.engine.fingerprint import protocol_fingerprint
-
-    return protocol_fingerprint(protocol)
 
 
 # ----------------------------------------------------------------------
@@ -87,27 +78,20 @@ def _protocol_fingerprint(protocol: "RingProtocol") -> str:
 class CompiledProtocol:
     """The flat local-transition table of one protocol.
 
-    The table is stored CSR-style in flat buffers so one artifact file
-    can back it zero-copy: ``targets_flat[targets_off[w] :
-    targets_off[w + 1]]`` holds the successor *own-cell indices* of
-    window valuation ``w`` (guard-true, own-cell-changing writes only,
-    in action order, first occurrence kept); ``legit[w]`` is the
-    ``LC_r`` bit.  Window valuations are indexed
-    ``sum(cell_index[i] * |C|^i)`` over window positions ``i``
-    (leftmost read first).  The buffers are heap ``array('q')`` /
-    ``bytes`` when freshly compiled and typed mmap ``memoryview``
-    sections when attached from the artifact store — both sides of the
-    interface index identically.
+    ``target_rows[w]`` holds the successor *own-cell indices* of window
+    valuation ``w`` (guard-true, own-cell-changing writes only, in
+    action order, first occurrence kept); ``legit[w]`` is the ``LC_r``
+    bit.  Window valuations are indexed ``sum(cell_index[i] * |C|^i)``
+    over window positions ``i`` (leftmost read first).  The per-K
+    enumeration loops index one row per (state, process) pair.
     """
 
     cells: tuple
     reads_left: int
     reads_right: int
-    targets_off: "array | memoryview"
-    targets_flat: "array | memoryview"
-    legit: "bytes | memoryview"
+    target_rows: tuple[tuple[int, ...], ...]
+    legit: bytes
     compile_seconds: float
-    attached: bool = False
 
     @property
     def cell_count(self) -> int:
@@ -117,115 +101,21 @@ class CompiledProtocol:
     def window_width(self) -> int:
         return self.reads_left + self.reads_right + 1
 
-    @property
-    def window_count(self) -> int:
-        return len(self.legit)
-
-    @cached_property
-    def target_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The per-window successor rows, materialized as tuples.
-
-        The per-K enumeration loops index one row per (state, process)
-        pair; a tuple lookup there beats two CSR offset reads, so the
-        builders materialize this view once per build.  Works for heap
-        arrays and mmap views alike (and is cached on the instance).
-        """
-        off, flat = self.targets_off, self.targets_flat
-        return tuple(tuple(flat[off[w]:off[w + 1]])
-                     for w in range(self.window_count))
-
 
 _COMPILE_CACHE: "weakref.WeakKeyDictionary[RingProtocol, CompiledProtocol]" \
     = weakref.WeakKeyDictionary()
-
-
-def _attach_compiled(protocol: "RingProtocol") -> CompiledProtocol | None:
-    """Attach a compiled table from the ambient artifact store."""
-    store = artifact_plane.ambient()
-    if store is None:
-        return None
-    fingerprint = _protocol_fingerprint(protocol)
-    attached = store.attach("kernel", fingerprint)
-    if attached is None:
-        return None
-    space = protocol.space
-    cells = space.cells
-    width = space.process.window_width
-    try:
-        meta = attached.ints("meta")
-        reads_left, reads_right, cell_count, windows = meta[:4]
-        legit = attached.view("legit", "B")
-        targets_off = attached.ints("targets_off")
-        targets_flat = attached.ints("targets_flat")
-        if (cell_count != len(cells)
-                or reads_left != space.process.reads_left
-                or reads_right != space.process.reads_right
-                or windows != len(cells) ** width
-                or len(legit) != windows
-                or len(targets_off) != windows + 1):
-            raise artifact_plane.ArtifactFormatError(
-                "compiled-kernel sections disagree with the protocol")
-    except artifact_plane.ArtifactFormatError as exc:
-        # The checksum was fine but the content contradicts the live
-        # protocol — treat like corruption: drop and rebuild.
-        store.stats.corrupt += 1
-        obs.metric("artifacts.corrupt")
-        obs.event("artifact-corrupt", level="warning",
-                  artifact="kernel", path=str(attached.path), reason=str(exc))
-        attached.close()
-        try:
-            attached.path.unlink()
-        except OSError:
-            pass
-        return None
-    return CompiledProtocol(
-        cells=cells,
-        reads_left=int(reads_left),
-        reads_right=int(reads_right),
-        targets_off=targets_off,
-        targets_flat=targets_flat,
-        legit=legit,
-        compile_seconds=0.0,
-        attached=True,
-    )
-
-
-def _publish_compiled(protocol: "RingProtocol",
-                      compiled: CompiledProtocol) -> None:
-    store = artifact_plane.ambient()
-    if store is None or store.mode == "ro":
-        return
-    meta = array("q", [compiled.reads_left, compiled.reads_right,
-                       compiled.cell_count, compiled.window_count])
-    store.publish("kernel", _protocol_fingerprint(protocol), {
-        "meta": ("q", meta.tobytes()),
-        "targets_off": ("q", bytes(compiled.targets_off)
-                        if isinstance(compiled.targets_off, memoryview)
-                        else compiled.targets_off.tobytes()),
-        "targets_flat": ("q", bytes(compiled.targets_flat)
-                         if isinstance(compiled.targets_flat, memoryview)
-                         else compiled.targets_flat.tobytes()),
-        "legit": ("B", bytes(compiled.legit)),
-    })
 
 
 def compile_protocol(protocol: "RingProtocol") -> CompiledProtocol:
     """Compile (and memoize) *protocol*'s guarded commands.
 
     Guards and effects execute once per local window valuation —
-    ``|C|^w`` evaluations total, independent of any ring size.  With an
-    ambient artifact store the table is first attached by fingerprint
-    (zero guard evaluations, zero copies) and published after a fresh
-    compile so later runs and spawned workers skip the work.
+    ``|C|^w`` evaluations total, independent of any ring size.
     """
     cached = _COMPILE_CACHE.get(protocol)
     if cached is not None:
         obs.metric("kernel.compile_memo_hits")
         return cached
-    attached = _attach_compiled(protocol)
-    if attached is not None:
-        _COMPILE_CACHE[protocol] = attached
-        return attached
     began = time.perf_counter()
     obs.metric("kernel.compiles")
     with obs.span("kernel.compile",
@@ -255,23 +145,16 @@ def compile_protocol(protocol: "RingProtocol") -> CompiledProtocol:
             legit[index] = 1 if protocol.is_legitimate(state) else 0
         if span is not None:
             span.attrs["windows"] = count
-    targets_off = array("q", bytes(8 * (count + 1)))
-    targets_flat = array("q")
-    for index, row in enumerate(rows):
-        targets_flat.extend(row)
-        targets_off[index + 1] = len(targets_flat)
     compiled = CompiledProtocol(
         cells=cells,
         reads_left=space.process.reads_left,
         reads_right=space.process.reads_right,
-        targets_off=targets_off,
-        targets_flat=targets_flat,
+        target_rows=tuple(rows),
         legit=bytes(legit),
         compile_seconds=time.perf_counter() - began,
     )
     obs.metric("kernel.compile_seconds", compiled.compile_seconds)
     _COMPILE_CACHE[protocol] = compiled
-    _publish_compiled(protocol, compiled)
     return compiled
 
 
@@ -299,23 +182,19 @@ class PackedSpace:
     stands for the identity — full spaces enumerate every code in
     order, so index == code); ``succ_flat``/``succ_off`` are CSR
     adjacency over state indices; ``invariant`` is one byte per state.
-    The buffers are heap ``array('q')``/``bytearray`` when freshly
-    built and typed mmap ``memoryview`` sections when attached from the
-    artifact store; all consumers index and iterate them identically.
     ``full_states`` is ``|C|^K``; ``quotient_states`` is the number of
     kept orbits (0 for a full space).
     """
 
     ring_size: int
     cell_count: int
-    codes: "array | memoryview | None"
-    succ_off: "array | memoryview"
-    succ_flat: "array | memoryview"
-    invariant: "bytearray | memoryview"
+    codes: array | None
+    succ_off: array
+    succ_flat: array
+    invariant: bytearray
     cells: tuple
     full_states: int
     quotient_states: int = 0
-    attached: bool = False
 
     def __len__(self) -> int:
         return len(self.invariant)
@@ -362,7 +241,7 @@ class PackedSpace:
 
 
 def _count_encode(space: PackedSpace, seconds: float) -> None:
-    """Record one space's encode (or attach) time and its reduction."""
+    """Record one space's encode time and its reduction."""
     obs.metric("kernel.encode_seconds", seconds)
     if space.quotient_states:
         obs.metric("kernel.quotient_states", space.quotient_states)
@@ -556,85 +435,7 @@ def _build_quotient(instance: "RingInstance") -> PackedSpace:
     return space
 
 
-def _attach_space(instance: "RingInstance",
-                  symmetry: bool) -> PackedSpace | None:
-    """Attach a per-(protocol, K) packed space from the artifact store."""
-    store = artifact_plane.ambient()
-    if store is None:
-        return None
-    fingerprint = _protocol_fingerprint(instance.protocol)
-    began = time.perf_counter()
-    attached = store.attach("space", fingerprint,
-                            K=instance.size, symmetry=symmetry)
-    if attached is None:
-        return None
-    cells = instance.protocol.space.cells
-    try:
-        meta = attached.ints("meta")
-        ring_size, cell_count, full_states, quotient_states = meta[:4]
-        succ_off = attached.ints("succ_off")
-        succ_flat = attached.ints("succ_flat")
-        invariant = attached.view("invariant", "B")
-        codes = attached.ints("codes") if symmetry else None
-        count = len(invariant)
-        if (ring_size != instance.size
-                or cell_count != len(cells)
-                or len(succ_off) != count + 1
-                or (symmetry and len(codes) != count)
-                or (not symmetry and count != len(cells) ** instance.size)):
-            raise artifact_plane.ArtifactFormatError(
-                "packed-space sections disagree with the instance")
-    except artifact_plane.ArtifactFormatError as exc:
-        store.stats.corrupt += 1
-        obs.metric("artifacts.corrupt")
-        obs.event("artifact-corrupt", level="warning",
-                  artifact="space", path=str(attached.path), reason=str(exc))
-        attached.close()
-        try:
-            attached.path.unlink()
-        except OSError:
-            pass
-        return None
-    space = PackedSpace(
-        ring_size=instance.size, cell_count=len(cells), codes=codes,
-        succ_off=succ_off, succ_flat=succ_flat, invariant=invariant,
-        cells=cells, full_states=int(full_states),
-        quotient_states=int(quotient_states), attached=True)
-    _count_encode(space, time.perf_counter() - began)
-    return space
-
-
-def _publish_space(instance: "RingInstance", symmetry: bool,
-                   space: PackedSpace) -> None:
-    store = artifact_plane.ambient()
-    if store is None or store.mode == "ro":
-        return
-    meta = array("q", [space.ring_size, space.cell_count,
-                       space.full_states, space.quotient_states])
-    sections = {
-        "meta": ("q", meta.tobytes()),
-        "succ_off": ("q", space.succ_off.tobytes()),
-        "succ_flat": ("q", space.succ_flat.tobytes()),
-        "invariant": ("B", bytes(space.invariant)),
-    }
-    if space.codes is not None:
-        sections["codes"] = ("q", space.codes.tobytes())
-    store.publish("space", _protocol_fingerprint(instance.protocol),
-                  sections, K=instance.size, symmetry=symmetry)
-
-
 def build_space(instance: "RingInstance",
                 symmetry: bool = False) -> PackedSpace:
-    """Build the packed space, quotiented when *symmetry* is set.
-
-    With an ambient artifact store the CSR buffers are attached by
-    ``(fingerprint, K, symmetry)`` when a prior run (or the parent
-    process) already built them; a fresh build publishes its buffers
-    back so the next attach is zero-copy.
-    """
-    attached = _attach_space(instance, symmetry)
-    if attached is not None:
-        return attached
-    space = build_quotient(instance) if symmetry else build_full(instance)
-    _publish_space(instance, symmetry, space)
-    return space
+    """Build the packed space, quotiented when *symmetry* is set."""
+    return build_quotient(instance) if symmetry else build_full(instance)

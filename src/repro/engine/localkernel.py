@@ -42,10 +42,8 @@ from __future__ import annotations
 
 import time
 import weakref
-from array import array
 from typing import TYPE_CHECKING, Iterable
 
-import repro.engine.artifacts as artifact_plane
 from repro.core.ltg import indexed_arcs
 from repro.core.rcg import continuation_masks
 from repro.obs import runtime as obs
@@ -112,26 +110,18 @@ class LocalKernel:
         self.states = tuple(self.space.states)
         self.n = len(self.states)
         self.index = {state: i for i, state in enumerate(self.states)}
-        self.attached = False
-        masks = _attach_skeleton(protocol, self.n)
-        if masks is not None:
-            self.s_masks, self.illegit_mask = masks
-            self.attached = True
-        else:
-            with obs.span("localkernel.compile",
-                          protocol=getattr(protocol, "name", "?")) as span:
-                # s-adjacency (= RCG adjacency) as per-state bitmasks.
-                self.s_masks = continuation_masks(self.space)
-                illegitimate = frozenset(protocol.illegitimate_states())
-                self.illegit_mask = 0
-                for i, state in enumerate(self.states):
-                    if state in illegitimate:
-                        self.illegit_mask |= 1 << i
-                if span is not None:
-                    span.attrs["states"] = self.n
-            obs.metric("localkernel.compiles")
-            _publish_skeleton(protocol, self.n, self.s_masks,
-                              self.illegit_mask)
+        with obs.span("localkernel.compile",
+                      protocol=getattr(protocol, "name", "?")) as span:
+            # s-adjacency (= RCG adjacency) as per-state bitmasks.
+            self.s_masks = continuation_masks(self.space)
+            illegitimate = frozenset(protocol.illegitimate_states())
+            self.illegit_mask = 0
+            for i, state in enumerate(self.states):
+                if state in illegitimate:
+                    self.illegit_mask |= 1 << i
+            if span is not None:
+                span.attrs["states"] = self.n
+        obs.metric("localkernel.compiles")
         obs.metric("kernel.compile_seconds", time.perf_counter() - began)
         self._skeletons: dict[tuple[int, int], TrailSkeleton] = {}
         # Support fingerprint -> (bound scanned, result tuple | None).
@@ -352,69 +342,6 @@ def _mask_indices(mask: int) -> tuple[int, ...]:
         mask &= mask - 1
         indices.append(bit.bit_length() - 1)
     return tuple(indices)
-
-
-def _attach_skeleton(protocol: "RingProtocol",
-                     n: int) -> tuple[list[int], int] | None:
-    """Attach ``(s_masks, illegit_mask)`` from the artifact store.
-
-    Bitmasks are arbitrary-precision ints (one bit per local state), so
-    unlike the kernel CSR buffers they are re-materialized from
-    fixed-width little-endian chunks; the payloads are tiny (``n``
-    masks of ``ceil(n / 8)`` bytes) and the avoided work — the full
-    continuation-relation and legitimacy sweep — is what matters.
-    """
-    store = artifact_plane.ambient()
-    if store is None:
-        return None
-    from repro.engine.fingerprint import protocol_fingerprint
-
-    attached = store.attach("localkernel", protocol_fingerprint(protocol))
-    if attached is None:
-        return None
-    try:
-        meta = attached.ints("meta")
-        count, width = meta[:2]
-        raw = attached.view("s_masks", "B")
-        illegit_raw = attached.view("illegit", "B")
-        if count != n or width != (n + 7) // 8 \
-                or len(raw) != count * width or len(illegit_raw) != width:
-            raise artifact_plane.ArtifactFormatError(
-                "localkernel sections disagree with the protocol")
-        s_masks = [int.from_bytes(raw[i * width:(i + 1) * width], "little")
-                   for i in range(count)]
-        illegit_mask = int.from_bytes(illegit_raw, "little")
-    except artifact_plane.ArtifactFormatError as exc:
-        store.stats.corrupt += 1
-        obs.metric("artifacts.corrupt")
-        obs.event("artifact-corrupt", level="warning",
-                  artifact="localkernel", path=str(attached.path), reason=str(exc))
-        attached.close()
-        try:
-            attached.path.unlink()
-        except OSError:
-            pass
-        return None
-    attached.close()
-    return s_masks, illegit_mask
-
-
-def _publish_skeleton(protocol: "RingProtocol", n: int,
-                      s_masks: list[int], illegit_mask: int) -> None:
-    store = artifact_plane.ambient()
-    if store is None or store.mode == "ro":
-        return
-    from repro.engine.fingerprint import protocol_fingerprint
-
-    width = (n + 7) // 8
-    raw = bytearray()
-    for mask in s_masks:
-        raw.extend(mask.to_bytes(width, "little"))
-    store.publish("localkernel", protocol_fingerprint(protocol), {
-        "meta": ("q", array("q", [n, width]).tobytes()),
-        "s_masks": ("B", bytes(raw)),
-        "illegit": ("B", illegit_mask.to_bytes(width, "little")),
-    })
 
 
 _KERNEL_CACHE: "weakref.WeakKeyDictionary[RingProtocol, LocalKernel]" = \

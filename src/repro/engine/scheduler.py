@@ -38,8 +38,8 @@ Fork workers inherit everything — including kernels compiled by the
 parent's ``prewarm`` hook — so unpicklable workers/contexts/items are
 fine and nothing is recompiled per task; only results cross the pipe.
 Spawn workers rebuild their context from a
-:class:`~repro.engine.pool.PortableContext` and attach published
-artifacts instead.
+:class:`~repro.engine.pool.PortableContext` and compile their own
+kernels from it.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-import repro.engine.artifacts as artifact_plane
 from repro.engine.pool import PortableContext, WorkerFailure
 from repro.engine.supervisor import FaultPlan, TaskLedger, _bump, _Task
 from repro.obs import live
@@ -142,19 +141,15 @@ def _worker_main(worker, context, work: Sequence[Any],
 
 def _spawn_worker_main(worker, portable: PortableContext | None,
                        work: Sequence[Any], plan: FaultPlan | None,
-                       commands, results,
-                       artifact_spec: tuple[str, str] | None,
-                       traced: bool) -> None:
+                       commands, results, traced: bool) -> None:
     """Spawn-mode bootstrap around :func:`_worker_main`.
 
     A spawned worker inherits nothing, so this re-creates what fork
-    would have provided: the ambient artifact store (compiled kernels
-    and packed spaces attach by fingerprint — the spawn counterpart of
-    the parent-side ``prewarm`` + fork inheritance), an observability
-    run when the parent has one (*traced*), so per-task spans ship
-    back, and the worker context rebuilt from its portable recipe.
+    would have provided: an observability run when the parent has one
+    (*traced*), so per-task spans ship back, and the worker context
+    rebuilt from its portable recipe.  Its kernels compile on first
+    use, in the worker.
     """
-    artifact_plane.activate_from_spec(artifact_spec)
     if traced and obs.active() is None:
         obs.start("spawn-worker")
     context = portable.build() if portable is not None else None
@@ -264,12 +259,10 @@ class BatchScheduler:
                       ledger.plan, cmd_recv, res_send, parent_ends),
                 daemon=True)
         else:
-            store = artifact_plane.ambient()
             process = self._mp.Process(
                 target=_spawn_worker_main,
                 args=(ledger.worker, self.portable, ledger.work,
                       ledger.plan, cmd_recv, res_send,
-                      store.spec() if store is not None else None,
                       obs.active() is not None),
                 daemon=True)
         process.start()

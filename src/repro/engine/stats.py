@@ -12,8 +12,8 @@ names (``engine.work_items``, ``kernel.compile_seconds``,
 counter meet here:
 
 * *layer counters* (the :data:`repro.obs.runtime.LAYER_FAMILIES`:
-  checker states explored, kernel, local kernel, FVS, synthesis,
-  artifacts, stage timings) are recorded once, where the event
+  checker states explored, kernel, local kernel, FVS, synthesis and
+  stage timings) are recorded once, where the event
   happens, by ``obs.metric``; a stats
   object receives them while it is open (:meth:`collecting`, and every
   :meth:`stage`), together with every other open stats object and the
@@ -49,11 +49,6 @@ _COUNTER_METRICS = {
     "scheduler_batch_items": "scheduler.batch_items",
     "scheduler_requeued": "scheduler.requeued",
     "live_snapshots": "live.snapshots",
-    "artifact_hits": "artifacts.hits",
-    "artifact_misses": "artifacts.misses",
-    "artifact_stores": "artifacts.stores",
-    "artifact_corrupt": "artifacts.corrupt",
-    "artifact_evictions": "artifacts.evictions",
     "compile_seconds": "kernel.compile_seconds",
     "encode_seconds": "kernel.encode_seconds",
     "states_encoded": "kernel.states_encoded",
@@ -258,14 +253,6 @@ class EngineStats:
             if self.blocked_hits:
                 search += f", {self.blocked_hits} blocked-mask hits"
             parts.append(search)
-        if (self.artifact_hits or self.artifact_misses
-                or self.artifact_stores or self.artifact_corrupt):
-            artifacts = (f"artifacts {self.artifact_hits} attached / "
-                         f"{self.artifact_misses} misses, "
-                         f"{self.artifact_stores} stored")
-            if self.artifact_corrupt:
-                artifacts += f", {self.artifact_corrupt} corrupt discarded"
-            parts.append(artifacts)
         if self.fvs_nodes_explored:
             parts.append(f"fvs {self.fvs_nodes_explored} nodes "
                          f"({self.fvs_nodes_pruned} pruned)")

@@ -375,9 +375,9 @@ def _run_workers(ledger: TaskLedger, pending: list[_Task], jobs: int,
         return
     from repro.engine.scheduler import BatchScheduler
 
-    if prewarm is not None:
+    if prewarm is not None and method == "fork":
         # Fork workers inherit what prewarm compiles; spawn workers
-        # attach what prewarm *publishes*.
+        # compile their own.
         with obs.span("scheduler.prewarm"):
             prewarm()
     BatchScheduler(ledger, jobs=jobs, start_method=method,
@@ -425,11 +425,10 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
     afterwards, so both return the same list.
 
     *prewarm*, when given, is called once in the parent immediately
-    before workers start (never when everything runs serially or
-    nothing is pending) — the engine call sites compile the protocol's
-    kernels here so every fork worker inherits hot caches; under an
-    artifact store a caller activated through the API, the compile
-    also publishes the tables for spawn workers to attach.
+    before fork workers start (never when everything runs serially,
+    nothing is pending or the workers are spawned) — the engine call
+    sites compile the protocol's kernels here so every fork worker
+    inherits hot caches.
 
     *plan* is fault injection (tests and smoke runs); ``None`` reads it
     from ``REPRO_INJECT_FAULT``, so callers that dispatch many times

@@ -17,7 +17,7 @@ with the same (fingerprint, flags) identity, and flags:
 * **timing regressions** — wall clock or a per-stage time grew by more
   than ``threshold`` (default 25%) over a noise floor;
 * **health regressions** — fault counters (timeouts, retries,
-  degradations, pool fallbacks, corrupt artifacts) strictly increased;
+  degradations, pool fallbacks, requeues) strictly increased;
 * **work drift** — workload counters (tasks run, states packed, trails
   searched) changed in *either* direction, which on a matched identity
   means the computation itself changed shape;
@@ -52,7 +52,7 @@ TIME_FLOOR_SECONDS = 0.05
 #: :class:`repro.engine.EngineStats` names, as recorded by the CLI).
 HEALTH_COUNTERS = (
     "supervisor_timeouts", "supervisor_retries", "supervisor_degraded",
-    "pool_fallbacks", "artifact_corrupt", "scheduler_requeued",
+    "pool_fallbacks", "scheduler_requeued",
 )
 
 #: Counters measuring the amount of work done: any drift on a matched
@@ -72,7 +72,6 @@ WORK_COUNTERS = (
 #: (hits, misses) counter pairs folded into hit rates.
 CACHE_RATES = {
     "results": ("cache_hits", "cache_misses"),
-    "artifacts": ("artifact_hits", "artifact_misses"),
 }
 
 

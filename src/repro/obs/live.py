@@ -237,16 +237,11 @@ def cache_payload(stats) -> dict[str, Any]:
     """Hit-rate snapshot fields from an ``EngineStats`` (or ``None``)."""
     if stats is None:
         return {}
-
-    def rates(hits: int, misses: int) -> dict[str, Any]:
-        total = hits + misses
-        return {"hits": hits, "misses": misses,
-                "rate": hits / total if total else 0.0}
-
-    return {"cache": {
-        "results": rates(stats.cache_hits, stats.cache_misses),
-        "artifacts": rates(stats.artifact_hits, stats.artifact_misses),
-    }}
+    hits, misses = stats.cache_hits, stats.cache_misses
+    total = hits + misses
+    return {"cache": {"results": {
+        "hits": hits, "misses": misses,
+        "rate": hits / total if total else 0.0}}}
 
 
 def tick(payload: Callable[[], dict[str, Any]] | None = None) -> bool:
@@ -410,17 +405,12 @@ def render_top(status: dict[str, Any],
         if eta is not None:
             detail += f", eta ~{eta:.1f} s"
         lines.append(detail)
-    cache = status.get("cache") or {}
-    cache_parts = []
-    for layer in ("results", "artifacts"):
-        rates = cache.get(layer)
-        if rates and (rates.get("hits") or rates.get("misses")):
-            cache_parts.append(
-                f"{layer} {rates.get('rate', 0.0):.0%} hit "
-                f"({rates.get('hits', 0)}/"
-                f"{rates.get('hits', 0) + rates.get('misses', 0)})")
-    if cache_parts:
-        lines.append("  cache     " + ", ".join(cache_parts))
+    rates = (status.get("cache") or {}).get("results")
+    if rates and (rates.get("hits") or rates.get("misses")):
+        lines.append(
+            f"  cache     results {rates.get('rate', 0.0):.0%} hit "
+            f"({rates.get('hits', 0)}/"
+            f"{rates.get('hits', 0) + rates.get('misses', 0)})")
     workers = status.get("workers") or []
     for i, worker in enumerate(workers):
         prefix = "  workers   " if i == 0 else "            "

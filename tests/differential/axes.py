@@ -27,7 +27,6 @@ AXES = (
     Axis("search", ("lattice", "flat"), "lattice", "flat", "search="),
     Axis("jobs", (1, 2), 1, 1, "jobs="),
     Axis("start_method", ("fork", "spawn"), "fork", "fork", "env REPRO_START_METHOD"),
-    Axis("artifacts", ("off", "rw"), "off", "off", "fixture: an ArtifactStore plane"),
     Axis("cache", ("none", "cold", "warm"), "none", "none", "fixture: a ResultCache, cache="),
     Axis("fault", ("none", "crash", "hang", "kill-resume"), "none", "none", "fault_plan=, policy= or env REPRO_INJECT_FAULT"),
 )

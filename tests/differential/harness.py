@@ -21,9 +21,8 @@ full, witnesses and their order included.
 A divergence fails the test with a 1-minimal reproducer: the shrinker
 drops actions while the same cell still diverges from the reference.
 
-Each run gets its own scratch directories for the cache and the
-artifact store; environment variables an axis sets are restored when
-the run ends.
+Each run gets its own scratch directory for the cache; environment
+variables an axis sets are restored when the run ends.
 """
 
 from __future__ import annotations
@@ -145,13 +144,12 @@ def _head(witness):
     return (witness.ring_size, witness.enablements, witness.t_arcs)
 
 
-def _livelock(protocol, config, *, cache=None, policy=None,
-              max_ring_size=9, **_):
+def _livelock(protocol, config, *, policy=None, max_ring_size=9, **_):
     from repro.core.livelock import LivelockCertifier
 
     return LivelockCertifier(
         protocol, max_ring_size=max_ring_size, jobs=config["jobs"],
-        cache=cache, backend=config["backend"], policy=policy).analyze()
+        backend=config["backend"], policy=policy).analyze()
 
 
 def _livelock_surface(report):
@@ -241,17 +239,17 @@ ANALYSES = {
     "graph": Analysis(_graph, _graph_surface,
                       {"backend": KERNEL_OR_NAIVE}),
     "check": Analysis(_check, lambda report: report,
-                      {"backend": None, "artifacts": None}),
+                      {"backend": None}),
     "sweep": Analysis(_sweep, lambda result: result.reports,
                       {"backend": None, "jobs": None,
-                       "start_method": None, "artifacts": None,
-                       "cache": None, "fault": None},
+                       "start_method": None, "cache": None,
+                       "fault": None},
                       resumed=_sweep_resumed),
     "trail": Analysis(_trail, lambda found: tuple(map(_head, found)),
                       {"backend": KERNEL_OR_NAIVE}),
     "livelock": Analysis(_livelock, _livelock_surface,
                          {"backend": KERNEL_OR_NAIVE, "jobs": None,
-                          "start_method": None, "cache": None,
+                          "start_method": None,
                           "fault": ("none", "crash", "hang")},
                          exact=lambda report: report, fault_env=True),
     "verify": Analysis(_verify, _verify_surface,
@@ -261,8 +259,7 @@ ANALYSES = {
     "synthesis": Analysis(_synthesis, _synthesis_surface,
                           {"backend": KERNEL_OR_NAIVE, "search": None,
                            "jobs": None, "start_method": None,
-                           "artifacts": None, "cache": None,
-                           "fault": None}),
+                           "cache": None, "fault": None}),
     "rows": Analysis(_rows, list,
                      {"backend": KERNEL_OR_NAIVE, "search": None,
                       "jobs": None}),
@@ -354,12 +351,6 @@ def execute(spec: Analysis, subject, config: dict, params: dict) -> Outcome:
         if config.get("start_method", "fork") != "fork":
             stack.enter_context(mock.patch.dict(
                 os.environ, {START_METHOD_ENV: config["start_method"]}))
-        if config.get("artifacts", "off") == "rw":
-            from repro.engine import artifacts
-
-            store = artifacts.ArtifactStore(scratch())
-            stack.enter_context(artifacts.plane(store))
-            stack.callback(store.close)
         if plan is not None and spec.fault_env:
             stack.enter_context(mock.patch.dict(
                 os.environ, {FAULT_ENV: _env_fault(plan)}))

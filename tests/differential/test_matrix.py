@@ -40,13 +40,10 @@ COMBOS = (
     ("sweep", {"jobs": 2, "fault": "kill-resume"}),
     ("sweep", {"jobs": 2, "cache": "warm"}),
     ("sweep", {"jobs": 2, "start_method": "spawn"}),
-    ("sweep", {"jobs": 2, "artifacts": "rw"}),
-    ("sweep", {"jobs": 2, "start_method": "spawn", "artifacts": "rw"}),
     ("synthesis", {"jobs": 2, "search": "flat"}),
     ("synthesis", {"jobs": 2, "fault": "crash"}),
     ("synthesis", {"jobs": 2, "fault": "hang"}),
     ("synthesis", {"jobs": 2, "fault": "kill-resume"}),
-    ("livelock", {"jobs": 2, "cache": "warm"}),
     ("verify", {"jobs": 2, "cache": "warm"}),
     ("audit", {"jobs": 2, "cache": "warm"}),
 )

@@ -104,8 +104,11 @@ def test_cached_sweep_served_from_disk_across_instances(matrix):
 
 
 def test_cached_livelock_and_fuzz_reports_identical(matrix):
-    second = matrix.cell("livelock", SUM_NOT_TWO_SS, cache="warm").result
+    # The certificate is cached inside the convergence report.
+    second = matrix.cell("verify", SUM_NOT_TWO_SS, cache="warm").result
+    assert second.livelock.certified
     assert second.stats.cache_hits == 1
+    assert second.stats.work_items == 0
 
     audit = matrix.cell("audit", sources.stream(9), samples=6,
                         max_ring_size=3, cache="warm").result

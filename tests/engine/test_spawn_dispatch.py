@@ -1,15 +1,13 @@
-"""Spawn-mode dispatch: portable contexts + artifact attach parity.
+"""Spawn-mode dispatch: portable contexts, workers that compile their
+own kernels.
 
-Before the artifact plane, a platform without ``fork`` (or a forced
-``REPRO_START_METHOD=spawn``) silently degraded every fan-out to the
-serial fallback — and any spawned worker would have recompiled every
-kernel from scratch.  These tests pin the new contract: with a
-:class:`PortableContext` the batch scheduler really runs spawned
-workers, those workers *attach* the parent's published
-artifacts instead of compiling (the ``kernel.compile`` span never
-opens), and verdicts equal the naive reference under fork and spawn,
-with and without an artifact store (the matrix's ``start_method`` and
-``artifacts`` axes, see :mod:`tests.differential`).
+A platform without ``fork`` (or a forced ``REPRO_START_METHOD=spawn``)
+would otherwise degrade every fan-out to the serial fallback.  These
+tests pin the contract: with a :class:`PortableContext` the batch
+scheduler really runs spawned workers, each spawned worker compiles the
+kernel it needs (the parent's fork-only prewarm does not run), and
+verdicts equal the naive reference under fork and spawn (the matrix's
+``start_method`` axis, see :mod:`tests.differential`).
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import multiprocessing
 
 import pytest
 
-import repro.engine.artifacts as ap
 from repro.checker.sweep import sweep_verify
 from repro.engine.pool import (
     START_METHOD_ENV,
@@ -38,63 +35,33 @@ UP_TO = 6
 MATCHING = sources.bundled("matching-ex4.2")
 
 
-def _warm_store(tmp_path) -> ap.ArtifactStore:
-    """Publish the kernel and every per-K space with a serial sweep."""
-    store = ap.ArtifactStore(tmp_path / "artifacts")
-    with ap.plane(store):
-        sweep_verify(generalizable_matching(), up_to=UP_TO, jobs=1)
-    assert store.stats.stores > 0
-    return store
-
-
 # ----------------------------------------------------------------------
-# The regression: spawn workers must attach, not recompile
+# Spawned workers compile their own kernels
 # ----------------------------------------------------------------------
 @needs_spawn
-def test_spawn_workers_attach_instead_of_compiling(tmp_path, monkeypatch):
-    store = _warm_store(tmp_path)
+def test_batch_scheduler_runs_spawn_workers(matrix, monkeypatch):
     monkeypatch.setenv(START_METHOD_ENV, "spawn")
     assert start_method() == "spawn"
-    with ap.plane(store), obs.run("spawn-sweep") as run_ctx:
+    with obs.run("spawn-batch") as run_ctx:
         result = sweep_verify(generalizable_matching(), up_to=UP_TO,
                               jobs=2)
-    stats = result.stats
-    assert stats.parallel, "spawn dispatch did not run"
-    assert stats.pool_fallbacks == 0
-    # Workers mapped the parent's artifacts: attaches happened, and not
-    # one kernel.compile span opened anywhere in the run.
-    assert stats.artifact_hits > 0
-    assert stats.artifact_misses == 0
-    assert stats.compile_seconds == 0.0
-    assert run_ctx.metrics.value("kernel.compiles", default=0) == 0
-    assert run_ctx.metrics.value("artifacts.hits") > 0
-    store.close()
-
-
-@needs_spawn
-def test_batch_scheduler_runs_spawn_workers(matrix, tmp_path, monkeypatch):
-    store = _warm_store(tmp_path)
-    monkeypatch.setenv(START_METHOD_ENV, "spawn")
-    with ap.plane(store), obs.run("spawn-batch") as run_ctx:
-        result = sweep_verify(generalizable_matching(), up_to=UP_TO,
-                              jobs=2)
+    assert result.stats.parallel and result.stats.pool_fallbacks == 0
     assert result.stats.scheduler_batches > 0
-    assert result.stats.artifact_hits > 0
-    assert run_ctx.metrics.value("kernel.compiles", default=0) == 0
+    # One compile per spawned worker, none in the parent.
+    assert run_ctx.metrics.value("kernel.compiles") \
+        == run_ctx.metrics.value("scheduler.workers_started") > 0
     assert result.reports \
         == matrix.reference("sweep", MATCHING, up_to=UP_TO).reports
-    store.close()
 
 
 # ----------------------------------------------------------------------
-# Differential: verdict bytes across start methods and artifact modes
+# Differential: verdict bytes across start methods
 # ----------------------------------------------------------------------
 @needs_spawn
 def test_verdicts_identical_across_methods_and_modes(matrix):
     for method in ("fork", "spawn"):
-        for artifacts in ("off", "rw"):
-            matrix.cell("sweep", MATCHING, up_to=UP_TO, jobs=2,
-                        start_method=method, artifacts=artifacts)
+        matrix.cell("sweep", MATCHING, up_to=UP_TO, jobs=2,
+                    start_method=method)
 
 
 # ----------------------------------------------------------------------

@@ -156,6 +156,8 @@ BAD_INPUT = {
     "cache-limit-negative": ["cache", "--cache-limit", "-1"],
     "sweep-empty-range": ["sweep", "sum-not-two-ss", "--up-to", "1"],
     "check-degenerate-ring": ["check", "sum-not-two-ss", "-K", "1"],
+    # One instance is one work item: check takes no --jobs.
+    "check-jobs": ["check", "sum-not-two-ss", "-K", "4", "--jobs", "2"],
     "missing-file": ["verify", "{tmp}/missing.json"],
     "not-json": ["verify", "{tmp}/garbage.json"],
     "no-variables": ["verify", "{tmp}/no-variables.json"],

@@ -54,16 +54,24 @@ def test_importing_the_cli_loads_no_analysis(tmp_path):
         "multiprocessing")) == []
 
 
+#: No command reads or writes artifact files: none loads the
+#: standalone artifact store or the mmap it attaches with.
+NO_ARTIFACTS = ("repro.engine.artifacts", "mmap")
+
+
 @pytest.mark.parametrize("argv, absent", [
     (["verify", "sum-not-two-ss"],
      ("multiprocessing", "repro.engine.scheduler", "repro.checker",
-      "repro.core.synthesis", "repro.engine.synthsearch")),
+      "repro.core.synthesis", "repro.engine.synthsearch", *NO_ARTIFACTS)),
     (["check", "2-coloring", "-K", "5"],
      ("multiprocessing", "repro.core.synthesis",
-      "repro.engine.synthsearch")),
+      "repro.engine.synthsearch", *NO_ARTIFACTS)),
     (["synthesize", "sum-not-two"],
-     ("multiprocessing", "repro.engine.scheduler")),
-], ids=["verify", "check", "synthesize"])
+     ("multiprocessing", "repro.engine.scheduler", *NO_ARTIFACTS)),
+    (["sweep", "sum-not-two-ss", "--up-to", "6", "--jobs", "2",
+      "--cache-dir", "cache"], NO_ARTIFACTS),
+    (["cache", "--cache-dir", "cache"], NO_ARTIFACTS),
+], ids=["verify", "check", "synthesize", "cached-sweep-jobs-2", "cache"])
 def test_serial_command_loads_only_its_subsystems(tmp_path, argv, absent):
     loaded = _fresh("from repro.cli import main\n"
                     f"result = main({argv!r})", tmp_path)

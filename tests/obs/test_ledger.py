@@ -167,6 +167,19 @@ def test_fuzz_records_match_across_the_artifacts_flag_removal(tmp_path,
     assert ledger.latest_matching([old, new], new)["run_id"] == "old"
 
 
+def test_check_records_match_across_the_jobs_flag_removal(tmp_path,
+                                                          capsys):
+    # check took --jobs (and ignored it) until the flag went; its
+    # records still carry jobs=1, so older check records stay baselines.
+    assert main(["check", "sum-not-two-ss", "-K", "4",
+                 "--cache-dir", str(tmp_path), "--no-cache",
+                 "--no-live"]) == 0
+    (new,) = ledger.load(ledger.ledger_path(tmp_path))[0]
+    assert new["flags"]["jobs"] == 1
+    old = dict(new, run_id="old", flags={"jobs": 1, "ring_size": 4})
+    assert ledger.latest_matching([old, new], new)["run_id"] == "old"
+
+
 def test_latest_matching_ignores_later_records():
     first = _record("first")
     later = _record("later")
@@ -283,10 +296,12 @@ def test_cli_warm_check_records_only_its_own_work(tmp_path, capsys):
     assert (cold["cache_hits"], cold["cache_misses"]) == (0, 1)
     # The check decides on the 14 rotation orbits of the 2^6 states.
     assert cold["work_items"] == 1 and cold["states_explored"] == 14
-    assert cold["artifact_stores"] == 0  # a cold run writes results only
     assert warm["cache_hits"] == 1 and warm["cache_misses"] == 0
     assert warm["work_items"] == 0 and warm["states_explored"] == 0
-    assert warm["artifact_stores"] == 0 and warm["states_encoded"] == 0
+    assert warm["states_encoded"] == 0
+    # A run writes results only, and counts no artifact traffic.
+    assert not [key for key in (*cold, *warm) if key.startswith("artifact_")]
+    assert not (tmp_path / "artifacts").exists()
     # --json embeds the same counters; the report itself is unchanged.
     assert warm_json["stats"]["cache_hits"] == 1
     assert warm_json["stats"]["states_explored"] == 0
