@@ -16,7 +16,7 @@ from repro.checker import check_instance
 from repro.core import synthesize_convergence, verify_convergence
 from repro.core.selfdisabling import action_for_transition
 from repro.core.synthesis import SynthesisOutcome
-from repro.core.trail import ContiguousTrailSearcher
+from repro.engine.localkernel import local_kernel_for
 from repro.protocol.actions import LocalTransition
 from repro.protocols import stabilizing_sum_not_two, sum_not_two
 from repro.viz import state_label
@@ -41,7 +41,7 @@ def test_fig12_sum_not_two(benchmark, write_artifact):
     rejected = [t(0, 2, 1), t(1, 1, 0), t(2, 0, 2)]  # {t21, t10, t02}
     candidate = protocol.extended_with(
         [action_for_transition(x, x.label) for x in rejected])
-    witness = ContiguousTrailSearcher(candidate).find_trail(rejected)
+    witness = local_kernel_for(candidate).find_trail(rejected, 9)
     assert witness is not None
     assert (witness.ring_size, witness.enablements) == (3, 2)
     spurious_check = check_instance(candidate.instantiate(3))

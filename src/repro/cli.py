@@ -387,8 +387,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cache = _engine_cache(args)
     report = verify_convergence(protocol,
                                 max_ring_size=args.max_ring_size,
-                                jobs=args.jobs, cache=cache,
-                                policy=_supervisor_policy(args))
+                                cache=cache)
     from repro.engine.fingerprint import protocol_fingerprint
 
     _note_ledger(args, protocol=protocol.name,
@@ -831,15 +830,19 @@ def build_parser() -> argparse.ArgumentParser:
                                            "(all ring sizes)")
     verify.add_argument("protocol")
     verify.add_argument("--max-ring-size", type=_at_least(2), default=9,
-                        help="bound for the contiguous-trail sweep")
+                        help="largest K at which a livelock witness's "
+                             "round pattern is named (the verdict "
+                             "covers every K)")
     verify.add_argument("--max-sizes", type=int, default=20,
                         help="horizon for deadlocked-size prediction")
     verify.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
-    _add_engine_options(verify)
-    _add_supervisor_options(verify)
+    _add_engine_options(verify, jobs=False)
     _add_obs_options(verify)
-    verify.set_defaults(func=_cmd_verify)
+    # The certificate is one in-process pass, so verify takes no --jobs,
+    # --timeout or --retries; jobs=1 stays in its ledger identity, which
+    # older verify records carry.
+    verify.set_defaults(func=_cmd_verify, jobs=1)
 
     chain = sub.add_parser("chain", help="exact chain-topology "
                                          "verification / synthesis "

@@ -21,7 +21,6 @@ from repro.core.livelock import (
 )
 from repro.core.rcg import build_rcg
 from repro.engine import EngineStats, ResultCache, analysis_key
-from repro.engine.supervisor import SupervisorPolicy
 from repro.protocol.localstate import LocalState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,10 +69,11 @@ class ConvergenceReport:
         if self.livelock is None:
             lines.append("livelock analysis: skipped")
         else:
+            passes = self.livelock.passes
             lines.append(
                 f"livelock verdict: {self.livelock.verdict.value} "
-                f"({self.livelock.supports_checked} pseudo-livelock "
-                f"supports checked"
+                f"(covers every K; {passes} "
+                f"pass{'' if passes == 1 else 'es'}"
                 + (", contiguous livelocks only)"
                    if self.livelock.contiguous_only else ")"))
             for witness in self.livelock.trail_witnesses:
@@ -174,29 +174,27 @@ def _reachability(graph) -> dict:
 def verify_convergence(protocol: "RingProtocol",
                        max_ring_size: int = 9,
                        check_livelocks: bool = True,
-                       jobs: int = 1,
                        cache: ResultCache | None = None,
                        backend: str = "auto",
-                       policy: SupervisorPolicy | None = None,
                        ) -> ConvergenceReport:
     """The full parameterized analysis of *protocol*.
 
-    ``max_ring_size`` bounds the ``(K, |E|)`` sweep of the
-    contiguous-trail search.  With ``check_livelocks=False`` only the
-    (exact) deadlock analysis runs and the verdict is ``UNKNOWN`` unless a
-    deadlock witness makes it ``DIVERGES``.  ``jobs > 1`` parallelises
-    the per-support trail searches; *cache* reuses whole convergence
-    reports across runs (keyed on the protocol fingerprint plus
-    ``max_ring_size`` / ``check_livelocks``); *backend* selects the
-    contiguous-trail engine (``kernel``/``naive``, see
-    :class:`repro.core.trail.ContiguousTrailSearcher`); *policy*
-    supervises the fanned-out trail searches (timeouts, crash retry,
-    degradation — see :mod:`repro.engine.supervisor`).
+    Both verdicts cover every ring size; ``max_ring_size`` only bounds
+    the ``(K, |E|)`` scan that names a livelock witness's round pattern.
+    With ``check_livelocks=False`` only the (exact) deadlock analysis
+    runs and the verdict is ``UNKNOWN`` unless a deadlock witness makes
+    it ``DIVERGES``.  *cache* reuses whole convergence reports across
+    runs (keyed on the protocol fingerprint plus ``max_ring_size`` /
+    ``check_livelocks``); *backend* selects the livelock certifier
+    (``kernel``, or the ``naive`` reference, see
+    :class:`repro.core.livelock.LivelockCertifier`).
     """
-    stats = EngineStats(jobs=jobs)
+    stats = EngineStats()
     key = None
     if cache is not None:
-        key = analysis_key("verify-convergence", protocol,
+        # The kind names the certificate: a report cached while the
+        # verdict rested on a bounded scan is never read back.
+        key = analysis_key("verify-convergence/k-free", protocol,
                            max_ring_size=max_ring_size,
                            check_livelocks=check_livelocks,
                            backend="kernel" if backend == "auto"
@@ -224,17 +222,13 @@ def verify_convergence(protocol: "RingProtocol",
             with stats.stage("livelock"):
                 livelock = LivelockCertifier(
                     protocol, max_ring_size=max_ring_size,
-                    jobs=jobs, backend=backend,
-                    policy=policy).analyze()
+                    backend=backend).analyze()
         except AssumptionViolation:
             # Theorem 5.14 does not apply (Assumptions 1/2 broken);
             # the deadlock half still stands, livelocks stay open.
             livelock = None
             verdict = ConvergenceVerdict.UNKNOWN
         else:
-            if livelock.stats is not None:
-                stats.parallel = stats.parallel or livelock.stats.parallel
-                stats.work_items += livelock.stats.work_items
             if livelock.certified and closure_ok:
                 verdict = ConvergenceVerdict.CONVERGES
             else:

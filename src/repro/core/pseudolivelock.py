@@ -116,23 +116,30 @@ def pseudo_livelock_supports(
     return supports
 
 
+def cyclic_transitions(
+        transitions: Iterable[LocalTransition],
+) -> frozenset[LocalTransition]:
+    """The transitions that lie on a cycle of the set's own
+    write-projection graph: the union of every support inside the set
+    (empty when it has no pseudo-livelock)."""
+    transitions = list(transitions)
+    graph = write_projection_graph(transitions)
+    component_of: dict = {}
+    for component in strongly_connected_components(graph):
+        members = frozenset(component)
+        for node in members:
+            component_of[node] = members
+    # An arc lies on a cycle iff its ends share a component (a
+    # self-loop is a cycle of its own).
+    return frozenset(
+        transition for transition in transitions
+        if transition.target.own in component_of[transition.source.own])
+
+
 def is_pseudo_livelock_support(
         transitions: Iterable[LocalTransition]) -> bool:
     """Whether *every* transition lies on a cycle of the set's own
     write-projection graph (the set "forms pseudo-livelocks")."""
-    transitions = list(transitions)
-    if not transitions:
-        return False
-    graph = write_projection_graph(transitions)
-    cyclic_nodes: dict = {}
-    for component in strongly_connected_components(graph):
-        members = set(component)
-        is_cyclic = len(component) > 1 or graph.has_edge(
-            component[0], component[0])
-        for node in members:
-            cyclic_nodes[node] = (members, is_cyclic)
-    for transition in transitions:
-        src_component, cyclic = cyclic_nodes[transition.source.own]
-        if not cyclic or transition.target.own not in src_component:
-            return False
-    return True
+    transitions = frozenset(transitions)
+    return bool(transitions) and cyclic_transitions(transitions) \
+        == transitions

@@ -30,18 +30,19 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.deadlock import DeadlockAnalyzer
-from repro.core.livelock import LivelockCertifier, LivelockVerdict
 from repro.core.pseudolivelock import (
     SupportExplosion,
     pseudo_livelock_supports,
 )
 from repro.core.selfdisabling import (
     action_for_transition,
+    is_self_disabling,
+    is_self_terminating,
     local_transition_graph,
     not_self_terminating_reason,
     self_enabling_reason,
 )
-from repro.core.trail import trail_reason
+from repro.core.trail import ContiguousTrailSearcher, trail_reason
 from repro.engine import EngineStats, ResultCache, analysis_key
 from repro.engine.supervisor import FaultPlan, SupervisorPolicy
 from repro.errors import SynthesisFailure
@@ -138,9 +139,9 @@ class Synthesizer:
     supports computed without materializing the extended protocol, and
     every trail search sharing one set of ``(K, |E|)`` skeletons and
     one support memo.  ``"naive"`` materializes every candidate and
-    runs the reference :class:`LivelockCertifier` over the per-query
-    ``Digraph`` searcher.  Verdicts are identical (the differential
-    suite pins this).
+    runs the same checks with the reference per-query ``Digraph``
+    searcher.  Verdicts are identical (the differential suite pins
+    this).
 
     Each Resolve set's candidate pool is judged by one search in
     enumeration order, stopping at the first accepted combination.
@@ -400,9 +401,11 @@ class Synthesizer:
 
     def _evaluate_verdict(
             self, combo: tuple[LocalTransition, ...]) -> str | None:
-        """One combination judged from scratch (steps 4/5)."""
-        from repro.errors import AssumptionViolation
+        """One combination judged from scratch (steps 4/5).
 
+        Both backends run the same assumption checks and the same
+        bounded trail search over the combination's supports, so every
+        returned string is byte-identical across them."""
         if not self.protocol.unidirectional and \
                 not self.accept_contiguous_only:
             return BIDIRECTIONAL_REASON
@@ -411,22 +414,23 @@ class Synthesizer:
             return self._kernel_verdict(combo)
 
         candidate_protocol = self._materialize(combo)
-        certifier = LivelockCertifier(candidate_protocol,
-                                      max_ring_size=self.max_ring_size,
-                                      backend="naive")
+        space = candidate_protocol.space
+        if not is_self_terminating(space):
+            return not_self_terminating_reason(candidate_protocol.name)
+        if not is_self_disabling(space):
+            return self_enabling_reason(candidate_protocol.name)
         try:
-            report = certifier.analyze()
-        except AssumptionViolation as violation:
-            return str(violation)
-        if report.verdict is LivelockVerdict.CERTIFIED_FREE:
-            return None
-        if not report.trail_witnesses:
-            # Support enumeration overflowed (SupportExplosion): the
-            # conservative UNKNOWN carries the reason in its note.
-            return report.note
-        witness = report.trail_witnesses[0]
-        return trail_reason(witness.t_arcs, witness.ring_size,
-                            witness.enablements)
+            supports = pseudo_livelock_supports(space.transitions)
+        except SupportExplosion as explosion:
+            return str(explosion)
+        searcher = ContiguousTrailSearcher(
+            candidate_protocol, max_ring_size=self.max_ring_size)
+        for support in supports:
+            witness = searcher.find_trail(support)
+            if witness is not None:
+                return trail_reason(witness.t_arcs, witness.ring_size,
+                                    witness.enablements)
+        return None
 
     def _kernel_verdict(
             self, combo: tuple[LocalTransition, ...]) -> str | None:

@@ -30,11 +30,17 @@ pattern; searching walks rather than edge-disjoint trails over-approximates
 Lemma 5.12's trails, so *absence* of any match soundly certifies
 livelock-freedom while a match only means "cannot conclude" (as the
 sum-not-two example of Section 6.2 illustrates: its trail is spurious).
+
+Every round pattern maps onto one K-free product, the **three-phase**
+product of :data:`K_FREE_PHASES` (T, S, S!), by sending each phase to its
+kind; a match at any ``(K, |E|)`` maps into a match there, which also
+holds an S! node.  :meth:`ContiguousTrailSearcher.forms_trail` searches
+that product, so no match there certifies every K at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.ltg import S_ARC, build_ltg
@@ -49,6 +55,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 T_PHASE = "T"
 S_PHASE = "S"
 S_SEGMENT_PHASE = "S!"  # trailing s-arc: target must be t-enabled
+
+#: The K-free product: each phase's kind and successor phases.  A t-arc
+#: leads from T to S or S!, an s-arc from S to T, and an s-arc into a
+#: t-enabled state from S! to S! or T.
+K_FREE_PHASES = ((T_PHASE, (1, 2)), (S_PHASE, (0,)),
+                 (S_SEGMENT_PHASE, (2, 0)))
 
 
 def round_pattern(ring_size: int, enablements: int) -> list[str]:
@@ -78,7 +90,9 @@ class TrailWitness:
     ring_size, enablements:
         The ``(K, |E|)`` of the round pattern the trail follows.  The same
         LTG structure recurs at every multiple of the round, so a witness
-        at ``(K, |E|)`` indicts the whole parameter family.
+        at ``(K, |E|)`` indicts the whole parameter family.  Both are
+        ``None`` for a K-free match with no trail up to the bound
+        searched.
     t_arcs:
         The trail's t-arcs (the candidate pseudo-livelock).
     states:
@@ -87,14 +101,16 @@ class TrailWitness:
         The visited states violating ``LC_r`` (non-empty by construction).
     """
 
-    ring_size: int
-    enablements: int
+    ring_size: int | None
+    enablements: int | None
     t_arcs: frozenset[LocalTransition]
     states: tuple[LocalState, ...]
     illegitimate_states: tuple[LocalState, ...]
 
     def __str__(self) -> str:
         arcs = ", ".join(sorted(str(t) for t in self.t_arcs))
+        if self.ring_size is None:
+            return f"trail(no K within the bound, t-arcs: {arcs})"
         return (f"trail(K={self.ring_size}, |E|={self.enablements}, "
                 f"t-arcs: {arcs})")
 
@@ -112,51 +128,31 @@ def trail_reason(t_arcs: Iterable[LocalTransition], ring_size: int,
 class ContiguousTrailSearcher:
     """Searches an LTG for contiguous trails with a given t-arc support.
 
-    *backend* selects the engine: ``"kernel"`` (the default behind
-    ``"auto"``) runs the bitmask-compiled search of
-    :mod:`repro.engine.localkernel`; ``"naive"`` keeps the original
-    per-query ``Digraph`` product build as the reference
-    implementation.  Both return the same verdicts and the same
-    ``(K, |E|, t_arcs)`` witnesses (the differential suite pins this);
-    only the SCC a witness's ``states`` come from may differ when
-    several match.
+    The naive reference of the local kernel
+    (:mod:`repro.engine.localkernel`): every query builds a fresh
+    ``Digraph`` product.  :meth:`find_trail` scans the round patterns
+    up to ``max_ring_size``; :meth:`forms_trail` searches the K-free
+    three-phase product.
     """
 
     def __init__(self, protocol: "RingProtocol",
-                 max_ring_size: int = 9,
-                 backend: str = "auto") -> None:
+                 max_ring_size: int = 9) -> None:
         if max_ring_size < 2:
             raise ValueError("max_ring_size must be at least 2")
-        resolved = "kernel" if backend == "auto" else backend
-        if resolved not in ("kernel", "naive"):
-            raise ValueError(f"unknown trail backend {backend!r}")
         self.protocol = protocol
         self.space: LocalStateSpace = protocol.space
         self.max_ring_size = max_ring_size
-        self.backend = resolved
-        self._kernel = None
-        if resolved == "kernel":
-            from repro.engine.localkernel import local_kernel_for
-
-            self._kernel = local_kernel_for(protocol)
-        self._naive_ready = False
-
-    def _ensure_naive(self) -> None:
-        if self._naive_ready:
-            return
-        self._ltg = build_ltg(self.space, transitions=())
+        ltg = build_ltg(self.space, transitions=())
         # s-adjacency, computed once; t-arcs vary per query.
         self._s_succ: dict[LocalState, list[LocalState]] = {
-            state: [target for target in self._ltg.successors(state)
-                    if S_ARC in self._ltg.edge_keys(state, target)]
+            state: [target for target in ltg.successors(state)
+                    if S_ARC in ltg.edge_keys(state, target)]
             for state in self.space.states
         }
-        self._illegitimate = frozenset(self.protocol.illegitimate_states())
-        # Per-(K, |E|) s-arc phase layers, built on first use and
-        # reused across every support queried on this searcher (the
-        # livelock certifier fans one find_trail out per support).
-        self._layers: dict[tuple[int, int], tuple] = {}
-        self._naive_ready = True
+        self._illegitimate = frozenset(protocol.illegitimate_states())
+        # Per-phase-table s-arc layers, built on first use and reused
+        # across every support queried on this searcher.
+        self._layers: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     def find_trail(self, t_arc_support: Iterable[LocalTransition],
@@ -170,14 +166,15 @@ class ContiguousTrailSearcher:
         support = frozenset(t_arc_support)
         if not support:
             return None
-        if self._kernel is not None:
-            return self._kernel.find_trail(support, self.max_ring_size)
-        self._ensure_naive()
         for ring_size in range(2, self.max_ring_size + 1):
             for enablements in range(1, ring_size):
-                witness = self._search(support, ring_size, enablements)
+                pattern = round_pattern(ring_size, enablements)
+                phases = tuple((kind, ((phase + 1) % len(pattern),))
+                               for phase, kind in enumerate(pattern))
+                witness = self._search(support, phases)
                 if witness is not None:
-                    return witness
+                    return replace(witness, ring_size=ring_size,
+                                   enablements=enablements)
         return None
 
     def exists_trail(self,
@@ -185,63 +182,66 @@ class ContiguousTrailSearcher:
         """Whether a contiguous trail with exactly this support exists."""
         return self.find_trail(t_arc_support) is not None
 
-    # ------------------------------------------------------------------
-    def _phase_layers(self, ring_size: int, enablements: int) -> tuple:
-        """The product-graph layers of one ``(K, |E|)`` round pattern.
+    def forms_trail(self, t_arc_support: Iterable[LocalTransition],
+                    ) -> TrailWitness | None:
+        """The K-free check of one support: a witness (``ring_size`` and
+        ``enablements`` ``None``) when its three-phase product has a
+        matching component, else ``None``, which rules out a trail at
+        every K."""
+        support = frozenset(t_arc_support)
+        if not support:
+            return None
+        return self._search(support, K_FREE_PHASES)
 
-        The s-arc layers do not depend on the queried support, so their
+    # ------------------------------------------------------------------
+    def _phase_layers(self, phases: tuple) -> tuple:
+        """The product-graph layers of one phase table.
+
+        *phases* lists each phase's ``(kind, successor phases)``.  The
+        s-arc layers do not depend on the queried support, so their
         edges — product-graph node pairs included — are materialized
-        once per ``(K, |E|)`` and cached; ``_search`` then only filters
+        once per table and cached; ``_search`` then only filters
         trailing-segment edges by the support's t-sources and inserts.
-        Each layer is ``(kind, phase, next_phase, edges)`` with
+        Each layer is ``(kind, phase, next_phases, edges)`` with
         ``edges = ((source_node, target_node, target_state), ...)``
         (empty for T layers, whose edges are support-dependent).
         """
-        self._ensure_naive()
-        key = (ring_size, enablements)
-        cached = self._layers.get(key)
+        cached = self._layers.get(phases)
         if cached is not None:
             return cached
-        pattern = round_pattern(ring_size, enablements)
-        period = len(pattern)
         layers = []
-        for phase, kind in enumerate(pattern):
-            next_phase = (phase + 1) % period
-            if kind == T_PHASE:
-                layers.append((kind, phase, next_phase, ()))
-                continue
-            edges = tuple(
+        for phase, (kind, next_phases) in enumerate(phases):
+            edges = () if kind == T_PHASE else tuple(
                 ((source, phase), (target, next_phase), target)
                 for source, targets in self._s_succ.items()
-                for target in targets)
-            layers.append((kind, phase, next_phase, edges))
+                for target in targets
+                for next_phase in next_phases)
+            layers.append((kind, phase, next_phases, edges))
         cached = tuple(layers)
-        self._layers[key] = cached
+        self._layers[phases] = cached
         return cached
 
     def _search(self, support: frozenset[LocalTransition],
-                ring_size: int, enablements: int) -> TrailWitness | None:
-        self._ensure_naive()
+                phases: tuple) -> TrailWitness | None:
         t_by_source: dict[LocalState, list[LocalTransition]] = {}
         for transition in support:
             t_by_source.setdefault(transition.source, []).append(transition)
 
         product = Digraph()
-        for kind, phase, next_phase, edges in \
-                self._phase_layers(ring_size, enablements):
+        segment = set()
+        for kind, phase, next_phases, edges in self._phase_layers(phases):
             if kind == T_PHASE:
                 for transition in support:
-                    product.add_edge((transition.source, phase),
-                                     (transition.target, next_phase),
-                                     key=transition)
-            elif kind == S_PHASE:
-                for source_node, target_node, _target in edges:
+                    for next_phase in next_phases:
+                        product.add_edge((transition.source, phase),
+                                         (transition.target, next_phase),
+                                         key=transition)
+                continue
+            if kind == S_SEGMENT_PHASE:
+                segment.add(phase)
+            for source_node, target_node, target in edges:
+                if kind == S_PHASE or target in t_by_source:
                     product.add_edge(source_node, target_node, key=S_ARC)
-            else:
-                for source_node, target_node, target in edges:
-                    if target in t_by_source:
-                        product.add_edge(source_node, target_node,
-                                         key=S_ARC)
 
         for component in strongly_connected_components(product):
             members = set(component)
@@ -263,9 +263,11 @@ class ContiguousTrailSearcher:
             illegitimate = tuple(sorted(states & self._illegitimate))
             if not illegitimate:
                 continue
+            if not any(phase in segment for _state, phase in members):
+                continue
             return TrailWitness(
-                ring_size=ring_size,
-                enablements=enablements,
+                ring_size=None,
+                enablements=None,
                 t_arcs=support,
                 states=tuple(sorted(states)),
                 illegitimate_states=illegitimate,

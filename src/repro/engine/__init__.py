@@ -2,10 +2,10 @@
 
 The paper's cost comparison (local reasoning vs. per-K model checking,
 Section 7 / benchmark X2) is only honest when the per-K baseline runs as
-fast as the hardware allows.  Per-K sweep instances, per-support
-contiguous-trail searches and per-protocol fuzzing audits are all
-embarrassingly parallel, and repeated CLI/benchmark invocations redo
-identical work.  This package supplies the missing pieces:
+fast as the hardware allows.  Per-K sweep instances, lattice synthesis
+units and per-protocol fuzzing audits are all embarrassingly parallel,
+and repeated CLI/benchmark invocations redo identical work.  This
+package supplies the missing pieces:
 
 * :func:`supervise_work_items` — the one dispatcher every fan-out goes
   through: deterministic result ordering, serial in-parent when nothing
@@ -31,10 +31,11 @@ identical work.  This package supplies the missing pieces:
   (the full space is built only to name a livelock; the naive
   interpreter is the API-only test oracle ``backend="naive"``);
 * :mod:`repro.engine.localkernel` — the bitmask-compiled *local*
-  reasoning kernel behind the contiguous-trail search, the Theorem 4.2
-  check and the Section 6 synthesis loop: integer-indexed local
-  states, per-``(K, |E|)`` product-graph skeletons, masked SCC passes
-  and a support-fingerprint trail memo;
+  reasoning kernel behind the livelock certificate (one SCC refinement
+  over the three-phase product, for every K), the contiguous-trail
+  search, the Theorem 4.2 check and the Section 6 synthesis loop:
+  integer-indexed local states, per-``(K, |E|)`` product-graph
+  skeletons, masked SCC passes and a support-fingerprint trail memo;
 * :mod:`repro.engine.supervisor` — the fault-tolerance layer:
   :func:`supervise_work_items` runs every task under per-task timeouts,
   crash isolation, immediate retry and, past the retry budget, one

@@ -1,11 +1,11 @@
 """Compiled bit-packed kernel for the *local* reasoning pipeline.
 
-PR 2's :mod:`repro.engine.kernel` made the global checker fast; this
-module does the same for the paper's local side — the side Theorems
+:mod:`repro.engine.kernel` makes the global checker fast; this module
+does the same for the paper's local side — the side Theorems
 4.2/5.14 and the Section 6 synthesis loop actually run on.  The naive
 contiguous-trail search (:mod:`repro.core.trail`) rebuilds a fresh
 ``Digraph`` product of (local state, phase) for every queried t-arc
-support and every ``(K, |E|)`` pair; during synthesis that rebuild
+support and every round pattern; during synthesis that rebuild
 happens for every candidate combination.  The kernel removes all of the
 per-query graph construction:
 
@@ -14,37 +14,48 @@ per-query graph construction:
   :class:`~repro.protocol.localstate.LocalState`);
 * the RCG/LTG s-adjacency is a list of Python-int bitmasks
   (:func:`repro.core.rcg.continuation_masks`), computed once;
-* each ``(K, |E|)`` round pattern compiles to a :class:`TrailSkeleton`
-  holding the phase kinds and premultiplied s-arc layer masks, cached
-  per kernel and shared across every support ever queried;
-* a candidate t-arc support then costs one t-successor mask table
-  (``O(n + |support|)``) plus a masked iterative Tarjan pass over the
-  *implicit* product graph — node ``phase * n + state``, successors via
-  shift-and-intersect — with no dictionaries of tuples, no ``Digraph``,
-  and no hashing of :class:`LocalState` objects in the hot loop;
-* whole ``find_trail`` answers are memoized on the support's index
-  fingerprint, so permuted candidate combinations that share a support
-  never re-search.
+* every product graph is *implicit* — node ``phase * n + state``,
+  successors via shift-and-intersect — and one masked iterative Tarjan
+  pass (:func:`_components`) walks it, with no dictionaries of tuples,
+  no ``Digraph``, and no hashing of
+  :class:`~repro.protocol.localstate.LocalState` objects in the hot
+  loop.
 
-The kernel is *behaviorally identical* to the naive searcher: same
-scan order over ``(K, |E|)``, same "uses the support exactly + visits
-an illegitimate state" acceptance test, witnesses carrying the same
-``(ring_size, enablements, t_arcs)``.  Because the s-adjacency and the
-legitimacy predicate depend only on the process template — not on the
-transition set — one kernel built from a base protocol serves every
+Two questions run on that pass:
+
+* :meth:`LocalKernel.livelock_support` — the livelock certificate for
+  every K at once: one SCC refinement over the three-phase (T, S, S!)
+  product of the whole transition set, which finds a support with a
+  K-free match without enumerating supports (``docs/THEORY.md``,
+  "The search");
+* :meth:`LocalKernel.find_trail` — the bounded ``(K, |E|)`` scan of one
+  support: each round pattern compiles to a :class:`TrailSkeleton`
+  holding the phase kinds and premultiplied s-arc layer masks, cached
+  per kernel and shared across every support ever queried, and whole
+  answers are memoized on the support's index fingerprint and bound,
+  so permuted candidate combinations that share a support never
+  re-search.  Synthesis judges candidates with it, and the certifier
+  names a matched support's ``(K, |E|)`` with it.
+
+The bounded scan is *behaviorally identical* to the naive searcher:
+same scan order over ``(K, |E|)``, same "uses the support exactly +
+visits an illegitimate state" acceptance test, witnesses carrying the
+same ``(ring_size, enablements, t_arcs)``.  Because the s-adjacency and
+the legitimacy predicate depend only on the process template — not on
+the transition set — one kernel built from a base protocol serves every
 candidate-extended variant the synthesizer materializes, which is what
-makes the synthesis loop cheap.  The differential suite in
-``tests/engine/test_localkernel_differential.py`` pins all of this to
-the naive implementation.
+makes the synthesis loop cheap.  The differential matrix
+(``tests/differential/``) pins all of this to the naive implementation.
 """
 
 from __future__ import annotations
 
 import time
 import weakref
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.core.ltg import indexed_arcs
+from repro.core.pseudolivelock import cyclic_transitions
 from repro.core.rcg import continuation_masks
 from repro.obs import runtime as obs
 from repro.core.trail import (
@@ -124,9 +135,9 @@ class LocalKernel:
         obs.metric("localkernel.compiles")
         obs.metric("kernel.compile_seconds", time.perf_counter() - began)
         self._skeletons: dict[tuple[int, int], TrailSkeleton] = {}
-        # Support fingerprint -> (bound scanned, result tuple | None).
-        self._trail_memo: dict[frozenset[tuple[int, int]],
-                               tuple[int, tuple | None]] = {}
+        # (support fingerprint, bound) -> result tuple | None.
+        self._trail_memo: dict[tuple[frozenset[tuple[int, int]], int],
+                               tuple | None] = {}
 
     # ------------------------------------------------------------------
     def skeleton(self, ring_size: int, enablements: int) -> TrailSkeleton:
@@ -164,22 +175,11 @@ class LocalKernel:
         if not support:
             return None
         arcs = indexed_arcs(self.space, support)
-        key = frozenset(arcs)
-        memo = self._trail_memo.get(key)
-        if memo is not None:
-            bound, hit = memo
-            if hit is not None:
-                obs.metric("localkernel.trail_cache_hits")
-                if hit[0] <= max_ring_size:
-                    return self._witness(support, hit)
-                # All (K, |E|) below hit's K were scanned and empty.
-                return None
-            if max_ring_size <= bound:
-                obs.metric("localkernel.trail_cache_hits")
-                return None
-            start = bound + 1  # extend a previously exhausted scan
-        else:
-            start = 2
+        key = (frozenset(arcs), max_ring_size)
+        if key in self._trail_memo:
+            obs.metric("localkernel.trail_cache_hits")
+            hit = self._trail_memo[key]
+            return None if hit is None else self._witness(support, hit)
 
         t_succ = [0] * self.n
         for source, target in arcs:
@@ -197,20 +197,103 @@ class LocalKernel:
                 sources = sorted(rooted)
 
         with obs.span("trail.search", support=len(arcs),
-                      start=start, max_K=max_ring_size) as span:
-            for ring_size in range(start, max_ring_size + 1):
+                      max_K=max_ring_size) as span:
+            for ring_size in range(2, max_ring_size + 1):
                 for enablements in range(1, ring_size):
                     hit = self._search(
                         self.skeleton(ring_size, enablements),
                         arcs, t_succ, tsrc_mask, sources)
                     if hit is not None:
                         result = (ring_size, enablements) + hit
-                        self._trail_memo[key] = (max_ring_size, result)
+                        self._trail_memo[key] = result
                         if span is not None:
                             span.attrs["found_K"] = ring_size
                         return self._witness(support, result)
-            self._trail_memo[key] = (max_ring_size, None)
+            self._trail_memo[key] = None
             return None
+
+    # ------------------------------------------------------------------
+    def livelock_support(self, transitions: Iterable[LocalTransition],
+                         ) -> tuple[TrailWitness | None, int]:
+        """A support of *transitions* with a K-free match, by one SCC
+        refinement; ``(witness, passes)``.
+
+        The product is the three-phase one (T = 0, S = 1, S! = 2): a
+        t-arc leads from T to S and to S!, an s-arc from S to T, and an
+        s-arc into a t-source from S! to S! and to T.  Every
+        fixed-``(K, |E|)`` round pattern maps onto it phase by kind, so
+        a support with no match here forms no contiguous trail at any
+        K.  Each work item ``(U, allowed)`` prunes U to the arcs on a
+        cycle of its own write projection (the union of every support
+        inside U), then takes the cyclic SCCs of U's product inside
+        *allowed*.  A component with an illegitimate state and an S!
+        node that uses every arc of U is a match; one that uses fewer
+        arcs becomes a work item of its own.  Each push shrinks U, so
+        the loop ends after at most ``|transitions|`` levels, and no
+        support is ever enumerated.
+
+        The witness carries the matched support and the matching
+        component's states, with ``ring_size`` and ``enablements``
+        ``None`` (:meth:`find_trail` names them); it is ``None`` when
+        no support matches, which certifies every K.  *passes* counts
+        the SCC passes made.
+        """
+        n = self.n
+        index = self.index
+        s_masks = self.s_masks
+        state_bits = (1 << n) - 1
+        work = [(frozenset(transitions), (1 << 3 * n) - 1)]
+        passes = 0
+        while work:
+            support, allowed = work.pop()
+            support = cyclic_transitions(support)
+            if not support:
+                continue
+            passes += 1
+            arcs = [(index[t.source], index[t.target], t) for t in support]
+            t_succ = [0] * n
+            tsrc_mask = 0
+            for source, target, _transition in arcs:
+                t_succ[source] |= 1 << target
+                tsrc_mask |= 1 << source
+
+            def succ_mask(node: int) -> int:
+                phase, state = divmod(node, n)
+                if phase == _T:
+                    mask = t_succ[state]
+                    return (mask << n | mask << 2 * n) & allowed
+                if phase == _S:
+                    return s_masks[state] & allowed
+                mask = s_masks[state] & tsrc_mask
+                return (mask | mask << 2 * n) & allowed
+
+            roots = [state for state in range(n)
+                     if (tsrc_mask & allowed) >> state & 1]
+            for component in _components(roots, succ_mask):
+                members = 0
+                for node in component:
+                    members |= 1 << node
+                states = (members | members >> n | members >> 2 * n) \
+                    & state_bits
+                illegit = states & self.illegit_mask
+                if not illegit or not members >> 2 * n:
+                    continue
+                targets = members >> n | members >> 2 * n
+                inner = [transition
+                         for source, target, transition in arcs
+                         if members >> source & 1 and targets >> target & 1]
+                if len(inner) == len(arcs):
+                    return TrailWitness(
+                        ring_size=None, enablements=None, t_arcs=support,
+                        states=tuple(self.states[i]
+                                     for i in _mask_indices(states)),
+                        illegitimate_states=tuple(
+                            self.states[i]
+                            for i in _mask_indices(illegit)),
+                    ), passes
+                if inner:
+                    work.append((frozenset(inner), members))
+        return None, passes
 
     def _witness(self, support: frozenset[LocalTransition],
                  result: tuple) -> TrailWitness:
@@ -236,7 +319,6 @@ class LocalKernel:
         ``(state index tuple, illegitimate index tuple)`` of the first
         matching SCC in Tarjan emission order, or ``None``.
         """
-        obs.metric("localkernel.mask_evaluations")
         n = self.n
         kinds = sk.kinds
         shifts = sk.shifts
@@ -257,57 +339,10 @@ class LocalKernel:
         # those nodes reaches every candidate component.
         roots = [phase * n + state
                  for phase in sk.t_phases for state in sources]
-
-        index_of: dict[int, int] = {}
-        lowlink: dict[int, int] = {}
-        on_stack: set[int] = set()
-        stack: list[int] = []
-        counter = 0
-        for root in roots:
-            if root in index_of:
-                continue
-            work = [[root, succ_mask(root)]]
-            index_of[root] = lowlink[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                frame = work[-1]
-                node = frame[0]
-                remaining = frame[1]
-                advanced = False
-                while remaining:
-                    bit = remaining & -remaining
-                    remaining &= remaining - 1
-                    succ = bit.bit_length() - 1
-                    if succ not in index_of:
-                        frame[1] = remaining
-                        index_of[succ] = lowlink[succ] = counter
-                        counter += 1
-                        stack.append(succ)
-                        on_stack.add(succ)
-                        work.append([succ, succ_mask(succ)])
-                        advanced = True
-                        break
-                    if succ in on_stack and index_of[succ] < lowlink[node]:
-                        lowlink[node] = index_of[succ]
-                if advanced:
-                    continue
-                work.pop()
-                if work and lowlink[node] < lowlink[work[-1][0]]:
-                    lowlink[work[-1][0]] = lowlink[node]
-                if lowlink[node] != index_of[node]:
-                    continue
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                hit = self._match(sk, component, arcs, succ_mask)
-                if hit is not None:
-                    return hit
+        for component in _components(roots, succ_mask):
+            hit = self._match(sk, component, arcs, succ_mask)
+            if hit is not None:
+                return hit
         return None
 
     def _match(self, sk: TrailSkeleton, component: list[int],
@@ -333,6 +368,65 @@ class LocalKernel:
         if not illegit:
             return None
         return (_mask_indices(state_mask), _mask_indices(illegit))
+
+
+def _components(roots: list[int], succ_mask) -> Iterator[list[int]]:
+    """The SCCs of an implicit product graph reachable from *roots*,
+    lazily, in Tarjan emission order: one masked SCC pass.
+
+    ``succ_mask(node)`` is the node's successor set as a bitmask over
+    node ids.  Iterative, so long product chains never hit the
+    recursion limit.
+    """
+    obs.metric("localkernel.mask_evaluations")
+    index_of: dict[int, int] = {}
+    lowlink: dict[int, int] = {}
+    on_stack: set[int] = set()
+    stack: list[int] = []
+    counter = 0
+    for root in roots:
+        if root in index_of:
+            continue
+        work = [[root, succ_mask(root)]]
+        index_of[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            frame = work[-1]
+            node = frame[0]
+            remaining = frame[1]
+            advanced = False
+            while remaining:
+                bit = remaining & -remaining
+                remaining &= remaining - 1
+                succ = bit.bit_length() - 1
+                if succ not in index_of:
+                    frame[1] = remaining
+                    index_of[succ] = lowlink[succ] = counter
+                    counter += 1
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append([succ, succ_mask(succ)])
+                    advanced = True
+                    break
+                if succ in on_stack and index_of[succ] < lowlink[node]:
+                    lowlink[node] = index_of[succ]
+            if advanced:
+                continue
+            work.pop()
+            if work and lowlink[node] < lowlink[work[-1][0]]:
+                lowlink[work[-1][0]] = lowlink[node]
+            if lowlink[node] != index_of[node]:
+                continue
+            component = []
+            while True:
+                member = stack.pop()
+                on_stack.discard(member)
+                component.append(member)
+                if member == node:
+                    break
+            yield component
 
 
 def _mask_indices(mask: int) -> tuple[int, ...]:

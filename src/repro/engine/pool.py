@@ -1,8 +1,7 @@
 """Dispatch primitives shared by the supervisor and the batch scheduler.
 
-Every fan-out in the engine (per-K sweep instances, per-support trail
-searches, per-combination synthesis verdicts, per-protocol fuzzing
-audits) runs through one dispatcher,
+Every fan-out in the engine (per-K sweep instances, lattice synthesis
+units, per-protocol fuzzing audits) runs through one dispatcher,
 :func:`repro.engine.supervisor.supervise_work_items`.  This module holds
 what that dispatcher and its worker processes share:
 

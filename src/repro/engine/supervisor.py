@@ -1,8 +1,8 @@
 """The engine's one dispatcher: fault-tolerant, ordered work-item fan-out.
 
 Every fan-out in the analyses above it — per-K sweep instances,
-per-support trail searches, lattice synthesis units, per-protocol
-fuzzing audits — hands all its items to :func:`supervise_work_items`,
+lattice synthesis units, per-protocol fuzzing audits — hands all its
+items to :func:`supervise_work_items`,
 which decides in one place how they run:
 
 * **serially, in-parent** (:meth:`TaskLedger.run_serial`) when nothing
@@ -448,9 +448,8 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
     # to boot), so a serial run need not load it to ask.
     mp = sys.modules.get("multiprocessing")
     if _running or (mp is not None and mp.current_process().daemon):
-        # A dispatch from inside another dispatch's task (the livelock
-        # certifier inside a fuzzing audit, say) runs inline: worker
-        # processes cannot start workers of their own, and the live
+        # A dispatch from inside another dispatch's task runs inline:
+        # worker processes cannot start workers of their own, and the live
         # plane, the environment's fault plan and the cache writes
         # belong to the outer dispatch.
         results = []

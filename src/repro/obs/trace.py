@@ -19,7 +19,7 @@ Design constraints, in order:
   (immune to clock steps).  Exporters combine both.
 * **Cheap.**  Opening a span is one object construction and two list
   operations; instrumented call sites are coarse (stages, per-K
-  checks, per-support searches), never per-state.
+  checks, trail searches), never per-state.
 """
 
 from __future__ import annotations

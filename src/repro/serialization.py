@@ -187,7 +187,8 @@ def convergence_report_to_dict(report) -> dict[str, Any]:
         data["livelock"] = {
             "verdict": report.livelock.verdict.value,
             "contiguous_only": report.livelock.contiguous_only,
-            "supports_checked": report.livelock.supports_checked,
+            "passes": report.livelock.passes,
+            "note": report.livelock.note,
             "trail_witnesses": [
                 {
                     "ring_size": w.ring_size,

@@ -7,8 +7,12 @@ from repro.viz.ascii_art import state_label
 
 def render_trail_witness(witness) -> str:
     """Multi-line rendering of a contiguous-trail witness."""
-    lines = [f"contiguous trail candidate at K={witness.ring_size}, "
-             f"|E|={witness.enablements}"]
+    if witness.ring_size is None:
+        lines = ["K-free trail candidate (no round pattern within the "
+                 "bound searched forms a trail)"]
+    else:
+        lines = [f"contiguous trail candidate at K={witness.ring_size}, "
+                 f"|E|={witness.enablements}"]
     lines.append("  t-arcs (the pseudo-livelock):")
     for transition in sorted(witness.t_arcs, key=str):
         lines.append(f"    {state_label(transition.source)} "

@@ -112,6 +112,21 @@ class TestWitnessSizes:
     def test_empty_when_bound_too_small(self):
         assert _witness_sizes(self._witness(5), bound=4, minimum=2) == []
 
+    def test_witness_without_k_indicts_every_size(self):
+        assert _witness_sizes(self._witness(None), bound=6, minimum=3) \
+            == [3, 4, 5, 6]
+
+    def test_witness_without_k_is_checked_at_every_size(self):
+        # agreement-livelock's trail needs K = 3: under a bound of 2
+        # the certifier matches its support without naming a K.
+        report = hybrid_verify(livelock_agreement(), max_ring_size=2,
+                               check_up_to=5)
+        (classification,) = report.classifications
+        assert classification.witness.ring_size is None
+        assert classification.checked_sizes == (2, 3, 4, 5)
+        assert classification.real_at == 3
+        assert "no K within the bound" in report.summary()
+
 
 def test_classification_str():
     witness = TrailWitness(ring_size=3, enablements=1,

@@ -28,7 +28,7 @@ AXES = (
     Axis("jobs", (1, 2), 1, 1, "jobs="),
     Axis("start_method", ("fork", "spawn"), "fork", "fork", "env REPRO_START_METHOD"),
     Axis("cache", ("none", "cold", "warm"), "none", "none", "fixture: a ResultCache, cache="),
-    Axis("fault", ("none", "crash", "hang", "kill-resume"), "none", "none", "fault_plan=, policy= or env REPRO_INJECT_FAULT"),
+    Axis("fault", ("none", "crash", "hang", "kill-resume"), "none", "none", "fault_plan=, policy="),
 )
 
 BY_NAME = {axis.name: axis for axis in AXES}

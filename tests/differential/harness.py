@@ -123,12 +123,20 @@ def _supports(protocol):
 
 
 def _trail(protocol, config, *, max_ring_size=9, **_):
-    from repro.core.trail import ContiguousTrailSearcher
+    if config["backend"] == "naive":
+        from repro.core.trail import ContiguousTrailSearcher
 
-    searcher = ContiguousTrailSearcher(
-        protocol, max_ring_size=max_ring_size, backend=config["backend"])
-    found = tuple(searcher.find_trail(support)
-                  for support in _supports(protocol))
+        find_trail = ContiguousTrailSearcher(
+            protocol, max_ring_size=max_ring_size).find_trail
+    else:
+        from repro.engine.localkernel import local_kernel_for
+
+        kernel = local_kernel_for(protocol)
+
+        def find_trail(support):
+            return kernel.find_trail(support, max_ring_size)
+
+    found = tuple(find_trail(support) for support in _supports(protocol))
     for witness in found:
         if witness is not None:
             assert witness.illegitimate_states
@@ -144,27 +152,26 @@ def _head(witness):
     return (witness.ring_size, witness.enablements, witness.t_arcs)
 
 
-def _livelock(protocol, config, *, policy=None, max_ring_size=9, **_):
+def _livelock(protocol, config, *, max_ring_size=9, **_):
     from repro.core.livelock import LivelockCertifier
 
     return LivelockCertifier(
-        protocol, max_ring_size=max_ring_size, jobs=config["jobs"],
-        backend=config["backend"], policy=policy).analyze()
+        protocol, max_ring_size=max_ring_size,
+        backend=config["backend"]).analyze()
 
 
 def _livelock_surface(report):
-    return (report.verdict, report.supports_checked,
-            tuple(_head(w) for w in report.trail_witnesses),
-            report.contiguous_only, report.note)
+    # The kernel's refinement and the naive per-support reference may
+    # match different supports, and count different work.
+    return (report.verdict, report.contiguous_only)
 
 
-def _verify(protocol, config, *, cache=None, policy=None,
-            max_ring_size=9, **_):
+def _verify(protocol, config, *, cache=None, max_ring_size=9, **_):
     from repro.core.convergence import verify_convergence
 
     return verify_convergence(
-        protocol, max_ring_size=max_ring_size, jobs=config["jobs"],
-        cache=cache, backend=config["backend"], policy=policy)
+        protocol, max_ring_size=max_ring_size, cache=cache,
+        backend=config["backend"])
 
 
 def _verify_surface(report):
@@ -230,8 +237,6 @@ class Analysis:
     exact: Callable | None = None
     """Identity with the production default beyond the surface, for
     analyses whose witnesses the naive engine may pick differently."""
-    fault_env: bool = False
-    """Faults go through ``REPRO_INJECT_FAULT`` (no ``fault_plan=``)."""
     resumed: Callable | None = None
 
 
@@ -248,13 +253,10 @@ ANALYSES = {
     "trail": Analysis(_trail, lambda found: tuple(map(_head, found)),
                       {"backend": KERNEL_OR_NAIVE}),
     "livelock": Analysis(_livelock, _livelock_surface,
-                         {"backend": KERNEL_OR_NAIVE, "jobs": None,
-                          "start_method": None,
-                          "fault": ("none", "crash", "hang")},
-                         exact=lambda report: report, fault_env=True),
+                         {"backend": KERNEL_OR_NAIVE},
+                         exact=lambda report: report),
     "verify": Analysis(_verify, _verify_surface,
-                       {"backend": KERNEL_OR_NAIVE, "jobs": None,
-                        "start_method": None, "cache": None},
+                       {"backend": KERNEL_OR_NAIVE, "cache": None},
                        exact=lambda report: report),
     "synthesis": Analysis(_synthesis, _synthesis_surface,
                           {"backend": KERNEL_OR_NAIVE, "search": None,
@@ -285,13 +287,6 @@ def _fault(mode: str):
     if mode == "kill-resume":
         return SupervisorPolicy(retries=2), None
     return None, None
-
-
-def _env_fault(plan) -> str:
-    """The ``REPRO_INJECT_FAULT`` spelling of a crash/hang plan."""
-    if plan.crash_items:
-        return "crash:" + ",".join(map(str, sorted(plan.crash_items)))
-    return "hang:" + ",".join(map(str, sorted(plan.hang_items)))
 
 
 def _timed(call, **kwargs) -> Run:
@@ -338,7 +333,6 @@ def execute(spec: Analysis, subject, config: dict, params: dict) -> Outcome:
     """Run *spec* on *subject* under *config* (every axis it accepts)."""
     from repro.engine.cache import ResultCache
     from repro.engine.pool import START_METHOD_ENV
-    from repro.engine.supervisor import FAULT_ENV
 
     fault = config.get("fault", "none")
     caching = config.get("cache", "none")
@@ -351,14 +345,10 @@ def execute(spec: Analysis, subject, config: dict, params: dict) -> Outcome:
         if config.get("start_method", "fork") != "fork":
             stack.enter_context(mock.patch.dict(
                 os.environ, {START_METHOD_ENV: config["start_method"]}))
-        if plan is not None and spec.fault_env:
-            stack.enter_context(mock.patch.dict(
-                os.environ, {FAULT_ENV: _env_fault(plan)}))
-            plan = None
 
         def call(cache=None, plan=plan):
             options = dict(params, cache=cache, policy=policy)
-            if not spec.fault_env and "fault" in spec.accepts:
+            if "fault" in spec.accepts:
                 options["plan"] = plan
             return spec.run(subject, config, **options)
 

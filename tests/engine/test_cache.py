@@ -75,6 +75,32 @@ def test_analysis_key_varies_with_parameters():
     assert base == analysis_key("check-instance", protocol, ring_size=5)
 
 
+def test_certificate_entries_of_the_bounded_scan_are_not_read(tmp_path):
+    # "certified" once rested on a scan up to max_ring_size, and the
+    # cached livelock report had another shape: neither a convergence
+    # report nor an audit outcome stored under those keys is read back.
+    from repro.core.convergence import verify_convergence
+    from repro.randomgen import ProtocolSampler, audit_theorems
+
+    cache = ResultCache(tmp_path / "cache")
+    protocol = stabilizing_agreement()
+    cache.put(analysis_key("verify-convergence", protocol,
+                           max_ring_size=9, check_livelocks=True,
+                           backend="kernel"), "stale")
+    report = verify_convergence(protocol, cache=cache)
+    assert report.stats.cache_misses == 1
+    assert report.verdict.value == "converges"
+
+    sampler = ProtocolSampler(seed=3)
+    for _ in range(4):
+        cache.put(analysis_key("audit-sample", sampler.sample(),
+                               max_ring_size=3), "stale")
+    audit = audit_theorems(samples=4, max_ring_size=3, seed=3,
+                           cache=cache)
+    assert audit.clean
+    assert audit.stats.cache_hits == 0
+
+
 def test_mutations_force_sweep_recompute(tmp_path):
     """End to end: action/invariant/parameter mutations miss the cache."""
     cache = ResultCache(tmp_path / "cache")

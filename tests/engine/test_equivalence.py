@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.checker.sweep import sweep_verify
-from repro.engine import ResultCache, parallelism_available
+from repro.engine import ResultCache
 from repro.protocols import stabilizing_agreement
 from repro.protocols.registry import REGISTRY
 from tests.differential import sources
@@ -49,34 +49,9 @@ def test_parallel_sweep_stop_on_failure_matches_serial(matrix):
     assert parallel.sizes == (3, 4)  # truncated at the first failure
 
 
-def test_parallel_livelock_search_identical_report(matrix):
-    # Whole-report equality with the serial run (stats are
-    # compare=False by design), witness states included.
-    for source in (SUM_NOT_TWO_SS, sources.bundled("agreement-livelock")):
-        matrix.cell("livelock", source, jobs=2)
-
-
-def test_parallel_livelock_search_many_supports(matrix):
-    # Gouda–Acharya matching has 441 candidate supports — enough to
-    # genuinely engage the dispatcher (the protocols above have one
-    # support each, which short-circuits to the serial path).
-    parallel = matrix.cell("livelock",
-                           sources.bundled("matching-gouda-acharya"),
-                           max_ring_size=4, jobs=2).result
-    assert parallel.supports_checked > 1
-    # Without fork (e.g. REPRO_START_METHOD=spawn) the certifier has no
-    # portable context and runs serially by design.
-    assert parallel.stats.parallel or not parallelism_available()
-
-
 def test_parallel_fuzz_identical_report(matrix):
     matrix.cell("audit", sources.stream(5), samples=10, max_ring_size=3,
                 jobs=2)
-
-
-def test_parallel_verify_convergence_identical_verdict(matrix):
-    for source in (AGREEMENT_SS, SUM_NOT_TWO_SS):
-        matrix.cell("verify", source, jobs=2)
 
 
 # ----------------------------------------------------------------------

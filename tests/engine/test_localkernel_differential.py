@@ -29,7 +29,6 @@ import pytest
 from repro.core.convergence import verify_convergence
 from repro.core.pseudolivelock import pseudo_livelock_supports
 from repro.core.synthesis import Synthesizer
-from repro.core.trail import ContiguousTrailSearcher
 from repro.engine import EngineStats, localkernel, parallelism_available
 from repro.graphs import (
     Digraph,
@@ -56,16 +55,19 @@ def test_trail_kernel_memoizes_repeat_queries():
     # The base sum-not-two has no transitions; the stabilized variant's
     # recovery arcs give a non-empty support pool.
     protocol = stabilizing_sum_not_two()
-    searcher = ContiguousTrailSearcher(protocol, backend="kernel")
+    kernel = localkernel.local_kernel_for(protocol)
     supports = pseudo_livelock_supports(protocol.space.transitions)
     assert supports
-    first = [searcher.find_trail(s) for s in supports]
+    first = [kernel.find_trail(s, 9) for s in supports]
     stats = EngineStats()
     with stats.collecting():
-        second = [searcher.find_trail(s) for s in supports]
+        second = [kernel.find_trail(s, 9) for s in supports]
+        # The memo is keyed on the bound too: another bound searches.
+        assert [kernel.find_trail(s, 8) for s in supports] == first
     assert second == first
     assert stats.trail_cache_hits == len(supports)
-    assert stats.mask_evaluations == 0
+    # No support forms a trail: 28 (K, |E|) patterns each up to K = 8.
+    assert stats.mask_evaluations == 28 * len(supports)
 
 
 def test_kernel_cache_frees_dropped_protocols(monkeypatch):

@@ -75,15 +75,14 @@ class TestSpawnOnlyFallback:
         from repro.core.convergence import verify_convergence
         from repro.protocols import stabilizing_sum_not_two
 
-        # Deadlock-free with a non-empty candidate-support set, so the
-        # analysis reaches the certifier's supervised trail searches.
-        protocol = stabilizing_sum_not_two()
+        # The livelock certificate is one in-process pass: verify has
+        # nothing to dispatch, so a spawn-only platform changes nothing.
         with obs.run("no-fork-verify") as run:
-            report = verify_convergence(
-                protocol, max_ring_size=4, jobs=2,
-                policy=SupervisorPolicy(timeout=30.0))
-        assert report.verdict is not None
-        assert _fallback_events(run)
+            report = verify_convergence(stabilizing_sum_not_two(),
+                                        max_ring_size=4)
+        assert report.verdict.value == "converges"
+        assert report.stats.work_items == 0
+        assert not _fallback_events(run)
 
     def test_audit_theorems(self, spawn_only):
         with obs.run("no-fork-fuzz") as run:

@@ -473,16 +473,3 @@ class TestDegradedEngineTasks:
         # 834 rotation orbits of the in-parent rerun's 3^8 states.
         assert report.state_count == 3 ** 8
         assert report.stats.states_encoded == 834
-
-    def test_degraded_trail_search_runs_the_local_kernel(self,
-                                                         monkeypatch):
-        from repro.core.livelock import LivelockCertifier
-        from repro.protocols import stabilizing_sum_not_two
-
-        monkeypatch.setenv(FAULT_ENV, "hang:0")
-        report = LivelockCertifier(
-            stabilizing_sum_not_two(),
-            policy=SupervisorPolicy(timeout=0.5, retries=0)).analyze()
-        assert report.supports_checked == 1
-        assert report.stats.supervisor_degraded == 1
-        assert report.stats.mask_evaluations == 36

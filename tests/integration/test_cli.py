@@ -141,8 +141,8 @@ def test_parser_requires_subcommand():
 #: silently wrong answer.  Exit 1 is every protocol command's negative
 #: verdict, so bad input must exit 2 instead.
 BAD_INPUT = {
-    "timeout-zero": ["verify", "sum-not-two-ss", "--timeout", "0"],
-    "retries-negative": ["verify", "sum-not-two-ss", "--retries", "-1"],
+    "timeout-zero": ["sweep", "sum-not-two-ss", "--timeout", "0"],
+    "retries-negative": ["sweep", "sum-not-two-ss", "--retries", "-1"],
     "verify-ring-bound": ["verify", "sum-not-two-ss",
                           "--max-ring-size", "1"],
     "hybrid-ring-bound": ["hybrid", "sum-not-two-ss",
@@ -158,6 +158,8 @@ BAD_INPUT = {
     "check-degenerate-ring": ["check", "sum-not-two-ss", "-K", "1"],
     # One instance is one work item: check takes no --jobs.
     "check-jobs": ["check", "sum-not-two-ss", "-K", "4", "--jobs", "2"],
+    # The certificate is one in-process pass: verify takes no --jobs.
+    "verify-jobs": ["verify", "sum-not-two-ss", "--jobs", "2"],
     "missing-file": ["verify", "{tmp}/missing.json"],
     "not-json": ["verify", "{tmp}/garbage.json"],
     "no-variables": ["verify", "{tmp}/no-variables.json"],

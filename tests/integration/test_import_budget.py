@@ -61,8 +61,12 @@ NO_ARTIFACTS = ("repro.engine.artifacts", "mmap")
 
 @pytest.mark.parametrize("argv, absent", [
     (["verify", "sum-not-two-ss"],
-     ("multiprocessing", "repro.engine.scheduler", "repro.checker",
-      "repro.core.synthesis", "repro.engine.synthsearch", *NO_ARTIFACTS)),
+     ("multiprocessing", "repro.engine.scheduler", "repro.engine.supervisor",
+      "repro.engine.pool", "repro.checker", "repro.core.synthesis",
+      "repro.engine.synthsearch", *NO_ARTIFACTS)),
+    # A deadlock decides the verdict before any livelock analysis.
+    (["verify", "matching-ex4.3"],
+     ("repro.engine.localkernel", "repro.engine.supervisor")),
     (["check", "2-coloring", "-K", "5"],
      ("multiprocessing", "repro.core.synthesis",
       "repro.engine.synthsearch", *NO_ARTIFACTS)),
@@ -71,7 +75,8 @@ NO_ARTIFACTS = ("repro.engine.artifacts", "mmap")
     (["sweep", "sum-not-two-ss", "--up-to", "6", "--jobs", "2",
       "--cache-dir", "cache"], NO_ARTIFACTS),
     (["cache", "--cache-dir", "cache"], NO_ARTIFACTS),
-], ids=["verify", "check", "synthesize", "cached-sweep-jobs-2", "cache"])
+], ids=["verify", "verify-deadlock", "check", "synthesize",
+        "cached-sweep-jobs-2", "cache"])
 def test_serial_command_loads_only_its_subsystems(tmp_path, argv, absent):
     loaded = _fresh("from repro.cli import main\n"
                     f"result = main({argv!r})", tmp_path)

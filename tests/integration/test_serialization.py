@@ -96,8 +96,17 @@ def test_convergence_report_export():
 
     unknown = convergence_report_to_dict(
         verify_convergence(livelock_agreement()))
-    assert unknown["livelock"]["trail_witnesses"]
+    (witness,) = unknown["livelock"]["trail_witnesses"]
+    assert (witness["ring_size"], witness["enablements"]) == (3, 2)
+    assert unknown["livelock"]["passes"] == 1
+    assert unknown["livelock"]["note"] == ""
     json.dumps(unknown)
+
+    # A witness with no trail up to the bound has no K: null in JSON.
+    unnamed = json.loads(json.dumps(convergence_report_to_dict(
+        verify_convergence(livelock_agreement(), max_ring_size=2))))
+    (witness,) = unnamed["livelock"]["trail_witnesses"]
+    assert witness["ring_size"] is None and witness["enablements"] is None
 
 
 def test_global_report_export():

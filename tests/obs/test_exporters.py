@@ -79,7 +79,7 @@ def test_rendered_spans_follow_the_walk_at_its_depths():
     from repro.protocols import stabilizing_sum_not_two
 
     with obs.run("verify") as run_ctx:
-        verify_convergence(stabilizing_sum_not_two(), jobs=1)
+        verify_convergence(stabilizing_sum_not_two())
     walk = [(depth, span.name) for depth, span in run_ctx.walk()]
     assert len(walk) > 3 and max(depth for depth, _ in walk) >= 2
     lines = export.render_trace(export.chrome_trace(run_ctx)).splitlines()

@@ -180,6 +180,20 @@ def test_check_records_match_across_the_jobs_flag_removal(tmp_path,
     assert ledger.latest_matching([old, new], new)["run_id"] == "old"
 
 
+def test_verify_records_match_across_the_jobs_flag_removal(tmp_path,
+                                                           capsys):
+    # verify took --jobs, --timeout and --retries until the certificate
+    # became one in-process pass; its records still carry jobs=1, so
+    # older verify records stay baselines.
+    assert main(["verify", "sum-not-two-ss",
+                 "--cache-dir", str(tmp_path), "--no-cache",
+                 "--no-live"]) == 0
+    (new,) = ledger.load(ledger.ledger_path(tmp_path))[0]
+    assert new["flags"] == {"jobs": 1, "max_ring_size": 9}
+    old = dict(new, run_id="old", flags={"jobs": 1, "max_ring_size": 9})
+    assert ledger.latest_matching([old, new], new)["run_id"] == "old"
+
+
 def test_latest_matching_ignores_later_records():
     first = _record("first")
     later = _record("later")

@@ -18,6 +18,11 @@ def test_render_trail_witness():
     assert "|E|=2" in text
     assert "pseudo-livelock" in text
     assert "illegitimate" in text
+    # A bound too small for any trail leaves the witness without a K.
+    bounded = certify_livelock_freedom(livelock_agreement(), max_ring_size=2)
+    text = render_trail_witness(bounded.trail_witnesses[0])
+    assert "K-free trail candidate" in text
+    assert "K=None" not in text
 
 
 def test_render_ranking_stairs():
