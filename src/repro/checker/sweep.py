@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING
 from repro.checker.convergence import GlobalReport, check_instance
 from repro.engine import EngineStats, ResultCache, analysis_key, \
     supervise_work_items
-from repro.engine.pool import PortableContext
 from repro.engine.supervisor import FaultPlan, SupervisorPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -156,9 +155,6 @@ def sweep_verify(protocol: "RingProtocol", up_to: int,
             if cache is not None else None,
             plan=fault_plan,
             prewarm=lambda: _sweep_prewarm(protocol, backend),
-            portable=PortableContext(
-                _sweep_context,
-                (_SerializedProtocol(protocol), backend)),
             until=_fails if stop_on_failure else None)
     return SweepResult(reports=tuple(reports),
                        elapsed_seconds=tuple(map(_check_seconds, reports)),
@@ -171,8 +167,7 @@ def _fails(report: GlobalReport) -> bool:
 
 def _sweep_prewarm(protocol: "RingProtocol", backend: str) -> None:
     """Compile the protocol's kernel once in the parent so forked
-    workers inherit a hot compile cache instead of recompiling per K
-    (spawned workers compile their own).
+    workers inherit a hot compile cache instead of recompiling per K.
 
     The kernel-support probe runs on a throwaway smallest instance:
     :func:`supports_kernel` classifies instances, not protocols.
@@ -187,38 +182,6 @@ def _sweep_prewarm(protocol: "RingProtocol", backend: str) -> None:
         return
     if supports_kernel(probe):
         compile_protocol(protocol)
-
-
-class _SerializedProtocol:
-    """A protocol that pickles as its serialized DSL form.
-
-    Only a spawn dispatch pickles the sweep's recipe, so fork and
-    serial sweeps never serialize the protocol; a spawn dispatch does
-    it once, however many workers it starts.  A protocol with no
-    serialized form (one carrying opaque predicate callables, e.g. a
-    sampled one) does not pickle, which keeps the dispatcher's serial
-    no-fork fallback.
-    """
-
-    __slots__ = ("protocol", "data")
-
-    def __init__(self, protocol: "RingProtocol") -> None:
-        self.protocol = protocol
-        self.data = None
-
-    def __reduce__(self):
-        from repro.serialization import protocol_from_dict, \
-            protocol_to_dict
-
-        if self.data is None:
-            self.data = protocol_to_dict(self.protocol)
-        return protocol_from_dict, (self.data,)
-
-
-def _sweep_context(payload: tuple) -> tuple:
-    """Spawn-side builder: unpickling the payload rebuilt the protocol,
-    so the payload is the sweep worker context."""
-    return payload
 
 
 def _sweep_worker(context, size: int) -> GlobalReport:

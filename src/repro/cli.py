@@ -154,14 +154,18 @@ def _add_supervisor_options(parser: argparse.ArgumentParser,
             help="turn the on-disk result cache on with durable (fsynced) "
                  "writes, so an interrupted run loses only its in-flight "
                  "work items; prints the run id to --resume with")
-        parser.add_argument(
-            "--run-id", default=None, metavar="ID",
-            help="name this run in its live status and ledger record "
-                 "(default: generated)")
+        _add_run_id_option(parser)
         parser.add_argument(
             "--resume", default=None, metavar="ID",
             help="continue a prior --checkpoint run under its run id: "
                  "the durable cache answers every item it finished")
+
+
+def _add_run_id_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--run-id", default=None, metavar="ID",
+        help="name this run in its live status and ledger record "
+             "(default: generated)")
 
 
 def _supervisor_policy(args: argparse.Namespace):
@@ -540,12 +544,9 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     )
 
     protocol = _resolve_protocol(args.protocol)
-    cache = _engine_cache(args)
     fingerprint = synthesis_fingerprint(protocol, args.max_ring_size)
     result = synthesize_convergence(protocol,
-                                    max_ring_size=args.max_ring_size,
-                                    jobs=args.jobs, cache=cache,
-                                    policy=_supervisor_policy(args))
+                                    max_ring_size=args.max_ring_size)
     _note_ledger(args, protocol=protocol.name, fingerprint=fingerprint,
                  verdict={"succeeded": result.succeeded},
                  stats=result.stats)
@@ -554,7 +555,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     if result.succeeded and result.protocol is not None:
         print()
         print(result.protocol.pretty())
-    _print_stats(result.stats, cache)
+    _print_stats(result.stats, None)
     return 0 if result.succeeded else 1
 
 
@@ -901,10 +902,16 @@ def build_parser() -> argparse.ArgumentParser:
                                               "methodology")
     synth.add_argument("protocol")
     synth.add_argument("--max-ring-size", type=_at_least(2), default=9)
-    _add_engine_options(synth)
-    _add_supervisor_options(synth, resume=True)
+    synth.add_argument(
+        "--cache-dir", default=None, metavar="DIR",
+        help="where the ledger record and the live status go (default: "
+             ".repro-cache/); synthesis caches no results")
+    _add_run_id_option(synth)
     _add_obs_options(synth)
-    synth.set_defaults(func=_cmd_synthesize)
+    # Each Resolve set's pool is one in-process walk, so synthesize
+    # takes no --jobs, cache or supervision flags; jobs=1 stays in its
+    # ledger identity, which older synthesize records carry.
+    synth.set_defaults(func=_cmd_synthesize, jobs=1)
 
     simulate = sub.add_parser("simulate", help="random-daemon convergence "
                                                "study")

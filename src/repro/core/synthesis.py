@@ -43,8 +43,7 @@ from repro.core.selfdisabling import (
     self_enabling_reason,
 )
 from repro.core.trail import ContiguousTrailSearcher, trail_reason
-from repro.engine import EngineStats, ResultCache, analysis_key
-from repro.engine.supervisor import FaultPlan, SupervisorPolicy
+from repro.engine import EngineStats, analysis_key
 from repro.errors import SynthesisFailure
 from repro.graphs import has_cycle
 from repro.protocol.actions import LocalTransition
@@ -144,15 +143,12 @@ class Synthesizer:
     this).
 
     Each Resolve set's candidate pool is judged by one search in
-    enumeration order, stopping at the first accepted combination.
-    *search* ``"lattice"`` (the default) is the incremental lattice walk
-    of :mod:`repro.engine.synthsearch`: one plan of contiguous work
-    units per pool, dispatched once, so the accepted combination and
-    the :class:`RejectedCombination` log are identical for every jobs
-    value.  ``"flat"`` re-judges every combination from scratch in this
-    process — the serial oracle the lattice is differentially tested
-    against, and the only search of the naive backend.  *jobs*,
-    *cache*, *policy* and *fault_plan* drive the lattice only.
+    enumeration order, in this process, stopping at the first accepted
+    combination.  *search* ``"lattice"`` (the default) is the
+    incremental lattice walk of :mod:`repro.engine.synthsearch`, one
+    walk per pool.  ``"flat"`` re-judges every combination from
+    scratch — the oracle the lattice is differentially tested against,
+    and the only search of the naive backend.
     """
 
     def __init__(self, protocol: "RingProtocol",
@@ -161,11 +157,7 @@ class Synthesizer:
                  max_combinations: int = 4096,
                  accept_contiguous_only: bool = False,
                  backend: str = "auto",
-                 jobs: int = 1,
-                 cache: ResultCache | None = None,
-                 policy: SupervisorPolicy | None = None,
-                 search: str = "lattice",
-                 fault_plan: FaultPlan | None = None) -> None:
+                 search: str = "lattice") -> None:
         if max_ring_size < 2:
             raise ValueError("max_ring_size must be at least 2")
         resolved = "kernel" if backend == "auto" else backend
@@ -183,21 +175,7 @@ class Synthesizer:
         synthesis evidence (the paper's methodology is stated for
         unidirectional rings).  Set True to accept them knowingly."""
         self.backend = resolved
-        self.jobs = jobs
-        self.cache = cache
-        """Persists lattice work units across runs; each unit is written
-        through as it completes, so a killed run's rerun replays the
-        units it had already walked."""
-        self.policy = policy
-        self.fault_plan = (fault_plan if fault_plan is not None
-                           else FaultPlan.from_env() or FaultPlan())
-        """Deterministic fault injection
-        (:class:`repro.engine.supervisor.FaultPlan`) for the property
-        harness — sabotages supervised work-unit attempts, exactly as
-        in :func:`repro.checker.sweep.sweep_verify`.  Resolved from
-        ``REPRO_INJECT_FAULT`` once per synthesis (an empty plan
-        injects nothing), not once per dispatch."""
-        self.stats = EngineStats(jobs=jobs)
+        self.stats = EngineStats()
         self._kernel = None
         self._lattice = None
         if resolved == "kernel":
@@ -505,9 +483,9 @@ def synthesize_convergence(protocol: "RingProtocol",
     """Run the Section 6 methodology on *protocol*.
 
     Raises :class:`SynthesisFailure` when the caller sets
-    ``raise_on_failure=True`` and no combination is accepted.
-    Engine keywords (``jobs``, ``cache``, ``policy``, ...) pass through
-    to :class:`Synthesizer`.
+    ``raise_on_failure=True`` and no combination is accepted.  Other
+    keywords (``max_combinations``, ``accept_contiguous_only``, ...)
+    pass through to :class:`Synthesizer`.
     """
     raise_on_failure = kwargs.pop("raise_on_failure", False)
     synthesizer = Synthesizer(protocol, max_ring_size=max_ring_size,

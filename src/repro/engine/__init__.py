@@ -2,14 +2,15 @@
 
 The paper's cost comparison (local reasoning vs. per-K model checking,
 Section 7 / benchmark X2) is only honest when the per-K baseline runs as
-fast as the hardware allows.  Per-K sweep instances, lattice synthesis
-units and per-protocol fuzzing audits are all embarrassingly parallel,
-and repeated CLI/benchmark invocations redo identical work.  This
-package supplies the missing pieces:
+fast as the hardware allows.  Per-K sweep instances and per-protocol
+fuzzing audits are embarrassingly parallel, and repeated
+CLI/benchmark invocations redo identical work.  This package supplies
+the missing pieces:
 
-* :func:`supervise_work_items` — the one dispatcher every fan-out goes
-  through: deterministic result ordering, serial in-parent when nothing
-  calls for worker processes, the batch scheduler otherwise
+* :func:`supervise_work_items` — the one dispatcher both fan-outs (the
+  sweep and the fuzz) go through: deterministic result ordering, serial
+  in-parent when nothing calls for worker processes (or the platform
+  cannot fork), the batch scheduler's forked workers otherwise
   (:func:`run_work_items` is its unsupervised spelling).  It also
   answers cached items, counts cache hits, misses and work items, and
   ends the result list where the caller's ``until`` says;
@@ -33,23 +34,25 @@ package supplies the missing pieces:
 * :mod:`repro.engine.localkernel` — the bitmask-compiled *local*
   reasoning kernel behind the livelock certificate (one SCC refinement
   over the three-phase product, for every K), the contiguous-trail
-  search, the Theorem 4.2 check and the Section 6 synthesis loop:
-  integer-indexed local states, per-``(K, |E|)`` product-graph
-  skeletons, masked SCC passes and a support-fingerprint trail memo;
+  search, the Theorem 4.2 check and the Section 6 synthesis loop
+  (which walks each Resolve set's candidate pool in-process, see
+  :mod:`repro.engine.synthsearch`): integer-indexed local states,
+  per-``(K, |E|)`` product-graph skeletons, masked SCC passes and a
+  support-fingerprint trail memo;
 * :mod:`repro.engine.supervisor` — the fault-tolerance layer:
   :func:`supervise_work_items` runs every task under per-task timeouts,
   crash isolation, immediate retry and, past the retry budget, one
   in-parent rerun of the task's own worker (CLI ``--timeout`` /
   ``--retries``);
 * :mod:`repro.engine.scheduler` — the parallel execution strategy
-  under :func:`supervise_work_items`: persistent supervised workers
+  under :func:`supervise_work_items`: persistent forked workers
   fed batches sized from the queue alone (guided self-scheduling,
   heartbeat timeouts, requeue-on-crash) so micro-task sweeps do not
   pay one fork per task (CLI ``--jobs``).
 
-Every kernel is built on the heap of the process that uses it: fork
-workers inherit what the parent compiled, and spawn workers compile
-their own.  :mod:`repro.engine.artifacts`, a standalone store of
+Every kernel is built on the heap of the process that uses it, and
+forked workers inherit what the parent compiled.
+:mod:`repro.engine.artifacts`, a standalone store of
 mmap-attachable files that no engine path calls, is not exported.
 """
 
@@ -72,7 +75,6 @@ __all__ = _lazy.exports(globals(), {
         "supports_kernel",
     ),
     "pool": (
-        "PortableContext",
         "WorkerFailure",
         "WorkerTraceback",
         "parallelism_available",

@@ -1,8 +1,8 @@
 """A content-addressed store of mmap-attachable binary artifacts.
 
 No engine path uses this module: every kernel, localkernel skeleton and
-packed state space is built on the heap of the process that needs it,
-and spawn workers compile their own.  It stays, standalone, for one
+packed state space is built on the heap of the process that needs it
+(forked workers inherit what their parent built).  It stays, standalone, for one
 reason: the end-to-end benchmark harness (``benchmarks/e2e/spans.py``)
 imports it and wraps :meth:`ArtifactStore.attach`,
 :meth:`ArtifactStore.publish` and :func:`enforce_directory_limit` by

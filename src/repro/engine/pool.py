@@ -1,15 +1,14 @@
 """Dispatch primitives shared by the supervisor and the batch scheduler.
 
-Every fan-out in the engine (per-K sweep instances, lattice synthesis
-units, per-protocol fuzzing audits) runs through one dispatcher,
-:func:`repro.engine.supervisor.supervise_work_items`.  This module holds
-what that dispatcher and its worker processes share:
+The engine's two fan-outs (per-K sweep instances and per-protocol
+fuzzing audits) run through one dispatcher,
+:func:`repro.engine.supervisor.supervise_work_items`, which starts its
+workers by fork: protocols may carry unpicklable predicate callables
+that forked workers simply inherit.  This module holds what that
+dispatcher and its worker processes share:
 
-* the start-method choice (:func:`start_method`, honouring
-  ``REPRO_START_METHOD``) — fork by default, because protocols may carry
-  unpicklable predicate callables that forked workers simply inherit;
-* :class:`PortableContext`, the picklable recipe that lets a spawned
-  worker rebuild its context where fork is unavailable;
+* :func:`parallelism_available` — whether the platform can fork; where
+  it cannot, the dispatcher runs every item in-process;
 * :class:`WorkerFailure` / :class:`WorkerTraceback`: a worker exception
   is captured *in the worker* with its formatted traceback and re-raised
   in the parent with that remote traceback chained as ``__cause__``, so
@@ -21,43 +20,12 @@ what that dispatcher and its worker processes share:
 
 from __future__ import annotations
 
-import os
 import pickle
 import traceback
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, TypeVar
 
 Item = TypeVar("Item")
 Result = TypeVar("Result")
-
-#: Environment override for the dispatch start method.  ``spawn``
-#: forces every fork-only path into its fallback (and lets portable
-#: contexts exercise spawn dispatch on platforms that *do* have fork —
-#: how the benchmarks measure spawn-mode parity on Linux); ``fork``
-#: pins fork.  Unset picks fork whenever the platform offers it.
-START_METHOD_ENV = "REPRO_START_METHOD"
-
-
-@dataclass(frozen=True)
-class PortableContext:
-    """A picklable recipe for rebuilding a worker context after spawn.
-
-    Fork workers inherit *worker*/*context*/*items* from the parent;
-    spawn workers get nothing for free, and the live contexts
-    (protocols carrying closure predicates) do not pickle.  A
-    ``PortableContext`` carries a module-level *builder* (pickled by
-    qualified name) plus a picklable *payload* — e.g. the
-    ``protocol_to_dict`` form of a DSL protocol — from which the
-    spawned worker rebuilds the context once at startup.  Callers pass
-    one only when their context genuinely round-trips; everything else
-    keeps the serial no-fork fallback.
-    """
-
-    builder: Callable[[Any], Any]
-    payload: Any = None
-
-    def build(self) -> Any:
-        return self.builder(self.payload)
 
 
 class WorkerTraceback(Exception):
@@ -132,36 +100,19 @@ def _rebuild_failure(payload: bytes | None, traceback_text: str,
     return WorkerFailure(exception, traceback_text, description)
 
 
-def start_method() -> str | None:
-    """The effective dispatch start method (``fork``/``spawn``/``None``).
-
-    Respects ``REPRO_START_METHOD`` when it names an available method;
-    otherwise fork wins whenever the platform offers it (spawn dispatch
-    needs a :class:`PortableContext`, so it is never the silent
-    default).
-    """
+def parallelism_available() -> bool:
+    """Whether the platform offers the fork start method (CPython lists
+    it on Linux and macOS)."""
     import multiprocessing
 
-    methods = multiprocessing.get_all_start_methods()
-    forced = os.environ.get(START_METHOD_ENV, "").strip().lower()
-    if forced in ("fork", "spawn"):
-        return forced if forced in methods else None
-    if "fork" in methods:
-        return "fork"
-    return "spawn" if "spawn" in methods else None
-
-
-def parallelism_available() -> bool:
-    """Whether fork-based dispatch can run on this platform."""
-    return start_method() == "fork"
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def run_work_items(worker: Callable[[Any, Item], Result],
                    items: Iterable[Item],
                    jobs: int = 1,
                    context: Any = None,
-                   stats: Any = None,
-                   portable: PortableContext | None = None) -> list[Result]:
+                   stats: Any = None) -> list[Result]:
     """Apply ``worker(context, item)`` to every item, results in order.
 
     The unsupervised spelling of
@@ -171,4 +122,4 @@ def run_work_items(worker: Callable[[Any, Item], Result],
     from repro.engine.supervisor import supervise_work_items
 
     return supervise_work_items(worker, items, jobs=jobs, context=context,
-                                stats=stats, portable=portable)
+                                stats=stats)

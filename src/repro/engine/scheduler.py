@@ -34,12 +34,10 @@ instead of one worker hoarding the last big batch while its siblings
 idle.  No timing enters the rule: a fault-free dispatch's batch count is
 a function of its item count and ``--jobs`` alone, traced or not.
 
-Fork workers inherit everything — including kernels compiled by the
-parent's ``prewarm`` hook — so unpicklable workers/contexts/items are
-fine and nothing is recompiled per task; only results cross the pipe.
-Spawn workers rebuild their context from a
-:class:`~repro.engine.pool.PortableContext` and compile their own
-kernels from it.
+Workers are forked, so they inherit everything — including kernels
+compiled by the parent's ``prewarm`` hook — and unpicklable
+workers/contexts/items are fine and nothing is recompiled per task;
+only results cross the pipe.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.engine.pool import PortableContext, WorkerFailure
+from repro.engine.pool import WorkerFailure
 from repro.engine.supervisor import FaultPlan, TaskLedger, _bump, _Task
 from repro.obs import live
 from repro.obs import runtime as obs
@@ -139,23 +137,6 @@ def _worker_main(worker, context, work: Sequence[Any],
     os._exit(0)
 
 
-def _spawn_worker_main(worker, portable: PortableContext | None,
-                       work: Sequence[Any], plan: FaultPlan | None,
-                       commands, results, traced: bool) -> None:
-    """Spawn-mode bootstrap around :func:`_worker_main`.
-
-    A spawned worker inherits nothing, so this re-creates what fork
-    would have provided: an observability run when the parent has one
-    (*traced*), so per-task spans ship back, and the worker context
-    rebuilt from its portable recipe.  Its kernels compile on first
-    use, in the worker.
-    """
-    if traced and obs.active() is None:
-        obs.start("spawn-worker")
-    context = portable.build() if portable is not None else None
-    _worker_main(worker, context, work, plan, commands, results)
-
-
 # ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
@@ -196,17 +177,11 @@ class BatchScheduler:
     :class:`~repro.engine.supervisor.TaskLedger` (see module docstring:
     per-task supervision, batched transport)."""
 
-    def __init__(self, ledger: TaskLedger, jobs: int = 1,
-                 start_method: str = "fork",
-                 portable: PortableContext | None = None) -> None:
-        if start_method not in ("fork", "spawn"):
-            raise ValueError(f"unknown start method {start_method!r}")
+    def __init__(self, ledger: TaskLedger, jobs: int = 1) -> None:
         self.ledger = ledger
         self.jobs = max(1, jobs)
         self.policy = ledger.policy
-        self.start_method = start_method
-        self.portable = portable
-        self._mp = multiprocessing.get_context(start_method)
+        self._mp = multiprocessing.get_context("fork")
         self.workers: list[_Worker] = []
         self.queue: deque = deque()      # ready tasks, FIFO
         self._next_ident = 0
@@ -222,7 +197,7 @@ class BatchScheduler:
         if ledger.stats is not None and target > 1:
             ledger.stats.parallel = True
         with obs.span("scheduler.map", mode="batch", jobs=self.jobs,
-                      method=self.start_method, items=len(pending),
+                      method="fork", items=len(pending),
                       timeout=self.policy.timeout,
                       retries=self.policy.retries):
             try:
@@ -245,26 +220,18 @@ class BatchScheduler:
             live.tick(self._live_payload)
 
     # -- dispatch ------------------------------------------------------
-    def _spawn(self) -> _Worker:
+    def _start_worker(self) -> _Worker:
         ledger = self.ledger
         cmd_recv, cmd_send = self._mp.Pipe(duplex=False)
         res_recv, res_send = self._mp.Pipe(duplex=False)
-        if self.start_method == "fork":
-            parent_ends = [cmd_send, res_recv]
-            for sibling in self.workers:
-                parent_ends += (sibling.commands, sibling.results)
-            process = self._mp.Process(
-                target=_worker_main,
-                args=(ledger.worker, ledger.context, ledger.work,
-                      ledger.plan, cmd_recv, res_send, parent_ends),
-                daemon=True)
-        else:
-            process = self._mp.Process(
-                target=_spawn_worker_main,
-                args=(ledger.worker, self.portable, ledger.work,
-                      ledger.plan, cmd_recv, res_send,
-                      obs.active() is not None),
-                daemon=True)
+        parent_ends = [cmd_send, res_recv]
+        for sibling in self.workers:
+            parent_ends += (sibling.commands, sibling.results)
+        process = self._mp.Process(
+            target=_worker_main,
+            args=(ledger.worker, ledger.context, ledger.work,
+                  ledger.plan, cmd_recv, res_send, parent_ends),
+            daemon=True)
         process.start()
         cmd_recv.close()  # child ends live in the child
         res_send.close()
@@ -282,7 +249,7 @@ class BatchScheduler:
             if worker is None:
                 if len(self.workers) >= target:
                     return
-                worker = self._spawn()
+                worker = self._start_worker()
             size = batch_size(len(self.queue), target)
             batch = [self.queue.popleft() for _ in range(size)]
             try:

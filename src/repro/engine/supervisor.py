@@ -1,9 +1,10 @@
 """The engine's one dispatcher: fault-tolerant, ordered work-item fan-out.
 
-Every fan-out in the analyses above it — per-K sweep instances,
-lattice synthesis units, per-protocol fuzzing audits — hands all its
-items to :func:`supervise_work_items`,
-which decides in one place how they run:
+The two fan-outs in the analyses above it — per-K sweep instances
+(:func:`repro.checker.sweep.sweep_verify`) and per-protocol fuzzing
+audits (:func:`repro.randomgen.audit_theorems`) — hand all their items
+to :func:`supervise_work_items`, which decides in one place how they
+run:
 
 * **serially, in-parent** (:meth:`TaskLedger.run_serial`) when nothing
   calls for children: ``jobs <= 1`` (or at most one pending item), no
@@ -13,10 +14,8 @@ which decides in one place how they run:
 * on the **batch scheduler**
   (:class:`repro.engine.scheduler.BatchScheduler`) otherwise — ``jobs``
   persistent forked workers fed batches sized from a shared queue;
-* on the batch scheduler over **spawned** workers when fork is
-  unavailable but the caller's :class:`~repro.engine.pool.PortableContext`
-  and the worker payload pickle; failing that, serially with a
-  ``pool-fallback`` event (``reason="no-fork"``).
+* serially, with a ``pool-fallback`` event (``reason="no-fork"``),
+  when workers are wanted but the platform cannot fork.
 
 Per-item cost in these workloads is heavily skewed — one pathological
 instance can hang or OOM while its siblings finish in milliseconds — so
@@ -75,13 +74,12 @@ in production).
 from __future__ import annotations
 
 import os
-import pickle
 import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.engine.pool import PortableContext, WorkerFailure, start_method
+from repro.engine.pool import WorkerFailure, parallelism_available
 from repro.obs import live
 from repro.obs import runtime as obs
 
@@ -344,45 +342,20 @@ _running = 0
 _MISS = object()
 
 
-def _spawn_dispatchable(ledger: "TaskLedger",
-                        portable: PortableContext | None) -> bool:
-    """Whether spawn-mode batch dispatch can carry this workload.
-
-    Spawn workers receive their payload by pickle, so the worker
-    function, the portable context recipe, the item list and the fault
-    plan must all round-trip; anything that does not keeps the serial
-    fallback.
-    """
-    if portable is None:
-        return False
-    try:
-        pickle.dumps((ledger.worker, portable, ledger.work, ledger.plan))
-    except Exception:
-        return False
-    return True
-
-
 def _run_workers(ledger: TaskLedger, pending: list[_Task], jobs: int,
-                 prewarm: Callable[[], None] | None,
-                 portable: PortableContext | None) -> None:
-    """Run *pending* on the batch scheduler over the platform's start
-    method, or serially when no worker process can carry it."""
-    method = start_method()
-    if method == "spawn" and not _spawn_dispatchable(ledger, portable):
-        method = None
-    if method is None:
+                 prewarm: Callable[[], None] | None) -> None:
+    """Run *pending* on the batch scheduler's forked workers, or
+    serially where the platform cannot fork."""
+    if not parallelism_available():
         ledger.run_serial(pending, "no-fork")
         return
     from repro.engine.scheduler import BatchScheduler
 
-    if prewarm is not None and method == "fork":
-        # Fork workers inherit what prewarm compiles; spawn workers
-        # compile their own.
+    if prewarm is not None:
+        # Forked workers inherit what prewarm compiles.
         with obs.span("scheduler.prewarm"):
             prewarm()
-    BatchScheduler(ledger, jobs=jobs, start_method=method,
-                   portable=portable if method == "spawn" else None,
-                   ).run(pending)
+    BatchScheduler(ledger, jobs=jobs).run(pending)
 
 
 def supervise_work_items(worker: Callable[[Any, Any], Any],
@@ -395,19 +368,17 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
                          keys: Sequence[str] | None = None,
                          plan: FaultPlan | None = None,
                          prewarm: Callable[[], None] | None = None,
-                         portable: PortableContext | None = None,
                          until: Callable[[Any], bool] | None = None,
                          ) -> list[Any]:
     """Apply ``worker(context, item)`` to every item, results in order.
 
-    *worker* must be a module-level function when spawn dispatch is
-    possible (it is pickled by qualified name); under fork, *worker*,
-    *context* and *items* may hold unpicklable objects, but each
-    **result** must pickle — an unpicklable result degrades that one
-    task to an in-parent rerun.  Work runs under *policy*'s
-    timeout/retry/degradation ladder (``SupervisorPolicy()`` when
-    omitted).  With a *cache* (a :class:`repro.engine.cache.ResultCache`)
-    and *keys* (one per item), each item claimed is looked up once —
+    Forked workers inherit *worker*, *context* and *items*, so all
+    three may hold unpicklable objects, but each **result** must
+    pickle — an unpicklable result degrades that one task to an
+    in-parent rerun.  Work runs under *policy*'s timeout/retry/
+    degradation ladder (``SupervisorPolicy()`` when omitted).  With a
+    *cache* (a :class:`repro.engine.cache.ResultCache`) and *keys*
+    (one per item), each item claimed is looked up once —
     counted as one ``cache_hits`` or ``cache_misses`` on *stats* — an
     item the cache holds is returned without re-execution, and each
     completed item is stored under its key as soon as it completes, so
@@ -425,18 +396,16 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
     afterwards, so both return the same list.
 
     *prewarm*, when given, is called once in the parent immediately
-    before fork workers start (never when everything runs serially,
-    nothing is pending or the workers are spawned) — the engine call
-    sites compile the protocol's kernels here so every fork worker
-    inherits hot caches.
+    before fork workers start (never when everything runs serially or
+    nothing is pending) — the sweep compiles the protocol's kernel here
+    so every fork worker inherits a hot cache.
 
     *plan* is fault injection (tests and smoke runs); ``None`` reads it
     from ``REPRO_INJECT_FAULT``, so callers that dispatch many times
     resolve it once and pass it (an empty ``FaultPlan()`` injects
-    nothing).  *portable* (a :class:`repro.engine.pool.PortableContext`)
-    unlocks spawn dispatch where fork is unavailable.  *stats*, when
-    given, is an :class:`repro.engine.EngineStats` that receives the
-    dispatch counters and ``parallel``.
+    nothing).  *stats*, when given, is an
+    :class:`repro.engine.EngineStats` that receives the dispatch
+    counters and ``parallel``.
     """
     global _running
     work = list(items)
@@ -444,8 +413,8 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
         raise ValueError("write-through caching needs one key per "
                          "work item")
     # A process that never imported multiprocessing is not one of its
-    # workers (fork workers inherit the module, spawn workers import it
-    # to boot), so a serial run need not load it to ask.
+    # workers (fork workers inherit the module), so a serial run need
+    # not load it to ask.
     mp = sys.modules.get("multiprocessing")
     if _running or (mp is not None and mp.current_process().daemon):
         # A dispatch from inside another dispatch's task runs inline:
@@ -478,7 +447,7 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
         else:
             pending = list(ledger.claims())
             if len(pending) > 1 or (pending and supervised):
-                _run_workers(ledger, pending, jobs, prewarm, portable)
+                _run_workers(ledger, pending, jobs, prewarm)
             elif pending:
                 ledger.run_serial(pending, "serial")
     finally:

@@ -41,26 +41,14 @@ parent's evaluation state is checkpointed in place:
   trail query count as ``synthsearch.combos_pruned``; the witness is
   the recorded prune justification.
 
-One Resolve set's whole pool is partitioned into contiguous subtree
-work units (a single unit when ``jobs <= 1``) and dispatched once
-through :func:`repro.engine.supervisor.supervise_work_items`.  When the
-search stops at the first accept, each unit's walk stops at its own
-first accept and the dispatcher's ``until`` ends the unit list at the
-first unit that ended on an accept; units are contiguous, so the
-accepted combination, the rejections before it and the
-``combos_pruned``/``full_evaluations`` split are identical for every
-``--jobs`` setting (units after the accepting one are speculative work,
-run but kept out of the result and of the ``synthsearch.*`` counters).
-With a result cache the dispatcher answers and writes through each
-unit's verdicts and counter deltas under a content-addressed unit key,
-so a killed run's rerun replays its finished units instead of walking
-them again.
+One Resolve set's whole pool is one in-process walk
+(:meth:`LatticeSearch.verdicts`), in enumeration order, stopping at the
+first accepted combination when the search asks it to.  Nothing is
+dispatched to worker processes, cached or resumed.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.core.pseudolivelock import (
@@ -75,8 +63,6 @@ from repro.core.selfdisabling import (
 )
 from repro.core.synthesis import BIDIRECTIONAL_REASON
 from repro.core.trail import trail_reason
-from repro.engine.fingerprint import analysis_key
-from repro.engine.supervisor import supervise_work_items
 from repro.graphs import has_cycle
 from repro.obs import runtime as obs
 from repro.protocol.actions import LocalTransition
@@ -84,9 +70,9 @@ from repro.protocol.actions import LocalTransition
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.synthesis import Synthesizer
 
-#: Counter names accumulated per work unit (keys of the delta dicts the
-#: unit workers return; also flat :class:`repro.engine.EngineStats`
-#: attribute names).
+#: Counter names the walker accumulates (recorded as ``synthsearch.*``
+#: metrics; also flat :class:`repro.engine.EngineStats` attribute
+#: names).
 COUNTER_NAMES = ("combos_pruned", "full_evaluations", "delta_reuses",
                  "checkpoint_bytes", "blocked_hits")
 
@@ -94,14 +80,6 @@ COUNTER_NAMES = ("combos_pruned", "full_evaluations", "delta_reuses",
 #: frozenset header plus one word per member.
 _SUPPORT_BYTES_BASE = 56
 _SUPPORT_BYTES_PER_ARC = 8
-
-
-def _lattice_unit_worker(synthesizer: "Synthesizer",
-                         unit: tuple[Sequence[tuple], bool]) -> tuple:
-    """Module-level worker for :func:`supervise_work_items`; a unit is
-    ``(combinations, first_accept)``."""
-    combos, first_accept = unit
-    return synthesizer._lattice.evaluate_unit(combos, first_accept)
 
 
 class BlockedMaskIndex:
@@ -177,9 +155,9 @@ class LatticeWalker:
     trail-head memo — with strict push/pop undo discipline, so walking
     the combination list in product order re-evaluates only the suffix
     that changed.  All node values (explosion flag, witness, leaf
-    queried flag) are intrinsic to the node's transition set, which is
-    what keeps verdicts independent of how the walk is partitioned
-    into work units.
+    queried flag) are intrinsic to the node's transition set, so a
+    combination's verdict and its pruned/evaluated classification do
+    not depend on which combinations the walk visited before it.
     """
 
     def __init__(self, kernel, base_transitions, max_ring_size: int,
@@ -287,7 +265,7 @@ class LatticeWalker:
     # -- push / pop ----------------------------------------------------
     def ensure_root(self) -> None:
         """Evaluate the base transition set once; reused by every
-        combination, every resolve set and every work unit."""
+        combination and every resolve set."""
         if self._stack:
             return
         self._graph = {}
@@ -343,9 +321,9 @@ class LatticeWalker:
             # The shortcut and the ``queried`` flag are judged against
             # the *inherited* witness only: whether a node needed new
             # support examination is intrinsic to its transition set,
-            # so the pruned/evaluated split is identical for every
-            # jobs partitioning.  The blocked-index seed only
-            # decides how far the examination actually searches.
+            # so the pruned/evaluated split does not depend on the
+            # path the walk took to the node.  The blocked-index seed
+            # only decides how far the examination actually searches.
             if inherited is None or shortest <= inherited[0][0]:
                 # A blocked-index hit below the inherited key can only
                 # exist when new supports do (every covered entry is a
@@ -410,7 +388,8 @@ class LatticeWalker:
         """Reasons for *combos* in order (``None`` = accepted), ending
         at the first accepted combination when *first_accept*.  Shares
         checkpoints along common prefixes — state persists across calls,
-        so consecutive units keep extending the same trail."""
+        so the next pool (or the next single combination) keeps
+        extending the same trail."""
         self.ensure_root()
         out: list[str | None] = []
         for combo in combos:
@@ -451,26 +430,17 @@ class LatticeWalker:
 class LatticeSearch:
     """Facade tying one :class:`Synthesizer` to the lattice engine.
 
-    Owns the walker, the uniform assumption short-circuits, the work
-    unit partitioning and keys, and the supervised dispatch (which
-    answers cached units, counts them and applies the first-accept
-    stop); verdict strings are byte-identical to
-    :meth:`Synthesizer._kernel_verdict` by construction (the
-    differential suite pins this).
+    Owns the walker and the uniform assumption short-circuits, and
+    records each call's ``synthsearch.*`` counter deltas; verdict
+    strings are byte-identical to :meth:`Synthesizer._kernel_verdict`
+    by construction (the differential suite pins this).
     """
 
     def __init__(self, synthesizer: "Synthesizer") -> None:
         self.synthesizer = synthesizer
         self.protocol = synthesizer.protocol
-        self.kernel = synthesizer._kernel
         self.base_transitions = synthesizer._base_transitions
         self.base_deadlocks = synthesizer._base_deadlocks
-        self.max_ring_size = synthesizer.max_ring_size
-        self.stats = synthesizer.stats
-        self.jobs = synthesizer.jobs
-        self.policy = synthesizer.policy
-        self.cache = synthesizer.cache
-        self.fault_plan = getattr(synthesizer, "fault_plan", None)
         self._name = f"{self.protocol.name}_ss"
         self._base_cyclic = has_cycle(
             local_transition_graph(self.base_transitions))
@@ -480,8 +450,8 @@ class LatticeSearch:
         self._counts: dict[str, int | float] = \
             {name: 0 for name in COUNTER_NAMES}
         self._walker = LatticeWalker(
-            self.kernel, self.base_transitions, self.max_ring_size,
-            self._counts)
+            synthesizer._kernel, self.base_transitions,
+            synthesizer.max_ring_size, self._counts)
 
     # -- uniform short-circuits ----------------------------------------
     def _uniform_reason(self, combos: Sequence[tuple]) -> str | None:
@@ -510,101 +480,22 @@ class LatticeSearch:
             return self_enabling_reason(self._name)
         return None
 
-    # -- work units ----------------------------------------------------
-    def _plan_units(self, combos: Sequence[tuple]) -> list[tuple[int, int]]:
-        """Contiguous subtree ranges: group by deepening arc prefixes
-        until there are enough units to keep every worker fed.  A serial
-        search (``jobs <= 1``) is one unit: one walker pass."""
-        if len(combos) <= 1 or self.jobs <= 1:
-            return [(0, len(combos))]
-        target = min(len(combos), max(4 * max(self.jobs, 1), 4))
-        width = len(combos[0])
-        ranges = [(0, len(combos))]
-        for depth in range(1, width + 1):
-            cuts = [0]
-            for i in range(1, len(combos)):
-                if combos[i][:depth] != combos[i - 1][:depth]:
-                    cuts.append(i)
-            cuts.append(len(combos))
-            ranges = list(zip(cuts, cuts[1:]))
-            if len(ranges) >= target:
-                break
-        return ranges
-
-    def _unit_key(self, combos: Sequence[tuple],
-                  first_accept: bool) -> str:
-        """The cache key of one unit.  Combinations are keyed on their
-        local-state index pairs, never on labels (which truncate string
-        cell values, so distinct arcs can share one), and the key
-        records *first_accept*, so a full walk never replays a unit
-        that stopped at its first accept."""
-        walker = self._walker
-        payload = [[list(walker._pair(t)) for t in combo]
-                   for combo in combos]
-        digest = hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()).hexdigest()
-        return analysis_key(
-            "synthsearch-unit", self.protocol,
-            max_ring_size=self.max_ring_size,
-            accept_contiguous_only=self.synthesizer.accept_contiguous_only,
-            first_accept=first_accept, unit=digest)
-
-    def _prewarm(self) -> None:
-        """Build the root checkpoint in-parent so forked workers
-        inherit it hot instead of re-deriving it per unit."""
-        self._walker.ensure_root()
-
-    def _fold(self, delta: dict[str, Any] | None) -> None:
-        """Record a work unit's counter delta (fresh or replayed from
-        the cache) — the walker counts in its own dict, so this is the
-        one place the ``synthsearch.*`` counters are recorded."""
-        for name, value in (delta or {}).items():
-            if name in COUNTER_NAMES and value:
-                obs.metric(f"synthsearch.{name}", value)
-
-    # -- entry points --------------------------------------------------
-    def evaluate_unit(self, combos: Sequence[tuple],
-                      first_accept: bool) -> tuple:
-        """One work unit: walk the unit's combinations, up to its own
-        first accept when *first_accept*.  Returns ``(reasons,
-        counter_delta)`` — both pickle-safe, so a cached unit replays
-        its verdicts *and* counters on a rerun."""
-        counts = self._counts
-        before = dict(counts)
-        reasons = self._walker.verdicts([tuple(c) for c in combos],
-                                        first_accept)
-        delta = {name: counts[name] - before.get(name, 0)
-                 for name in COUNTER_NAMES if counts[name] != before.get(name, 0)}
-        return reasons, delta
-
+    # -- entry point ---------------------------------------------------
     def verdicts(self, combos: Sequence[tuple],
                  first_accept: bool) -> list[str | None]:
-        """Lattice verdicts for one pool, in order: one plan of work
-        units in one supervised call.  With *first_accept* the result
-        ends at the first accepted combination."""
+        """Lattice verdicts for one pool, in order: one in-process walk.
+        With *first_accept* the result ends at the first accepted
+        combination.  The walker counts in its own dict, so this is the
+        one place the ``synthsearch.*`` counters are recorded."""
         uniform = self._uniform_reason(combos)
         if uniform is not None:
-            self._fold({"combos_pruned": len(combos)})
+            obs.metric("synthsearch.combos_pruned", len(combos))
             return [uniform] * len(combos)
-        units = [(combos[start:end], first_accept)
-                 for start, end in self._plan_units(combos)]
-        results = supervise_work_items(
-            _lattice_unit_worker, units, jobs=self.jobs,
-            context=self.synthesizer, stats=self.stats,
-            policy=self.policy, cache=self.cache,
-            keys=([self._unit_key(*unit) for unit in units]
-                  if self.cache is not None else None),
-            plan=self.fault_plan, prewarm=self._prewarm,
-            until=_ends_on_accept if first_accept else None)
-        reasons: list[str | None] = []
-        for unit_reasons, delta in results:
-            self._fold(delta)
-            reasons.extend(unit_reasons)
+        counts = self._counts
+        before = dict(counts)
+        reasons = self._walker.verdicts(combos, first_accept)
+        for name in COUNTER_NAMES:
+            if counts[name] != before[name]:
+                obs.metric(f"synthsearch.{name}",
+                           counts[name] - before[name])
         return reasons
-
-
-def _ends_on_accept(result: tuple) -> bool:
-    """Whether a unit's ``(reasons, counter_delta)`` ended on an
-    accepted combination."""
-    reasons, _delta = result
-    return reasons[-1] is None

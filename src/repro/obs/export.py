@@ -174,31 +174,22 @@ def _span_tree(events: list[dict[str, Any]]) -> list[tuple[int, dict]]:
 
 
 def _cache_effectiveness_lines(metrics: dict[str, Any]) -> list[str]:
-    """Hit/miss summaries of the two warm-start layers, from their
-    dotted counters (empty when neither layer saw any traffic)."""
-    lines: list[str] = []
-    for label, prefix, hit_word, store_word in (
-            ("results", "cache.", "hits", "stores"),
-            ("artifacts", "artifacts.", "attached", "stored")):
-        hits = metrics.get(f"{prefix}hits", 0)
-        misses = metrics.get(f"{prefix}misses", 0)
-        if not hits and not misses:
-            continue
-        rate = hits / (hits + misses)
-        line = (f"  {label}: {hits} {hit_word} / {misses} misses "
-                f"({rate:.0%} hit rate), "
-                f"{metrics.get(f'{prefix}stores', 0)} {store_word}")
-        corrupt = (metrics.get(f"{prefix}corrupt", 0)
-                   or metrics.get(f"{prefix}corrupt_entries", 0))
-        if corrupt:
-            line += f", {corrupt} corrupt discarded"
-        evictions = metrics.get(f"{prefix}evictions", 0)
-        if evictions:
-            line += f", {evictions} evicted"
-        lines.append(line)
-    if lines:
-        lines.insert(0, "cache effectiveness:")
-    return lines
+    """The result cache's hit/miss summary, from its ``cache.*``
+    counters (empty when the cache saw no traffic)."""
+    hits = metrics.get("cache.hits", 0)
+    misses = metrics.get("cache.misses", 0)
+    if not hits and not misses:
+        return []
+    line = (f"  results: {hits} hits / {misses} misses "
+            f"({hits / (hits + misses):.0%} hit rate), "
+            f"{metrics.get('cache.stores', 0)} stores")
+    corrupt = metrics.get("cache.corrupt_entries", 0)
+    if corrupt:
+        line += f", {corrupt} corrupt discarded"
+    evictions = metrics.get("cache.evictions", 0)
+    if evictions:
+        line += f", {evictions} evicted"
+    return ["cache effectiveness:", line]
 
 
 def render_trace(data: dict[str, Any], source: str = "trace") -> str:

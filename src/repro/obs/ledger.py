@@ -64,8 +64,8 @@ WORK_COUNTERS = (
     "work_items", "states_explored",
     # Lattice-search split: both are intrinsic to the candidate set
     # (judged against the inherited witness chain, never against the
-    # scheduling-dependent blocked-mask index), so any drift on a
-    # matched identity is a pruning regression, not partition noise.
+    # blocked-mask index), so any drift on a matched identity is a
+    # pruning regression.
     "combos_pruned", "full_evaluations",
 )
 

@@ -1,6 +1,6 @@
 """Live run telemetry: rate-limited status snapshots (`repro ps/top`).
 
-While an hour-scale sweep or synthesis search executes, the only
+While an hour-scale sweep or fuzz audit executes, the only
 window into it used to be post-hoc (a ``--trace`` file, rendered by
 ``repro report``).  This module gives a running command a *live plane*:
 a :class:`LiveRun` publishes a single ``status.json`` under

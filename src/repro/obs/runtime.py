@@ -21,9 +21,8 @@ report's stats, and collectors ignore it.
 Worker capture protocol: the batch scheduler's workers
 (:mod:`repro.engine.scheduler`) call :func:`fork_capture_begin` /
 :func:`fork_capture_end` around each work item executed in a child.
-The pair swaps in a fresh capture — a capture run when the worker
-inherited (fork) or started (spawn) an active run, else a bare
-collector — lets the worker record into it, and returns the picklable
+The pair swaps in a fresh capture — a capture run when the forked
+worker inherited an active run, else a bare collector — lets the worker record into it, and returns the picklable
 :class:`ChildCapture` with the item's result, tracing on or off.  The
 parent grafts it back with :func:`adopt_child`: the item's layer
 counts reach the registries collecting at the dispatch, and under an
@@ -246,8 +245,8 @@ def fork_capture_begin() -> tuple:
     """In a worker: swap in a fresh capture for one work item.
 
     Returns the state to restore with :func:`fork_capture_end`.  With
-    an active run (inherited at fork time, or started by a spawned
-    worker) the capture is a fresh run, which records everything;
+    an active run (inherited at fork time) the capture is a fresh run,
+    which records everything;
     without one it is a bare collector, so the item's layer counts
     still travel back to the parent.
     """

@@ -205,8 +205,10 @@ def audit_theorems(samples: int = 50, max_ring_size: int = 5,
     a repeat counts its first sample's outcome, discrepancy listing
     included: the report counts every sample, ``stats.work_items`` and
     ``stats.states_explored`` the audits run.  The distinct protocols
-    are one :func:`repro.engine.supervise_work_items` call: ``jobs > 1``
-    fans the audits out over worker processes, and *cache* answers and
+    are one :func:`repro.engine.supervise_work_items` call (one of its
+    two callers, with the sweep): ``jobs > 1`` fans the audits out over
+    forked worker processes (in-process where the platform cannot
+    fork), and *cache* answers and
     stores one outcome per distinct protocol (each as soon as it
     completes, so a killed audit's rerun resumes) — both with reports
     identical to the serial, uncached run.  *policy* supervises the

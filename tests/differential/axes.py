@@ -2,10 +2,10 @@
 reference, one line per axis.
 
 Each axis lists its values, the production default, the naive serial
-reference's value and what it sets — a keyword of the analysis call,
-an environment variable, or a fixture the harness builds under a
-temporary directory.  Adding a value is a one-line change here; how a
-value is applied lives in :mod:`tests.differential.harness`.
+reference's value and what it sets — a keyword of the analysis call or
+a fixture the harness builds under a temporary directory.  Adding a
+value is a one-line change here; how a value is applied lives in
+:mod:`tests.differential.harness`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ AXES = (
     Axis("backend", ("kernel", "naive"), "kernel", "naive", "backend="),
     Axis("search", ("lattice", "flat"), "lattice", "flat", "search="),
     Axis("jobs", (1, 2), 1, 1, "jobs="),
-    Axis("start_method", ("fork", "spawn"), "fork", "fork", "env REPRO_START_METHOD"),
     Axis("cache", ("none", "cold", "warm"), "none", "none", "fixture: a ResultCache, cache="),
     Axis("fault", ("none", "crash", "hang", "kill-resume"), "none", "none", "fault_plan=, policy="),
 )

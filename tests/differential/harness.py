@@ -21,20 +21,17 @@ full, witnesses and their order included.
 A divergence fails the test with a 1-minimal reproducer: the shrinker
 drops actions while the same cell still diverges from the reference.
 
-Each run gets its own scratch directory for the cache; environment
-variables an axis sets are restored when the run ends.
+Each run gets its own scratch directory for the cache.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
-from unittest import mock
 
 import pytest
 
@@ -181,14 +178,11 @@ def _verify_surface(report):
             report.closure_ok)
 
 
-def _synthesizer(protocol, config, cache=None, policy=None, plan=None,
-                 max_ring_size=9):
+def _synthesizer(protocol, config, *, max_ring_size=9, **_):
     from repro.core.synthesis import Synthesizer
 
     return Synthesizer(protocol, max_ring_size=max_ring_size,
-                       backend=config["backend"], search=config["search"],
-                       jobs=config["jobs"], cache=cache, policy=policy,
-                       fault_plan=plan)
+                       backend=config["backend"], search=config["search"])
 
 
 def _synthesis(protocol, config, **options):
@@ -246,8 +240,7 @@ ANALYSES = {
     "check": Analysis(_check, lambda report: report,
                       {"backend": None}),
     "sweep": Analysis(_sweep, lambda result: result.reports,
-                      {"backend": None, "jobs": None,
-                       "start_method": None, "cache": None,
+                      {"backend": None, "jobs": None, "cache": None,
                        "fault": None},
                       resumed=_sweep_resumed),
     "trail": Analysis(_trail, lambda found: tuple(map(_head, found)),
@@ -259,15 +252,11 @@ ANALYSES = {
                        {"backend": KERNEL_OR_NAIVE, "cache": None},
                        exact=lambda report: report),
     "synthesis": Analysis(_synthesis, _synthesis_surface,
-                          {"backend": KERNEL_OR_NAIVE, "search": None,
-                           "jobs": None, "start_method": None,
-                           "cache": None, "fault": None}),
+                          {"backend": KERNEL_OR_NAIVE, "search": None}),
     "rows": Analysis(_rows, list,
-                     {"backend": KERNEL_OR_NAIVE, "search": None,
-                      "jobs": None}),
+                     {"backend": KERNEL_OR_NAIVE, "search": None}),
     "audit": Analysis(_audit, _audit_surface,
-                      {"jobs": None, "start_method": None,
-                       "cache": None}),
+                      {"jobs": None, "cache": None}),
 }
 
 
@@ -309,16 +298,12 @@ def _kill_resume(spec: Analysis, call, directory: Path) -> Outcome:
         raise ParentDown(status)
 
     try:
-        dying = call(cache=ResultCache(directory, durable=True),
-                     plan=FaultPlan(die_after_checkpoints=1, die=die))
+        call(cache=ResultCache(directory, durable=True),
+             plan=FaultPlan(die_after_checkpoints=1, die=die))
     except ParentDown:
         pass
     else:
-        # Nothing reached the dispatcher's write-through (a synthesis
-        # whose pool the uniform assumption check rejects, say): no
-        # resume cycle to exercise, just a verdict to check.
-        assert _entries(directory) == 0
-        return Outcome([Run(dying, 0.0)])
+        pytest.fail("the run ended before its first durable cache write")
     written = _entries(directory)
     assert written >= 1, "died before the first checkpoint"
     resumed = _timed(call, cache=ResultCache(directory, durable=True))
@@ -332,7 +317,6 @@ def _kill_resume(spec: Analysis, call, directory: Path) -> Outcome:
 def execute(spec: Analysis, subject, config: dict, params: dict) -> Outcome:
     """Run *spec* on *subject* under *config* (every axis it accepts)."""
     from repro.engine.cache import ResultCache
-    from repro.engine.pool import START_METHOD_ENV
 
     fault = config.get("fault", "none")
     caching = config.get("cache", "none")
@@ -341,10 +325,6 @@ def execute(spec: Analysis, subject, config: dict, params: dict) -> Outcome:
         def scratch() -> Path:
             return Path(stack.enter_context(
                 tempfile.TemporaryDirectory(prefix="matrix-")))
-
-        if config.get("start_method", "fork") != "fork":
-            stack.enter_context(mock.patch.dict(
-                os.environ, {START_METHOD_ENV: config["start_method"]}))
 
         def call(cache=None, plan=plan):
             options = dict(params, cache=cache, policy=policy)

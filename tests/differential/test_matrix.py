@@ -38,11 +38,6 @@ COMBOS = (
     ("sweep", {"jobs": 2, "fault": "hang"}),
     ("sweep", {"jobs": 2, "fault": "kill-resume"}),
     ("sweep", {"jobs": 2, "cache": "warm"}),
-    ("sweep", {"jobs": 2, "start_method": "spawn"}),
-    ("synthesis", {"jobs": 2, "search": "flat"}),
-    ("synthesis", {"jobs": 2, "fault": "crash"}),
-    ("synthesis", {"jobs": 2, "fault": "hang"}),
-    ("synthesis", {"jobs": 2, "fault": "kill-resume"}),
     ("audit", {"jobs": 2, "cache": "warm"}),
 )
 

@@ -11,50 +11,32 @@ per-analysis fold is never needed.  Report counters (``engine.``,
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 
 import pytest
 
 from repro.checker.sweep import sweep_verify
-from repro.core.synthesis import Synthesizer
 from repro.engine import EngineStats, ResultCache
 from repro.engine.kernel import build_space, compile_protocol
-from repro.engine.pool import (
-    START_METHOD_ENV,
-    PortableContext,
-    parallelism_available,
-)
+from repro.engine.pool import parallelism_available
 from repro.engine.supervisor import SupervisorPolicy, supervise_work_items
 from repro.obs import runtime as obs
-from repro.protocols import (
-    generalizable_matching,
-    stabilizing_sum_not_two,
-    sum_not_two,
-)
+from repro.protocols import generalizable_matching, stabilizing_sum_not_two
 from repro.randomgen import _SampleOutcome, audit_theorems
 
 needs_fork = pytest.mark.skipif(not parallelism_available(),
                                 reason="needs the fork start method")
-needs_spawn = pytest.mark.skipif(
-    "spawn" not in multiprocessing.get_all_start_methods(),
-    reason="spawn start method unavailable")
 
 #: Layer counts one work item records.
 K = 3
 ITEMS = 6
 
 
-# Workers must be module-level (resolved by qualified name under spawn).
 def _count(k, item):
     for _ in range(k):
         obs.metric("localkernel.mask_evaluations")
     return item
-
-
-def _build_k(payload):
-    return payload
 
 
 def _count_with_report(k, item):
@@ -119,13 +101,6 @@ class TestDispatchPaths:
         assert stats.parallel and stats.scheduler_batches > 0
         assert stats.mask_evaluations == K * ITEMS
 
-    @needs_spawn
-    def test_spawn_batch(self, monkeypatch):
-        monkeypatch.setenv(START_METHOD_ENV, "spawn")
-        stats = _dispatch(_count, portable=PortableContext(_build_k, K))
-        assert stats.parallel and stats.pool_fallbacks == 0
-        assert stats.mask_evaluations == K * ITEMS
-
     @needs_fork
     def test_retried_then_successful(self, crash_once):
         # The killed attempts recorded their counts before dying; those
@@ -173,17 +148,6 @@ class TestDispatchPaths:
 # ----------------------------------------------------------------------
 # The four counter defects of the per-analysis folds
 # ----------------------------------------------------------------------
-@needs_fork
-def test_parallel_synthesis_counts_worker_side_local_kernel_work():
-    synthesizer = Synthesizer(sum_not_two(), jobs=2)
-    result = synthesizer.synthesize()
-    assert result.succeeded and result.stats.parallel
-    # The parent judges no combination itself: every mask evaluation
-    # and skeleton compile below happened in a worker.
-    assert result.stats.mask_evaluations > 0
-    assert result.stats.skeleton_compiles > 0
-
-
 @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
 def test_fuzz_counts_certificates(tmp_path, jobs):
     report = audit_theorems(samples=40, seed=1, jobs=jobs,
@@ -238,7 +202,7 @@ def test_fuzz_counters_are_jobs_invariant(tmp_path):
 
 
 @needs_fork
-def test_sweep_counters_are_jobs_invariant(monkeypatch):
+def test_sweep_counters_are_jobs_invariant():
     def counters(jobs):
         stats = sweep_verify(stabilizing_sum_not_two(), up_to=9,
                              jobs=jobs).stats
@@ -247,9 +211,6 @@ def test_sweep_counters_are_jobs_invariant(monkeypatch):
     serial = counters(1)
     assert serial["states_encoded"] == serial["states_explored"] > 0
     assert counters(2) == serial
-    if "spawn" in multiprocessing.get_all_start_methods():
-        monkeypatch.setenv(START_METHOD_ENV, "spawn")
-        assert counters(2) == serial
 
 
 def test_cached_sample_outcomes_from_older_runs_still_load():

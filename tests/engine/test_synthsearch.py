@@ -11,15 +11,11 @@ exactly:
 * prune soundness — every combination the lattice answered without a
   leaf-level trail query must get the identical verdict from an
   un-memoized flat evaluation;
-* determinism — verdicts are identical across ``--jobs 1/2/4``, and
-  so is the pruned/evaluated counter split wherever every combination
-  is judged;
-* one search — a Resolve set's pool is one supervised dispatch.
+* one search — a Resolve set's pool is one in-process walk, and a pool
+  the uniform Assumption 1/2 check rejects is not walked at all.
 
 Plus unit coverage for the engine's parts: the subset-closed
-:class:`BlockedMaskIndex`, the support-closure explosion cap, and the
-``_unit_key`` index-pair regression (labels truncate string cell
-values, so distinct combos used to collide).
+:class:`BlockedMaskIndex` and the support-closure explosion cap.
 """
 
 from __future__ import annotations
@@ -27,11 +23,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.synthesis import Synthesizer
-from repro.engine.pool import parallelism_available
 from repro.engine.synthsearch import (
     MAX_SUPPORTS,
     BlockedMaskIndex,
     LatticeSearch,
+    LatticeWalker,
 )
 from repro.protocol.actions import LocalTransition
 from repro.protocol.process import ProcessTemplate
@@ -39,7 +35,6 @@ from repro.protocol.ring import RingProtocol
 from repro.protocol.variables import Variable
 from repro.protocols import coloring, gouda_acharya_matching, three_coloring
 from tests.differential import sources
-from tests.differential.harness import ANALYSES
 
 RANDOM_SAMPLES = 5  # 8 seeds x 5 = 40 random protocols, the suite's floor
 RANDOM_MAX_RING = 5
@@ -86,7 +81,7 @@ def test_unknown_search_mode_is_rejected():
 # Prune soundness
 # ----------------------------------------------------------------------
 def test_pruned_combos_recheck_identically_flat():
-    """Feed the walker one combination at a time, classify each leaf
+    """Feed the search one combination at a time, classify each leaf
     from the counter delta, and re-judge every pruned combination with
     an un-memoized flat evaluation: identical verdict required."""
     from repro.core.deadlock import DeadlockAnalyzer
@@ -99,9 +94,9 @@ def test_pruned_combos_recheck_identically_flat():
     pruned = []
     for combo in combos:
         before = search._counts["combos_pruned"]
-        reasons, _delta = search.evaluate_unit([combo], False)
+        (reason,) = search.verdicts([combo], False)
         if search._counts["combos_pruned"] > before:
-            pruned.append((combo, reasons[0]))
+            pruned.append((combo, reason))
     assert pruned, "three-coloring must exercise the pruning path"
     oracle = Synthesizer(three_coloring(), search="flat")
     for combo, reason in pruned:
@@ -118,85 +113,21 @@ def test_counter_split_covers_every_combination():
     assert stats.checkpoint_bytes > 0
 
 
-# ----------------------------------------------------------------------
-# Determinism across jobs
-# ----------------------------------------------------------------------
-@pytest.mark.skipif(not parallelism_available(),
-                    reason="needs the fork start method")
-def test_verdicts_and_counters_invariant_across_jobs(matrix):
-    # three_coloring rejects every combination, so every jobs value
-    # judges the whole pool.  forbidden_sum(6, 1) accepts its second
-    # combination, which falls in the second unit at jobs 2 and 4: the
-    # units after it are speculative, run but cut from the result, and
-    # their counters are not folded.  Each cell's result is compared
-    # with the reference, and the counter split must match across jobs
-    # for both pools.
-    def split(source, jobs):
-        stats = matrix.cell("synthesis", source, jobs=jobs).result.stats
-        return stats.combos_pruned, stats.full_evaluations
-
-    accepts_second = sources.forbidden_sum(6, 1)
-    surface = ANALYSES["synthesis"].surface(
-        matrix.cell("synthesis", accepts_second, search="flat").result)
-    assert surface[0].name.startswith("SUCCESS") and len(surface[3]) == 1
-    for source in (sources.coloring(3), accepts_second):
-        reference = split(source, 1)
-        for jobs in (2, 4):
-            assert split(source, jobs) == reference, jobs
-
-
-def test_one_dispatch_per_pool(monkeypatch):
-    import repro.engine.synthsearch as synthsearch
-
+def test_one_walk_per_pool(monkeypatch):
     calls = []
-    dispatch = synthsearch.supervise_work_items
+    walk = LatticeWalker.verdicts
     monkeypatch.setattr(
-        synthsearch, "supervise_work_items",
-        lambda *args, **kwargs: calls.append(1) or dispatch(*args,
-                                                            **kwargs))
-    result = Synthesizer(coloring(5), jobs=1).synthesize()
+        LatticeWalker, "verdicts",
+        lambda self, *args: calls.append(1) or walk(self, *args))
+    result = Synthesizer(coloring(5)).synthesize()
     assert len(result.rejected) == 1024
     assert len(calls) == 1
-    # A pool the uniform Assumption 1/2 check rejects is not dispatched.
+    # A pool the uniform Assumption 1/2 check rejects is not walked.
     calls.clear()
     result = Synthesizer(gouda_acharya_matching(),
                          accept_contiguous_only=True).synthesize()
     assert "(Assumption 2)" in result.rejected[0].reason
     assert calls == []
-
-
-# ----------------------------------------------------------------------
-# _unit_key regression: local-state index pairs, not label strings
-# ----------------------------------------------------------------------
-def _label_colliding_protocol():
-    """States over domain ("aa", "ab"): labels keep only the first
-    character of string cell values, so the two opposite transitions
-    both render as ``taa``."""
-    m = Variable("m", ("aa", "ab"))
-    process = ProcessTemplate(variables=(m,), actions=(),
-                              reads_left=1, reads_right=0)
-    return RingProtocol("label_collider", process, "True")
-
-
-def test_unit_key_distinguishes_label_colliding_combos():
-    from repro.core.synthesis import _transition_label
-
-    protocol = _label_colliding_protocol()
-    space = protocol.space
-    states = {state.cells: state for state in space.states}
-    forward = LocalTransition(states[(("aa",), ("aa",))],
-                              states[(("aa",), ("ab",))])
-    backward = LocalTransition(states[(("aa",), ("ab",))],
-                               states[(("aa",), ("aa",))])
-    # The historical failure mode: distinct transitions, same label.
-    assert _transition_label(forward.source, forward.target) \
-        == _transition_label(backward.source, backward.target) == "taa"
-    search = LatticeSearch(Synthesizer(protocol))
-    assert search._unit_key([(forward,)], True) \
-        != search._unit_key([(backward,)], True)
-    # A unit that stops at its first accept never answers a full walk.
-    assert search._unit_key([(forward,)], True) \
-        != search._unit_key([(forward,)], False)
 
 
 # ----------------------------------------------------------------------
@@ -268,8 +199,8 @@ def test_search_counters_reach_the_work_counter_schema():
 
     assert "combos_pruned" in WORK_COUNTERS
     assert "full_evaluations" in WORK_COUNTERS
-    # delta_reuses varies with unit partitioning (re-pushed prefixes)
-    # and must never be treated as drift-on-identity.
+    # delta_reuses counts re-pushed prefixes, which depend on how the
+    # walk is fed, and must never be treated as drift-on-identity.
     assert "delta_reuses" not in WORK_COUNTERS
 
 

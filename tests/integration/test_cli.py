@@ -160,6 +160,16 @@ BAD_INPUT = {
     "check-jobs": ["check", "sum-not-two-ss", "-K", "4", "--jobs", "2"],
     # The certificate is one in-process pass: verify takes no --jobs.
     "verify-jobs": ["verify", "sum-not-two-ss", "--jobs", "2"],
+    # Each Resolve set's pool is one in-process walk: synthesize takes
+    # no engine flag.
+    "synthesize-jobs": ["synthesize", "sum-not-two", "--jobs", "2"],
+    "synthesize-cache": ["synthesize", "sum-not-two", "--cache"],
+    "synthesize-cache-limit": ["synthesize", "sum-not-two",
+                               "--cache-limit", "8"],
+    "synthesize-timeout": ["synthesize", "sum-not-two", "--timeout", "30"],
+    "synthesize-retries": ["synthesize", "sum-not-two", "--retries", "1"],
+    "synthesize-checkpoint": ["synthesize", "sum-not-two", "--checkpoint"],
+    "synthesize-resume": ["synthesize", "sum-not-two", "--resume", "x"],
     "missing-file": ["verify", "{tmp}/missing.json"],
     "not-json": ["verify", "{tmp}/garbage.json"],
     "no-variables": ["verify", "{tmp}/no-variables.json"],

@@ -71,7 +71,8 @@ NO_ARTIFACTS = ("repro.engine.artifacts", "mmap")
      ("multiprocessing", "repro.core.synthesis",
       "repro.engine.synthsearch", *NO_ARTIFACTS)),
     (["synthesize", "sum-not-two"],
-     ("multiprocessing", "repro.engine.scheduler", *NO_ARTIFACTS)),
+     ("multiprocessing", "repro.engine.scheduler", "repro.engine.supervisor",
+      "repro.engine.pool", *NO_ARTIFACTS)),
     (["sweep", "sum-not-two-ss", "--up-to", "6", "--jobs", "2",
       "--cache-dir", "cache"], NO_ARTIFACTS),
     (["cache", "--cache-dir", "cache"], NO_ARTIFACTS),

@@ -4,10 +4,9 @@ The dispatcher writes every finished work item through to the cache, so
 a rerun answers whatever a killed run finished.  That only works if
 every writer stores one value shape per key kind (``repro check``, the
 in-order sweep loop and the dispatcher all store bare reports under the
-sweep key; synthesis stores one ``(reasons, counter delta)`` entry per
-lattice work unit), and if the CLI turns the cache on, durably, exactly
-when ``--checkpoint`` / ``--resume`` ask for it — and never for
-``--run-id`` alone.
+sweep key), and if the CLI turns the cache on, durably, exactly when
+``--checkpoint`` / ``--resume`` ask for it — and never for ``--run-id``
+alone.
 """
 
 from __future__ import annotations
@@ -22,15 +21,9 @@ import pytest
 from repro.checker.convergence import GlobalReport
 from repro.checker.sweep import _sweep_key
 from repro.cli import main
-from repro.core.synthesis import Synthesizer
 from repro.engine import ResultCache
-from repro.engine.synthsearch import LatticeSearch
 from repro.obs import ledger
-from repro.protocols import (
-    stabilizing_sum_not_two,
-    sum_not_two,
-    three_coloring,
-)
+from repro.protocols import stabilizing_sum_not_two
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -76,57 +69,6 @@ def test_parallel_sweep_entries_answer_the_serial_loop_and_check(
                 + _quiet(tmp_path)) == 0
     assert "cache: 1 hits (1 from disk), 0 misses" \
         in capsys.readouterr().out
-
-
-def test_cold_synthesis_writes_one_entry_per_pool(tmp_path):
-    synthesizer = Synthesizer(three_coloring(), jobs=1,
-                              cache=ResultCache(tmp_path))
-    assert not synthesizer.synthesize().succeeded
-    assert len(list(tmp_path.rglob("*.pkl"))) == 1
-    assert synthesizer.stats.cache_misses == 1
-    assert synthesizer.stats.cache_hits == 0
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_warm_synthesis_replays_every_unit(tmp_path, monkeypatch, jobs):
-    protocol = sum_not_two()
-    cold_synthesizer = Synthesizer(protocol, jobs=jobs,
-                                   cache=ResultCache(tmp_path))
-    cold = cold_synthesizer.synthesize()
-    assert cold.succeeded and cold.chosen
-    units = len(list(tmp_path.rglob("*.pkl")))
-
-    walked = []
-    evaluate = LatticeSearch.evaluate_unit
-    monkeypatch.setattr(
-        LatticeSearch, "evaluate_unit",
-        lambda self, *args: walked.append(args) or evaluate(self, *args))
-    warm_synthesizer = Synthesizer(protocol, jobs=jobs,
-                                   cache=ResultCache(tmp_path))
-    warm = warm_synthesizer.synthesize()
-    assert warm.chosen == cold.chosen
-    assert warm.rejected == cold.rejected
-    assert walked == []  # the accepting unit came from disk
-    stats, cold_stats = warm_synthesizer.stats, cold_synthesizer.stats
-    # The accepting unit is the pool's first, and claiming ends there: a
-    # warm run looks that one unit up at every jobs value, and none of
-    # the speculative units a cold jobs=2 run stored after it.
-    assert (units == 1) if jobs == 1 else (units > 1)
-    assert (stats.cache_hits, stats.cache_misses) == (1, 0)
-    assert stats.work_items == 0
-    assert (stats.combos_pruned, stats.full_evaluations) \
-        == (cold_stats.combos_pruned, cold_stats.full_evaluations)
-
-
-def test_full_sweep_never_replays_a_truncated_unit(tmp_path):
-    # synthesize() stops sum-not-two's pool at its first accept; the
-    # full sweep must not answer from that truncated unit.
-    assert Synthesizer(sum_not_two(),
-                       cache=ResultCache(tmp_path)).synthesize().succeeded
-    rows = Synthesizer(sum_not_two(), cache=ResultCache(tmp_path)
-                       ).evaluate_all_combinations()
-    assert len(rows) == 8
-    assert rows == Synthesizer(sum_not_two()).evaluate_all_combinations()
 
 
 # ----------------------------------------------------------------------

@@ -72,6 +72,24 @@ def test_render_report_tree(sample_run):
     assert check_line.index("check") > sweep_line.index("sweep")
 
 
+def test_cache_effectiveness_renders_the_result_cache_only():
+    # Traces written while the artifact plane existed carry artifacts.*
+    # counters: they stay listed under metrics, but no artifacts row
+    # reads as a live warm-start layer.
+    with obs.run("cached") as run_ctx:
+        obs.metric("cache.hits", 3)
+        obs.metric("cache.misses")
+        obs.metric("cache.stores")
+        obs.metric("artifacts.hits", 2)
+        obs.metric("artifacts.misses")
+    lines = export.render_trace(export.chrome_trace(run_ctx)).splitlines()
+    start = lines.index("cache effectiveness:")
+    assert lines[start + 1] == \
+        "  results: 3 hits / 1 misses (75% hit rate), 1 stores"
+    assert lines[start + 2] == "metrics:"
+    assert "  artifacts.hits = 2" in lines
+
+
 def test_rendered_spans_follow_the_walk_at_its_depths():
     # A serial traced analysis: the report's span lines are the run's
     # walk, line for line, each indented by its tree depth.

@@ -194,6 +194,19 @@ def test_verify_records_match_across_the_jobs_flag_removal(tmp_path,
     assert ledger.latest_matching([old, new], new)["run_id"] == "old"
 
 
+def test_synthesize_records_match_across_the_engine_flag_removal(
+        tmp_path, capsys):
+    # synthesize took --jobs, --cache, --timeout and the other engine
+    # flags until each pool became one in-process walk; its records
+    # still carry jobs=1, so older synthesize records stay baselines.
+    assert main(["synthesize", "sum-not-two",
+                 "--cache-dir", str(tmp_path), "--no-live"]) == 0
+    (new,) = ledger.load(ledger.ledger_path(tmp_path))[0]
+    assert new["flags"] == {"jobs": 1, "max_ring_size": 9}
+    old = dict(new, run_id="old", flags={"jobs": 1, "max_ring_size": 9})
+    assert ledger.latest_matching([old, new], new)["run_id"] == "old"
+
+
 def test_latest_matching_ignores_later_records():
     first = _record("first")
     later = _record("later")

@@ -29,7 +29,6 @@ def _no_leaked_run():
         pytest.fail("test leaked an active observability run")
 
 
-# Workers must be module-level (resolved by qualified name under spawn).
 def _square(_context, item):
     with obs.span("worker.square", item=item):
         obs.metric("worker.calls")
