@@ -16,8 +16,6 @@
     repro figures --out figures/           # DOT files for the paper figures
     repro cache                            # on-disk result cache stats
     repro cache --clear
-    repro ps                               # live/recent runs on this host
-    repro top <run-id> --follow            # refreshing view of one run
     repro runs list                        # cross-run ledger
     repro runs diff <run-id> [baseline]    # regression check between runs
 """
@@ -26,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -93,23 +92,15 @@ def _resolve_protocol(name: str):
 
 
 def _annotate_protocol(protocol) -> None:
-    """Stamp the protocol identity onto the ambient obs run and the
-    ambient live plane (so ``repro ps`` can show a PROTOCOL column)."""
-    from repro.obs import live as live_mod
-
-    live_run = live_mod.active()
-    if obs.active() is None and live_run is None:
+    """Stamp the protocol identity onto the ambient obs run."""
+    if obs.active() is None:
         return
     from repro.engine.fingerprint import protocol_fingerprint
 
     fingerprint = protocol_fingerprint(protocol)
-    if live_run is not None:
-        live_run.annotate(protocol=protocol.name,
-                          fingerprint=fingerprint)
-    if obs.active() is not None:
-        obs.annotate(protocol=protocol.name, fingerprint=fingerprint)
-        obs.gauge("protocol.name", protocol.name)
-        obs.gauge("protocol.fingerprint", fingerprint)
+    obs.annotate(protocol=protocol.name, fingerprint=fingerprint)
+    obs.gauge("protocol.name", protocol.name)
+    obs.gauge("protocol.fingerprint", fingerprint)
 
 
 def _add_engine_options(parser: argparse.ArgumentParser,
@@ -117,7 +108,7 @@ def _add_engine_options(parser: argparse.ArgumentParser,
     """The shared ``repro.engine`` flags (``--jobs``, ``--cache``)."""
     if jobs:
         parser.add_argument(
-            "--jobs", type=int, default=1, metavar="N",
+            "--jobs", type=_at_least(1), default=1, metavar="N",
             help="worker processes for independent work items "
                  "(default: 1 = serial)")
     parser.add_argument(
@@ -164,8 +155,8 @@ def _add_supervisor_options(parser: argparse.ArgumentParser,
 def _add_run_id_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--run-id", default=None, metavar="ID",
-        help="name this run in its live status and ledger record "
-             "(default: generated)")
+        help="name this run in its ledger record and, with --checkpoint, "
+             "its run directory (default: generated)")
 
 
 def _supervisor_policy(args: argparse.Namespace):
@@ -189,14 +180,14 @@ def _checkpointing(args: argparse.Namespace) -> bool:
 def _open_checkpoint(args: argparse.Namespace) -> bool:
     """Set up ``runs/<run-id>/`` for a checkpointed or resumed run.
 
-    A checkpointed run creates its directory even under ``--no-live``,
-    so ``--resume`` can find it later; ``--resume`` of a run id with no
-    directory is refused (``False``) before anything runs.
+    A checkpointed run creates its directory, so ``--resume`` can find
+    it later; ``--resume`` of a run id with no directory is refused
+    (``False``) before anything runs.
     """
     from repro.engine.cache import runs_root
 
     root = runs_root(args.cache_dir)
-    run_id = args.live_run_id
+    run_id = args.run_id
     if args.resume is not None:
         if not (root / run_id).is_dir():
             known = sorted(p.name for p in root.iterdir() if p.is_dir()) \
@@ -215,18 +206,12 @@ def _open_checkpoint(args: argparse.Namespace) -> bool:
 
 
 def _add_obs_options(parser: argparse.ArgumentParser) -> None:
-    """The observability flags (``--trace``, ``--live``,
-    ``--ledger``)."""
+    """The observability flags (``--trace``, ``--ledger``)."""
     parser.add_argument(
         "--trace", default=None, metavar="FILE",
         help="write this run's spans, events, metrics and wall time as "
              "one Chrome trace (open it in Perfetto or chrome://tracing; "
              "render it with 'repro report FILE')")
-    parser.add_argument(
-        "--live", action=argparse.BooleanOptionalAction, default=True,
-        help="publish rate-limited status.json snapshots under "
-             "<cache-dir>/runs/<run-id>/ for 'repro ps' and "
-             "'repro top' (default: on)")
     parser.add_argument(
         "--ledger", action=argparse.BooleanOptionalAction, default=True,
         help="append this run's final record (verdict digest, "
@@ -288,8 +273,7 @@ def _note_ledger(args: argparse.Namespace, *, protocol=None,
 
 
 def _record_ledger(args: argparse.Namespace, exit_status: int,
-                   wall_seconds: float, started: float,
-                   live_run) -> None:
+                   wall_seconds: float, started: float) -> None:
     """Append this run's final record to ``<cache-dir>/ledger.jsonl``."""
     if not getattr(args, "ledger", False):
         return
@@ -310,10 +294,8 @@ def _record_ledger(args: argparse.Namespace, exit_status: int,
         counters = {name: value for name, value in data.items()
                     if isinstance(value, (int, float))
                     and not isinstance(value, bool)}
-    if live_run is not None:
-        counters["live_snapshots"] = live_run.snapshots
     record = ledger_mod.make_record(
-        getattr(args, "live_run_id", None) or "adhoc",
+        getattr(args, "run_id", None) or "adhoc",
         args.command,
         protocol=note.get("protocol"),
         fingerprint=note.get("fingerprint"),
@@ -326,32 +308,6 @@ def _record_ledger(args: argparse.Namespace, exit_status: int,
         stage_seconds=stage_seconds)
     ledger_mod.append(ledger_mod.ledger_path(
         getattr(args, "cache_dir", None) or DEFAULT_CACHE_DIR), record)
-
-
-@contextlib.contextmanager
-def _live_plane(args: argparse.Namespace):
-    """Activate the ambient live plane for one command.
-
-    Only the engine commands carry the ``--live`` flag; everything else
-    (and ``--no-live``) runs without a publisher.  The run directory is
-    ``runs/<run-id>/``, the one ``--resume`` looks for.
-    """
-    if not getattr(args, "live", False):
-        yield None
-        return
-    from repro.engine.cache import runs_root
-    from repro.obs import live as live_mod
-
-    directory = runs_root(getattr(args, "cache_dir", None)) \
-        / args.live_run_id
-    live_run = live_mod.LiveRun(directory, args.live_run_id,
-                                command=args.command)
-    live_mod.activate(live_run)
-    live_run.publish(force=True)
-    try:
-        yield live_run
-    finally:
-        live_mod.deactivate(live_run)
 
 
 def _print_stats(stats, cache) -> None:
@@ -445,9 +401,14 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
     from repro.core.hybrid import HybridVerdict, hybrid_verify
 
     protocol = _resolve_protocol(args.protocol)
-    report = hybrid_verify(protocol,
-                           max_ring_size=args.max_ring_size,
-                           check_up_to=args.check_up_to)
+    try:
+        report = hybrid_verify(protocol,
+                               max_ring_size=args.max_ring_size,
+                               check_up_to=args.check_up_to)
+    except ValueError as exc:
+        print(f"error: --check-up-to {args.check_up_to}: {exc}",
+              file=sys.stderr)
+        return 2
     print(f"== hybrid verification of {protocol.name} ==")
     print(report.summary())
     return 0 if report.verdict in (HybridVerdict.CONVERGES,
@@ -586,9 +547,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     left under ``artifacts/``; no command reads or writes them any
     more, so they are counted, never attached, and ``--clear`` removes
     them with the result entries and the stray temporaries.  ``--clear``
-    also removes the status snapshot of every run that has ended
-    (finished, failed or stale), and the run directory that leaves
-    empty.
+    leaves ``runs/`` and the ledger alone; a ``--resume`` after it
+    recomputes every item, because the entries it would answer from
+    are gone.
     """
     from repro.engine.cache import (
         ARTIFACT_SUFFIX,
@@ -596,20 +557,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         ENTRY_SUFFIX,
         TEMP_SUFFIX,
         enforce_directory_limit,
-        runs_root,
     )
 
     root = Path(args.cache_dir or DEFAULT_CACHE_DIR)
     if args.clear:
-        from repro.obs import live as live_mod
-
         # A limit below zero removes every match, empty files included
         # (a write killed before its first byte leaves one).
         removed = enforce_directory_limit(
             root, -1, suffix=(ENTRY_SUFFIX, ARTIFACT_SUFFIX, TEMP_SUFFIX))
-        runs = live_mod.remove_ended(runs_root(root))
-        print(f"cleared {removed} entries and {runs} ended runs "
-              f"under {root}")
+        print(f"cleared {removed} entries under {root}")
         return 0
 
     files = {suffix: [0, 0]
@@ -639,53 +595,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     print("  (hit/miss rates are per-run; see the engine summary each "
           "command prints, or 'repro report' on a --trace file)")
     return 0
-
-
-def _cmd_ps(args: argparse.Namespace) -> int:
-    """List runs publishing (or having published) live snapshots."""
-    from repro.engine.cache import runs_root
-    from repro.obs import live as live_mod
-
-    statuses = live_mod.scan_runs(runs_root(args.cache_dir))
-    if args.json:
-        print(json.dumps(statuses, indent=2, default=str))
-        return 0
-    print(live_mod.render_ps(statuses))
-    return 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    """Render one run's live snapshot (optionally refreshing)."""
-    from repro.engine.cache import runs_root
-    from repro.obs import live as live_mod
-
-    root = runs_root(args.cache_dir)
-    directory = root / args.run_id
-    status = live_mod.load_status(directory)
-    if status is None:
-        known = ", ".join(
-            s.get("run_id", "?") for s in live_mod.scan_runs(root))
-        print(f"error: no status snapshot for run {args.run_id!r} "
-              f"(runs with snapshots: {known or 'none'})",
-              file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(status, indent=2, default=str))
-        return 0
-    if args.once or not args.follow:
-        print(live_mod.render_top(status))
-        return 0
-    try:
-        while True:
-            sys.stdout.write("\x1b[H\x1b[2J"
-                             + live_mod.render_top(status) + "\n")
-            sys.stdout.flush()
-            if live_mod.liveness(status) != "live":
-                return 0
-            time.sleep(args.interval)
-            status = live_mod.load_status(directory) or status
-    except KeyboardInterrupt:
-        return 0
 
 
 def _load_ledger(args: argparse.Namespace):
@@ -812,12 +721,17 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # Every parser refuses abbreviated long options: a removed flag that
+    # prefixes a kept one (``--cache`` of ``--cache-dir``) must exit 2,
+    # not run as the kept one.
+    strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = strict(
         prog="repro",
         description="Verification and synthesis of self-stabilizing "
                     "parameterized ring protocols (Farahat & Ebnenasir, "
                     "ICDCS 2012).")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=strict)
 
     sub.add_parser("list", help="list bundled protocols") \
         .set_defaults(func=_cmd_list)
@@ -834,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="largest K at which a livelock witness's "
                              "round pattern is named (the verdict "
                              "covers every K)")
-    verify.add_argument("--max-sizes", type=int, default=20,
+    verify.add_argument("--max-sizes", type=_at_least(2), default=20,
                         help="horizon for deadlocked-size prediction")
     verify.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
@@ -904,8 +818,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--max-ring-size", type=_at_least(2), default=9)
     synth.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="where the ledger record and the live status go (default: "
-             ".repro-cache/); synthesis caches no results")
+        help="where the ledger record goes (default: .repro-cache/); "
+             "synthesis caches no results")
     _add_run_id_option(synth)
     _add_obs_options(synth)
     # Each Resolve set's pool is one in-process walk, so synthesize
@@ -937,42 +851,13 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--clear", action="store_true",
                        help="delete every result entry, legacy artifact "
                             "file and stray temporary file under the "
-                            "cache root (run status under runs/ and the "
-                            "ledger are kept)")
+                            "cache root (runs/ and the ledger are kept)")
     cache.set_defaults(func=_cmd_cache)
-
-    ps = sub.add_parser("ps", help="list runs publishing live status "
-                                   "snapshots (running, finished, or "
-                                   "killed)")
-    ps.add_argument("--cache-dir", default=None, metavar="DIR",
-                    help="cache directory (default: .repro-cache/)")
-    ps.add_argument("--json", action="store_true",
-                    help="emit the raw snapshots as JSON")
-    ps.set_defaults(func=_cmd_ps)
-
-    top = sub.add_parser("top", help="live view of one run's progress, "
-                                     "workers and cache hit rates")
-    top.add_argument("run_id", metavar="RUN-ID",
-                     help="a run id from 'repro ps'")
-    top.add_argument("--cache-dir", default=None, metavar="DIR",
-                     help="cache directory (default: .repro-cache/)")
-    top.add_argument("--follow", action="store_true",
-                     help="refresh the view until the run leaves the "
-                          "'live' state (Ctrl-C to stop)")
-    top.add_argument("--once", action="store_true",
-                     help="render a single snapshot and exit (the "
-                          "default; overrides --follow)")
-    top.add_argument("--json", action="store_true",
-                     help="print the raw snapshot JSON once (for "
-                          "scripting; implies --once)")
-    top.add_argument("--interval", type=float, default=1.0,
-                     metavar="SECONDS",
-                     help="--follow refresh period (default: 1.0)")
-    top.set_defaults(func=_cmd_top)
 
     runs = sub.add_parser("runs", help="cross-run ledger: list, show "
                                        "and diff finished runs")
-    runs_sub = runs.add_subparsers(dest="runs_command", required=True)
+    runs_sub = runs.add_subparsers(dest="runs_command", required=True,
+                                   parser_class=strict)
     runs_list = runs_sub.add_parser("list", help="all ledger records, "
                                                  "newest first")
     runs_list.set_defaults(func=_cmd_runs_list)
@@ -1020,46 +905,36 @@ def build_parser() -> argparse.ArgumentParser:
 def _dispatch(args: argparse.Namespace) -> int:
     """Run the selected command, inside an observability run when the
     ``--trace`` flag asks for one (the trace is written even when the
-    command fails) and inside the ambient live plane unless
-    ``--no-live``.  The final verdict and counters of a
+    command fails).  The final verdict and counters of a
     ledger-worthy command are appended to the cross-run ledger on the
     way out (``--no-ledger`` opts out)."""
     trace = getattr(args, "trace", None)
-    if hasattr(args, "live"):
+    if hasattr(args, "ledger"):
         from repro.engine.cache import new_run_id
 
-        # One identity per command invocation, shared by the live
-        # plane, the checkpoint's run directory and the ledger record.
-        args.live_run_id = (getattr(args, "resume", None)
-                            or getattr(args, "run_id", None)
-                            or new_run_id())
+        # One identity per command invocation, shared by the
+        # checkpoint's run directory and the ledger record.
+        args.run_id = (getattr(args, "resume", None)
+                       or getattr(args, "run_id", None)
+                       or new_run_id())
         if _checkpointing(args) and not _open_checkpoint(args):
             return 2
     started = time.time()
     clock = time.perf_counter()
-    with _live_plane(args) as live_run:
-        try:
-            if not trace:
-                code = args.func(args)
-            else:
-                code = _dispatch_traced(args, trace)
-        except BaseException:
-            if live_run is not None:
-                live_run.finish(state="failed")
-            raise
-        if live_run is not None:
-            live_run.finish(state="finished", exit_status=code)
-        _record_ledger(args, code, time.perf_counter() - clock,
-                       started, live_run)
-        return code
+    if not trace:
+        code = args.func(args)
+    else:
+        code = _dispatch_traced(args, trace)
+    _record_ledger(args, code, time.perf_counter() - clock, started)
+    return code
 
 
 def _dispatch_traced(args: argparse.Namespace, trace: str) -> int:
     from repro.obs import export
 
     attrs = {"command": args.command}
-    if getattr(args, "live_run_id", None):
-        attrs["run_id"] = args.live_run_id
+    if getattr(args, "run_id", None):
+        attrs["run_id"] = args.run_id
     run_ctx = None
     try:
         with obs.run(f"repro {args.command}", **attrs) as run_ctx:

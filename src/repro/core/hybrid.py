@@ -62,15 +62,24 @@ class WitnessClassification:
 
     witness: TrailWitness
     checked_sizes: tuple[int, ...]
+    """The sizes the witness indicts up to the bound; empty when its K
+    exceeds the bound, so nothing was checked."""
     real_at: int | None
     """The smallest checked ring size exhibiting a global livelock, or
-    ``None`` when the witness is spurious up to the bound."""
+    ``None`` when the witness is spurious up to the bound (or was not
+    checked)."""
+    bound: int | None = None
+    """The largest ring size model-checked."""
 
     @property
     def spurious(self) -> bool:
-        return self.real_at is None
+        return self.real_at is None and bool(self.checked_sizes)
 
     def __str__(self) -> str:
+        if not self.checked_sizes:
+            return (f"{self.witness} — not checked (K="
+                    f"{self.witness.ring_size} exceeds the bound "
+                    f"{self.bound})")
         if self.real_at is None:
             checked = ",".join(map(str, self.checked_sizes))
             return f"{self.witness} — spurious (no livelock at K={checked})"
@@ -132,7 +141,16 @@ def hybrid_verify(protocol: "RingProtocol",
     the full space is built once, at the first livelocked size, to
     name the counterexample (a cycle of orbits repeats only up to
     rotation).
+
+    Raises :class:`ValueError` when ``check_up_to`` is below the
+    protocol's smallest ring size: there would be nothing to check.
     """
+    minimum = protocol.process.window_width
+    first = max(2, minimum)
+    if check_up_to < first:
+        raise ValueError(f"empty check range {first}..{check_up_to}: "
+                         f"the smallest ring size of {protocol.name} is "
+                         f"{first}")
     base = verify_convergence(protocol, max_ring_size=max_ring_size)
 
     if base.verdict is ConvergenceVerdict.CONVERGES:
@@ -141,8 +159,7 @@ def hybrid_verify(protocol: "RingProtocol",
         return HybridReport(HybridVerdict.DIVERGES_DEADLOCK, base, (),
                             (), None)
 
-    minimum = protocol.process.window_width
-    all_sizes = list(range(max(2, minimum), check_up_to + 1))
+    all_sizes = list(range(first, check_up_to + 1))
     livelocked = {size: has_livelock(StateGraph(
         protocol.instantiate(size), symmetry=True)) for size in all_sizes}
 
@@ -154,7 +171,7 @@ def hybrid_verify(protocol: "RingProtocol",
         real_at = next((s for s in sizes if livelocked.get(s)), None)
         classifications.append(WitnessClassification(
             witness=witness, checked_sizes=tuple(sizes),
-            real_at=real_at))
+            real_at=real_at, bound=check_up_to))
 
     first_real = next((size for size in all_sizes if livelocked[size]),
                       None)

@@ -58,7 +58,8 @@ _MISS = object()
 
 
 def runs_root(cache_dir: str | Path | None = None) -> Path:
-    """The directory live status snapshots live under
+    """The directory a ``--checkpoint`` run creates its
+    ``runs/<run-id>/`` under, where ``--resume`` looks for it
     (``<cache-dir>/runs``)."""
     return Path(cache_dir or DEFAULT_CACHE_DIR) / RUNS_SUBDIR
 
@@ -206,9 +207,9 @@ class ResultCache:
     def enforce_limit(self, limit_bytes: int | None = None) -> int:
         """LRU-by-mtime eviction down to the size cap; returns removals.
 
-        Only ``.pkl`` entries are candidates — live status snapshots,
-        the ledger and legacy artifact files under the cache root are
-        never touched here.
+        Only ``.pkl`` entries are candidates — run directories, the
+        ledger and legacy artifact files under the cache root are never
+        touched here.
         """
         limit = self.limit_bytes if limit_bytes is None else limit_bytes
         if self.directory is None or limit is None:

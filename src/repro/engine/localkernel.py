@@ -16,8 +16,8 @@ per-query graph construction:
   (:func:`repro.core.rcg.continuation_masks`), computed once;
 * every product graph is *implicit* — node ``phase * n + state``,
   successors via shift-and-intersect — and one masked iterative Tarjan
-  pass (:func:`_components`) walks it, with no dictionaries of tuples,
-  no ``Digraph``, and no hashing of
+  pass (:func:`repro.graphs.scc.bitmask_components`) walks it, with no
+  dictionaries of tuples, no ``Digraph``, and no hashing of
   :class:`~repro.protocol.localstate.LocalState` objects in the hot
   loop.
 
@@ -52,11 +52,12 @@ from __future__ import annotations
 
 import time
 import weakref
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.ltg import indexed_arcs
 from repro.core.pseudolivelock import cyclic_transitions
 from repro.core.rcg import continuation_masks
+from repro.graphs.scc import bitmask_components
 from repro.obs import runtime as obs
 from repro.core.trail import (
     S_PHASE,
@@ -269,7 +270,8 @@ class LocalKernel:
 
             roots = [state for state in range(n)
                      if (tsrc_mask & allowed) >> state & 1]
-            for component in _components(roots, succ_mask):
+            obs.metric("localkernel.mask_evaluations")
+            for component in bitmask_components(roots, succ_mask):
                 members = 0
                 for node in component:
                     members |= 1 << node
@@ -339,7 +341,8 @@ class LocalKernel:
         # those nodes reaches every candidate component.
         roots = [phase * n + state
                  for phase in sk.t_phases for state in sources]
-        for component in _components(roots, succ_mask):
+        obs.metric("localkernel.mask_evaluations")
+        for component in bitmask_components(roots, succ_mask):
             hit = self._match(sk, component, arcs, succ_mask)
             if hit is not None:
                 return hit
@@ -368,65 +371,6 @@ class LocalKernel:
         if not illegit:
             return None
         return (_mask_indices(state_mask), _mask_indices(illegit))
-
-
-def _components(roots: list[int], succ_mask) -> Iterator[list[int]]:
-    """The SCCs of an implicit product graph reachable from *roots*,
-    lazily, in Tarjan emission order: one masked SCC pass.
-
-    ``succ_mask(node)`` is the node's successor set as a bitmask over
-    node ids.  Iterative, so long product chains never hit the
-    recursion limit.
-    """
-    obs.metric("localkernel.mask_evaluations")
-    index_of: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    counter = 0
-    for root in roots:
-        if root in index_of:
-            continue
-        work = [[root, succ_mask(root)]]
-        index_of[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            frame = work[-1]
-            node = frame[0]
-            remaining = frame[1]
-            advanced = False
-            while remaining:
-                bit = remaining & -remaining
-                remaining &= remaining - 1
-                succ = bit.bit_length() - 1
-                if succ not in index_of:
-                    frame[1] = remaining
-                    index_of[succ] = lowlink[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append([succ, succ_mask(succ)])
-                    advanced = True
-                    break
-                if succ in on_stack and index_of[succ] < lowlink[node]:
-                    lowlink[node] = index_of[succ]
-            if advanced:
-                continue
-            work.pop()
-            if work and lowlink[node] < lowlink[work[-1][0]]:
-                lowlink[work[-1][0]] = lowlink[node]
-            if lowlink[node] != index_of[node]:
-                continue
-            component = []
-            while True:
-                member = stack.pop()
-                on_stack.discard(member)
-                component.append(member)
-                if member == node:
-                    break
-            yield component
 
 
 def _mask_indices(mask: int) -> tuple[int, ...]:

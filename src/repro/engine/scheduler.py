@@ -53,9 +53,7 @@ from typing import Any, Sequence
 
 from repro.engine.pool import WorkerFailure
 from repro.engine.supervisor import FaultPlan, TaskLedger, _bump, _Task
-from repro.obs import live
 from repro.obs import runtime as obs
-from repro.obs.metrics import Histogram
 from repro.obs.trace import Span
 
 
@@ -185,9 +183,6 @@ class BatchScheduler:
         self.workers: list[_Worker] = []
         self.queue: deque = deque()      # ready tasks, FIFO
         self._next_ident = 0
-        # Local (not ambient) so stall detection and the live plane's
-        # per-task cost work without --trace.
-        self.durations = Histogram("scheduler.task_seconds")
 
     # -- lifecycle -----------------------------------------------------
     def run(self, pending: list[_Task]) -> None:
@@ -196,9 +191,8 @@ class BatchScheduler:
         target = min(self.jobs, max(1, len(pending)))
         if ledger.stats is not None and target > 1:
             ledger.stats.parallel = True
-        with obs.span("scheduler.map", mode="batch", jobs=self.jobs,
-                      method="fork", items=len(pending),
-                      timeout=self.policy.timeout,
+        with obs.span("scheduler.map", jobs=self.jobs,
+                      items=len(pending), timeout=self.policy.timeout,
                       retries=self.policy.retries):
             try:
                 self._loop(target)
@@ -217,7 +211,6 @@ class BatchScheduler:
                 + [w.process.sentinel for w in self.workers],
                 timeout=self._wait_timeout())
             self._service(set(ready))
-            live.tick(self._live_payload)
 
     # -- dispatch ------------------------------------------------------
     def _start_worker(self) -> _Worker:
@@ -308,9 +301,8 @@ class BatchScheduler:
             worker.current = None
             worker.deadline = None
             assert task is not None and task.index == index
-            elapsed = time.monotonic() - worker.started_at
-            self.durations.observe(elapsed)
-            obs.observe("scheduler.task_seconds", elapsed)
+            obs.observe("scheduler.task_seconds",
+                        time.monotonic() - worker.started_at)
             obs.adopt_child(capture, f"item[{task.index}]",
                             attempt=task.attempts)
             status, value = payload
@@ -350,7 +342,6 @@ class BatchScheduler:
         worker.assigned = deque()
         _bump(self.ledger.stats, "scheduler_requeued",
               "scheduler.requeued", count)
-        live.note(requeued=count)
         obs.event("batch-requeued", level="warning",
                   worker=worker.ident, items=count)
 
@@ -419,43 +410,6 @@ class BatchScheduler:
                 except Exception:
                     pass
             self._discard(worker)
-
-    # -- live telemetry ------------------------------------------------
-    def _live_payload(self) -> dict[str, Any]:
-        """Extra snapshot fields for the live plane (built only when a
-        snapshot is actually due — see :func:`repro.obs.live.tick`)."""
-        now = time.monotonic()
-        p95 = self.durations.quantile(0.95)
-        threshold = live.stall_threshold(p95)
-        workers = []
-        in_flight = 0
-        assigned = 0
-        for worker in self.workers:
-            entry: dict[str, Any] = {"ident": worker.ident,
-                                     "pid": worker.process.pid,
-                                     "busy": worker.busy}
-            assigned += len(worker.assigned)
-            if worker.current is not None:
-                in_flight += 1
-                age = now - worker.started_at
-                entry.update(task=worker.current.index,
-                             age_seconds=round(age, 3),
-                             stalled=age > threshold)
-            workers.append(entry)
-        remaining = len(self.queue) + assigned + in_flight
-        stage: dict[str, Any] = {"mode": "batch"}
-        if self.durations.count:
-            mean = self.durations.mean
-            stage["mean_task_seconds"] = mean
-            stage["eta_seconds"] = round(
-                remaining * mean
-                / max(1, len(self.workers) or self.jobs), 3)
-        if p95 is not None:
-            stage["p95_task_seconds"] = p95
-        payload = {"workers": workers, "stage": stage,
-                   "tasks": {"in_flight": in_flight + assigned}}
-        payload.update(live.cache_payload(self.ledger.stats))
-        return payload
 
     # -- pacing --------------------------------------------------------
     def _wait_timeout(self) -> float:

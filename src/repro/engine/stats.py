@@ -48,7 +48,6 @@ _COUNTER_METRICS = {
     "scheduler_batches": "scheduler.batches",
     "scheduler_batch_items": "scheduler.batch_items",
     "scheduler_requeued": "scheduler.requeued",
-    "live_snapshots": "live.snapshots",
     "compile_seconds": "kernel.compile_seconds",
     "encode_seconds": "kernel.encode_seconds",
     "states_encoded": "kernel.states_encoded",

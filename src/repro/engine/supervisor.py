@@ -80,7 +80,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.engine.pool import WorkerFailure, parallelism_available
-from repro.obs import live
 from repro.obs import runtime as obs
 
 #: Environment variable read by :meth:`FaultPlan.from_env`.
@@ -253,7 +252,6 @@ class TaskLedger:
                 value = self.cache.get(key, _MISS)
                 if value is not _MISS:  # None is a real result
                     _bump(self.stats, "cache_hits")
-                    live.note(done=1, resumed=1)
                     self._settle(index, value)
                     continue
                 _bump(self.stats, "cache_misses")
@@ -266,7 +264,6 @@ class TaskLedger:
             self.stop = index + 1
 
     def complete(self, task: _Task, result: Any) -> None:
-        live.note(done=1)
         self.ran += 1
         self._settle(task.index, result)
         if self.cache is not None:
@@ -287,7 +284,6 @@ class TaskLedger:
         obs.event("task-degraded", level="warning", index=task.index,
                   key=task.key, attempts=task.attempts, reason=reason)
         _bump(self.stats, "supervisor_degraded", "supervisor.degraded")
-        live.note(degraded=1)
         with obs.span("supervisor.degraded", index=task.index,
                       reason=reason):
             self.complete(task, self.worker(
@@ -306,7 +302,6 @@ class TaskLedger:
         obs.event("task-retry", level="warning", index=task.index,
                   key=task.key, attempt=task.attempts, reason=reason)
         _bump(self.stats, "supervisor_retries", "supervisor.retries")
-        live.note(retried=1)
         return True
 
     # -- serial mode (no workers needed / none available) -------------
@@ -326,7 +321,6 @@ class TaskLedger:
                     self.plan.child_delay()
                 self.complete(task, self.worker(
                     self.context, self.work[task.index]))
-                live.tick(lambda: live.cache_payload(self.stats))
             if span is not None:
                 span.attrs["items"] = self.ran
 
@@ -418,9 +412,9 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
     mp = sys.modules.get("multiprocessing")
     if _running or (mp is not None and mp.current_process().daemon):
         # A dispatch from inside another dispatch's task runs inline:
-        # worker processes cannot start workers of their own, and the live
-        # plane, the environment's fault plan and the cache writes
-        # belong to the outer dispatch.
+        # worker processes cannot start workers of their own, and the
+        # environment's fault plan and the cache writes belong to the
+        # outer dispatch.
         results = []
         for item in work:
             results.append(worker(context, item))
@@ -434,9 +428,6 @@ def supervise_work_items(worker: Callable[[Any, Any], Any],
 
     ledger = TaskLedger(worker, work, context, stats, policy, cache,
                         keys, plan, until)
-    live.begin_stage(getattr(worker, "__name__", "supervised.map"),
-                     total=len(work))
-    live.tick()
     injected = plan is not None and (plan.crash_items or plan.hang_items
                                      or plan.delay_seconds)
     supervised = policy.timeout is not None or injected

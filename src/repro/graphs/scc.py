@@ -6,16 +6,17 @@ contain a cycle?*  An SCC contains a cycle iff it has more than one node or
 its single node carries a self-loop.
 
 The same algorithm runs on three graph forms: a :class:`Digraph` over
-hashable nodes, bitmask rows over a small local state space
-(:func:`masked_cyclic_mask`), and CSR arrays over a global state space
-(:func:`csr_components`, the global checker's livelock and ranking
-analyses).
+hashable nodes, bitmask successor sets over a small local state space
+or an implicit product of it (:func:`bitmask_components`, the walk
+behind :func:`masked_cyclic_mask` and the local kernel's passes), and
+CSR arrays over a global state space (:func:`csr_components`, the
+global checker's livelock and ranking analyses).
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Hashable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 
 from repro.graphs.digraph import Digraph
 
@@ -97,32 +98,26 @@ def condensation(graph: Digraph) -> tuple[Digraph, dict[Hashable, int]]:
     return dag, membership
 
 
-def masked_cyclic_mask(succ_masks: list[int], alive: int) -> int:
-    """Vertices on a directed cycle of a bit-packed induced subgraph.
+def bitmask_components(roots: Iterable[int],
+                       succ_mask: Callable[[int], int]
+                       ) -> Iterator[list[int]]:
+    """The SCCs reachable from *roots*, lazily, in Tarjan emission
+    order, of a graph whose node ``v`` has the successor set
+    ``succ_mask(v)``, a bitmask over node ids.
 
-    *succ_masks* gives each vertex's successor set as a bitmask over
-    vertex indices; *alive* selects the induced subgraph.  Returns the
-    union mask of all cyclic SCCs (more than one vertex, or a self-loop)
-    — the primitive behind the Theorem 4.2 check and the
-    branch-and-bound feedback-vertex-set search, replacing a
-    ``Digraph.induced_subgraph`` rebuild plus Tarjan over hashed nodes
-    with shift-and-mask arithmetic on Python ints.
+    The graph may be implicit: ``succ_mask`` is asked once per node
+    reached, so product graphs never need to be built.  Iterative, so
+    long chains never hit the recursion limit.
     """
     index_of: dict[int, int] = {}
     lowlink: dict[int, int] = {}
     on_stack: set[int] = set()
     stack: list[int] = []
     counter = 0
-    cyclic = 0
-
-    todo = alive
-    while todo:
-        root_bit = todo & -todo
-        todo &= todo - 1
-        root = root_bit.bit_length() - 1
+    for root in roots:
         if root in index_of:
             continue
-        work = [[root, succ_masks[root] & alive]]
+        work = [[root, succ_mask(root)]]
         index_of[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
@@ -142,7 +137,7 @@ def masked_cyclic_mask(succ_masks: list[int], alive: int) -> int:
                     counter += 1
                     stack.append(succ)
                     on_stack.add(succ)
-                    work.append([succ, succ_masks[succ] & alive])
+                    work.append([succ, succ_mask(succ)])
                     advanced = True
                     break
                 if succ in on_stack and index_of[succ] < lowlink[node]:
@@ -154,17 +149,35 @@ def masked_cyclic_mask(succ_masks: list[int], alive: int) -> int:
                 lowlink[work[-1][0]] = lowlink[node]
             if lowlink[node] != index_of[node]:
                 continue
-            component = 0
-            size = 0
+            component = []
             while True:
                 member = stack.pop()
                 on_stack.discard(member)
-                component |= 1 << member
-                size += 1
+                component.append(member)
                 if member == node:
                     break
-            if size > 1 or (succ_masks[node] >> node) & 1:
-                cyclic |= component
+            yield component
+
+
+def masked_cyclic_mask(succ_masks: list[int], alive: int) -> int:
+    """Vertices on a directed cycle of a bit-packed induced subgraph.
+
+    *succ_masks* gives each vertex's successor set as a bitmask over
+    vertex indices; *alive* selects the induced subgraph.  Returns the
+    union mask of all cyclic SCCs (more than one vertex, or a self-loop)
+    — the primitive behind the Theorem 4.2 check and the
+    branch-and-bound feedback-vertex-set search, replacing a
+    ``Digraph.induced_subgraph`` rebuild plus Tarjan over hashed nodes
+    with shift-and-mask arithmetic on Python ints.
+    """
+    roots = [node for node in range(len(succ_masks)) if alive >> node & 1]
+    cyclic = 0
+    for component in bitmask_components(
+            roots, lambda node: succ_masks[node] & alive):
+        node = component[0]
+        if len(component) > 1 or (succ_masks[node] >> node) & 1:
+            for member in component:
+                cyclic |= 1 << member
     return cyclic
 
 

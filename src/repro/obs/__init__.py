@@ -17,7 +17,6 @@ from repro import _lazy
 
 __all__ = _lazy.exports(globals(), {
     "ledger": ("ledger",),
-    "live": ("live", "LiveRun"),
     "export": (
         "chrome_trace",
         "ledger_record_from_run",
@@ -46,6 +45,5 @@ __all__ = _lazy.exports(globals(), {
         "ValidationError",
         "validate_chrome_trace",
         "validate_ledger",
-        "validate_status",
     ),
 })

@@ -1,8 +1,9 @@
 """Cross-run ledger: append-only run records (`repro runs`).
 
-The live plane (:mod:`repro.obs.live`) answers "how is this run doing
-*now*"; the ledger answers "how does this run compare to the last one".
-At run finish the CLI (and the benchmark harness) folds one JSON record
+The ledger answers "how does this run compare to the last one", and
+with a ``--trace`` file it is the whole record of a run: nothing
+reports on a command while it runs.  At run finish the CLI (and the
+benchmark harness) folds one JSON record
 — final counters, flags, protocol fingerprint, a verdict digest, and
 wall-clock — into ``.repro-cache/ledger.jsonl``.  The file is
 append-only JSONL and loads corruption-tolerantly: a torn tail or a

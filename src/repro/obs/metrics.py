@@ -14,27 +14,7 @@ reports.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Iterator
-
-#: Geometric bucket grid shared by every :class:`Histogram`: upper
-#: bounds ``_BUCKET_BASE * 2**i`` from 1 µs up to ~134 s, one overflow
-#: bucket above.  Fixed boundaries keep bucket counts associative under
-#: :meth:`Histogram.merge`, which is what lets quantile estimates
-#: survive the fork-pool registry folding unchanged.
-_BUCKET_BASE = 1e-6
-_BUCKET_COUNT = 28
-
-
-def _bucket_index(value: float) -> int:
-    if value <= _BUCKET_BASE:
-        return 0
-    return min(int(math.ceil(math.log2(value / _BUCKET_BASE))),
-               _BUCKET_COUNT)
-
-
-def _bucket_bound(index: int) -> float:
-    return _BUCKET_BASE * (2.0 ** index)
 
 
 class Counter:
@@ -103,19 +83,11 @@ class Gauge:
 
 
 class Histogram:
-    """A summary of observed samples: count / total / min / max.
-
-    The summary fields (count / total / min / max) merge exactly.  On
-    top of them a sparse bucket map over the fixed geometric grid
-    (:data:`_BUCKET_BASE`, factor 2) supports :meth:`quantile`
-    estimates — fixed boundaries keep the merge associative, and the
-    live telemetry plane's stall detection needs a p95, not an exact
-    distribution.
-    """
+    """A summary of observed samples: count / total / min / max (and
+    their mean), all of which merge exactly."""
 
     kind = "histogram"
-    __slots__ = ("name", "count", "total", "minimum", "maximum",
-                 "buckets")
+    __slots__ = ("name", "count", "total", "minimum", "maximum")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -123,7 +95,6 @@ class Histogram:
         self.total = 0.0
         self.minimum: float | None = None
         self.maximum: float | None = None
-        self.buckets: dict[int, int] = {}
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -132,8 +103,6 @@ class Histogram:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
             self.maximum = value
-        index = _bucket_index(value)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
 
     def merge(self, other: "Histogram") -> None:
         self.count += other.count
@@ -144,33 +113,10 @@ class Histogram:
         if other.maximum is not None and (self.maximum is None
                                           or other.maximum > self.maximum):
             self.maximum = other.maximum
-        for index, count in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + count
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float | None:
-        """An upper-bound estimate of the *q*-quantile (0 < q <= 1).
-
-        Walks the cumulative bucket counts and returns the matched
-        bucket's upper bound, clamped to the observed [min, max] — at
-        most one grid factor (2x) above the true value.  ``None``
-        before any sample; samples merged in from a pre-bucket
-        histogram (a legacy pickle) fall back to the observed maximum.
-        """
-        if not self.count or self.minimum is None or self.maximum is None:
-            return None
-        bucketed = sum(self.buckets.values())
-        target = max(1, math.ceil(q * bucketed))
-        seen = 0
-        for index in sorted(self.buckets):
-            seen += self.buckets[index]
-            if seen >= target:
-                return min(max(_bucket_bound(index), self.minimum),
-                           self.maximum)
-        return self.maximum
 
     def export(self) -> dict[str, Any]:
         return {"count": self.count, "total": self.total,
@@ -184,14 +130,13 @@ class Histogram:
 
     def __getstate__(self):
         return (self.name, self.count, self.total, self.minimum,
-                self.maximum, self.buckets)
+                self.maximum)
 
     def __setstate__(self, state):
-        # Pre-bucket pickles (old cache entries) carry five
-        # fields; their samples simply have no bucket attribution.
+        # Cache entries written before the bucket grid was dropped
+        # carry a sixth field, the bucket map; it is ignored.
         (self.name, self.count, self.total, self.minimum,
          self.maximum) = state[:5]
-        self.buckets = state[5] if len(state) > 5 else {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Histogram({self.name!r}, {self.export()!r})"

@@ -108,27 +108,6 @@ LAYER_FAMILIES = ("checker.", "kernel.", "localkernel.", "fvs.",
 #: :func:`collect`).
 _COLLECTORS: list[MetricsRegistry] = []
 
-#: Out-of-band event subscribers (token -> callable).  The live
-#: telemetry plane registers here so warning-level events reach the
-#: ``status.json`` snapshot even when no ``--trace`` run is active;
-#: :func:`event` stays a single-check no-op when both the ambient run
-#: and the sink table are empty.
-_EVENT_SINKS: dict[int, Any] = {}
-_NEXT_SINK_TOKEN = 0
-
-
-def add_event_sink(sink) -> int:
-    """Subscribe *sink* (``callable(record_dict)``) to every event."""
-    global _NEXT_SINK_TOKEN
-    _NEXT_SINK_TOKEN += 1
-    _EVENT_SINKS[_NEXT_SINK_TOKEN] = sink
-    return _NEXT_SINK_TOKEN
-
-
-def remove_event_sink(token: int) -> None:
-    _EVENT_SINKS.pop(token, None)
-
-
 def active() -> ObsRun | None:
     """The ambient run, or ``None`` when observability is off."""
     return _ACTIVE
@@ -187,14 +166,8 @@ def annotate(**attrs: Any) -> None:
 
 def event(kind: str, level: str = "info", **fields: Any) -> None:
     """A structured event on the ambient run (no-op when inactive)."""
-    if _ACTIVE is None and not _EVENT_SINKS:
-        return
-    record = {"ts": time.time(), "kind": kind, "level": level,
-              "pid": os.getpid(), **fields}
     if _ACTIVE is not None:
-        _ACTIVE.events.append(record)
-    for sink in _EVENT_SINKS.values():
-        sink(record)
+        _ACTIVE.event(kind, level, **fields)
 
 
 def metric(name: str, amount: float = 1) -> None:

@@ -1,10 +1,9 @@
 """Schema validation for exported observability artifacts.
 
 Used by the test suite and the CI smoke job (as
-``python -m repro.obs.validate trace.json status.json ledger.jsonl``)
-to check that a ``--trace`` file is a valid Chrome trace holding a
-well-formed run (span tree, events, metrics, wall time), a live-plane
-``status.json`` is a well-formed snapshot and ``ledger.jsonl`` holds
+``python -m repro.obs.validate trace.json ledger.jsonl``) to check that
+a ``--trace`` file is a valid Chrome trace holding a well-formed run
+(span tree, events, metrics, wall time) and ``ledger.jsonl`` holds
 well-formed run records, without pulling in a JSON-schema dependency.
 """
 
@@ -15,7 +14,6 @@ import sys
 from typing import Any
 
 from repro.obs.ledger import LEDGER_VERSION
-from repro.obs.live import STATUS_VERSION
 
 
 class ValidationError(ValueError):
@@ -38,7 +36,7 @@ def load_json(path) -> Any:
 
 
 # ----------------------------------------------------------------------
-# Structured events (trace markers and status snapshots)
+# Structured events (trace markers)
 # ----------------------------------------------------------------------
 #: Required fields per known structured-event kind.  Unknown kinds are
 #: allowed (forward compatibility); known kinds missing their payload
@@ -53,7 +51,7 @@ _EVENT_REQUIRED_FIELDS = {
     "task-degraded": ("index", "attempts", "reason"),
     "batch-requeued": ("worker", "items"),
     "artifact-corrupt": ("artifact", "path", "reason"),
-    # Retired with the run journal; kept so older snapshots validate.
+    # Retired with the run journal; kept so older traces validate.
     "task-resumed": ("index", "key"),
     "checkpoint": ("run_id", "key", "seq"),
     "prune-broadcast": ("entries", "source"),
@@ -154,44 +152,6 @@ def validate_chrome_trace(path) -> dict[str, int]:
 
 
 # ----------------------------------------------------------------------
-# Live-plane status snapshots
-# ----------------------------------------------------------------------
-def validate_status_data(data: Any) -> dict[str, int]:
-    """Validate a parsed ``status.json`` snapshot; returns counts."""
-    _require(isinstance(data, dict), "status must be a JSON object")
-    _require(data.get("version") == STATUS_VERSION,
-             f"status version must be {STATUS_VERSION}")
-    _require(isinstance(data.get("run_id"), str) and data["run_id"],
-             "status lacks a run_id")
-    _require(isinstance(data.get("pid"), int), "status pid must be an int")
-    _require(isinstance(data.get("state"), str), "status lacks a state")
-    for key in ("started", "updated"):
-        _require(isinstance(data.get(key), (int, float)),
-                 f"status {key} must be a number")
-    tasks = data.get("tasks")
-    _require(isinstance(tasks, dict), "status lacks a 'tasks' object")
-    for name, value in tasks.items():
-        _require(isinstance(value, int) and value >= 0,
-                 f"status tasks[{name!r}] must be a non-negative int")
-    workers = data.get("workers", [])
-    _require(isinstance(workers, list), "status workers must be a list")
-    for i, worker in enumerate(workers):
-        _require(isinstance(worker, dict) and "ident" in worker
-                 and isinstance(worker.get("busy"), bool),
-                 f"status workers[{i}] lacks ident/busy")
-    events = data.get("events", [])
-    _require(isinstance(events, list), "status events must be a list")
-    for i, record in enumerate(events):
-        _validate_event(record, f"status events[{i}]")
-    return {"workers": len(workers), "events": len(events),
-            "snapshots": int(data.get("snapshots", 0))}
-
-
-def validate_status(path) -> dict[str, int]:
-    return validate_status_data(load_json(path))
-
-
-# ----------------------------------------------------------------------
 # Cross-run ledger
 # ----------------------------------------------------------------------
 def validate_ledger_records(
@@ -226,17 +186,14 @@ def validate_ledger(path) -> dict[str, int]:
 
 
 def _validator_for(path: str):
-    base = str(path).rsplit("/", 1)[-1]
-    if base == "status.json" or base.endswith(".status.json"):
-        return validate_status
-    if base.endswith("ledger.jsonl"):
+    if str(path).endswith("ledger.jsonl"):
         return validate_ledger
     return validate_chrome_trace
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Validate each path by name: ``status.json`` = live snapshot,
-    ``*ledger.jsonl`` = ledger, anything else = Chrome trace."""
+    """Validate each path by name: ``*ledger.jsonl`` = ledger, anything
+    else = Chrome trace."""
     paths = sys.argv[1:] if argv is None else argv
     if not paths:
         print("usage: python -m repro.obs.validate ARTIFACT...",

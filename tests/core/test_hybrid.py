@@ -116,6 +116,21 @@ class TestWitnessSizes:
         assert _witness_sizes(self._witness(None), bound=6, minimum=3) \
             == [3, 4, 5, 6]
 
+    def test_witness_past_the_bound_is_not_checked(self):
+        # agreement-livelock's trail is at K = 3: a bound of 2 checks
+        # K = 2 only, which says nothing about the witness.
+        report = hybrid_verify(livelock_agreement(), check_up_to=2)
+        (classification,) = report.classifications
+        assert classification.checked_sizes == ()
+        assert classification.real_at is None
+        assert not classification.spurious
+        assert "not checked (K=3 exceeds the bound 2)" in report.summary()
+        assert "spurious" not in report.summary()
+
+    def test_bound_below_the_smallest_ring_is_refused(self):
+        with pytest.raises(ValueError, match="empty check range 2..1"):
+            hybrid_verify(livelock_agreement(), check_up_to=1)
+
     def test_witness_without_k_is_checked_at_every_size(self):
         # agreement-livelock's trail needs K = 3: under a bound of 2
         # the certifier matches its support without naming a K.

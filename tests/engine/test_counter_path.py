@@ -180,7 +180,7 @@ def test_kernel_compile_is_charged_once_per_compile():
 # ----------------------------------------------------------------------
 # Jobs invariance
 # ----------------------------------------------------------------------
-_VARIANT = ("jobs", "parallel", "scheduler_", "live_snapshots")
+_VARIANT = ("jobs", "parallel", "scheduler_")
 
 
 def _invariant_counters(stats: EngineStats) -> dict:

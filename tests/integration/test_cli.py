@@ -95,10 +95,43 @@ def test_no_command_takes_artifacts(command, capsys):
 def test_cached_runs_write_results_only(tmp_path, capsys):
     for argv in (["sweep", "agreement-ss", "--up-to", "4"],
                  ["fuzz", "--samples", "10", "--max-ring-size", "3"]):
-        assert main([*argv, "--cache-dir", str(tmp_path), "--no-live"]) == 0
+        assert main([*argv, "--cache-dir", str(tmp_path)]) == 0
     assert list(tmp_path.rglob("*.pkl"))
     assert not (tmp_path / "artifacts").exists()
     assert not list(tmp_path.rglob("*.art"))
+
+
+@pytest.mark.parametrize("flag", ["--live", "--no-live"])
+@pytest.mark.parametrize("command", ["verify", "check", "sweep", "fuzz",
+                                     "synthesize"])
+def test_no_command_takes_live(command, flag, capsys):
+    # Nothing publishes status snapshots: a run is recorded by its
+    # ledger line and, with --trace, its trace.
+    argv = [command, *ORACLE_FLAG_COMMANDS.get(command, ["--samples", "1"]),
+            flag]
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["ps"], ["top", "some-run"]])
+def test_no_ps_or_top(argv, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 2
+
+
+def test_engine_commands_leave_no_run_directory(tmp_path, capsys):
+    # Only --checkpoint creates runs/<run-id>/ (for --resume).
+    for argv in (["verify", "sum-not-two-ss"],
+                 ["check", "sum-not-two-ss", "-K", "4"],
+                 ["synthesize", "sum-not-two"],
+                 ["sweep", "sum-not-two-ss", "--up-to", "5", "--jobs", "2"],
+                 ["fuzz", "--samples", "10", "--max-ring-size", "3",
+                  "--jobs", "2"]):
+        assert main([*argv, "--cache-dir", str(tmp_path)]) == 0, argv
+    assert (tmp_path / "ledger.jsonl").exists()
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("command", ["check", "sweep", "hybrid"])
@@ -170,6 +203,18 @@ BAD_INPUT = {
     "synthesize-retries": ["synthesize", "sum-not-two", "--retries", "1"],
     "synthesize-checkpoint": ["synthesize", "sum-not-two", "--checkpoint"],
     "synthesize-resume": ["synthesize", "sum-not-two", "--resume", "x"],
+    # No parser takes an abbreviation of a long option: --cache is not
+    # --cache-dir, and --max-ring is not --max-ring-size.
+    "synthesize-cache-abbreviated": ["synthesize", "sum-not-two",
+                                     "--cache", "{tmp}/probe"],
+    "verify-max-ring-abbreviated": ["verify", "sum-not-two-ss",
+                                    "--max-ring", "5"],
+    "sweep-jobs-zero": ["sweep", "sum-not-two-ss", "--up-to", "4",
+                        "--jobs", "0"],
+    "fuzz-jobs-negative": ["fuzz", "--samples", "3", "--jobs", "-1"],
+    "verify-max-sizes-zero": ["verify", "sum-not-two", "--max-sizes", "0"],
+    "hybrid-empty-check-range": ["hybrid", "agreement-livelock",
+                                 "--check-up-to", "1"],
     "missing-file": ["verify", "{tmp}/missing.json"],
     "not-json": ["verify", "{tmp}/garbage.json"],
     "no-variables": ["verify", "{tmp}/no-variables.json"],
@@ -184,7 +229,7 @@ def test_bad_input_exits_2_with_one_error_line(row, tmp_path, capsys):
     if argv[0] != "hybrid":
         argv += ["--cache-dir", str(tmp_path / "cache")]
     if argv[0] not in ("cache", "hybrid"):
-        argv += ["--no-live", "--no-ledger"]
+        argv += ["--no-ledger"]
     try:
         code = main(argv)
     except SystemExit as exit_:  # argparse rejects the value
@@ -196,3 +241,4 @@ def test_bad_input_exits_2_with_one_error_line(row, tmp_path, capsys):
     if row == "no-variables":
         assert "missing field 'variables'" in line
     assert not (tmp_path / "cache").exists()  # nothing ran
+    assert not (tmp_path / "probe").exists()

@@ -50,7 +50,7 @@ def test_check_from_exported_file(tmp_path, capsys):
     ["simulate", "-K", "4", "--samples", "5"]])
 def test_every_protocol_command_accepts_a_json_file(tmp_path, capsys,
                                                     monkeypatch, command):
-    monkeypatch.chdir(tmp_path)  # live status and ledger land here
+    monkeypatch.chdir(tmp_path)  # the ledger lands here
     path = tmp_path / "snt.json"
     assert main(["export", "sum-not-two", "-o", str(path)]) == 0
     capsys.readouterr()

@@ -59,25 +59,32 @@ def test_importing_the_cli_loads_no_analysis(tmp_path):
 NO_ARTIFACTS = ("repro.engine.artifacts", "mmap")
 
 
+#: No command publishes status snapshots: none loads the standalone
+#: writer left in ``repro.obs.live``.
+NO_LIVE = ("repro.obs.live",)
+
+
 @pytest.mark.parametrize("argv, absent", [
     (["verify", "sum-not-two-ss"],
      ("multiprocessing", "repro.engine.scheduler", "repro.engine.supervisor",
       "repro.engine.pool", "repro.checker", "repro.core.synthesis",
-      "repro.engine.synthsearch", *NO_ARTIFACTS)),
+      "repro.engine.synthsearch", *NO_ARTIFACTS, *NO_LIVE)),
     # A deadlock decides the verdict before any livelock analysis.
     (["verify", "matching-ex4.3"],
      ("repro.engine.localkernel", "repro.engine.supervisor")),
     (["check", "2-coloring", "-K", "5"],
      ("multiprocessing", "repro.core.synthesis",
-      "repro.engine.synthsearch", *NO_ARTIFACTS)),
+      "repro.engine.synthsearch", *NO_ARTIFACTS, *NO_LIVE)),
     (["synthesize", "sum-not-two"],
      ("multiprocessing", "repro.engine.scheduler", "repro.engine.supervisor",
-      "repro.engine.pool", *NO_ARTIFACTS)),
+      "repro.engine.pool", *NO_ARTIFACTS, *NO_LIVE)),
     (["sweep", "sum-not-two-ss", "--up-to", "6", "--jobs", "2",
-      "--cache-dir", "cache"], NO_ARTIFACTS),
+      "--cache-dir", "cache"], (*NO_ARTIFACTS, *NO_LIVE)),
+    (["fuzz", "--samples", "10", "--max-ring-size", "3", "--jobs", "2"],
+     (*NO_ARTIFACTS, *NO_LIVE)),
     (["cache", "--cache-dir", "cache"], NO_ARTIFACTS),
 ], ids=["verify", "verify-deadlock", "check", "synthesize",
-        "cached-sweep-jobs-2", "cache"])
+        "cached-sweep-jobs-2", "fuzz-jobs-2", "cache"])
 def test_serial_command_loads_only_its_subsystems(tmp_path, argv, absent):
     loaded = _fresh("from repro.cli import main\n"
                     f"result = main({argv!r})", tmp_path)
@@ -129,6 +136,6 @@ def test_lazy_export_is_the_defining_object(tmp_path):
         "from repro.engine import ResultCache\n"
         "from repro.engine.cache import ResultCache as defined\n"
         "result = [ResultCache is defined,\n"
-        "          repro.obs.live is sys.modules['repro.obs.live']]\n",
+        "          repro.obs.ledger is sys.modules['repro.obs.ledger']]\n",
         tmp_path)
     assert loaded["result"] == [True, True]

@@ -34,7 +34,7 @@ def _no_ambient_fault_injection(monkeypatch):
 
 
 def _quiet(cache_dir) -> list[str]:
-    return ["--cache-dir", str(cache_dir), "--no-live", "--no-ledger"]
+    return ["--cache-dir", str(cache_dir), "--no-ledger"]
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +115,8 @@ def test_run_id_alone_does_not_checkpoint(tmp_path, monkeypatch, capsys):
     assert [r["run_id"] for r in records] == ["first", "second"]
 
 
-def test_checkpoint_without_live_plane_is_resumable(tmp_path, capsys):
+def test_checkpoint_creates_the_run_directory_resume_finds(tmp_path,
+                                                          capsys):
     assert main(["sweep", "sum-not-two", "--up-to", "5", "--checkpoint",
                  "--run-id", "quiet"] + _quiet(tmp_path)) == 1
     assert (tmp_path / "runs" / "quiet").is_dir()
@@ -125,11 +126,35 @@ def test_checkpoint_without_live_plane_is_resumable(tmp_path, capsys):
     assert "cache: 4 hits (4 from disk)" in capsys.readouterr().out
 
 
+def test_checkpoint_run_shares_its_id_with_the_ledger(tmp_path, capsys):
+    assert main(["sweep", "sum-not-two", "--up-to", "5", "--checkpoint",
+                 "--run-id", "shared", "--cache-dir", str(tmp_path)]) == 1
+    # The directory only names the run; the checkpointed results are
+    # ordinary cache entries under the same root.
+    assert list((tmp_path / "runs" / "shared").iterdir()) == []
+    assert len(list(tmp_path.glob("*/*.pkl"))) == 4
+    records, _ = ledger.load(ledger.ledger_path(tmp_path))
+    assert [r["run_id"] for r in records] == ["shared"]
+
+
+def test_cache_clear_leaves_runs_alone(tmp_path, capsys):
+    assert main(["sweep", "sum-not-two", "--up-to", "5", "--checkpoint",
+                 "--run-id", "kept"] + _quiet(tmp_path)) == 1
+    assert main(["cache", "--clear", "--cache-dir", str(tmp_path)]) == 0
+    assert "cleared 4 entries" in capsys.readouterr().out
+    assert (tmp_path / "runs" / "kept").is_dir()
+    # The run is still resumable, but every item it finished is gone.
+    assert main(["sweep", "sum-not-two", "--up-to", "5", "--resume",
+                 "kept"] + _quiet(tmp_path)) == 1
+    assert "cache: 0 hits (0 from disk), 4 misses" \
+        in capsys.readouterr().out
+
+
 def test_resume_unknown_run_is_refused(tmp_path, capsys):
     assert main(["sweep", "sum-not-two", "--up-to", "5", "--resume",
                  "missing", "--cache-dir", str(tmp_path)]) == 2
     assert "no run 'missing'" in capsys.readouterr().err
-    # Refused before the live plane could create the directory.
+    # Refused before anything could create the directory.
     assert not (tmp_path / "runs" / "missing").exists()
 
 
@@ -149,11 +174,11 @@ def test_only_checkpointed_runs_write_durably(tmp_path, monkeypatch,
     monkeypatch.setattr(os, "fsync",
                         lambda fd: synced.append(fd) or real_fsync(fd))
     assert main(["sweep", "sum-not-two", "--up-to", "5", "--cache-dir",
-                 str(tmp_path / "plain"), "--no-live"]) == 1
+                 str(tmp_path / "plain")]) == 1
     assert synced == []
     assert main(["sweep", "sum-not-two", "--up-to", "5", "--checkpoint",
-                 "--run-id", "ckpt", "--cache-dir", str(tmp_path / "ckpt"),
-                 "--no-live"]) == 1
+                 "--run-id", "ckpt", "--cache-dir",
+                 str(tmp_path / "ckpt")]) == 1
     assert len(synced) >= 4  # at least one per checked size
     # The ledger identity is the command line's, not the cache state's.
     records, _ = ledger.load(ledger.ledger_path(tmp_path / "ckpt"))
@@ -163,7 +188,7 @@ def test_only_checkpointed_runs_write_durably(tmp_path, monkeypatch,
 def test_killed_fuzz_resumes_from_the_cache(tmp_path):
     argv = [sys.executable, "-m", "repro.cli", "fuzz", "--samples", "6",
             "--max-ring-size", "3", "--seed", "3", "--cache-dir",
-            str(tmp_path), "--no-live", "--no-ledger"]
+            str(tmp_path), "--no-ledger"]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     dying = subprocess.run(argv, capture_output=True, text=True,
                            timeout=120,

@@ -21,7 +21,7 @@ def batch_trace(tmp_path_factory):
     trace = tmp_path / "trace.json"
     assert main(["sweep", "sum-not-two", "--up-to", "6", "--jobs", "2",
                  "--trace", str(trace), "--cache-dir", str(tmp_path),
-                 "--no-cache", "--no-live", "--no-ledger"]) == 1
+                 "--no-cache", "--no-ledger"]) == 1
     assert validate.validate_chrome_trace(trace)["X"] >= 3
     return json.loads(trace.read_text())
 
@@ -33,7 +33,9 @@ def _complete_events(data):
 def test_batch_schedule_emits_batch_spans(batch_trace):
     events = _complete_events(batch_trace)
     dispatch = next(e for e in events if e["name"] == "scheduler.map")
-    assert dispatch["args"]["mode"] == "batch"
+    # Fork batches are the one mode and start method: no attribute
+    # names them.
+    assert set(dispatch["args"]) == {"jobs", "items", "timeout", "retries"}
     batches = [e for e in events if e["name"] == "scheduler.batch"]
     assert batches, "no synthesized scheduler.batch spans in the trace"
     for batch in batches:

@@ -82,7 +82,7 @@ def test_trace_counts_the_workers_that_ran(tmp_path, capsys):
     # Shutdown retires every worker; the trace still says two ran.
     trace = tmp_path / "trace.json"
     assert main(["sweep", "sum-not-two-ss", "--up-to", "9", "--jobs", "2",
-                 "--trace", str(trace), "--no-cache", "--no-live",
+                 "--trace", str(trace), "--no-cache",
                  "--no-ledger"]) == 0
     assert "8 work items" in capsys.readouterr().out
     metrics = json.loads(trace.read_text())["otherData"]["metrics"]

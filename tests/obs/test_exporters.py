@@ -202,10 +202,10 @@ def test_event_vocabulary_rejects_incomplete_events(record, complaint):
 
 
 def test_validator_main_dispatches_by_artifact_name(tmp_path):
+    # status.json has no validator of its own: like any other name
+    # but a ledger's, it is read as a trace.
     assert validate._validator_for("a/b/status.json") \
-        is validate.validate_status
-    assert validate._validator_for("run-7.status.json") \
-        is validate.validate_status
+        is validate.validate_chrome_trace
     assert validate._validator_for(".repro-cache/ledger.jsonl") \
         is validate.validate_ledger
     assert validate._validator_for("out/bench.ledger.jsonl") \
@@ -214,22 +214,3 @@ def test_validator_main_dispatches_by_artifact_name(tmp_path):
         is validate.validate_chrome_trace
     assert validate._validator_for("trace.json") \
         is validate.validate_chrome_trace
-
-
-def test_status_validator_rejects_malformed_snapshots():
-    good = {"version": 1, "run_id": "r", "pid": 1, "state": "running",
-            "started": 1.0, "updated": 2.0,
-            "tasks": {"total": 4, "done": 1},
-            "workers": [{"ident": 0, "busy": True}],
-            "events": [_event("task-resumed", index=0, key="k")]}
-    counts = validate.validate_status_data(good)
-    assert counts == {"workers": 1, "events": 1, "snapshots": 0}
-    for mutation, complaint in [
-        ({"version": 99}, "version"),
-        ({"run_id": ""}, "run_id"),
-        ({"tasks": {"done": -1}}, "non-negative"),
-        ({"workers": [{"ident": 0}]}, "ident/busy"),
-        ({"events": [{"kind": "x"}]}, "level"),
-    ]:
-        with pytest.raises(validate.ValidationError, match=complaint):
-            validate.validate_status_data({**good, **mutation})

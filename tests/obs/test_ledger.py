@@ -144,8 +144,7 @@ def test_sweep_records_match_across_the_backend_flag_removal(tmp_path,
     # explicit backend is the baseline of a run recorded after its
     # removal.
     assert main(["sweep", "sum-not-two", "--up-to", "4",
-                 "--cache-dir", str(tmp_path), "--no-cache",
-                 "--no-live"]) == 1
+                 "--cache-dir", str(tmp_path), "--no-cache"]) == 1
     (new,) = ledger.load(ledger.ledger_path(tmp_path))[0]
     old = dict(new, run_id="old",
                flags={**new["flags"], "backend": "kernel"})
@@ -158,8 +157,7 @@ def test_fuzz_records_match_across_the_artifacts_flag_removal(tmp_path,
     # default, artifacts=auto; a fuzz recorded after its removal must
     # still find such a record as its baseline.
     assert main(["fuzz", "--samples", "5", "--max-ring-size", "3",
-                 "--cache-dir", str(tmp_path), "--no-cache",
-                 "--no-live"]) == 0
+                 "--cache-dir", str(tmp_path), "--no-cache"]) == 0
     (new,) = ledger.load(ledger.ledger_path(tmp_path))[0]
     assert "artifacts" not in new["flags"]
     old = dict(new, run_id="old",
@@ -172,8 +170,7 @@ def test_check_records_match_across_the_jobs_flag_removal(tmp_path,
     # check took --jobs (and ignored it) until the flag went; its
     # records still carry jobs=1, so older check records stay baselines.
     assert main(["check", "sum-not-two-ss", "-K", "4",
-                 "--cache-dir", str(tmp_path), "--no-cache",
-                 "--no-live"]) == 0
+                 "--cache-dir", str(tmp_path), "--no-cache"]) == 0
     (new,) = ledger.load(ledger.ledger_path(tmp_path))[0]
     assert new["flags"]["jobs"] == 1
     old = dict(new, run_id="old", flags={"jobs": 1, "ring_size": 4})
@@ -186,8 +183,7 @@ def test_verify_records_match_across_the_jobs_flag_removal(tmp_path,
     # became one in-process pass; its records still carry jobs=1, so
     # older verify records stay baselines.
     assert main(["verify", "sum-not-two-ss",
-                 "--cache-dir", str(tmp_path), "--no-cache",
-                 "--no-live"]) == 0
+                 "--cache-dir", str(tmp_path), "--no-cache"]) == 0
     (new,) = ledger.load(ledger.ledger_path(tmp_path))[0]
     assert new["flags"] == {"jobs": 1, "max_ring_size": 9}
     old = dict(new, run_id="old", flags={"jobs": 1, "max_ring_size": 9})
@@ -200,7 +196,7 @@ def test_synthesize_records_match_across_the_engine_flag_removal(
     # flags until each pool became one in-process walk; its records
     # still carry jobs=1, so older synthesize records stay baselines.
     assert main(["synthesize", "sum-not-two",
-                 "--cache-dir", str(tmp_path), "--no-live"]) == 0
+                 "--cache-dir", str(tmp_path)]) == 0
     (new,) = ledger.load(ledger.ledger_path(tmp_path))[0]
     assert new["flags"] == {"jobs": 1, "max_ring_size": 9}
     old = dict(new, run_id="old", flags={"jobs": 1, "max_ring_size": 9})
@@ -291,8 +287,7 @@ def test_render_list_and_diff():
 # ----------------------------------------------------------------------
 def test_cli_sweep_records_ledger_entry(tmp_path, capsys):
     assert main(["sweep", "sum-not-two", "--up-to", "5",
-                 "--cache-dir", str(tmp_path), "--no-cache",
-                 "--no-live"]) == 1
+                 "--cache-dir", str(tmp_path), "--no-cache"]) == 1
     records, skipped = ledger.load(ledger.ledger_path(tmp_path))
     assert skipped == 0
     (record,) = records
@@ -313,7 +308,7 @@ def test_cli_warm_check_records_only_its_own_work(tmp_path, capsys):
     # A cache hit answers the check: the run's counters say so, instead
     # of repeating the counters stored with the cached report.
     args = ["check", "agreement-ss", "-K", "6", "--cache-dir",
-            str(tmp_path), "--no-live", "--json"]
+            str(tmp_path), "--json"]
     assert main(args) == 0
     cold_json = json.loads(capsys.readouterr().out)
     assert main(args) == 0
@@ -340,12 +335,12 @@ def test_cli_warm_check_records_only_its_own_work(tmp_path, capsys):
 def test_cli_no_ledger_opts_out(tmp_path, capsys):
     assert main(["sweep", "sum-not-two", "--up-to", "5",
                  "--cache-dir", str(tmp_path), "--no-cache",
-                 "--no-ledger", "--no-live"]) == 1
+                 "--no-ledger"]) == 1
     assert not ledger.ledger_path(tmp_path).exists()
 
 
 def test_cli_runs_list_show_diff(tmp_path, capsys):
-    common = ["--cache-dir", str(tmp_path), "--no-cache", "--no-live"]
+    common = ["--cache-dir", str(tmp_path), "--no-cache"]
     assert main(["sweep", "sum-not-two", "--up-to", "5", "--run-id",
                  "base"] + common) == 1
     assert main(["sweep", "sum-not-two", "--up-to", "5", "--run-id",
@@ -387,8 +382,7 @@ def test_cli_runs_list_show_diff(tmp_path, capsys):
 
 def test_cli_runs_diff_no_matching_baseline(tmp_path, capsys):
     assert main(["sweep", "sum-not-two", "--up-to", "5", "--run-id",
-                 "only", "--cache-dir", str(tmp_path), "--no-cache",
-                 "--no-live"]) == 1
+                 "only", "--cache-dir", str(tmp_path), "--no-cache"]) == 1
     capsys.readouterr()
     assert main(["runs", "diff", "only",
                  "--cache-dir", str(tmp_path)]) == 2
