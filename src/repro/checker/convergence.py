@@ -8,9 +8,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 
-from repro.checker.deadlock import illegitimate_deadlocks
 from repro.checker.livelock import has_livelock, livelock_cycles
 from repro.checker.statespace import StateGraph
 from repro.engine.stats import EngineStats
@@ -48,8 +47,15 @@ class GlobalReport:
     state_count: int
     invariant_count: int
     closed: bool
+    deadlock_count: int
+    """How many global deadlocks lie outside ``I(K)``: exact, whatever
+    the witness cap."""
     deadlocks_outside: tuple
+    """The first ``max_witnesses`` of those deadlocks in state order
+    (ascending packed code), decoded."""
     livelock_cycles: tuple
+    """Livelock witness cycles, at most ``max(max_witnesses, 1)``: a
+    livelocked instance always names one."""
     strongly_converging: bool
     weakly_converging: bool
     worst_case_recovery_steps: int | None
@@ -70,7 +76,7 @@ class GlobalReport:
             f"K={self.ring_size}: {self.state_count} states, "
             f"{self.invariant_count} in I",
             f"  closed: {self.closed}",
-            f"  deadlocks outside I: {len(self.deadlocks_outside)}",
+            f"  deadlocks outside I: {self.deadlock_count}",
             f"  livelocks: {len(self.livelock_cycles)}",
             f"  strong convergence: {self.strongly_converging}, "
             f"weak: {self.weakly_converging}",
@@ -80,21 +86,31 @@ class GlobalReport:
         return "\n".join(lines)
 
 
-def check_instance(instance, max_witnesses: int = 8,
+MAX_WITNESSES = 8
+"""The witness cap of :func:`check_instance` by default, and of every
+sweep (part of its per-K cache key)."""
+
+
+def check_instance(instance, max_witnesses: int = MAX_WITNESSES,
                    backend: str = "auto") -> GlobalReport:
     """Run the full global analysis on one protocol instance.
 
     *backend* selects the state-space engine (``"auto"`` picks the
     compiled kernel for symmetric ring instances).  On the kernel every
     verdict comes from the rotation quotient, and the report still
-    describes the full space: state counts add up orbit sizes and the
-    deadlocks are the deadlock orbits' rotations, in state order.  Only
-    a quotient with a livelock has the full graph built, to name the
-    witness cycles (a cycle of orbits repeats only up to rotation).
-    The report equals the naive backend's field for field.
+    describes the full space: state and deadlock counts add up orbit
+    sizes, and the deadlock witnesses are the smallest codes of the
+    deadlock orbits' rotations, chosen as integers from the first
+    orbits and only then decoded.  Only a quotient with a livelock has
+    the full graph built, to name the witness cycles (a cycle of orbits
+    repeats only up to rotation).  *max_witnesses* caps both witness
+    lists; the verdicts and ``deadlock_count`` never depend on it.  The
+    report equals the naive backend's field for field.
     """
     from repro.engine.kernel import supports_kernel
 
+    if max_witnesses < 0:
+        raise ValueError(f"max_witnesses must be >= 0, not {max_witnesses}")
     size = getattr(instance, "size", -1)
     stats = EngineStats(work_items=1)
     with stats.stage("check", K=size, backend=backend):
@@ -108,15 +124,22 @@ def check_instance(instance, max_witnesses: int = 8,
             invariant_count = sum(
                 len(space.orbit(i))
                 for i in compress(range(len(graph)), graph.invariant))
-            deadlocks = tuple(map(space.decode_code, sorted(
-                code for i in scan.deadlocks for code in space.orbit(i))))
+            deadlock_count = sum(len(space.orbit(i)) for i in scan.deadlocks)
+            # An orbit's codes are >= its representative and the
+            # representatives ascend, so the first max_witnesses orbits
+            # hold the max_witnesses smallest codes.
+            head = sorted(chain.from_iterable(
+                map(space.orbit, scan.deadlocks[:max_witnesses])))
+            deadlocks = tuple(map(space.decode_code, head[:max_witnesses]))
             witness_graph = (StateGraph(instance, backend=backend)
                              if has_livelock(graph) else None)
             obs.annotate(orbits=len(graph))
         else:
             state_count = len(graph)
             invariant_count = scan.invariant_count
-            deadlocks = tuple(illegitimate_deadlocks(graph))
+            deadlock_count = len(scan.deadlocks)
+            deadlocks = tuple(map(graph.decode,
+                                  scan.deadlocks[:max_witnesses]))
             witness_graph = graph
         cycles = () if witness_graph is None else tuple(
             tuple(c) for c in livelock_cycles(witness_graph,
@@ -129,9 +152,10 @@ def check_instance(instance, max_witnesses: int = 8,
         state_count=state_count,
         invariant_count=invariant_count,
         closed=scan.closed,
+        deadlock_count=deadlock_count,
         deadlocks_outside=deadlocks,
         livelock_cycles=cycles,
-        strongly_converging=not deadlocks and not cycles,
+        strongly_converging=not deadlock_count and not cycles,
         weakly_converging=weak,
         worst_case_recovery_steps=worst,
         stats=stats,

@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.checker.convergence import GlobalReport, check_instance
+from repro.checker.convergence import MAX_WITNESSES, GlobalReport, \
+    check_instance
 from repro.engine import EngineStats, ResultCache, analysis_key, \
     supervise_work_items
 from repro.engine.supervisor import FaultPlan, SupervisorPolicy
@@ -79,10 +80,12 @@ class SweepResult:
 def _sweep_key(protocol: "RingProtocol", size: int) -> str:
     # Backend choice never perturbs the report (the kernel's
     # quotient-backed check reproduces the naive report field for
-    # field) so it stays out of the key.  The value is always the bare
+    # field) so it stays out of the key; the witness cap shapes the
+    # report, so it is in it.  The value is always the bare
     # GlobalReport the dispatcher stored (``repro check`` is a one-size
     # sweep).
-    return analysis_key("check-instance", protocol, ring_size=size)
+    return analysis_key("check-instance", protocol, ring_size=size,
+                        max_witnesses=MAX_WITNESSES)
 
 
 def _check_seconds(report: GlobalReport) -> float:

@@ -12,8 +12,10 @@ livelock.  This module automates that reconstruction argument:
    one matched support) as **real** (a global livelock exists at its
    parameter family) or **spurious up to the bound**;
 3. report a refined verdict: a definitive counterexample, a full
-   certificate, or "certified deadlock-free + livelock-free for all
-   checked sizes" (the best obtainable when sufficiency fails).
+   certificate, "certified deadlock-free + livelock-free for all
+   checked sizes" (the best obtainable when sufficiency fails), or,
+   when a witness indicts no size up to the bound, that it went
+   unchecked.
 
 The refinement never overclaims: ``BOUNDED`` means exactly what it says.
 """
@@ -53,7 +55,13 @@ class HybridVerdict(enum.Enum):
     BOUNDED = "converges-up-to-bound"
     """Deadlock-free for every K (exact) and livelock-free for every
     checked K; the local livelock certificate could not close the
-    remaining gap — every trail witness was spurious up to the bound."""
+    remaining gap — every trail witness was checked and spurious up to
+    the bound."""
+
+    WITNESS_PAST_BOUND = "witness-past-bound"
+    """Deadlock-free for every K and livelock-free for every checked K,
+    but some trail witness's K exceeds the bound, so no checked size
+    could refute it: nothing is concluded about that witness."""
 
 
 @dataclass(frozen=True)
@@ -185,7 +193,9 @@ def hybrid_verify(protocol: "RingProtocol",
             counterexample=tuple(livelock_cycles(full, max_cycles=1)[0]),
         )
     return HybridReport(
-        verdict=HybridVerdict.BOUNDED,
+        verdict=(HybridVerdict.BOUNDED
+                 if all(c.spurious for c in classifications)
+                 else HybridVerdict.WITNESS_PAST_BOUND),
         base=base,
         classifications=tuple(classifications),
         checked_sizes=tuple(all_sizes),
@@ -224,9 +234,10 @@ def hybrid_synthesize(protocol: "RingProtocol",
     This wrapper first runs the pure local methodology; if it fails,
     each rejected combination is re-examined with :func:`hybrid_verify`,
     and the first one that is deadlock-free for all K *and* livelock-free
-    for every checked size is returned with an explicit ``"bounded"``
-    guarantee.  Protocols for which every combination has a *real*
-    livelock (2-coloring, 3-coloring) still fail.
+    for every checked size, with every trail witness checked and
+    spurious, is returned with an explicit ``"bounded"`` guarantee.
+    Protocols for which every combination has a *real* livelock
+    (2-coloring, 3-coloring) still fail.
     """
     from repro.core.selfdisabling import action_for_transition
     from repro.core.synthesis import Synthesizer

@@ -43,11 +43,13 @@ explicit-state engine can do.  This module removes it in three steps:
    closure, weak convergence and BFS distances to the invariant, hence
    every convergence *verdict*.  The global checker
    (:func:`repro.checker.convergence.check_instance`) runs on it for
-   every kernel instance and reports the full space: counts are orbit
-   sizes summed (:meth:`PackedSpace.orbit`), deadlocks are orbits
-   expanded and decoded (:meth:`PackedSpace.decode_code`), and only a
-   quotient with a livelock has its full space built (:func:`build_full`),
-   because a cycle of representatives repeats only up to rotation.
+   every kernel instance and reports the full space: counts, the
+   deadlock count included, are orbit sizes summed
+   (:meth:`PackedSpace.orbit`), the deadlock witnesses are the smallest
+   expanded codes, the only ones decoded (:meth:`PackedSpace.decode_code`),
+   and only a quotient with a livelock has its full space built
+   (:func:`build_full`), because a cycle of representatives repeats only
+   up to rotation.
 
 The kernel applies to symmetric rings only — exactly
 :class:`RingInstance` (Dijkstra's token ring has a distinguished root

@@ -211,7 +211,7 @@ def global_report_to_dict(report) -> dict[str, Any]:
         "state_count": report.state_count,
         "invariant_count": report.invariant_count,
         "closed": report.closed,
-        "deadlocks_outside": len(report.deadlocks_outside),
+        "deadlocks_outside": report.deadlock_count,
         "livelock_cycles": len(report.livelock_cycles),
         "strongly_converging": report.strongly_converging,
         "weakly_converging": report.weakly_converging,

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.checker import StateGraph, check_instance, is_closed
+from repro.checker import (
+    StateGraph,
+    check_instance,
+    is_closed,
+    strongly_converges,
+)
 from repro.checker.deadlock import (
     illegitimate_deadlocks,
     legitimate_deadlocks,
@@ -17,6 +22,7 @@ from repro.protocols import (
     stabilizing_agreement,
     stabilizing_sum_not_two,
 )
+from repro.protocols.registry import REGISTRY
 
 
 class TestStabilizingProtocols:
@@ -115,3 +121,32 @@ class TestTokenRing:
     def test_closure_of_token_ring(self):
         graph = StateGraph(DijkstraTokenRing(4))
         assert is_closed(graph)
+
+
+class TestWitnessCap:
+    """A report counts every deadlock outside ``I`` and decodes at most
+    ``max_witnesses`` of them: the head of the naive reference's list,
+    in state order.  The verdict never depends on the cap."""
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_capped_deadlocks_are_the_reference_prefix(self, name):
+        protocol = REGISTRY[name]()
+        for size in range(protocol.process.window_width, 9):
+            instance = protocol.instantiate(size)
+            naive = StateGraph(instance, backend="naive")
+            every = illegitimate_deadlocks(naive)
+            converging = strongly_converges(naive)
+            for cap in (0, 1, 8):
+                report = check_instance(instance, max_witnesses=cap)
+                assert report.deadlocks_outside == tuple(every[:cap]), \
+                    (size, cap)
+                assert report.deadlock_count == len(every), (size, cap)
+                assert report.strongly_converging == converging, \
+                    (size, cap)
+                assert f"deadlocks outside I: {len(every)}\n" \
+                    in report.summary()
+
+    def test_negative_cap_is_refused(self):
+        with pytest.raises(ValueError, match="max_witnesses"):
+            check_instance(stabilizing_agreement().instantiate(3),
+                           max_witnesses=-1)

@@ -2,13 +2,17 @@
 
 import pytest
 
+from repro.checker import StateGraph
+from repro.checker.convergence import GlobalReport, check_instance
+from repro.checker.deadlock import illegitimate_deadlocks
 from repro.checker.sweep import _sweep_key, sweep_verify
-from repro.engine import ResultCache
+from repro.engine import ResultCache, analysis_key
 from repro.engine.pool import parallelism_available
 from repro.engine.supervisor import FAULT_ENV
 from repro.protocols import (
     nongeneralizable_matching,
     stabilizing_agreement,
+    three_coloring,
 )
 
 
@@ -63,6 +67,26 @@ def test_stop_on_failure_truncates(tmp_path):
         else:
             assert (stats.cache_hits, stats.cache_misses) == (2, 0)
             assert stats.work_items == 0
+
+
+def test_reports_stored_before_the_witness_cap_are_recomputed(tmp_path):
+    # Before the cap a per-K entry held every deadlock, decoded, and no
+    # deadlock_count; its key had no max_witnesses, so it is never read.
+    protocol = three_coloring()
+    fresh = check_instance(protocol.instantiate(6))
+    old = object.__new__(GlobalReport)
+    old.__dict__.update({name: getattr(fresh, name)
+                         for name in GlobalReport.__dataclass_fields__
+                         if name != "deadlock_count"})
+    old.__dict__["deadlocks_outside"] = tuple(
+        illegitimate_deadlocks(StateGraph(protocol.instantiate(6))))
+    cache = ResultCache(tmp_path)
+    cache.put(analysis_key("check-instance", protocol, ring_size=6), old)
+    result = sweep_verify(protocol, start=6, up_to=6, cache=cache)
+    assert (result.stats.cache_hits, result.stats.cache_misses) == (0, 1)
+    assert result.reports == (fresh,)
+    assert result.reports[0].deadlock_count \
+        == len(old.deadlocks_outside) > len(fresh.deadlocks_outside)
 
 
 @pytest.mark.skipif(not parallelism_available(),

@@ -120,6 +120,9 @@ class TestWitnessSizes:
         # agreement-livelock's trail is at K = 3: a bound of 2 checks
         # K = 2 only, which says nothing about the witness.
         report = hybrid_verify(livelock_agreement(), check_up_to=2)
+        # Nothing refutes the witness, so the verdict may not claim
+        # convergence up to the bound.
+        assert report.verdict is HybridVerdict.WITNESS_PAST_BOUND
         (classification,) = report.classifications
         assert classification.checked_sizes == ()
         assert classification.real_at is None

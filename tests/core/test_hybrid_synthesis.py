@@ -47,6 +47,14 @@ def test_colorings_fail_even_with_fallback():
         assert result.guarantee == "none"
 
 
+def test_unchecked_witness_is_not_accepted_as_bounded():
+    """Under a bound of 2 the candidate's K=3 trail is never checked,
+    so nothing shows it spurious: no ``"bounded"`` guarantee."""
+    result = hybrid_synthesize(rejected_sum_not_two(), check_up_to=2)
+    assert not result.succeeded
+    assert result.guarantee == "none"
+
+
 def test_spurious_rejection_recovered_as_bounded():
     """The paper's rejected {t21, t10, t02}: the pure methodology cannot
     accept it (its pseudo-livelock forms a trail) but bounded checking

@@ -44,6 +44,13 @@ def test_check_failing_instance(capsys):
     assert main(["check", "matching-gouda-acharya", "-K", "5"]) == 1
 
 
+def test_hybrid_witness_past_the_bound_exits_1(capsys):
+    # Under a bound of 2 the K=3 witness is never checked, so nothing
+    # supports a pass (a bound of 3 finds the real livelock).
+    assert main(["hybrid", "agreement-livelock", "--check-up-to", "2"]) == 1
+    assert "hybrid verdict: witness-past-bound" in capsys.readouterr().out
+
+
 def test_synthesize_success(capsys):
     assert main(["synthesize", "sum-not-two"]) == 0
     out = capsys.readouterr().out
